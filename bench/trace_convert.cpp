@@ -9,12 +9,14 @@
 //   trace_convert --check <dir-or-file>...
 //       For every trace JSON found: parse -> structs -> binary ->
 //       reload -> re-emit JSON, and require (a) the re-emitted text to
-//       be byte-identical to the input file and (b) for sim traces the
-//       deterministic fingerprint to survive the binary round trip.
-//       Non-trace JSON (bench roll-ups, registry snapshots) is skipped;
-//       finding zero traces is a failure (an empty directory must not
-//       pass as "validated").  This is the ctest step between
-//       trace_emit_* and trace_validate.
+//       be byte-identical to the input file, (b) for sim traces the
+//       deterministic fingerprint to survive the binary round trip, and
+//       (c) the binary to equal a committed twin <stem>.trc beside the
+//       input, if there is one.  Non-trace JSON (bench roll-ups,
+//       registry snapshots) is skipped; finding zero traces is a
+//       failure (an empty directory must not pass as "validated").  This
+//       is the ctest step between trace_emit_* and trace_validate, and
+//       the check on the golden fixtures in tests/data/traces.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -22,6 +24,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "io/emit.h"
 #include "io/json.h"
@@ -134,7 +138,16 @@ int check_file(const std::string& path, bool& failed) {
     std::printf("skip      %s (not a trace)\n", path.c_str());
     return 0;
   }
-  const std::string binary_path = path + ".roundtrip.trc";
+  // The round trip's binary goes to the temp directory, never beside the
+  // input: the golden fixtures live in the source tree.
+  const std::filesystem::path source(path);
+  const std::string binary_path =
+      (std::filesystem::temp_directory_path() /
+       (source.filename().string() + "." + std::to_string(::getpid()) +
+        ".trc"))
+          .string();
+  std::filesystem::path twin = source;
+  twin.replace_extension(".trc");
   try {
     std::string reemitted;
     bool fingerprint_ok = true;
@@ -151,7 +164,15 @@ int check_file(const std::string& path, bool& failed) {
       write_binary_run_trace(trace, binary_path);
       reemitted = run_trace_text(read_binary_run_trace(binary_path));
     }
+    const bool twin_ok = !std::filesystem::exists(twin) ||
+                         load_text(twin.string()) == load_text(binary_path);
     std::filesystem::remove(binary_path);
+    if (!twin_ok) {
+      std::fprintf(stderr, "%s: binary differs from %s\n", path.c_str(),
+                   twin.string().c_str());
+      failed = true;
+      return 1;
+    }
     if (!fingerprint_ok) {
       std::fprintf(stderr, "%s: fingerprint changed across binary round "
                            "trip\n",

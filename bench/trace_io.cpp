@@ -1,14 +1,14 @@
-// Trace-IO gate: emission time and trace size across the three write
-// paths (DESIGN.md §13) on a fault-injection horizon with the EA's
+// Trace-IO gate: emission time and trace size of the two write paths
+// (DESIGN.md §13) on a fault-injection horizon with the EA's
 // per-generation allocator trace enabled — the richest WindowMetrics
 // shape (fault events, admission block, nested run traces).
 //
-//   json-tree   legacy path: build the Json tree, dump(2) to a string
-//   streaming   SimTraceWriter: per-window emit + flush, no tree
+//   streaming   SimTraceWriter: per-window emit + flush, pretty JSON
 //   binary      BinaryTraceWriter: varint/f64 records, per-window flush
 //
 // Hard gates (any tier, any hardware — these are correctness, not perf):
-//   * streaming output is byte-identical to the json-tree output;
+//   * the binary file re-emitted as JSON equals the streamed file byte
+//     for byte;
 //   * the binary file is >= 5x smaller than the pretty JSON;
 //   * the binary file reloads to the same deterministic fingerprint;
 //   * the streaming writer's peak buffer is O(one window), not O(run).
@@ -36,7 +36,6 @@
 #include "common/table.h"
 #include "io/emit.h"
 #include "io/trace_binary.h"
-#include "io/trace_json.h"
 #include "io/trace_stream.h"
 #include "sim/simulator.h"
 
@@ -88,7 +87,7 @@ std::vector<WindowMetrics> run_horizon(const Tier& tier) {
 }  // namespace
 
 int main() {
-  std::printf("=== Trace-IO: tree vs streaming vs binary emission ===\n");
+  std::printf("=== Trace-IO: streaming JSON vs binary emission ===\n");
 
   Tier tier;
   if (std::getenv("IAAS_BENCH_FAST") != nullptr) {
@@ -111,17 +110,6 @@ int main() {
               tier.name, tier.servers, tier.windows);
   const std::vector<WindowMetrics> rows = run_horizon(tier);
   const std::uint64_t fingerprint = deterministic_fingerprint(rows);
-
-  // --- json-tree path (legacy) ---------------------------------------
-  double tree_seconds = 0.0;
-  std::string tree_text;
-  for (std::size_t rep = 0; rep < tier.reps; ++rep) {
-    Stopwatch timer;
-    tree_text = sim_trace_to_json(rows).dump(2);
-    tree_text += '\n';
-    tree_seconds += timer.elapsed_seconds();
-  }
-  tree_seconds /= static_cast<double>(tier.reps);
 
   // --- streaming path ------------------------------------------------
   double stream_seconds = 0.0;
@@ -157,18 +145,13 @@ int main() {
 
   const double ratio = binary_bytes == 0
                            ? 0.0
-                           : static_cast<double>(tree_text.size()) /
+                           : static_cast<double>(stream_bytes) /
                                  static_cast<double>(binary_bytes);
   const double bytes_per_window =
       static_cast<double>(stream_bytes) /
       static_cast<double>(std::max<std::size_t>(rows.size(), 1));
 
   TextTable table({"path", "seconds", "bytes", "bytes/window"});
-  table.add_row({"json-tree", TextTable::num(tree_seconds, 6),
-                 std::to_string(tree_text.size()),
-                 TextTable::num(static_cast<double>(tree_text.size()) /
-                                    static_cast<double>(rows.size()),
-                                1)});
   table.add_row({"streaming", TextTable::num(stream_seconds, 6),
                  std::to_string(stream_bytes),
                  TextTable::num(bytes_per_window, 1)});
@@ -187,11 +170,16 @@ int main() {
 
   // --- hard gates ----------------------------------------------------
   bool ok = true;
-  if (load_text(json_path) != tree_text) {
-    std::fprintf(stderr, "FAIL: streaming output differs from the "
-                         "json-tree output\n");
+  const std::vector<WindowMetrics> reloaded =
+      read_binary_sim_trace(binary_path);
+  const std::string reemit_path = json_path + ".reemit";
+  write_sim_trace_json(reloaded, reemit_path);
+  if (load_text(reemit_path) != load_text(json_path)) {
+    std::fprintf(stderr, "FAIL: the binary trace re-emitted as JSON "
+                         "differs from the streamed JSON\n");
     ok = false;
   }
+  std::remove(reemit_path.c_str());
   if (ratio < 5.0) {
     std::fprintf(stderr,
                  "FAIL: binary trace only %.2fx smaller than pretty "
@@ -199,8 +187,6 @@ int main() {
                  ratio);
     ok = false;
   }
-  const std::vector<WindowMetrics> reloaded =
-      read_binary_sim_trace(binary_path);
   if (deterministic_fingerprint(reloaded) != fingerprint) {
     std::fprintf(stderr, "FAIL: binary reload changed the "
                          "deterministic fingerprint\n");
@@ -231,14 +217,12 @@ int main() {
     e.value(static_cast<std::uint64_t>(tier.servers));
     e.key("window_count");
     e.value(static_cast<std::uint64_t>(rows.size()));
-    e.key("json_tree_seconds");
-    e.value(tree_seconds);
     e.key("streaming_seconds");
     e.value(stream_seconds);
     e.key("binary_seconds");
     e.value(binary_seconds);
     e.key("json_bytes");
-    e.value(static_cast<std::uint64_t>(tree_text.size()));
+    e.value(static_cast<std::uint64_t>(stream_bytes));
     e.key("binary_bytes");
     e.value(static_cast<std::uint64_t>(binary_bytes));
     e.key("bytes_per_window");

@@ -35,6 +35,17 @@ struct ShardRunStats {
   std::size_t min_shard_vms = 0;         // smallest shard slice (VM count)
 };
 
+template <fields::Of<ShardRunStats> Self, typename V>
+void visit_fields(Self& s, V& v) {
+  using enum fields::Tag;
+  v.leaf("shard_count", s.shard_count, kDeterministic);
+  v.leaf("pre_rejections", s.pre_rejections, kDeterministic);
+  v.leaf("rebalance_placements", s.rebalance_placements, kDeterministic);
+  v.leaf("migrations", s.migrations, kDeterministic);
+  v.leaf("max_shard_vms", s.max_shard_vms, kDeterministic);
+  v.leaf("min_shard_vms", s.min_shard_vms, kDeterministic);
+}
+
 struct AllocationResult {
   std::string algorithm;
 

@@ -135,53 +135,40 @@ ScopedSink::~ScopedSink() { t_sink = previous_; }
 
 #endif  // IAAS_TELEMETRY
 
-const std::vector<std::string>& RunTrace::columns() {
-  static const std::vector<std::string> kColumns = {
-      "generation",       "evaluations",
-      "full_rebuilds",    "delta_moves",
-      "rebases",          "repair_invocations", "repaired",
-      "unrepairable",     "tabu_moves_tried",
-      "tabu_moves_accepted", "front_size",
-      "best_usage",       "best_downtime",
-      "best_migration",   "seconds_tournament",
-      "seconds_variation", "seconds_repair",
-      "seconds_evaluate", "seconds_selection",
-  };
-  return kColumns;
-}
-
 namespace {
 
-std::string num(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-  return buffer;
-}
+// One CSV row: the GenerationRow field list's keys and formatted values.
+struct Cells {
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  void leaf(const char* key, std::size_t v, fields::Tag) {
+    keys.emplace_back(key);
+    values.push_back(std::to_string(v));
+  }
+  void leaf(const char* key, double v, fields::Tag) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%.9g", v);
+    keys.emplace_back(key);
+    values.emplace_back(buffer);
+  }
+};
 
 }  // namespace
 
+const std::vector<std::string>& RunTrace::columns() {
+  static const std::vector<std::string> kColumns = [] {
+    Cells cells;
+    const GenerationRow probe;
+    visit_fields(probe, cells);
+    return cells.keys;
+  }();
+  return kColumns;
+}
+
 std::vector<std::string> RunTrace::row_values(const GenerationRow& row) {
-  return {
-      std::to_string(row.generation),
-      std::to_string(row.evaluations),
-      std::to_string(row.full_rebuilds),
-      std::to_string(row.delta_moves),
-      std::to_string(row.rebases),
-      std::to_string(row.repair_invocations),
-      std::to_string(row.repaired),
-      std::to_string(row.unrepairable),
-      std::to_string(row.tabu_moves_tried),
-      std::to_string(row.tabu_moves_accepted),
-      std::to_string(row.front_size),
-      num(row.best_objectives[0]),
-      num(row.best_objectives[1]),
-      num(row.best_objectives[2]),
-      num(row.seconds_tournament),
-      num(row.seconds_variation),
-      num(row.seconds_repair),
-      num(row.seconds_evaluate),
-      num(row.seconds_selection),
-  };
+  Cells cells;
+  visit_fields(row, cells);
+  return cells.values;
 }
 
 std::size_t RunTrace::total(std::size_t GenerationRow::*field) const {

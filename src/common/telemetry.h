@@ -17,8 +17,9 @@
 //   * a structured **RunTrace**: one row per EA generation recording
 //     what the search actually did — evaluations, delta moves vs full
 //     rebuilds, repair outcomes, tabu move counts, front size, best
-//     objective vector, and phase wall times — with a CSV emitter here
-//     (reusing common/csv) and a JSON emitter in io/trace_json.
+//     objective vector, and phase wall times — described once by its
+//     field list (common/fields), with a CSV emitter here (reusing
+//     common/csv) and JSON/binary codecs in io.
 #pragma once
 
 #include <array>
@@ -27,6 +28,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/fields.h"
 
 #ifndef IAAS_TELEMETRY
 #define IAAS_TELEMETRY 1
@@ -241,6 +244,31 @@ struct GenerationRow {
   double seconds_selection = 0.0;
 };
 
+// Trace columns: CSV header, JSON "columns" and binary row layout.
+template <fields::Of<GenerationRow> Self, typename V>
+void visit_fields(Self& r, V& v) {
+  using enum fields::Tag;
+  v.leaf("generation", r.generation, kDeterministic);
+  v.leaf("evaluations", r.evaluations, kDeterministic);
+  v.leaf("full_rebuilds", r.full_rebuilds, kCounter);
+  v.leaf("delta_moves", r.delta_moves, kCounter);
+  v.leaf("rebases", r.rebases, kCounter);
+  v.leaf("repair_invocations", r.repair_invocations, kCounter);
+  v.leaf("repaired", r.repaired, kCounter);
+  v.leaf("unrepairable", r.unrepairable, kCounter);
+  v.leaf("tabu_moves_tried", r.tabu_moves_tried, kCounter);
+  v.leaf("tabu_moves_accepted", r.tabu_moves_accepted, kCounter);
+  v.leaf("front_size", r.front_size, kDeterministic);
+  v.leaf("best_usage", r.best_objectives[0], kDeterministic);
+  v.leaf("best_downtime", r.best_objectives[1], kDeterministic);
+  v.leaf("best_migration", r.best_objectives[2], kDeterministic);
+  v.leaf("seconds_tournament", r.seconds_tournament, kWallClock);
+  v.leaf("seconds_variation", r.seconds_variation, kWallClock);
+  v.leaf("seconds_repair", r.seconds_repair, kWallClock);
+  v.leaf("seconds_evaluate", r.seconds_evaluate, kWallClock);
+  v.leaf("seconds_selection", r.seconds_selection, kWallClock);
+}
+
 struct RunTrace {
   std::string label;       // algorithm / experiment tag
   std::uint64_t seed = 0;  // the run's printed seed
@@ -248,7 +276,7 @@ struct RunTrace {
 
   [[nodiscard]] bool empty() const { return rows.empty(); }
 
-  // Column order shared by the CSV emitter and io/trace_json.
+  // The GenerationRow field list's keys, and one row's CSV cells.
   static const std::vector<std::string>& columns();
   static std::vector<std::string> row_values(const GenerationRow& row);
 
@@ -259,5 +287,12 @@ struct RunTrace {
   // fails loudly on an unopenable path).
   void write_csv(const std::string& path) const;
 };
+
+template <fields::Of<RunTrace> Self, typename V>
+void visit_fields(Self& t, V& v) {
+  v.leaf("label", t.label, fields::Tag::kLabel);
+  v.leaf("seed", t.seed, fields::Tag::kLabel);
+  v.table("columns", RunTrace::columns(), "rows", t.rows);
+}
 
 }  // namespace iaas::telemetry

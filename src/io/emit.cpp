@@ -1,7 +1,5 @@
 #include "io/emit.h"
 
-#include <algorithm>
-
 #include "common/expect.h"
 #include "io/json.h"
 
@@ -39,55 +37,23 @@ void JsonEmitter::before_value() {
   }
 }
 
-void JsonEmitter::after_value() {
-  peak_ = std::max(peak_, out_.size());
-  if (flush_ && out_.size() >= flush_threshold_) {
-    bytes_emitted_ += out_.size();
-    flush_(out_);
-    out_.clear();
-  }
-}
-
-void JsonEmitter::begin_object() {
+void JsonEmitter::open(char bracket) {
   before_value();
   IAAS_EXPECT(depth_ + 1 < kMaxDepth, "JsonEmitter: nesting too deep");
   ++depth_;
   child_written_ &= ~(1ull << depth_);
-  out_ += '{';
-  peak_ = std::max(peak_, out_.size());
+  out_ += bracket;
 }
 
-void JsonEmitter::end_object() {
+void JsonEmitter::close(char bracket) {
   IAAS_EXPECT(depth_ > 0 && !key_pending_,
-              "JsonEmitter: unbalanced end_object");
+              "JsonEmitter: unbalanced end_object/end_array");
   const bool non_empty = (child_written_ & (1ull << depth_)) != 0;
   --depth_;
   if (non_empty) {
     newline_indent(depth_);
   }
-  out_ += '}';
-  after_value();
-}
-
-void JsonEmitter::begin_array() {
-  before_value();
-  IAAS_EXPECT(depth_ + 1 < kMaxDepth, "JsonEmitter: nesting too deep");
-  ++depth_;
-  child_written_ &= ~(1ull << depth_);
-  out_ += '[';
-  peak_ = std::max(peak_, out_.size());
-}
-
-void JsonEmitter::end_array() {
-  IAAS_EXPECT(depth_ > 0 && !key_pending_,
-              "JsonEmitter: unbalanced end_array");
-  const bool non_empty = (child_written_ & (1ull << depth_)) != 0;
-  --depth_;
-  if (non_empty) {
-    newline_indent(depth_);
-  }
-  out_ += ']';
-  after_value();
+  out_ += bracket;
 }
 
 void JsonEmitter::key(std::string_view k) {
@@ -102,82 +68,31 @@ void JsonEmitter::key(std::string_view k) {
 void JsonEmitter::value_null() {
   before_value();
   out_ += "null";
-  after_value();
 }
 
 void JsonEmitter::value(bool b) {
   before_value();
   out_ += b ? "true" : "false";
-  after_value();
 }
 
 void JsonEmitter::value(double d) {
   before_value();
   json_detail::format_double(d, out_);
-  after_value();
 }
 
 void JsonEmitter::value(std::uint64_t v) {
   before_value();
   json_detail::format_uint(v, out_);
-  after_value();
 }
 
 void JsonEmitter::value(std::int64_t v) {
   before_value();
   json_detail::format_int(v, out_);
-  after_value();
 }
 
 void JsonEmitter::value(std::string_view s) {
   before_value();
   json_detail::escape_string(s, out_);
-  after_value();
-}
-
-void JsonEmitter::value_raw(std::string_view raw) {
-  before_value();
-  out_ += raw;
-  after_value();
-}
-
-void emit_json(JsonEmitter& emitter, const Json& value) {
-  switch (value.type()) {
-    case Json::Type::kNull:
-      emitter.value_null();
-      return;
-    case Json::Type::kBool:
-      emitter.value(value.as_bool());
-      return;
-    case Json::Type::kNumber:
-      // Preserve the storage form so integer lexemes re-emit exactly.
-      if (value.holds_unsigned()) {
-        emitter.value(value.as_uint64());
-      } else if (value.holds_signed()) {
-        emitter.value(value.as_int64());
-      } else {
-        emitter.value(value.as_number());
-      }
-      return;
-    case Json::Type::kString:
-      emitter.value(std::string_view(value.as_string()));
-      return;
-    case Json::Type::kArray:
-      emitter.begin_array();
-      for (std::size_t i = 0; i < value.size(); ++i) {
-        emit_json(emitter, value.at(i));
-      }
-      emitter.end_array();
-      return;
-    case Json::Type::kObject:
-      emitter.begin_object();
-      for (const auto& [key, element] : value.items()) {
-        emitter.key(key);
-        emit_json(emitter, element);
-      }
-      emitter.end_object();
-      return;
-  }
 }
 
 }  // namespace iaas

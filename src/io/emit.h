@@ -3,8 +3,7 @@
 // caller-owned (reusable) std::string through the same formatters as
 // Json::dump (json_detail::*), so for any document the streamed bytes
 // are identical to building the equivalent Json tree and dumping it
-// with the same indent.  That byte-equivalence is what lets the
-// streaming writers be validated against the legacy tree emitters.
+// with the same indent.
 //
 // Usage:
 //   std::string buf;
@@ -16,21 +15,17 @@
 //   e.end_array();
 //   e.end_object();          // buf now holds the full document
 //
-// An optional flush callback turns the buffer into a bounded window:
-// whenever the buffer grows past `flush_threshold` bytes at a value
-// boundary, the callback drains it (e.g. fwrite + clear), so emitting a
-// million-window trace holds O(threshold) memory instead of O(run).
+// The owner may drain the buffer between values (write + clear): the
+// emitter's state lives in its own members, so the trace writers hold
+// one window of text at a time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
 namespace iaas {
-
-class Json;
 
 class JsonEmitter {
  public:
@@ -40,20 +35,10 @@ class JsonEmitter {
   explicit JsonEmitter(std::string& out, int indent = -1)
       : out_(out), indent_(indent) {}
 
-  // Install a drain: after each emitted token, if the buffer exceeds
-  // `threshold` bytes the callback receives its contents and the buffer
-  // is cleared.  Chunks are arbitrary byte splits of the final document
-  // — concatenating them reproduces it exactly.
-  void set_flush(std::function<void(std::string_view)> flush,
-                 std::size_t threshold) {
-    flush_ = std::move(flush);
-    flush_threshold_ = threshold;
-  }
-
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
 
   // Object member key; must be followed by exactly one value or
   // container begin.
@@ -68,39 +53,18 @@ class JsonEmitter {
   void value(std::string_view s);
   void value(const char* s) { value(std::string_view(s)); }
 
-  // Append `raw` verbatim in value position (already-serialised JSON —
-  // e.g. a sub-document produced by another emitter pass).
-  void value_raw(std::string_view raw);
-
-  [[nodiscard]] int depth() const { return depth_; }
-  // Bytes drained through the flush callback so far; the tail still in
-  // the buffer is not counted until it flushes (or the owner drains the
-  // buffer itself, as the trace writers do).
-  [[nodiscard]] std::size_t bytes_emitted() const { return bytes_emitted_; }
-  // High-water mark of the in-memory buffer across the emitter's
-  // lifetime — with a flush installed this stays O(threshold + one
-  // value) regardless of document size.
-  [[nodiscard]] std::size_t peak_buffer_bytes() const { return peak_; }
-
  private:
+  void open(char bracket);
+  void close(char bracket);
   void separate_child();
   void newline_indent(int depth);
   void before_value();
-  void after_value();
 
   std::string& out_;
   int indent_;
   int depth_ = 0;                    // open containers
   bool key_pending_ = false;         // key() emitted, value expected
   std::uint64_t child_written_ = 0;  // bit d: depth-d container non-empty
-  std::function<void(std::string_view)> flush_;
-  std::size_t flush_threshold_ = 0;
-  std::size_t bytes_emitted_ = 0;
-  std::size_t peak_ = 0;
 };
-
-// Walk a Json tree through an emitter (exact re-emission, preserving
-// integer lexemes).  Used by the converter and round-trip tests.
-void emit_json(JsonEmitter& emitter, const Json& value);
 
 }  // namespace iaas

@@ -133,14 +133,6 @@ std::int64_t Json::as_int64() const {
   fail("not a number");
 }
 
-bool Json::holds_unsigned() const {
-  return std::holds_alternative<std::uint64_t>(value_);
-}
-
-bool Json::holds_signed() const {
-  return std::holds_alternative<std::int64_t>(value_);
-}
-
 const std::string& Json::as_string() const {
   if (const std::string* s = std::get_if<std::string>(&value_)) {
     return *s;
@@ -404,58 +396,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   }
 }
 
-std::size_t Json::dump_estimate(int indent, int depth) const {
-  // Per-element separator cost: "," plus (pretty mode) newline + indent.
-  const std::size_t sep =
-      1 + (indent >= 0
-               ? 1 + static_cast<std::size_t>(indent) *
-                         static_cast<std::size_t>(depth + 1)
-               : 0);
-  switch (type()) {
-    case Type::kNull:
-    case Type::kBool:
-      return 5;
-    case Type::kNumber:
-      return 24;  // "%.17g" / 20-digit uint64 worst case + sign
-    case Type::kString:
-      // Quotes plus headroom for the occasional escape; a pathological
-      // all-escape string just falls back to amortised growth.
-      return std::get<std::string>(value_).size() + 8;
-    case Type::kArray: {
-      const Array& a = std::get<Array>(value_);
-      std::size_t total = 2 + sep;  // brackets + closing newline/indent
-      for (const Json& element : a) {
-        total += element.dump_estimate(indent, depth + 1) + sep;
-      }
-      return total;
-    }
-    case Type::kObject: {
-      const Object& o = std::get<Object>(value_);
-      std::size_t total = 2 + sep;
-      for (const auto& [key, element] : o) {
-        total += key.size() + 4 +  // quoted key + ": "
-                 element.dump_estimate(indent, depth + 1) + sep;
-      }
-      return total;
-    }
-  }
-  return 0;
-}
-
 std::string Json::dump(int indent) const {
   std::string out;
-  out.reserve(dump_estimate(indent, 0));
   dump_to(out, indent, 0);
   return out;
-}
-
-void Json::dump_into(std::string& out, int indent) const {
-  out.clear();
-  const std::size_t estimate = dump_estimate(indent, 0);
-  if (out.capacity() < estimate) {
-    out.reserve(estimate);
-  }
-  dump_to(out, indent, 0);
 }
 
 // --------------------------------------------------------------- parse --

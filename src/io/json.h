@@ -80,10 +80,6 @@ class Json {
   [[nodiscard]] std::int64_t as_int64() const;
   [[nodiscard]] const std::string& as_string() const;
 
-  // Number storage introspection (for exact re-emission by io/emit).
-  [[nodiscard]] bool holds_unsigned() const;
-  [[nodiscard]] bool holds_signed() const;
-
   // --- array interface ---
   void push_back(Json element);
   [[nodiscard]] std::size_t size() const;  // array or object
@@ -99,12 +95,6 @@ class Json {
   // Serialise. indent < 0 -> compact single line; otherwise pretty-print
   // with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
-
-  // Serialise into a caller-owned buffer (cleared first), reserving it
-  // from a structural size estimate so the append loop never reallocates
-  // mid-dump.  Emitters writing many documents keep one scratch string
-  // across calls and pay for its growth only once.
-  void dump_into(std::string& out, int indent = -1) const;
 
   // Parse a complete JSON document (trailing garbage is an error).
   static Json parse(std::string_view text);
@@ -125,10 +115,6 @@ class Json {
   using Object = std::vector<std::pair<std::string, Json>>;
 
   void dump_to(std::string& out, int indent, int depth) const;
-  // Upper-ish bound on the dump's byte size (exact for structure and
-  // indentation, padded for numbers/escapes) — what dump/dump_into
-  // reserve before appending.
-  [[nodiscard]] std::size_t dump_estimate(int indent, int depth) const;
 
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,
                std::string, Array, Object>

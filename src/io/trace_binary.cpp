@@ -1,7 +1,9 @@
 #include "io/trace_binary.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/expect.h"
@@ -16,21 +18,10 @@ namespace {
 constexpr std::uint8_t kRecordWindow = 0x01;
 constexpr std::uint8_t kRecordEnd = 0x00;
 
-// Optional-block flags, mirroring the JSON emission conditions.
-constexpr std::uint8_t kFlagProviders = 1u << 0;
-constexpr std::uint8_t kFlagAdmission = 1u << 1;
-constexpr std::uint8_t kFlagShard = 1u << 2;
-constexpr std::uint8_t kFlagAllocatorTrace = 1u << 3;
-constexpr std::uint8_t kFlagFairness = 1u << 4;
-
 // ------------------------------------------------------- encoding -----
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out += static_cast<char>(v);
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
     out += static_cast<char>((v >> (8 * i)) & 0xFF);
   }
 }
@@ -43,37 +34,156 @@ void put_varint(std::string& out, std::uint64_t v) {
   out += static_cast<char>(v);
 }
 
-void put_f64(std::string& out, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out += static_cast<char>((bits >> (8 * i)) & 0xFF);
-  }
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_varint(out, s.size());
-  out += s;
-}
-
-class ByteReader {
+// Appends listed fields in list order: unsigned integers as varints,
+// doubles as their 8 bit-pattern bytes, bools and enums as one byte,
+// strings and lists length-first, present blocks only — each setting
+// its flag bit in the record's flags byte at out[flags_at].
+class BinaryOut {
  public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
+  explicit BinaryOut(std::string& out,
+                     std::size_t flags_at = std::string::npos)
+      : out_(out), flags_at_(flags_at) {}
 
-  [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
+  template <typename T, typename... Names>
+  void leaf(const char*, const T& v, fields::Tag, Names...) {
+    put(v);
+  }
+
+  template <typename T>
+  void list(const char*, const std::vector<T>& items, fields::Tag,
+            bool = true) {
+    put_varint(out_, items.size());
+    for (const T& item : items) {
+      if constexpr (fields::Scalar<T>) {
+        put(item);
+      } else {
+        visit_fields(item, *this);
+      }
+    }
+  }
+
+  template <typename S>
+  void tuple(const char*, const S& s) {
+    visit_fields(s, *this);
+  }
+
+  // The column count pins the row schema: a reader built against a
+  // different row shape rejects the file instead of misaligning rows.
+  template <typename Row>
+  void table(const char*, const std::vector<std::string>& columns,
+             const char* rows_key, const std::vector<Row>& rows) {
+    put_varint(out_, columns.size());
+    list(rows_key, rows, fields::Tag::kDeterministic);
+  }
+
+  template <typename List>
+  void block(const fields::Block& b, bool present, List&& list) {
+    if (present) {
+      IAAS_EXPECT(flags_at_ < out_.size(),
+                  "trace_binary: a block outside a window record");
+      out_[flags_at_] = static_cast<char>(out_[flags_at_] | b.flag);
+      list(*this);
+    }
+  }
+
+ private:
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      put_varint(out_, v.size());
+      out_ += v;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      put_le(out_, std::bit_cast<std::uint64_t>(v), 8);
+    } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+      out_ += static_cast<char>(v);
+    } else {
+      put_varint(out_, v);
+    }
+  }
+
+  std::string& out_;
+  std::size_t flags_at_;
+};
+
+// ------------------------------------------------------- decoding -----
+
+// Inverse of BinaryOut over a whole file's bytes.  Every read is bounds
+// checked: truncation, forged counts and integers wider than their
+// field are parse errors.
+class BinaryIn {
+ public:
+  explicit BinaryIn(std::string data) : data_(std::move(data)) {}
+
+  std::uint8_t flags = 0;     // blocks the current record carries
+  std::uint8_t declared = 0;  // flag bits of every block visited
+
+  template <typename T>
+  void leaf(const char* key, T& v, fields::Tag) {
+    get(key, v);
+  }
+
+  template <typename E>
+  void leaf(const char* key, E& v, fields::Tag, fields::Names<E> names) {
+    const std::uint8_t byte = u8();
+    if (byte > static_cast<std::uint8_t>(names.last)) {
+      parse_error(std::string("unknown ") + key + " " +
+                  std::to_string(byte));
+    }
+    v = static_cast<E>(byte);
+  }
+
+  template <typename T>
+  void list(const char* key, std::vector<T>& items, fields::Tag,
+            bool = true) {
+    // Every element takes at least one byte, so a count past the bytes
+    // left is forged — rejected before it can size anything.
+    const std::uint64_t n = varint();
+    if (n > data_.size() - pos_) {
+      parse_error("count " + std::to_string(n) + " exceeds the input");
+    }
+    items.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      T& item = items.emplace_back();
+      if constexpr (fields::Scalar<T>) {
+        get(key, item);
+      } else {
+        visit_fields(item, *this);
+      }
+    }
+  }
+
+  template <typename S>
+  void tuple(const char*, S& s) {
+    visit_fields(s, *this);
+  }
+
+  template <typename Row>
+  void table(const char*, const std::vector<std::string>& columns,
+             const char* rows_key, std::vector<Row>& rows) {
+    if (varint() != columns.size()) {
+      parse_error("run-trace column count mismatch");
+    }
+    list(rows_key, rows, fields::Tag::kDeterministic);
+  }
+
+  template <typename List>
+  void block(const fields::Block& b, bool, List&& list) {
+    declared |= b.flag;
+    if ((flags & b.flag) != 0) {
+      list(*this);
+    }
+  }
 
   std::uint8_t u8() {
     need(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
 
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_++]))
-           << (8 * i);
+  // Inverse of put_le.
+  std::uint64_t le(int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(u8()) << (8 * i);
     }
     return v;
   }
@@ -81,8 +191,7 @@ class ByteReader {
   std::uint64_t varint() {
     std::uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-      need(1);
-      const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+      const std::uint8_t byte = u8();
       v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
       if ((byte & 0x80) == 0) {
         return v;
@@ -91,28 +200,11 @@ class ByteReader {
     parse_error("varint too long");
   }
 
-  double f64() {
-    need(8);
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(data_[pos_++]))
-              << (8 * i);
+  void expect_end(const char* what) const {
+    if (pos_ != data_.size()) {
+      parse_error(std::string("trailing bytes after ") + what);
     }
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
   }
-
-  std::string str() {
-    const std::uint64_t len = varint();
-    need(len);
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
-  std::size_t size_value() { return static_cast<std::size_t>(varint()); }
 
  private:
   void need(std::uint64_t n) const {
@@ -121,27 +213,38 @@ class ByteReader {
     }
   }
 
-  std::string_view data_;
+  template <typename T>
+  void get(const char* key, T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      const std::uint64_t len = varint();
+      need(len);
+      v = data_.substr(pos_, len);
+      pos_ += len;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v = std::bit_cast<double>(le(8));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = u8() != 0;
+    } else {
+      const std::uint64_t u = varint();
+      if (u > std::numeric_limits<T>::max()) {
+        parse_error(std::string(key) + " " + std::to_string(u) +
+                    " overflows its field");
+      }
+      v = static_cast<T>(u);
+    }
+  }
+
+  std::string data_;
   std::size_t pos_ = 0;
 };
 
-// -------------------------------------------------------- payloads ----
-
-void put_header(std::string& out, BinaryTraceKind kind) {
-  out.append(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
-  put_u32(out, kBinaryTraceVersion);
-  put_u8(out, static_cast<std::uint8_t>(kind));
-}
-
-BinaryTraceKind read_header(ByteReader& in) {
-  char magic[sizeof(kBinaryTraceMagic)];
-  for (char& c : magic) {
-    c = static_cast<char>(in.u8());
+BinaryTraceKind read_header(BinaryIn& in) {
+  for (char c : kBinaryTraceMagic) {
+    if (in.u8() != static_cast<std::uint8_t>(c)) {
+      parse_error("bad magic (not a binary trace file)");
+    }
   }
-  if (std::memcmp(magic, kBinaryTraceMagic, sizeof(magic)) != 0) {
-    parse_error("bad magic (not a binary trace file)");
-  }
-  const std::uint32_t version = in.u32();
+  const std::uint64_t version = in.le(4);
   if (version != kBinaryTraceVersion) {
     parse_error("unsupported version " + std::to_string(version));
   }
@@ -151,289 +254,6 @@ BinaryTraceKind read_header(ByteReader& in) {
   }
   return static_cast<BinaryTraceKind>(kind);
 }
-
-void put_run_trace(std::string& out, const telemetry::RunTrace& trace) {
-  put_string(out, trace.label);
-  put_varint(out, trace.seed);
-  // Column count pins the schema: a reader built against a different
-  // GenerationRow shape rejects the file instead of misaligning rows.
-  put_varint(out, telemetry::RunTrace::columns().size());
-  put_varint(out, trace.rows.size());
-  for (const telemetry::GenerationRow& row : trace.rows) {
-    put_varint(out, row.generation);
-    put_varint(out, row.evaluations);
-    put_varint(out, row.full_rebuilds);
-    put_varint(out, row.delta_moves);
-    put_varint(out, row.rebases);
-    put_varint(out, row.repair_invocations);
-    put_varint(out, row.repaired);
-    put_varint(out, row.unrepairable);
-    put_varint(out, row.tabu_moves_tried);
-    put_varint(out, row.tabu_moves_accepted);
-    put_varint(out, row.front_size);
-    put_f64(out, row.best_objectives[0]);
-    put_f64(out, row.best_objectives[1]);
-    put_f64(out, row.best_objectives[2]);
-    put_f64(out, row.seconds_tournament);
-    put_f64(out, row.seconds_variation);
-    put_f64(out, row.seconds_repair);
-    put_f64(out, row.seconds_evaluate);
-    put_f64(out, row.seconds_selection);
-  }
-}
-
-telemetry::RunTrace read_run_trace(ByteReader& in) {
-  telemetry::RunTrace trace;
-  trace.label = in.str();
-  trace.seed = in.varint();
-  const std::uint64_t columns = in.varint();
-  if (columns != telemetry::RunTrace::columns().size()) {
-    parse_error("run-trace column count mismatch");
-  }
-  const std::uint64_t rows = in.varint();
-  trace.rows.reserve(static_cast<std::size_t>(rows));
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    telemetry::GenerationRow g;
-    g.generation = in.size_value();
-    g.evaluations = in.size_value();
-    g.full_rebuilds = in.size_value();
-    g.delta_moves = in.size_value();
-    g.rebases = in.size_value();
-    g.repair_invocations = in.size_value();
-    g.repaired = in.size_value();
-    g.unrepairable = in.size_value();
-    g.tabu_moves_tried = in.size_value();
-    g.tabu_moves_accepted = in.size_value();
-    g.front_size = in.size_value();
-    g.best_objectives = {in.f64(), in.f64(), in.f64()};
-    g.seconds_tournament = in.f64();
-    g.seconds_variation = in.f64();
-    g.seconds_repair = in.f64();
-    g.seconds_evaluate = in.f64();
-    g.seconds_selection = in.f64();
-    trace.rows.push_back(g);
-  }
-  return trace;
-}
-
-void put_window(std::string& out, const WindowMetrics& row) {
-  put_u8(out, kRecordWindow);
-  std::uint8_t flags = 0;
-  if (!row.providers.empty()) {
-    flags |= kFlagProviders;
-  }
-  if (row.admitted != 0 || row.admission_deferred != 0 ||
-      row.admission_dropped != 0 || row.admission_queue_depth != 0) {
-    flags |= kFlagAdmission;
-  }
-  if (row.shard.shard_count != 0) {
-    flags |= kFlagShard;
-  }
-  if (!row.allocator_trace.empty()) {
-    flags |= kFlagAllocatorTrace;
-  }
-  if (row.fairness.consumers != 0) {
-    flags |= kFlagFairness;
-  }
-  put_u8(out, flags);
-  put_varint(out, row.window);
-  put_varint(out, row.arrived);
-  put_varint(out, row.departed);
-  put_varint(out, row.running);
-  put_varint(out, row.rejected);
-  put_varint(out, row.boots);
-  put_varint(out, row.migrations);
-  put_f64(out, row.migration_cost);
-  put_varint(out, row.failed_servers);
-  put_varint(out, row.repaired_servers);
-  put_varint(out, row.decommissioned_servers);
-  put_varint(out, row.displaced_vms);
-  put_varint(out, row.vms_on_down_servers);
-  put_varint(out, row.fault_events.size());
-  for (const FaultEvent& event : row.fault_events) {
-    put_varint(out, event.window);
-    put_u8(out, static_cast<std::uint8_t>(event.kind));
-    put_varint(out, event.index);
-    put_varint(out, event.servers.size());
-    for (std::uint32_t s : event.servers) {
-      put_varint(out, s);
-    }
-    put_varint(out, event.mttr_windows);
-  }
-  put_varint(out, row.evicted);
-  put_varint(out, row.retried);
-  put_varint(out, row.permanently_rejected);
-  put_varint(out, row.retry_queue_depth);
-  if ((flags & kFlagProviders) != 0) {
-    put_varint(out, row.providers.size());
-    for (const ProviderWindowMetrics& p : row.providers) {
-      put_varint(out, p.provider);
-      put_u8(out, p.online ? 1 : 0);
-      put_f64(out, p.price_multiplier);
-      put_varint(out, p.running);
-      put_varint(out, p.routed);
-      put_varint(out, p.rejected);
-      put_varint(out, p.evicted);
-      put_varint(out, p.redirects_in);
-      put_varint(out, p.failed_servers);
-      put_varint(out, p.migrations);
-      put_f64(out, p.migration_cost);
-      put_f64(out, p.objectives.usage_cost);
-      put_f64(out, p.objectives.downtime_cost);
-      put_f64(out, p.objectives.migration_cost);
-    }
-    put_varint(out, row.redirects);
-    put_varint(out, row.offline_providers);
-    put_f64(out, row.cross_cloud_migration_cost);
-  }
-  if ((flags & kFlagAdmission) != 0) {
-    put_varint(out, row.admitted);
-    put_varint(out, row.admission_deferred);
-    put_varint(out, row.admission_dropped);
-    put_varint(out, row.admission_queue_depth);
-  }
-  if ((flags & kFlagShard) != 0) {
-    put_varint(out, row.shard.shard_count);
-    put_varint(out, row.shard.pre_rejections);
-    put_varint(out, row.shard.rebalance_placements);
-    put_varint(out, row.shard.migrations);
-    put_varint(out, row.shard.max_shard_vms);
-    put_varint(out, row.shard.min_shard_vms);
-  }
-  if ((flags & kFlagFairness) != 0) {
-    put_varint(out, row.fairness.consumers);
-    put_varint(out, row.fairness.strategic_consumers);
-    put_varint(out, row.fairness.strategic_vms);
-    put_f64(out, row.fairness.jain_index);
-    put_f64(out, row.fairness.long_term_jain);
-    put_f64(out, row.fairness.envy);
-    put_f64(out, row.fairness.utilization_efficiency);
-    put_f64(out, row.fairness.honest_welfare);
-    put_f64(out, row.fairness.strategic_welfare);
-    put_f64(out, row.fairness.energy_cost);
-  }
-  put_u8(out, static_cast<std::uint8_t>(row.degrade));
-  put_string(out, row.fallback_algorithm);
-  put_f64(out, row.objectives.usage_cost);
-  put_f64(out, row.objectives.downtime_cost);
-  put_f64(out, row.objectives.migration_cost);
-  put_f64(out, row.solve_seconds);
-  if ((flags & kFlagAllocatorTrace) != 0) {
-    put_run_trace(out, row.allocator_trace);
-  }
-}
-
-WindowMetrics read_window(ByteReader& in) {
-  WindowMetrics row;
-  const std::uint8_t flags = in.u8();
-  if ((flags & ~(kFlagProviders | kFlagAdmission | kFlagShard |
-                 kFlagAllocatorTrace | kFlagFairness)) != 0) {
-    parse_error("unknown window flags");
-  }
-  row.window = in.size_value();
-  row.arrived = in.size_value();
-  row.departed = in.size_value();
-  row.running = in.size_value();
-  row.rejected = in.size_value();
-  row.boots = in.size_value();
-  row.migrations = in.size_value();
-  row.migration_cost = in.f64();
-  row.failed_servers = in.size_value();
-  row.repaired_servers = in.size_value();
-  row.decommissioned_servers = in.size_value();
-  row.displaced_vms = in.size_value();
-  row.vms_on_down_servers = in.size_value();
-  const std::size_t events = in.size_value();
-  row.fault_events.reserve(events);
-  for (std::size_t e = 0; e < events; ++e) {
-    FaultEvent event;
-    event.window = in.size_value();
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(FaultEventKind::kDecommission)) {
-      parse_error("unknown fault event kind");
-    }
-    event.kind = static_cast<FaultEventKind>(kind);
-    event.index = static_cast<std::uint32_t>(in.varint());
-    const std::size_t servers = in.size_value();
-    event.servers.reserve(servers);
-    for (std::size_t s = 0; s < servers; ++s) {
-      event.servers.push_back(static_cast<std::uint32_t>(in.varint()));
-    }
-    event.mttr_windows = in.size_value();
-    row.fault_events.push_back(std::move(event));
-  }
-  row.evicted = in.size_value();
-  row.retried = in.size_value();
-  row.permanently_rejected = in.size_value();
-  row.retry_queue_depth = in.size_value();
-  if ((flags & kFlagProviders) != 0) {
-    const std::size_t providers = in.size_value();
-    row.providers.reserve(providers);
-    for (std::size_t i = 0; i < providers; ++i) {
-      ProviderWindowMetrics p;
-      p.provider = static_cast<std::uint32_t>(in.varint());
-      p.online = in.u8() != 0;
-      p.price_multiplier = in.f64();
-      p.running = in.size_value();
-      p.routed = in.size_value();
-      p.rejected = in.size_value();
-      p.evicted = in.size_value();
-      p.redirects_in = in.size_value();
-      p.failed_servers = in.size_value();
-      p.migrations = in.size_value();
-      p.migration_cost = in.f64();
-      p.objectives.usage_cost = in.f64();
-      p.objectives.downtime_cost = in.f64();
-      p.objectives.migration_cost = in.f64();
-      row.providers.push_back(p);
-    }
-    row.redirects = in.size_value();
-    row.offline_providers = in.size_value();
-    row.cross_cloud_migration_cost = in.f64();
-  }
-  if ((flags & kFlagAdmission) != 0) {
-    row.admitted = in.size_value();
-    row.admission_deferred = in.size_value();
-    row.admission_dropped = in.size_value();
-    row.admission_queue_depth = in.size_value();
-  }
-  if ((flags & kFlagShard) != 0) {
-    row.shard.shard_count = in.size_value();
-    row.shard.pre_rejections = in.size_value();
-    row.shard.rebalance_placements = in.size_value();
-    row.shard.migrations = in.size_value();
-    row.shard.max_shard_vms = in.size_value();
-    row.shard.min_shard_vms = in.size_value();
-  }
-  if ((flags & kFlagFairness) != 0) {
-    row.fairness.consumers = in.size_value();
-    row.fairness.strategic_consumers = in.size_value();
-    row.fairness.strategic_vms = in.size_value();
-    row.fairness.jain_index = in.f64();
-    row.fairness.long_term_jain = in.f64();
-    row.fairness.envy = in.f64();
-    row.fairness.utilization_efficiency = in.f64();
-    row.fairness.honest_welfare = in.f64();
-    row.fairness.strategic_welfare = in.f64();
-    row.fairness.energy_cost = in.f64();
-  }
-  const std::uint8_t degrade = in.u8();
-  if (degrade > static_cast<std::uint8_t>(DegradeLevel::kFallback)) {
-    parse_error("unknown degrade level");
-  }
-  row.degrade = static_cast<DegradeLevel>(degrade);
-  row.fallback_algorithm = in.str();
-  row.objectives.usage_cost = in.f64();
-  row.objectives.downtime_cost = in.f64();
-  row.objectives.migration_cost = in.f64();
-  row.solve_seconds = in.f64();
-  if ((flags & kFlagAllocatorTrace) != 0) {
-    row.allocator_trace = read_run_trace(in);
-  }
-  return row;
-}
-
-// ------------------------------------------------------ whole files ---
 
 std::string load_file(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -454,16 +274,15 @@ std::string load_file(const std::string& path) {
   return data;
 }
 
-void flush_trace_counters(std::size_t windows, std::size_t bytes,
-                          std::size_t peak) {
-  telemetry::CounterBlock block;
-  block[telemetry::Counter::kTraceWindowsStreamed] =
-      static_cast<std::uint64_t>(windows);
-  block[telemetry::Counter::kTraceBytesStreamed] =
-      static_cast<std::uint64_t>(bytes);
-  block[telemetry::Counter::kTracePeakBufferBytes] =
-      static_cast<std::uint64_t>(peak);
-  telemetry::Registry::global().flush_counters(block);
+// A binary trace file positioned after its header, which must say `kind`.
+BinaryIn open_trace(const std::string& path, BinaryTraceKind kind) {
+  BinaryIn in(load_file(path));
+  if (read_header(in) != kind) {
+    parse_error(std::string("not a ") +
+                (kind == BinaryTraceKind::kRunTrace ? "run" : "sim") +
+                " trace: " + path);
+  }
+  return in;
 }
 
 }  // namespace
@@ -481,31 +300,43 @@ bool is_binary_trace_file(const std::string& path) {
 }
 
 BinaryTraceKind binary_trace_kind(const std::string& path) {
-  const std::string data = load_file(path);
-  ByteReader in(data);
+  BinaryIn in(load_file(path));
   return read_header(in);
+}
+
+void put_binary_header(std::string& out, BinaryTraceKind kind) {
+  out.append(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
+  put_le(out, kBinaryTraceVersion, 4);
+  out += static_cast<char>(kind);
+}
+
+void put_binary_window(std::string& out, const WindowMetrics& row) {
+  out += static_cast<char>(kRecordWindow);
+  out += '\0';  // flags, set as present blocks are written
+  BinaryOut writer(out, out.size() - 1);
+  visit_fields(row, writer);
+}
+
+void put_binary_end(std::string& out) {
+  out += static_cast<char>(kRecordEnd);
 }
 
 void write_binary_run_trace(const telemetry::RunTrace& trace,
                             const std::string& path) {
   std::string out;
-  put_header(out, BinaryTraceKind::kRunTrace);
-  put_run_trace(out, trace);
+  put_binary_header(out, BinaryTraceKind::kRunTrace);
+  BinaryOut writer(out);
+  visit_fields(trace, writer);
   JsonFileSink sink(path);
   sink.write(out);
   sink.close();
 }
 
 telemetry::RunTrace read_binary_run_trace(const std::string& path) {
-  const std::string data = load_file(path);
-  ByteReader in(data);
-  if (read_header(in) != BinaryTraceKind::kRunTrace) {
-    parse_error("not a run trace: " + path);
-  }
-  telemetry::RunTrace trace = read_run_trace(in);
-  if (!in.at_end()) {
-    parse_error("trailing bytes after run trace");
-  }
+  BinaryIn in = open_trace(path, BinaryTraceKind::kRunTrace);
+  telemetry::RunTrace trace;
+  visit_fields(trace, in);
+  in.expect_end("run trace");
   return trace;
 }
 
@@ -519,11 +350,7 @@ void write_binary_sim_trace(const std::vector<WindowMetrics>& metrics,
 }
 
 std::vector<WindowMetrics> read_binary_sim_trace(const std::string& path) {
-  const std::string data = load_file(path);
-  ByteReader in(data);
-  if (read_header(in) != BinaryTraceKind::kSimTrace) {
-    parse_error("not a sim trace: " + path);
-  }
+  BinaryIn in = open_trace(path, BinaryTraceKind::kSimTrace);
   std::vector<WindowMetrics> metrics;
   for (;;) {
     const std::uint8_t tag = in.u8();
@@ -533,47 +360,14 @@ std::vector<WindowMetrics> read_binary_sim_trace(const std::string& path) {
     if (tag != kRecordWindow) {
       parse_error("unknown record tag");
     }
-    metrics.push_back(read_window(in));
+    in.flags = in.u8();
+    visit_fields(metrics.emplace_back(), in);
+    if ((in.flags & ~in.declared) != 0) {
+      parse_error("unknown window flags");
+    }
   }
-  if (!in.at_end()) {
-    parse_error("trailing bytes after end marker");
-  }
+  in.expect_end("end marker");
   return metrics;
-}
-
-BinaryTraceWriter::BinaryTraceWriter(const std::string& path)
-    : sink_(path) {
-  put_header(buffer_, BinaryTraceKind::kSimTrace);
-  sink_.write(buffer_);
-  buffer_.clear();
-}
-
-BinaryTraceWriter::~BinaryTraceWriter() {
-  if (!finished_) {
-    finish();
-  }
-}
-
-void BinaryTraceWriter::append(const WindowMetrics& row) {
-  IAAS_EXPECT(!finished_, "trace_binary: append after finish");
-  put_window(buffer_, row);
-  peak_ = buffer_.size() > peak_ ? buffer_.size() : peak_;
-  sink_.write(buffer_);
-  buffer_.clear();
-  sink_.flush();
-  ++windows_;
-}
-
-void BinaryTraceWriter::finish() {
-  if (finished_) {
-    return;
-  }
-  finished_ = true;
-  buffer_ += static_cast<char>(kRecordEnd);
-  sink_.write(buffer_);
-  buffer_.clear();
-  sink_.close();
-  flush_trace_counters(windows_, sink_.bytes_written(), peak_);
 }
 
 }  // namespace iaas

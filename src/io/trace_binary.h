@@ -14,10 +14,11 @@
 // bit-exactly.  A SimTrace payload is a stream of tagged window records
 // (0x01 ... record, 0x00 end), so the writer never needs the window
 // count up front and a truncated file is detected by the missing end
-// marker.  Optional blocks (providers / admission / shard / allocator
-// trace) are gated by a flags byte under exactly the same conditions as
-// the JSON emission, so binary -> JSON conversion reproduces the JSON
-// file byte-for-byte.
+// marker.  Both the layout and the optional blocks come from the field
+// lists (common/fields): a window record opens with a flags byte holding
+// each present block's bit, so binary -> JSON conversion reproduces the
+// JSON file byte-for-byte.  Counts read from a file are bounded by the
+// bytes left and integers by their field's width.
 //
 // Malformed or truncated input throws std::runtime_error (parse-error
 // contract, like Json::parse); I/O failures abort via IAAS_EXPECT
@@ -56,31 +57,17 @@ void write_binary_sim_trace(const std::vector<WindowMetrics>& metrics,
                             const std::string& path);
 std::vector<WindowMetrics> read_binary_sim_trace(const std::string& path);
 
-// Streaming SimTrace writer: header up front, one tagged record drained
-// to disk per append, end marker at finish.  Mirrors SimTraceWriter and
-// flushes the same trace-IO telemetry counters at finish().
-class BinaryTraceWriter {
+// What BinaryTraceWriter appends: the header, one window record, and
+// the end marker.
+void put_binary_header(std::string& out, BinaryTraceKind kind);
+void put_binary_window(std::string& out, const WindowMetrics& row);
+void put_binary_end(std::string& out);
+
+// The binary form of SimTraceWriter (same counters at finish()).
+class BinaryTraceWriter : public TraceWriter {
  public:
-  explicit BinaryTraceWriter(const std::string& path);
-  ~BinaryTraceWriter();  // finishes if the caller forgot
-  BinaryTraceWriter(const BinaryTraceWriter&) = delete;
-  BinaryTraceWriter& operator=(const BinaryTraceWriter&) = delete;
-
-  void append(const WindowMetrics& row);
-  void finish();
-
-  [[nodiscard]] std::size_t windows_written() const { return windows_; }
-  [[nodiscard]] std::size_t bytes_written() const {
-    return sink_.bytes_written();
-  }
-  [[nodiscard]] std::size_t peak_buffer_bytes() const { return peak_; }
-
- private:
-  std::string buffer_;
-  JsonFileSink sink_;  // generic fail-loud byte sink despite the name
-  std::size_t windows_ = 0;
-  std::size_t peak_ = 0;
-  bool finished_ = false;
+  explicit BinaryTraceWriter(const std::string& path)
+      : TraceWriter(path, Format::kBinary, -1) {}
 };
 
 }  // namespace iaas

@@ -1,8 +1,8 @@
 #include "io/trace_json.h"
 
+#include <limits>
 #include <stdexcept>
 
-#include "common/expect.h"
 #include "io/trace_stream.h"
 
 namespace iaas {
@@ -13,434 +13,281 @@ namespace {
   throw std::runtime_error("trace_json: " + what);
 }
 
-std::size_t as_size(const Json& j) {
-  return static_cast<std::size_t>(j.as_uint64());
-}
+// Writes listed fields as object members, or inside a positional array
+// (tuples and table rows) as bare values in list order.
+class JsonOut {
+ public:
+  explicit JsonOut(JsonEmitter& emitter) : e_(emitter) {}
 
-Json row_to_json(const telemetry::GenerationRow& row) {
-  // Mirrors RunTrace::columns() order exactly — check_trace and the
-  // notebook joins rely on positional access.
-  Json out = Json::array();
-  // Counters as exact integer lexemes (seeds/counters past 2^53 must
-  // not round through a double); objectives and seconds stay doubles.
-  const auto count = [&out](std::size_t v) {
-    out.push_back(Json::integer(static_cast<std::uint64_t>(v)));
-  };
-  const auto push = [&out](double v) { out.push_back(Json::number(v)); };
-  count(row.generation);
-  count(row.evaluations);
-  count(row.full_rebuilds);
-  count(row.delta_moves);
-  count(row.rebases);
-  count(row.repair_invocations);
-  count(row.repaired);
-  count(row.unrepairable);
-  count(row.tabu_moves_tried);
-  count(row.tabu_moves_accepted);
-  count(row.front_size);
-  push(row.best_objectives[0]);
-  push(row.best_objectives[1]);
-  push(row.best_objectives[2]);
-  push(row.seconds_tournament);
-  push(row.seconds_variation);
-  push(row.seconds_repair);
-  push(row.seconds_evaluate);
-  push(row.seconds_selection);
-  return out;
+  template <typename T>
+  void leaf(const char* key, const T& v, fields::Tag) {
+    name(key);
+    put(v);
+  }
+
+  template <typename E>
+  void leaf(const char* key, E v, fields::Tag, fields::Names<E> names) {
+    name(key);
+    e_.value(names.name(v));
+  }
+
+  template <typename T>
+  void list(const char* key, const std::vector<T>& items, fields::Tag,
+            bool = true) {
+    name(key);
+    e_.begin_array();
+    for (const T& item : items) {
+      if constexpr (fields::Scalar<T>) {
+        put(item);
+      } else {
+        object(item);
+      }
+    }
+    e_.end_array();
+  }
+
+  template <typename S>
+  void tuple(const char* key, const S& s) {
+    name(key);
+    positional(s);
+  }
+
+  template <typename Row>
+  void table(const char* columns_key,
+             const std::vector<std::string>& columns, const char* rows_key,
+             const std::vector<Row>& rows) {
+    list(columns_key, columns, fields::Tag::kLabel);
+    name(rows_key);
+    e_.begin_array();
+    for (const Row& row : rows) {
+      positional(row);
+    }
+    e_.end_array();
+  }
+
+  template <typename List>
+  void block(const fields::Block& b, bool present, List&& list) {
+    if (present && b.nested) {
+      name(b.key);
+      e_.begin_object();
+      list(*this);
+      e_.end_object();
+    } else if (present) {
+      list(*this);
+    }
+  }
+
+  template <typename S>
+  void object(const S& s) {
+    e_.begin_object();
+    visit_fields(s, *this);
+    e_.end_object();
+  }
+
+ private:
+  void name(const char* key) {
+    if (keyed_) {
+      e_.key(key);
+    }
+  }
+
+  template <typename S>
+  void positional(const S& s) {
+    const bool keyed = keyed_;
+    keyed_ = false;
+    e_.begin_array();
+    visit_fields(s, *this);
+    e_.end_array();
+    keyed_ = keyed;
+  }
+
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      e_.value(std::string_view(v));
+    } else if constexpr (std::is_same_v<T, bool> ||
+                         std::is_floating_point_v<T>) {
+      e_.value(v);
+    } else {
+      e_.value(static_cast<std::uint64_t>(v));
+    }
+  }
+
+  JsonEmitter& e_;
+  bool keyed_ = true;
+};
+
+// Reads listed fields from an object by key, or from a positional array
+// in list order.
+class JsonIn {
+ public:
+  explicit JsonIn(const Json& node, bool positional = false)
+      : node_(node), positional_(positional) {}
+
+  template <typename T>
+  void leaf(const char* key, T& v, fields::Tag) {
+    get(next(key), key, v);
+  }
+
+  template <typename E>
+  void leaf(const char* key, E& v, fields::Tag, fields::Names<E> names) {
+    const std::string& text = next(key).as_string();
+    for (int i = 0; i <= static_cast<int>(names.last); ++i) {
+      if (text == names.name(static_cast<E>(i))) {
+        v = static_cast<E>(i);
+        return;
+      }
+    }
+    shape_error(std::string("unknown ") + key + " " + text);
+  }
+
+  template <typename T>
+  void list(const char* key, std::vector<T>& items, fields::Tag,
+            bool = true) {
+    const Json& array = next(key);
+    items.resize(array.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if constexpr (fields::Scalar<T>) {
+        get(array.at(i), key, items[i]);
+      } else {
+        JsonIn in(array.at(i));
+        visit_fields(items[i], in);
+      }
+    }
+  }
+
+  template <typename S>
+  void tuple(const char* key, S& s) {
+    read_positional(next(key), key, s);
+  }
+
+  template <typename Row>
+  void table(const char* columns_key,
+             const std::vector<std::string>& columns, const char* rows_key,
+             std::vector<Row>& rows) {
+    std::vector<std::string> read;
+    list(columns_key, read, fields::Tag::kLabel);
+    if (read != columns) {
+      shape_error(std::string(columns_key) + " differ from this build's");
+    }
+    const Json& array = next(rows_key);
+    rows.resize(array.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      read_positional(array.at(i), rows_key, rows[i]);
+    }
+  }
+
+  template <typename List>
+  void block(const fields::Block& b, bool, List&& list) {
+    if (node_.contains(b.key)) {
+      JsonIn in(b.nested ? node_.at(b.key) : node_);
+      list(in);
+    }
+  }
+
+ private:
+  const Json& next(const char* key) {
+    return positional_ ? node_.at(index_++) : node_.at(key);
+  }
+
+  template <typename S>
+  static void read_positional(const Json& array, const char* key, S& s) {
+    JsonIn in(array, /*positional=*/true);
+    visit_fields(s, in);
+    if (in.index_ != array.size()) {
+      shape_error(std::string(key) + ": expected " +
+                  std::to_string(in.index_) + " values");
+    }
+  }
+
+  template <typename T>
+  static void get(const Json& j, const char* key, T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      v = j.as_string();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = j.as_bool();
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v = j.as_number();
+    } else {
+      const std::uint64_t u = j.as_uint64();
+      if (u > std::numeric_limits<T>::max()) {
+        shape_error(std::string(key) + " " + std::to_string(u) +
+                    " overflows its field");
+      }
+      v = static_cast<T>(u);
+    }
+  }
+
+  const Json& node_;
+  bool positional_;
+  std::size_t index_ = 0;
+};
+
+template <typename Emit>
+void write_json_file(const std::string& path, Emit&& emit) {
+  JsonFileSink sink(path);
+  std::string text;
+  JsonEmitter emitter(text, 2);
+  emit(emitter);
+  text += '\n';
+  sink.write(text);
+  sink.close();
 }
 
 }  // namespace
 
-Json trace_to_json(const telemetry::RunTrace& trace) {
-  Json out = Json::object();
-  out["label"] = Json::string(trace.label);
-  out["seed"] = Json::integer(trace.seed);
-  Json columns = Json::array();
-  for (const std::string& name : telemetry::RunTrace::columns()) {
-    columns.push_back(Json::string(name));
-  }
-  out["columns"] = std::move(columns);
-  Json rows = Json::array();
-  for (const telemetry::GenerationRow& row : trace.rows) {
-    rows.push_back(row_to_json(row));
-  }
-  out["rows"] = std::move(rows);
-  return out;
+void emit_run_trace(JsonEmitter& emitter, const telemetry::RunTrace& trace) {
+  JsonOut(emitter).object(trace);
 }
 
-void write_trace_json(const telemetry::RunTrace& trace,
-                      const std::string& path) {
-  // One reusable scratch buffer per thread, fed by the streaming emitter
-  // (no intermediate Json tree); shrunk back after an oversized trace so
-  // one huge run cannot pin peak capacity for the thread's lifetime.
-  static thread_local std::string scratch;
-  scratch.clear();
-  JsonFileSink sink(path);
-  JsonEmitter emitter(scratch, 2);
-  emit_run_trace(emitter, trace);
-  scratch += '\n';
-  sink.write(scratch);
-  sink.close();
-  shrink_scratch(scratch);
+void emit_window_metrics(JsonEmitter& emitter, const WindowMetrics& row) {
+  JsonOut(emitter).object(row);
+}
+
+void emit_registry(JsonEmitter& e, const telemetry::Registry& registry) {
+  e.begin_object();
+  e.key("counters");
+  e.begin_object();
+  const telemetry::CounterBlock block = registry.counters();
+  for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
+    const auto c = static_cast<telemetry::Counter>(i);
+    e.key(telemetry::counter_name(c));
+    e.value(block[c]);
+  }
+  e.end_object();
+  e.key("phase_seconds");
+  e.begin_object();
+  const auto seconds = registry.phase_seconds();
+  for (std::size_t i = 0; i < telemetry::kPhaseCount; ++i) {
+    const auto p = static_cast<telemetry::Phase>(i);
+    e.key(telemetry::phase_name(p));
+    e.value(seconds[i]);
+  }
+  e.end_object();
+  e.end_object();
 }
 
 telemetry::RunTrace trace_from_json(const Json& json) {
   telemetry::RunTrace trace;
-  trace.label = json.at("label").as_string();
-  trace.seed = json.at("seed").as_uint64();
-  const auto& expected = telemetry::RunTrace::columns();
-  const Json& columns = json.at("columns");
-  if (columns.size() != expected.size()) {
-    shape_error("trace column count mismatch");
-  }
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (columns.at(i).as_string() != expected[i]) {
-      shape_error("unknown trace column " + columns.at(i).as_string());
-    }
-  }
-  const Json& rows = json.at("rows");
-  trace.rows.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const Json& row = rows.at(r);
-    if (row.size() != expected.size()) {
-      shape_error("trace row width mismatch");
-    }
-    telemetry::GenerationRow g;
-    g.generation = as_size(row.at(0));
-    g.evaluations = as_size(row.at(1));
-    g.full_rebuilds = as_size(row.at(2));
-    g.delta_moves = as_size(row.at(3));
-    g.rebases = as_size(row.at(4));
-    g.repair_invocations = as_size(row.at(5));
-    g.repaired = as_size(row.at(6));
-    g.unrepairable = as_size(row.at(7));
-    g.tabu_moves_tried = as_size(row.at(8));
-    g.tabu_moves_accepted = as_size(row.at(9));
-    g.front_size = as_size(row.at(10));
-    g.best_objectives = {row.at(11).as_number(), row.at(12).as_number(),
-                         row.at(13).as_number()};
-    g.seconds_tournament = row.at(14).as_number();
-    g.seconds_variation = row.at(15).as_number();
-    g.seconds_repair = row.at(16).as_number();
-    g.seconds_evaluate = row.at(17).as_number();
-    g.seconds_selection = row.at(18).as_number();
-    trace.rows.push_back(g);
-  }
+  JsonIn in(json);
+  visit_fields(trace, in);
   return trace;
 }
 
-namespace {
-
-Json fault_event_to_json(const FaultEvent& event) {
-  Json out = Json::object();
-  out["window"] = Json::integer(static_cast<std::uint64_t>(event.window));
-  out["kind"] = Json::string(fault_event_kind_name(event.kind));
-  out["index"] = Json::integer(static_cast<std::uint64_t>(event.index));
-  Json servers = Json::array();
-  for (std::uint32_t s : event.servers) {
-    servers.push_back(Json::integer(static_cast<std::uint64_t>(s)));
-  }
-  out["servers"] = std::move(servers);
-  out["mttr_windows"] =
-      Json::integer(static_cast<std::uint64_t>(event.mttr_windows));
-  return out;
-}
-
-FaultEvent fault_event_from_json(const Json& json) {
-  FaultEvent event;
-  event.window = as_size(json.at("window"));
-  const std::string& kind = json.at("kind").as_string();
-  bool known = false;
-  for (FaultEventKind k :
-       {FaultEventKind::kServerFailure, FaultEventKind::kLeafFailure,
-        FaultEventKind::kRepair, FaultEventKind::kDecommission}) {
-    if (kind == fault_event_kind_name(k)) {
-      event.kind = k;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    shape_error("unknown fault event kind " + kind);
-  }
-  event.index = static_cast<std::uint32_t>(json.at("index").as_uint64());
-  const Json& servers = json.at("servers");
-  event.servers.reserve(servers.size());
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    event.servers.push_back(
-        static_cast<std::uint32_t>(servers.at(i).as_uint64()));
-  }
-  event.mttr_windows = as_size(json.at("mttr_windows"));
-  return event;
-}
-
-Json provider_metrics_to_json(const ProviderWindowMetrics& p) {
-  Json out = Json::object();
-  const auto num = [](std::size_t v) {
-    return Json::integer(static_cast<std::uint64_t>(v));
-  };
-  out["provider"] = num(p.provider);
-  out["online"] = Json::boolean(p.online);
-  out["price_multiplier"] = Json::number(p.price_multiplier);
-  out["running"] = num(p.running);
-  out["routed"] = num(p.routed);
-  out["rejected"] = num(p.rejected);
-  out["evicted"] = num(p.evicted);
-  out["redirects_in"] = num(p.redirects_in);
-  out["failed_servers"] = num(p.failed_servers);
-  out["migrations"] = num(p.migrations);
-  out["migration_cost"] = Json::number(p.migration_cost);
-  Json objectives = Json::array();
-  objectives.push_back(Json::number(p.objectives.usage_cost));
-  objectives.push_back(Json::number(p.objectives.downtime_cost));
-  objectives.push_back(Json::number(p.objectives.migration_cost));
-  out["objectives"] = std::move(objectives);
-  return out;
-}
-
-ProviderWindowMetrics provider_metrics_from_json(const Json& json) {
-  ProviderWindowMetrics p;
-  p.provider = static_cast<std::uint32_t>(json.at("provider").as_uint64());
-  p.online = json.at("online").as_bool();
-  p.price_multiplier = json.at("price_multiplier").as_number();
-  p.running = as_size(json.at("running"));
-  p.routed = as_size(json.at("routed"));
-  p.rejected = as_size(json.at("rejected"));
-  p.evicted = as_size(json.at("evicted"));
-  p.redirects_in = as_size(json.at("redirects_in"));
-  p.failed_servers = as_size(json.at("failed_servers"));
-  p.migrations = as_size(json.at("migrations"));
-  p.migration_cost = json.at("migration_cost").as_number();
-  const Json& objectives = json.at("objectives");
-  if (objectives.size() != 3) {
-    shape_error("provider objective vector must have three terms");
-  }
-  p.objectives.usage_cost = objectives.at(0).as_number();
-  p.objectives.downtime_cost = objectives.at(1).as_number();
-  p.objectives.migration_cost = objectives.at(2).as_number();
-  return p;
-}
-
-DegradeLevel degrade_level_from_name(const std::string& name) {
-  for (DegradeLevel level :
-       {DegradeLevel::kNone, DegradeLevel::kBestEffort,
-        DegradeLevel::kFallback}) {
-    if (name == degrade_level_name(level)) {
-      return level;
-    }
-  }
-  shape_error("unknown degrade level " + name);
-}
-
-}  // namespace
-
-Json sim_trace_to_json(const std::vector<WindowMetrics>& metrics) {
-  Json out = Json::object();
-  Json windows = Json::array();
-  for (const WindowMetrics& row : metrics) {
-    Json w = Json::object();
-    const auto num = [](std::size_t v) {
-      return Json::integer(static_cast<std::uint64_t>(v));
-    };
-    w["window"] = num(row.window);
-    w["arrived"] = num(row.arrived);
-    w["departed"] = num(row.departed);
-    w["running"] = num(row.running);
-    w["rejected"] = num(row.rejected);
-    w["boots"] = num(row.boots);
-    w["migrations"] = num(row.migrations);
-    w["migration_cost"] = Json::number(row.migration_cost);
-    w["failed_servers"] = num(row.failed_servers);
-    w["repaired_servers"] = num(row.repaired_servers);
-    w["decommissioned_servers"] = num(row.decommissioned_servers);
-    w["displaced_vms"] = num(row.displaced_vms);
-    w["vms_on_down_servers"] = num(row.vms_on_down_servers);
-    Json events = Json::array();
-    for (const FaultEvent& event : row.fault_events) {
-      events.push_back(fault_event_to_json(event));
-    }
-    w["fault_events"] = std::move(events);
-    w["evicted"] = num(row.evicted);
-    w["retried"] = num(row.retried);
-    w["permanently_rejected"] = num(row.permanently_rejected);
-    w["retry_queue_depth"] = num(row.retry_queue_depth);
-    // Multi-cloud columns, emitted only for brokered traces so legacy
-    // single-cloud fixtures keep their exact shape.
-    if (!row.providers.empty()) {
-      Json providers = Json::array();
-      for (const ProviderWindowMetrics& p : row.providers) {
-        providers.push_back(provider_metrics_to_json(p));
-      }
-      w["providers"] = std::move(providers);
-      w["redirects"] = num(row.redirects);
-      w["offline_providers"] = num(row.offline_providers);
-      w["cross_cloud_migration_cost"] =
-          Json::number(row.cross_cloud_migration_cost);
-    }
-    // Admission-control and shard blocks, emitted only when active so
-    // legacy fixtures keep their exact shape.
-    if (row.admitted != 0 || row.admission_deferred != 0 ||
-        row.admission_dropped != 0 || row.admission_queue_depth != 0) {
-      Json admission = Json::object();
-      admission["admitted"] = num(row.admitted);
-      admission["deferred"] = num(row.admission_deferred);
-      admission["dropped"] = num(row.admission_dropped);
-      admission["queue_depth"] = num(row.admission_queue_depth);
-      w["admission"] = std::move(admission);
-    }
-    if (row.shard.shard_count != 0) {
-      Json shard = Json::object();
-      shard["shard_count"] = num(row.shard.shard_count);
-      shard["pre_rejections"] = num(row.shard.pre_rejections);
-      shard["rebalance_placements"] = num(row.shard.rebalance_placements);
-      shard["migrations"] = num(row.shard.migrations);
-      shard["max_shard_vms"] = num(row.shard.max_shard_vms);
-      shard["min_shard_vms"] = num(row.shard.min_shard_vms);
-      w["shard"] = std::move(shard);
-    }
-    // Fairness block: absent for legacy anonymous runs (consumers == 0).
-    if (row.fairness.consumers != 0) {
-      Json fairness = Json::object();
-      fairness["consumers"] = num(row.fairness.consumers);
-      fairness["strategic_consumers"] = num(row.fairness.strategic_consumers);
-      fairness["strategic_vms"] = num(row.fairness.strategic_vms);
-      fairness["jain_index"] = Json::number(row.fairness.jain_index);
-      fairness["long_term_jain"] = Json::number(row.fairness.long_term_jain);
-      fairness["envy"] = Json::number(row.fairness.envy);
-      fairness["utilization_efficiency"] =
-          Json::number(row.fairness.utilization_efficiency);
-      fairness["honest_welfare"] = Json::number(row.fairness.honest_welfare);
-      fairness["strategic_welfare"] =
-          Json::number(row.fairness.strategic_welfare);
-      fairness["energy_cost"] = Json::number(row.fairness.energy_cost);
-      w["fairness"] = std::move(fairness);
-    }
-    w["degrade"] = Json::string(degrade_level_name(row.degrade));
-    w["fallback_algorithm"] = Json::string(row.fallback_algorithm);
-    Json objectives = Json::array();
-    objectives.push_back(Json::number(row.objectives.usage_cost));
-    objectives.push_back(Json::number(row.objectives.downtime_cost));
-    objectives.push_back(Json::number(row.objectives.migration_cost));
-    w["objectives"] = std::move(objectives);
-    w["solve_seconds"] = Json::number(row.solve_seconds);
-    if (!row.allocator_trace.empty()) {
-      w["allocator_trace"] = trace_to_json(row.allocator_trace);
-    }
-    windows.push_back(std::move(w));
-  }
-  out["windows"] = std::move(windows);
-  return out;
-}
-
 std::vector<WindowMetrics> sim_trace_from_json(const Json& json) {
-  const Json& windows = json.at("windows");
-  std::vector<WindowMetrics> metrics;
-  metrics.reserve(windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const Json& w = windows.at(i);
-    WindowMetrics row;
-    row.window = as_size(w.at("window"));
-    row.arrived = as_size(w.at("arrived"));
-    row.departed = as_size(w.at("departed"));
-    row.running = as_size(w.at("running"));
-    row.rejected = as_size(w.at("rejected"));
-    row.boots = as_size(w.at("boots"));
-    row.migrations = as_size(w.at("migrations"));
-    row.migration_cost = w.at("migration_cost").as_number();
-    row.failed_servers = as_size(w.at("failed_servers"));
-    row.repaired_servers = as_size(w.at("repaired_servers"));
-    row.decommissioned_servers = as_size(w.at("decommissioned_servers"));
-    row.displaced_vms = as_size(w.at("displaced_vms"));
-    row.vms_on_down_servers = as_size(w.at("vms_on_down_servers"));
-    const Json& events = w.at("fault_events");
-    row.fault_events.reserve(events.size());
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      row.fault_events.push_back(fault_event_from_json(events.at(e)));
-    }
-    row.evicted = as_size(w.at("evicted"));
-    row.retried = as_size(w.at("retried"));
-    row.permanently_rejected = as_size(w.at("permanently_rejected"));
-    row.retry_queue_depth = as_size(w.at("retry_queue_depth"));
-    if (w.contains("providers")) {
-      const Json& providers = w.at("providers");
-      row.providers.reserve(providers.size());
-      for (std::size_t p = 0; p < providers.size(); ++p) {
-        row.providers.push_back(
-            provider_metrics_from_json(providers.at(p)));
-      }
-      row.redirects = as_size(w.at("redirects"));
-      row.offline_providers = as_size(w.at("offline_providers"));
-      row.cross_cloud_migration_cost =
-          w.at("cross_cloud_migration_cost").as_number();
-    }
-    if (w.contains("admission")) {
-      const Json& admission = w.at("admission");
-      row.admitted = as_size(admission.at("admitted"));
-      row.admission_deferred = as_size(admission.at("deferred"));
-      row.admission_dropped = as_size(admission.at("dropped"));
-      row.admission_queue_depth = as_size(admission.at("queue_depth"));
-    }
-    if (w.contains("shard")) {
-      const Json& shard = w.at("shard");
-      row.shard.shard_count = as_size(shard.at("shard_count"));
-      row.shard.pre_rejections = as_size(shard.at("pre_rejections"));
-      row.shard.rebalance_placements =
-          as_size(shard.at("rebalance_placements"));
-      row.shard.migrations = as_size(shard.at("migrations"));
-      row.shard.max_shard_vms = as_size(shard.at("max_shard_vms"));
-      row.shard.min_shard_vms = as_size(shard.at("min_shard_vms"));
-    }
-    if (w.contains("fairness")) {
-      const Json& fairness = w.at("fairness");
-      row.fairness.consumers = as_size(fairness.at("consumers"));
-      row.fairness.strategic_consumers =
-          as_size(fairness.at("strategic_consumers"));
-      row.fairness.strategic_vms = as_size(fairness.at("strategic_vms"));
-      row.fairness.jain_index = fairness.at("jain_index").as_number();
-      row.fairness.long_term_jain = fairness.at("long_term_jain").as_number();
-      row.fairness.envy = fairness.at("envy").as_number();
-      row.fairness.utilization_efficiency =
-          fairness.at("utilization_efficiency").as_number();
-      row.fairness.honest_welfare = fairness.at("honest_welfare").as_number();
-      row.fairness.strategic_welfare =
-          fairness.at("strategic_welfare").as_number();
-      row.fairness.energy_cost = fairness.at("energy_cost").as_number();
-    }
-    row.degrade = degrade_level_from_name(w.at("degrade").as_string());
-    row.fallback_algorithm = w.at("fallback_algorithm").as_string();
-    const Json& objectives = w.at("objectives");
-    if (objectives.size() != 3) {
-      shape_error("objective vector must have three terms");
-    }
-    row.objectives.usage_cost = objectives.at(0).as_number();
-    row.objectives.downtime_cost = objectives.at(1).as_number();
-    row.objectives.migration_cost = objectives.at(2).as_number();
-    row.solve_seconds = w.at("solve_seconds").as_number();
-    if (w.contains("allocator_trace")) {
-      row.allocator_trace = trace_from_json(w.at("allocator_trace"));
-    }
-    metrics.push_back(std::move(row));
-  }
-  return metrics;
+  std::vector<WindowMetrics> windows;
+  JsonIn(json).list("windows", windows, fields::Tag::kDeterministic);
+  return windows;
 }
 
-Json registry_to_json(const telemetry::Registry& registry) {
-  Json out = Json::object();
-  Json counters = Json::object();
-  const telemetry::CounterBlock block = registry.counters();
-  for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-    const auto c = static_cast<telemetry::Counter>(i);
-    counters[telemetry::counter_name(c)] = Json::integer(block[c]);
-  }
-  out["counters"] = std::move(counters);
-  Json phases = Json::object();
-  const auto seconds = registry.phase_seconds();
-  for (std::size_t i = 0; i < telemetry::kPhaseCount; ++i) {
-    const auto p = static_cast<telemetry::Phase>(i);
-    phases[telemetry::phase_name(p)] = Json::number(seconds[i]);
-  }
-  out["phase_seconds"] = std::move(phases);
-  return out;
+void write_trace_json(const telemetry::RunTrace& trace,
+                      const std::string& path) {
+  write_json_file(path, [&](JsonEmitter& e) { emit_run_trace(e, trace); });
+}
+
+void write_registry_json(const telemetry::Registry& registry,
+                         const std::string& path) {
+  write_json_file(path, [&](JsonEmitter& e) { emit_registry(e, registry); });
 }
 
 }  // namespace iaas

@@ -1,45 +1,41 @@
-// JSON emitters for the telemetry subsystem (common/telemetry):
-// RunTrace -> one object per run ({label, seed, columns, rows}) and a
-// global-registry snapshot ({counters, phase_seconds}).  Lives in io
-// (not common) because iaas_common cannot depend on the Json layer.
+// JSON codec of the trace structs (DESIGN.md §13).  The emitter and the
+// parser are each one visitor over the field lists (common/fields), so
+// emit -> parse -> re-emit is byte-identical by construction: a run
+// trace is {"label", "seed", "columns", "rows"} with positional rows in
+// RunTrace::columns() order, a window is one object of its fields, and
+// a sim trace is {"windows": [...]}.  Lives in io (not common) because
+// iaas_common cannot depend on the Json layer.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/telemetry.h"
+#include "io/emit.h"
 #include "io/json.h"
 #include "sim/simulator.h"
 
 namespace iaas {
 
-// {"label": ..., "seed": ..., "columns": [...], "rows": [[...], ...]}.
-// Rows are arrays in columns() order (numbers, not strings) — compact
-// enough to emit per generation, trivially joinable with the CSV twin.
-Json trace_to_json(const telemetry::RunTrace& trace);
+void emit_run_trace(JsonEmitter& emitter, const telemetry::RunTrace& trace);
+void emit_window_metrics(JsonEmitter& emitter, const WindowMetrics& row);
+// Snapshot of a registry:
+// {"counters": {name: n, ...}, "phase_seconds": {name: s, ...}}.
+void emit_registry(JsonEmitter& emitter, const telemetry::Registry& registry);
 
-// Pretty-printed write through the streaming emitter (io/trace_stream —
-// no intermediate Json tree); fails loudly (IAAS_EXPECT) on an
-// unopenable path or a failed write, mirroring common/csv rules.
-void write_trace_json(const telemetry::RunTrace& trace,
-                      const std::string& path);
-
-// Inverse of trace_to_json: rebuild a RunTrace from its JSON form.
-// Shape errors (missing keys, short rows, unknown columns) throw
-// std::runtime_error.  Seeds and counters are integer lexemes, so the
-// full 64-bit range round-trips exactly.
+// Inverses of the emitters.  Shape errors (missing keys, short rows,
+// unknown columns or enum names, integers overflowing their field)
+// throw std::runtime_error.  Seeds and counters are integer lexemes, so
+// the full 64-bit range round-trips exactly.
 telemetry::RunTrace trace_from_json(const Json& json);
-
-// One simulator horizon as {"windows": [...]}: every WindowMetrics
-// column including fault events, the retry-queue counters, the degrade
-// level (by name) and the nested allocator trace.  sim_trace_from_json
-// is the exact inverse — emit -> parse -> re-emit is byte-identical,
-// which is how archived runs are validated.
-Json sim_trace_to_json(const std::vector<WindowMetrics>& metrics);
 std::vector<WindowMetrics> sim_trace_from_json(const Json& json);
 
-// Snapshot of telemetry::Registry::global():
-// {"counters": {name: n, ...}, "phase_seconds": {name: s, ...}}.
-Json registry_to_json(const telemetry::Registry& registry);
+// The repo's canonical trace files — pretty indent 2 plus a trailing
+// newline, streamed without a Json tree; they fail loudly (IAAS_EXPECT)
+// on an unopenable path or a failed write, like common/csv.
+void write_trace_json(const telemetry::RunTrace& trace,
+                      const std::string& path);
+void write_registry_json(const telemetry::Registry& registry,
+                         const std::string& path);
 
 }  // namespace iaas

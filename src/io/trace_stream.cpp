@@ -1,277 +1,11 @@
 #include "io/trace_stream.h"
 
+#include <algorithm>
+
 #include "common/expect.h"
+#include "io/trace_binary.h"
 
 namespace iaas {
-
-void shrink_scratch(std::string& scratch) {
-  if (scratch.capacity() > kTraceScratchRetainBytes) {
-    scratch.clear();
-    scratch.shrink_to_fit();
-  }
-}
-
-// ------------------------------------------------------ emitters ------
-
-namespace {
-
-void emit_generation_row(JsonEmitter& e, const telemetry::GenerationRow& row) {
-  // Mirrors RunTrace::columns() order exactly, like row_to_json.
-  e.begin_array();
-  e.value(static_cast<std::uint64_t>(row.generation));
-  e.value(static_cast<std::uint64_t>(row.evaluations));
-  e.value(static_cast<std::uint64_t>(row.full_rebuilds));
-  e.value(static_cast<std::uint64_t>(row.delta_moves));
-  e.value(static_cast<std::uint64_t>(row.rebases));
-  e.value(static_cast<std::uint64_t>(row.repair_invocations));
-  e.value(static_cast<std::uint64_t>(row.repaired));
-  e.value(static_cast<std::uint64_t>(row.unrepairable));
-  e.value(static_cast<std::uint64_t>(row.tabu_moves_tried));
-  e.value(static_cast<std::uint64_t>(row.tabu_moves_accepted));
-  e.value(static_cast<std::uint64_t>(row.front_size));
-  e.value(row.best_objectives[0]);
-  e.value(row.best_objectives[1]);
-  e.value(row.best_objectives[2]);
-  e.value(row.seconds_tournament);
-  e.value(row.seconds_variation);
-  e.value(row.seconds_repair);
-  e.value(row.seconds_evaluate);
-  e.value(row.seconds_selection);
-  e.end_array();
-}
-
-void emit_fault_event(JsonEmitter& e, const FaultEvent& event) {
-  e.begin_object();
-  e.key("window");
-  e.value(static_cast<std::uint64_t>(event.window));
-  e.key("kind");
-  e.value(fault_event_kind_name(event.kind));
-  e.key("index");
-  e.value(static_cast<std::uint64_t>(event.index));
-  e.key("servers");
-  e.begin_array();
-  for (std::uint32_t s : event.servers) {
-    e.value(static_cast<std::uint64_t>(s));
-  }
-  e.end_array();
-  e.key("mttr_windows");
-  e.value(static_cast<std::uint64_t>(event.mttr_windows));
-  e.end_object();
-}
-
-void emit_provider_metrics(JsonEmitter& e, const ProviderWindowMetrics& p) {
-  e.begin_object();
-  e.key("provider");
-  e.value(static_cast<std::uint64_t>(p.provider));
-  e.key("online");
-  e.value(p.online);
-  e.key("price_multiplier");
-  e.value(p.price_multiplier);
-  e.key("running");
-  e.value(static_cast<std::uint64_t>(p.running));
-  e.key("routed");
-  e.value(static_cast<std::uint64_t>(p.routed));
-  e.key("rejected");
-  e.value(static_cast<std::uint64_t>(p.rejected));
-  e.key("evicted");
-  e.value(static_cast<std::uint64_t>(p.evicted));
-  e.key("redirects_in");
-  e.value(static_cast<std::uint64_t>(p.redirects_in));
-  e.key("failed_servers");
-  e.value(static_cast<std::uint64_t>(p.failed_servers));
-  e.key("migrations");
-  e.value(static_cast<std::uint64_t>(p.migrations));
-  e.key("migration_cost");
-  e.value(p.migration_cost);
-  e.key("objectives");
-  e.begin_array();
-  e.value(p.objectives.usage_cost);
-  e.value(p.objectives.downtime_cost);
-  e.value(p.objectives.migration_cost);
-  e.end_array();
-  e.end_object();
-}
-
-}  // namespace
-
-void emit_run_trace(JsonEmitter& e, const telemetry::RunTrace& trace) {
-  e.begin_object();
-  e.key("label");
-  e.value(std::string_view(trace.label));
-  e.key("seed");
-  e.value(trace.seed);
-  e.key("columns");
-  e.begin_array();
-  for (const std::string& name : telemetry::RunTrace::columns()) {
-    e.value(std::string_view(name));
-  }
-  e.end_array();
-  e.key("rows");
-  e.begin_array();
-  for (const telemetry::GenerationRow& row : trace.rows) {
-    emit_generation_row(e, row);
-  }
-  e.end_array();
-  e.end_object();
-}
-
-void emit_window_metrics(JsonEmitter& e, const WindowMetrics& row) {
-  e.begin_object();
-  e.key("window");
-  e.value(static_cast<std::uint64_t>(row.window));
-  e.key("arrived");
-  e.value(static_cast<std::uint64_t>(row.arrived));
-  e.key("departed");
-  e.value(static_cast<std::uint64_t>(row.departed));
-  e.key("running");
-  e.value(static_cast<std::uint64_t>(row.running));
-  e.key("rejected");
-  e.value(static_cast<std::uint64_t>(row.rejected));
-  e.key("boots");
-  e.value(static_cast<std::uint64_t>(row.boots));
-  e.key("migrations");
-  e.value(static_cast<std::uint64_t>(row.migrations));
-  e.key("migration_cost");
-  e.value(row.migration_cost);
-  e.key("failed_servers");
-  e.value(static_cast<std::uint64_t>(row.failed_servers));
-  e.key("repaired_servers");
-  e.value(static_cast<std::uint64_t>(row.repaired_servers));
-  e.key("decommissioned_servers");
-  e.value(static_cast<std::uint64_t>(row.decommissioned_servers));
-  e.key("displaced_vms");
-  e.value(static_cast<std::uint64_t>(row.displaced_vms));
-  e.key("vms_on_down_servers");
-  e.value(static_cast<std::uint64_t>(row.vms_on_down_servers));
-  e.key("fault_events");
-  e.begin_array();
-  for (const FaultEvent& event : row.fault_events) {
-    emit_fault_event(e, event);
-  }
-  e.end_array();
-  e.key("evicted");
-  e.value(static_cast<std::uint64_t>(row.evicted));
-  e.key("retried");
-  e.value(static_cast<std::uint64_t>(row.retried));
-  e.key("permanently_rejected");
-  e.value(static_cast<std::uint64_t>(row.permanently_rejected));
-  e.key("retry_queue_depth");
-  e.value(static_cast<std::uint64_t>(row.retry_queue_depth));
-  // Optional blocks under the same conditions as sim_trace_to_json, so
-  // legacy fixtures keep their exact shape.
-  if (!row.providers.empty()) {
-    e.key("providers");
-    e.begin_array();
-    for (const ProviderWindowMetrics& p : row.providers) {
-      emit_provider_metrics(e, p);
-    }
-    e.end_array();
-    e.key("redirects");
-    e.value(static_cast<std::uint64_t>(row.redirects));
-    e.key("offline_providers");
-    e.value(static_cast<std::uint64_t>(row.offline_providers));
-    e.key("cross_cloud_migration_cost");
-    e.value(row.cross_cloud_migration_cost);
-  }
-  if (row.admitted != 0 || row.admission_deferred != 0 ||
-      row.admission_dropped != 0 || row.admission_queue_depth != 0) {
-    e.key("admission");
-    e.begin_object();
-    e.key("admitted");
-    e.value(static_cast<std::uint64_t>(row.admitted));
-    e.key("deferred");
-    e.value(static_cast<std::uint64_t>(row.admission_deferred));
-    e.key("dropped");
-    e.value(static_cast<std::uint64_t>(row.admission_dropped));
-    e.key("queue_depth");
-    e.value(static_cast<std::uint64_t>(row.admission_queue_depth));
-    e.end_object();
-  }
-  if (row.shard.shard_count != 0) {
-    e.key("shard");
-    e.begin_object();
-    e.key("shard_count");
-    e.value(static_cast<std::uint64_t>(row.shard.shard_count));
-    e.key("pre_rejections");
-    e.value(static_cast<std::uint64_t>(row.shard.pre_rejections));
-    e.key("rebalance_placements");
-    e.value(static_cast<std::uint64_t>(row.shard.rebalance_placements));
-    e.key("migrations");
-    e.value(static_cast<std::uint64_t>(row.shard.migrations));
-    e.key("max_shard_vms");
-    e.value(static_cast<std::uint64_t>(row.shard.max_shard_vms));
-    e.key("min_shard_vms");
-    e.value(static_cast<std::uint64_t>(row.shard.min_shard_vms));
-    e.end_object();
-  }
-  if (row.fairness.consumers != 0) {
-    e.key("fairness");
-    e.begin_object();
-    e.key("consumers");
-    e.value(static_cast<std::uint64_t>(row.fairness.consumers));
-    e.key("strategic_consumers");
-    e.value(static_cast<std::uint64_t>(row.fairness.strategic_consumers));
-    e.key("strategic_vms");
-    e.value(static_cast<std::uint64_t>(row.fairness.strategic_vms));
-    e.key("jain_index");
-    e.value(row.fairness.jain_index);
-    e.key("long_term_jain");
-    e.value(row.fairness.long_term_jain);
-    e.key("envy");
-    e.value(row.fairness.envy);
-    e.key("utilization_efficiency");
-    e.value(row.fairness.utilization_efficiency);
-    e.key("honest_welfare");
-    e.value(row.fairness.honest_welfare);
-    e.key("strategic_welfare");
-    e.value(row.fairness.strategic_welfare);
-    e.key("energy_cost");
-    e.value(row.fairness.energy_cost);
-    e.end_object();
-  }
-  e.key("degrade");
-  e.value(degrade_level_name(row.degrade));
-  e.key("fallback_algorithm");
-  e.value(std::string_view(row.fallback_algorithm));
-  e.key("objectives");
-  e.begin_array();
-  e.value(row.objectives.usage_cost);
-  e.value(row.objectives.downtime_cost);
-  e.value(row.objectives.migration_cost);
-  e.end_array();
-  e.key("solve_seconds");
-  e.value(row.solve_seconds);
-  if (!row.allocator_trace.empty()) {
-    e.key("allocator_trace");
-    emit_run_trace(e, row.allocator_trace);
-  }
-  e.end_object();
-}
-
-void emit_registry(JsonEmitter& e, const telemetry::Registry& registry) {
-  e.begin_object();
-  e.key("counters");
-  e.begin_object();
-  const telemetry::CounterBlock block = registry.counters();
-  for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-    const auto c = static_cast<telemetry::Counter>(i);
-    e.key(telemetry::counter_name(c));
-    e.value(block[c]);
-  }
-  e.end_object();
-  e.key("phase_seconds");
-  e.begin_object();
-  const auto seconds = registry.phase_seconds();
-  for (std::size_t i = 0; i < telemetry::kPhaseCount; ++i) {
-    const auto p = static_cast<telemetry::Phase>(i);
-    e.key(telemetry::phase_name(p));
-    e.value(seconds[i]);
-  }
-  e.end_object();
-  e.end_object();
-}
-
-// -------------------------------------------------------- file sink ---
 
 JsonFileSink::JsonFileSink(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "wb");
@@ -309,42 +43,49 @@ void JsonFileSink::close() {
   IAAS_EXPECT(rc == 0, ("trace_stream: close error on " + path_).c_str());
 }
 
-// ------------------------------------------------- SimTraceWriter -----
-
-SimTraceWriter::SimTraceWriter(const std::string& path, int indent)
-    : sink_(path), emitter_(buffer_, indent) {
-  emitter_.begin_object();
-  emitter_.key("windows");
-  emitter_.begin_array();
-  sink_.write(buffer_);
-  buffer_.clear();
+TraceWriter::TraceWriter(const std::string& path, Format format, int indent)
+    : format_(format), sink_(path), emitter_(buffer_, indent) {
+  if (format_ == Format::kJson) {
+    emitter_.begin_object();
+    emitter_.key("windows");
+    emitter_.begin_array();
+  } else {
+    put_binary_header(buffer_, BinaryTraceKind::kSimTrace);
+  }
+  drain();
 }
 
-SimTraceWriter::~SimTraceWriter() {
+TraceWriter::~TraceWriter() {
   if (!finished_) {
     finish();
   }
 }
 
-void SimTraceWriter::append(const WindowMetrics& row) {
+void TraceWriter::append(const WindowMetrics& row) {
   IAAS_EXPECT(!finished_, "trace_stream: append after finish");
-  emit_window_metrics(emitter_, row);
-  sink_.write(buffer_);
-  buffer_.clear();
+  if (format_ == Format::kJson) {
+    emit_window_metrics(emitter_, row);
+  } else {
+    put_binary_window(buffer_, row);
+  }
+  drain();
   sink_.flush();  // window visible on disk before the next one starts
   ++windows_;
 }
 
-void SimTraceWriter::finish() {
+void TraceWriter::finish() {
   if (finished_) {
     return;
   }
   finished_ = true;
-  emitter_.end_array();
-  emitter_.end_object();
-  buffer_ += '\n';
-  sink_.write(buffer_);
-  buffer_.clear();
+  if (format_ == Format::kJson) {
+    emitter_.end_array();
+    emitter_.end_object();
+    buffer_ += '\n';
+  } else {
+    put_binary_end(buffer_);
+  }
+  drain();
   sink_.close();
   // Emission happens outside the sim loop (no thread-local sink), so the
   // counters go straight to the global registry.  PeakBuffer merges
@@ -356,11 +97,15 @@ void SimTraceWriter::finish() {
   block[telemetry::Counter::kTraceBytesStreamed] =
       static_cast<std::uint64_t>(sink_.bytes_written());
   block[telemetry::Counter::kTracePeakBufferBytes] =
-      static_cast<std::uint64_t>(emitter_.peak_buffer_bytes());
+      static_cast<std::uint64_t>(peak_);
   telemetry::Registry::global().flush_counters(block);
 }
 
-// ------------------------------------------------ one-shot writers ----
+void TraceWriter::drain() {
+  peak_ = std::max(peak_, buffer_.size());
+  sink_.write(buffer_);
+  buffer_.clear();
+}
 
 void write_sim_trace_json(const std::vector<WindowMetrics>& metrics,
                           const std::string& path) {
@@ -369,17 +114,6 @@ void write_sim_trace_json(const std::vector<WindowMetrics>& metrics,
     writer.append(row);
   }
   writer.finish();
-}
-
-void write_registry_json(const telemetry::Registry& registry,
-                         const std::string& path) {
-  JsonFileSink sink(path);
-  std::string buffer;
-  JsonEmitter emitter(buffer, 2);
-  emit_registry(emitter, registry);
-  buffer += '\n';
-  sink.write(buffer);
-  sink.close();
 }
 
 }  // namespace iaas

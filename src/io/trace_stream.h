@@ -1,17 +1,11 @@
-// Streaming trace writers — the production emission path for run
-// traces, simulator traces and registry snapshots (DESIGN.md §13).
-//
-// Each emit_* function drives a JsonEmitter through exactly the key
-// order of its tree-building twin in io/trace_json, so the streamed
-// bytes equal `*_to_json(x).dump(indent)` for every input — the legacy
-// Json path stays as the parse/validation side, and the byte-equality
-// is regression-tested (tests/test_trace_io.cpp).
-//
-// SimTraceWriter is the incremental form: the simulators hand it one
-// WindowMetrics at a time (via set_window_sink) and it flushes each
-// window straight to disk, so a million-window run holds one window of
-// trace text in memory instead of the whole horizon.  Its throughput
-// counters land in telemetry::Registry::global() at finish().
+// Incremental sim-trace writers (DESIGN.md §13).  The simulators hand
+// a writer one WindowMetrics at a time (via set_window_sink) and it
+// drains each window straight to disk, so a million-window run holds
+// one window of trace text in memory instead of the whole horizon.  One
+// TraceWriter serves both formats: SimTraceWriter writes the JSON
+// document {"windows": [...]}, BinaryTraceWriter (io/trace_binary) the
+// binary one.  Their throughput counters land in
+// telemetry::Registry::global() at finish().
 #pragma once
 
 #include <cstddef>
@@ -19,26 +13,14 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/telemetry.h"
 #include "io/emit.h"
+#include "io/trace_json.h"
 #include "sim/simulator.h"
 
 namespace iaas {
-
-// Shrink threshold for reusable emission scratch buffers: one oversized
-// document must not pin its peak capacity for the owner's lifetime.
-inline constexpr std::size_t kTraceScratchRetainBytes = 1u << 20;  // 1 MiB
-
-// Release a scratch buffer's memory if it grew past the retain
-// threshold (keeps the common small-trace capacity warm).
-void shrink_scratch(std::string& scratch);
-
-// Streaming twins of the io/trace_json tree builders (same key order,
-// same number formatting -> byte-identical output).
-void emit_run_trace(JsonEmitter& emitter, const telemetry::RunTrace& trace);
-void emit_window_metrics(JsonEmitter& emitter, const WindowMetrics& row);
-void emit_registry(JsonEmitter& emitter, const telemetry::Registry& registry);
 
 // Buffered FILE* sink with common/csv failure rules: unopenable paths
 // and write errors abort via IAAS_EXPECT instead of silently truncating
@@ -62,17 +44,17 @@ class JsonFileSink {
   std::size_t bytes_written_ = 0;
 };
 
-// Incremental {"windows": [...]} writer.  append() emits one window and
-// drains the buffer to disk; finish() closes the document (trailing
-// newline included) and flushes the trace-IO telemetry counters.  The
-// finished file is byte-identical to
-// `sim_trace_to_json(all_rows).dump(indent) + "\n"`.
-class SimTraceWriter {
+// append() encodes one window and drains it to disk; finish() closes the
+// document (the JSON form ends with a newline) and flushes the trace-IO
+// telemetry counters.
+class TraceWriter {
  public:
-  explicit SimTraceWriter(const std::string& path, int indent = 2);
-  ~SimTraceWriter();  // finishes if the caller forgot
-  SimTraceWriter(const SimTraceWriter&) = delete;
-  SimTraceWriter& operator=(const SimTraceWriter&) = delete;
+  enum class Format : std::uint8_t { kJson, kBinary };
+
+  TraceWriter(const std::string& path, Format format, int indent);
+  ~TraceWriter();  // finishes if the caller forgot
+  TraceWriter(const TraceWriter&) = delete;
+  TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(const WindowMetrics& row);
   void finish();
@@ -81,25 +63,31 @@ class SimTraceWriter {
   [[nodiscard]] std::size_t bytes_written() const {
     return sink_.bytes_written();
   }
-  // High-water mark of the in-memory emission buffer — O(one window)
-  // by construction, independent of horizon length.
-  [[nodiscard]] std::size_t peak_buffer_bytes() const {
-    return emitter_.peak_buffer_bytes();
-  }
+  // High-water mark of the in-memory encoding buffer — O(one window) by
+  // construction, independent of horizon length.
+  [[nodiscard]] std::size_t peak_buffer_bytes() const { return peak_; }
 
  private:
+  void drain();
+
+  Format format_;
   std::string buffer_;
   JsonFileSink sink_;
-  JsonEmitter emitter_;
+  JsonEmitter emitter_;  // JSON only
   std::size_t windows_ = 0;
+  std::size_t peak_ = 0;
   bool finished_ = false;
 };
 
-// One-shot streaming writers (pretty indent 2 + trailing newline, the
-// repo's canonical trace-file form).
+// The JSON form: the finished file is what write_sim_trace_json writes.
+class SimTraceWriter : public TraceWriter {
+ public:
+  explicit SimTraceWriter(const std::string& path, int indent = 2)
+      : TraceWriter(path, Format::kJson, indent) {}
+};
+
+// One-shot form of SimTraceWriter (the repo's canonical trace file).
 void write_sim_trace_json(const std::vector<WindowMetrics>& metrics,
                           const std::string& path);
-void write_registry_json(const telemetry::Registry& registry,
-                         const std::string& path);
 
 }  // namespace iaas

@@ -6,6 +6,8 @@
 #include <array>
 #include <cstddef>
 
+#include "common/fields.h"
+
 namespace iaas {
 
 struct ObjectiveVector {
@@ -22,6 +24,15 @@ struct ObjectiveVector {
     return {usage_cost, downtime_cost, migration_cost};
   }
 };
+
+// Traced as a positional [usage, downtime, migration] triple.
+template <fields::Of<ObjectiveVector> Self, typename V>
+void visit_fields(Self& o, V& v) {
+  using enum fields::Tag;
+  v.leaf("usage_cost", o.usage_cost, kDeterministic);
+  v.leaf("downtime_cost", o.downtime_cost, kDeterministic);
+  v.leaf("migration_cost", o.migration_cost, kDeterministic);
+}
 
 // Stakeholder-tunable objective weights — the paper assigns equal
 // weights "without loss of generality [...] that can otherwise be tuned

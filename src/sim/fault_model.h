@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "topology/fabric.h"
 
@@ -68,6 +69,18 @@ struct FaultEvent {
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
+
+template <fields::Of<FaultEvent> Self, typename V>
+void visit_fields(Self& e, V& v) {
+  using enum fields::Tag;
+  v.leaf("window", e.window, kDeterministic);
+  v.leaf("kind", e.kind, kDeterministic,
+         fields::Names<FaultEventKind>{fault_event_kind_name,
+                                       FaultEventKind::kDecommission});
+  v.leaf("index", e.index, kDeterministic);
+  v.list("servers", e.servers, kDeterministic);
+  v.leaf("mttr_windows", e.mttr_windows, kDeterministic);
+}
 
 class FaultModel {
  public:

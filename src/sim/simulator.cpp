@@ -1,7 +1,7 @@
 #include "sim/simulator.h"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <utility>
@@ -40,32 +40,76 @@ void compact_parallel(std::vector<T>& v, const std::vector<char>& keep) {
   v.resize(out);
 }
 
-// --- deterministic fingerprint (FNV-1a, order-sensitive) ---
+// FNV-1a over the field lists' deterministic leaves, in trace order.
+// List lengths and Block::hash are data in the lists, so the legacy
+// digest's irregularities need no branch here.
+class Fingerprint {
+ public:
+  std::uint64_t h = 0xcbf29ce484222325ULL;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      byte(v >> (8 * i));
+    }
   }
-}
 
-void fnv_f64(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv_u64(h, bits);
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv_u64(h, s.size());
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
+  template <typename T, typename... Names>
+  void leaf(const char*, const T& v, fields::Tag tag, Names...) {
+    if (tag != fields::Tag::kDeterministic || skip_) {
+      return;
+    }
+    skip_ = lead_only_;
+    if constexpr (std::is_same_v<T, std::string>) {
+      u64(v.size());
+      for (char c : v) {
+        byte(static_cast<unsigned char>(c));
+      }
+    } else if constexpr (std::is_floating_point_v<T>) {
+      u64(std::bit_cast<std::uint64_t>(v));
+    } else {
+      u64(static_cast<std::uint64_t>(v));
+    }
   }
-}
+
+  template <typename T>
+  void list(const char* key, const std::vector<T>& items, fields::Tag tag,
+            bool fingerprint_length = true) {
+    if (fingerprint_length && tag == fields::Tag::kDeterministic) {
+      u64(items.size());
+    }
+    for (const T& item : items) {
+      if constexpr (fields::Scalar<T>) {
+        leaf(key, item, tag);
+      } else {
+        visit_fields(item, *this);
+      }
+    }
+  }
+
+  template <typename S>
+  void tuple(const char*, const S& s) {
+    visit_fields(s, *this);
+  }
+
+  template <typename Row>
+  void table(const char*, const std::vector<std::string>&, const char* key,
+             const std::vector<Row>& rows) {
+    list(key, rows, fields::Tag::kDeterministic);
+  }
+
+  template <typename List>
+  void block(const fields::Block& b, bool present, List&& list) {
+    lead_only_ = !present && b.hash == fields::Hash::kLeadAlways;
+    list(*this);
+    lead_only_ = skip_ = false;
+  }
+
+ private:
+  void byte(std::uint64_t b) { h = (h ^ (b & 0xffULL)) * 0x100000001b3ULL; }
+
+  bool lead_only_ = false;  // inside an absent kLeadAlways block
+  bool skip_ = false;       // its lead leaf is hashed: skip the rest
+};
 
 }  // namespace
 
@@ -160,102 +204,12 @@ SimSummary summarize(const std::vector<WindowMetrics>& metrics) {
 
 std::uint64_t deterministic_fingerprint(
     const std::vector<WindowMetrics>& metrics) {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, metrics.size());
+  Fingerprint fp;
+  fp.u64(metrics.size());
   for (const WindowMetrics& row : metrics) {
-    fnv_u64(h, row.window);
-    fnv_u64(h, row.arrived);
-    fnv_u64(h, row.departed);
-    fnv_u64(h, row.running);
-    fnv_u64(h, row.rejected);
-    fnv_u64(h, row.boots);
-    fnv_u64(h, row.migrations);
-    fnv_f64(h, row.migration_cost);
-    fnv_u64(h, row.failed_servers);
-    fnv_u64(h, row.repaired_servers);
-    fnv_u64(h, row.decommissioned_servers);
-    fnv_u64(h, row.displaced_vms);
-    fnv_u64(h, row.vms_on_down_servers);
-    for (const FaultEvent& e : row.fault_events) {
-      fnv_u64(h, e.window);
-      fnv_u64(h, static_cast<std::uint64_t>(e.kind));
-      fnv_u64(h, e.index);
-      fnv_u64(h, e.servers.size());
-      for (std::uint32_t s : e.servers) {
-        fnv_u64(h, s);
-      }
-      fnv_u64(h, e.mttr_windows);
-    }
-    fnv_u64(h, row.evicted);
-    fnv_u64(h, row.retried);
-    fnv_u64(h, row.permanently_rejected);
-    fnv_u64(h, row.retry_queue_depth);
-    // Multi-cloud columns.  The provider count is hashed even when zero,
-    // so "no market" and "a market of silent providers" stay distinct.
-    fnv_u64(h, row.providers.size());
-    for (const ProviderWindowMetrics& p : row.providers) {
-      fnv_u64(h, p.provider);
-      fnv_u64(h, p.online ? 1 : 0);
-      fnv_f64(h, p.price_multiplier);
-      fnv_u64(h, p.running);
-      fnv_u64(h, p.routed);
-      fnv_u64(h, p.rejected);
-      fnv_u64(h, p.evicted);
-      fnv_u64(h, p.redirects_in);
-      fnv_u64(h, p.failed_servers);
-      fnv_u64(h, p.migrations);
-      fnv_f64(h, p.migration_cost);
-      fnv_f64(h, p.objectives.usage_cost);
-      fnv_f64(h, p.objectives.downtime_cost);
-      fnv_f64(h, p.objectives.migration_cost);
-    }
-    fnv_u64(h, row.redirects);
-    fnv_u64(h, row.offline_providers);
-    fnv_f64(h, row.cross_cloud_migration_cost);
-    fnv_u64(h, row.admitted);
-    fnv_u64(h, row.admission_deferred);
-    fnv_u64(h, row.admission_dropped);
-    fnv_u64(h, row.admission_queue_depth);
-    fnv_u64(h, row.shard.shard_count);
-    fnv_u64(h, row.shard.pre_rejections);
-    fnv_u64(h, row.shard.rebalance_placements);
-    fnv_u64(h, row.shard.migrations);
-    fnv_u64(h, row.shard.max_shard_vms);
-    fnv_u64(h, row.shard.min_shard_vms);
-    // Fairness block: the consumer count is hashed unconditionally (like
-    // providers.size()) so "absent" and "present but idle" differ.
-    fnv_u64(h, row.fairness.consumers);
-    if (row.fairness.consumers != 0) {
-      fnv_u64(h, row.fairness.strategic_consumers);
-      fnv_u64(h, row.fairness.strategic_vms);
-      fnv_f64(h, row.fairness.jain_index);
-      fnv_f64(h, row.fairness.long_term_jain);
-      fnv_f64(h, row.fairness.envy);
-      fnv_f64(h, row.fairness.utilization_efficiency);
-      fnv_f64(h, row.fairness.honest_welfare);
-      fnv_f64(h, row.fairness.strategic_welfare);
-      fnv_f64(h, row.fairness.energy_cost);
-    }
-    fnv_u64(h, static_cast<std::uint64_t>(row.degrade));
-    fnv_str(h, row.fallback_algorithm);
-    fnv_f64(h, row.objectives.usage_cost);
-    fnv_f64(h, row.objectives.downtime_cost);
-    fnv_f64(h, row.objectives.migration_cost);
-    // Trace: only the columns every build mode and thread count agrees
-    // on.  The per-generation counter columns (delta moves, repairs,
-    // tabu tallies) are zero in IAAS_TELEMETRY=OFF builds and the
-    // seconds columns are wall-clock — both excluded by design.
-    fnv_u64(h, row.allocator_trace.rows.size());
-    for (const telemetry::GenerationRow& g : row.allocator_trace.rows) {
-      fnv_u64(h, g.generation);
-      fnv_u64(h, g.evaluations);
-      fnv_u64(h, g.front_size);
-      fnv_f64(h, g.best_objectives[0]);
-      fnv_f64(h, g.best_objectives[1]);
-      fnv_f64(h, g.best_objectives[2]);
-    }
+    visit_fields(row, fp);
   }
-  return h;
+  return fp.h;
 }
 
 CloudSimulator::CloudSimulator(SimConfig config,
@@ -279,17 +233,9 @@ std::vector<WindowMetrics> CloudSimulator::run(std::uint64_t seed) {
   ScenarioGenerator generator(config_.scenario);
   const Infrastructure infra = generator.generate_infrastructure(seed);
 
-  // Legacy transient-failure shorthand: fold the flat per-server rate
-  // into the lifecycle model (MTTR defaults keep it a one-window outage).
-  FaultConfig fault_config = config_.faults;
-  if (fault_config.server_failure_probability == 0.0 &&
-      config_.server_failure_probability > 0.0) {
-    fault_config.server_failure_probability =
-        config_.server_failure_probability;
-  }
   // The fault model owns an independent stream so enabling/disabling
   // telemetry or reordering allocator draws can never shift its history.
-  FaultModel fault_model(fault_config, infra.fabric(), rng.next_u64());
+  FaultModel fault_model(config_.faults, infra.fabric(), rng.next_u64());
   RetryQueue retries(config_.retry);
 
   if (config_.allocator_deadline_seconds > 0.0) {

@@ -54,10 +54,6 @@ struct SimConfig {
   std::size_t windows = 10;
   double arrivals_per_window_mean = 20.0;  // Poisson arrivals
   double departure_probability = 0.10;     // per running VM per window
-  // Legacy single-window transient failures: shorthand for
-  // faults.server_failure_probability with MTTR 1.  Ignored when the
-  // FaultConfig sets its own server rate.
-  double server_failure_probability = 0.0;
   // Platform failures with a lifecycle: correlated rack outages, MTTR
   // measured in windows, permanent decommissions, scripted scenarios.
   FaultConfig faults;
@@ -139,6 +135,23 @@ struct ProviderWindowMetrics {
   ObjectiveVector objectives;        // price-scaled Eq. 22/23/26 split
 };
 
+template <fields::Of<ProviderWindowMetrics> Self, typename V>
+void visit_fields(Self& p, V& v) {
+  using enum fields::Tag;
+  v.leaf("provider", p.provider, kDeterministic);
+  v.leaf("online", p.online, kDeterministic);
+  v.leaf("price_multiplier", p.price_multiplier, kDeterministic);
+  v.leaf("running", p.running, kDeterministic);
+  v.leaf("routed", p.routed, kDeterministic);
+  v.leaf("rejected", p.rejected, kDeterministic);
+  v.leaf("evicted", p.evicted, kDeterministic);
+  v.leaf("redirects_in", p.redirects_in, kDeterministic);
+  v.leaf("failed_servers", p.failed_servers, kDeterministic);
+  v.leaf("migrations", p.migrations, kDeterministic);
+  v.leaf("migration_cost", p.migration_cost, kDeterministic);
+  v.tuple("objectives", p.objectives);
+}
+
 // Fairness/welfare columns of one window (model/fairness.h definitions).
 // consumers == 0 marks the block as absent — legacy anonymous runs and
 // windows with no live VMs keep their trace shape and fingerprint.
@@ -154,6 +167,21 @@ struct FairnessWindowMetrics {
   double strategic_welfare = 0.0;       // mean strategic-consumer welfare
   double energy_cost = 0.0;             // powered-server energy draw
 };
+
+template <fields::Of<FairnessWindowMetrics> Self, typename V>
+void visit_fields(Self& f, V& v) {
+  using enum fields::Tag;
+  v.leaf("consumers", f.consumers, kDeterministic);
+  v.leaf("strategic_consumers", f.strategic_consumers, kDeterministic);
+  v.leaf("strategic_vms", f.strategic_vms, kDeterministic);
+  v.leaf("jain_index", f.jain_index, kDeterministic);
+  v.leaf("long_term_jain", f.long_term_jain, kDeterministic);
+  v.leaf("envy", f.envy, kDeterministic);
+  v.leaf("utilization_efficiency", f.utilization_efficiency, kDeterministic);
+  v.leaf("honest_welfare", f.honest_welfare, kDeterministic);
+  v.leaf("strategic_welfare", f.strategic_welfare, kDeterministic);
+  v.leaf("energy_cost", f.energy_cost, kDeterministic);
+}
 
 struct WindowMetrics {
   std::size_t window = 0;
@@ -201,6 +229,68 @@ struct WindowMetrics {
   telemetry::RunTrace allocator_trace;
 };
 
+// One window of a sim trace.  Blocks that are absent stay out of the
+// JSON, so traces of runs without a feature keep their legacy shape.
+// The fingerprint still hashes absent blocks (a zero provider count
+// tells "no market" from "a market of silent providers"), except the
+// fairness block, which then hashes only its zero consumer count.
+// Flag bits and fingerprint rules are binary format version 1.
+template <fields::Of<WindowMetrics> Self, typename V>
+void visit_fields(Self& w, V& v) {
+  using enum fields::Tag;
+  v.leaf("window", w.window, kDeterministic);
+  v.leaf("arrived", w.arrived, kDeterministic);
+  v.leaf("departed", w.departed, kDeterministic);
+  v.leaf("running", w.running, kDeterministic);
+  v.leaf("rejected", w.rejected, kDeterministic);
+  v.leaf("boots", w.boots, kDeterministic);
+  v.leaf("migrations", w.migrations, kDeterministic);
+  v.leaf("migration_cost", w.migration_cost, kDeterministic);
+  v.leaf("failed_servers", w.failed_servers, kDeterministic);
+  v.leaf("repaired_servers", w.repaired_servers, kDeterministic);
+  v.leaf("decommissioned_servers", w.decommissioned_servers, kDeterministic);
+  v.leaf("displaced_vms", w.displaced_vms, kDeterministic);
+  v.leaf("vms_on_down_servers", w.vms_on_down_servers, kDeterministic);
+  v.list("fault_events", w.fault_events, kDeterministic,
+         /*fingerprint_length=*/false);
+  v.leaf("evicted", w.evicted, kDeterministic);
+  v.leaf("retried", w.retried, kDeterministic);
+  v.leaf("permanently_rejected", w.permanently_rejected, kDeterministic);
+  v.leaf("retry_queue_depth", w.retry_queue_depth, kDeterministic);
+  v.block({.key = "providers", .nested = false, .flag = 1u << 0},
+          !w.providers.empty(), [&](auto& b) {
+            b.list("providers", w.providers, kDeterministic);
+            b.leaf("redirects", w.redirects, kDeterministic);
+            b.leaf("offline_providers", w.offline_providers, kDeterministic);
+            b.leaf("cross_cloud_migration_cost", w.cross_cloud_migration_cost,
+                   kDeterministic);
+          });
+  v.block({.key = "admission", .flag = 1u << 1},
+          w.admitted != 0 || w.admission_deferred != 0 ||
+              w.admission_dropped != 0 || w.admission_queue_depth != 0,
+          [&](auto& b) {
+            b.leaf("admitted", w.admitted, kDeterministic);
+            b.leaf("deferred", w.admission_deferred, kDeterministic);
+            b.leaf("dropped", w.admission_dropped, kDeterministic);
+            b.leaf("queue_depth", w.admission_queue_depth, kDeterministic);
+          });
+  v.block({.key = "shard", .flag = 1u << 2}, w.shard.shard_count != 0,
+          [&](auto& b) { visit_fields(w.shard, b); });
+  v.block({.key = "fairness", .flag = 1u << 4,
+           .hash = fields::Hash::kLeadAlways},
+          w.fairness.consumers != 0,
+          [&](auto& b) { visit_fields(w.fairness, b); });
+  v.leaf("degrade", w.degrade, kDeterministic,
+         fields::Names<DegradeLevel>{degrade_level_name,
+                                     DegradeLevel::kFallback});
+  v.leaf("fallback_algorithm", w.fallback_algorithm, kDeterministic);
+  v.tuple("objectives", w.objectives);
+  v.leaf("solve_seconds", w.solve_seconds, kWallClock);
+  v.block({.key = "allocator_trace", .flag = 1u << 3},
+          !w.allocator_trace.empty(),
+          [&](auto& b) { visit_fields(w.allocator_trace, b); });
+}
+
 // Horizon-level roll-up of the failure/degradation columns.
 struct SimSummary {
   std::size_t fault_events = 0;
@@ -221,14 +311,15 @@ struct SimSummary {
 
 SimSummary summarize(const std::vector<WindowMetrics>& metrics);
 
-// Order-sensitive FNV-1a digest of every *deterministic* field of the
-// sequence: all counts, objective/migration-cost bit patterns, fault
-// events, degrade levels, and the allocator trace's deterministic
-// columns (generation, evaluations, front size, best objectives).  Wall
-// times (solve_seconds, the trace's seconds columns) and the trace's
-// telemetry-counter columns (zero in IAAS_TELEMETRY=OFF builds) are
-// excluded, so the digest must match across thread counts AND across
-// telemetry build modes — the simulator determinism contract.
+// Order-sensitive FNV-1a digest of every leaf the field lists tag
+// kDeterministic: all counts, objective/migration-cost bit patterns,
+// fault events, degrade levels, and the allocator trace's generation,
+// evaluations, front size and best objectives.  Wall times
+// (solve_seconds, the trace's seconds columns), the trace's
+// telemetry-counter columns (zero in IAAS_TELEMETRY=OFF builds) and its
+// label and seed are excluded, so the digest must match across thread
+// counts AND across telemetry build modes — the simulator determinism
+// contract.
 std::uint64_t deterministic_fingerprint(
     const std::vector<WindowMetrics>& metrics);
 

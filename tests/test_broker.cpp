@@ -19,6 +19,7 @@
 #include "io/trace_json.h"
 #include "sim/retry_queue.h"
 #include "sim/simulator.h"
+#include "tests/trace_text.h"
 #include "workload/generator.h"
 #include "workload/market_events.h"
 
@@ -451,7 +452,7 @@ TEST(TraceJson, ProviderColumnsRoundTrip) {
   MultiCloudSimulator sim(tiny_sim_config());
   const std::vector<WindowMetrics> metrics = sim.run(29);
   const std::vector<WindowMetrics> parsed =
-      sim_trace_from_json(sim_trace_to_json(metrics));
+      sim_trace_from_json(Json::parse(test::sim_trace_text(metrics)));
   ASSERT_EQ(parsed.size(), metrics.size());
   for (std::size_t w = 0; w < metrics.size(); ++w) {
     EXPECT_EQ(parsed[w].providers.size(), metrics[w].providers.size());

@@ -12,6 +12,7 @@
 #include "model/objectives.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
+#include "tests/trace_text.h"
 #include "topology/shard_plan.h"
 #include "workload/generator.h"
 
@@ -318,11 +319,10 @@ TEST(ShardedSimulator, ShardAndAdmissionColumnsRoundTripThroughJson) {
   ASSERT_TRUE(has_shard);
   ASSERT_TRUE(has_admission);
 
-  const Json emitted = sim_trace_to_json(metrics);
-  const std::string text = emitted.dump(2);
+  const std::string text = test::sim_trace_text(metrics);
   const std::vector<WindowMetrics> parsed =
       sim_trace_from_json(Json::parse(text));
-  EXPECT_EQ(sim_trace_to_json(parsed).dump(2), text);
+  EXPECT_EQ(test::sim_trace_text(parsed), text);
   EXPECT_EQ(deterministic_fingerprint(parsed),
             deterministic_fingerprint(metrics));
   ASSERT_EQ(parsed.size(), metrics.size());

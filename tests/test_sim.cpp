@@ -266,7 +266,7 @@ TEST(CloudSimulator, DrivesTheHybridAllocatorEndToEnd) {
 TEST(CloudSimulator, FailureInjectionDisplacesVms) {
   SimConfig cfg = small_sim();
   cfg.windows = 12;
-  cfg.server_failure_probability = 0.15;
+  cfg.faults.server_failure_probability = 0.15;
   cfg.departure_probability = 0.0;
   CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>());
   const auto metrics = sim.run(13);
@@ -282,7 +282,7 @@ TEST(CloudSimulator, FailureInjectionDisplacesVms) {
 
 TEST(CloudSimulator, NoFailuresWhenProbabilityZero) {
   SimConfig cfg = small_sim();
-  cfg.server_failure_probability = 0.0;
+  cfg.faults.server_failure_probability = 0.0;
   CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>());
   for (const WindowMetrics& w : sim.run(17)) {
     EXPECT_EQ(w.failed_servers, 0u);
@@ -294,7 +294,7 @@ TEST(CloudSimulator, FailuresForceMigrationsOffDeadServers) {
   // With certain failure of many servers, surviving VMs must migrate.
   SimConfig cfg = small_sim();
   cfg.windows = 4;
-  cfg.server_failure_probability = 0.3;
+  cfg.faults.server_failure_probability = 0.3;
   cfg.departure_probability = 0.0;
   cfg.arrivals_per_window_mean = 10.0;
   CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>());

@@ -9,6 +9,7 @@
 #include "io/trace_json.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
+#include "tests/trace_text.h"
 #include "workload/trace.h"
 
 namespace iaas {
@@ -135,11 +136,10 @@ TEST(SimTraceJson, EmitParseReEmitIsByteIdentical) {
   }
   ASSERT_TRUE(has_trace);
 
-  const Json emitted = sim_trace_to_json(metrics);
-  const std::string text = emitted.dump(2);
+  const std::string text = test::sim_trace_text(metrics);
   const std::vector<WindowMetrics> parsed =
       sim_trace_from_json(Json::parse(text));
-  EXPECT_EQ(sim_trace_to_json(parsed).dump(2), text);
+  EXPECT_EQ(test::sim_trace_text(parsed), text);
   // And the parsed horizon is the same run, not just the same text.
   EXPECT_EQ(deterministic_fingerprint(parsed),
             deterministic_fingerprint(metrics));
@@ -166,8 +166,8 @@ TEST(SimTraceJson, RunTraceRoundTripsThroughJson) {
   row.best_objectives = {1.5, 0.0, 2.25};
   row.seconds_evaluate = 0.015625;  // dyadic: exact through JSON
   trace.rows.push_back(row);
-  const Json j = trace_to_json(trace);
-  const telemetry::RunTrace back = trace_from_json(j);
+  const std::string text = test::run_trace_text(trace);
+  const telemetry::RunTrace back = trace_from_json(Json::parse(text));
   EXPECT_EQ(back.label, trace.label);
   EXPECT_EQ(back.seed, trace.seed);
   ASSERT_EQ(back.rows.size(), 1u);
@@ -179,7 +179,7 @@ TEST(SimTraceJson, RunTraceRoundTripsThroughJson) {
   EXPECT_EQ(back.rows[0].front_size, 7u);
   EXPECT_DOUBLE_EQ(back.rows[0].best_objectives[2], 2.25);
   EXPECT_DOUBLE_EQ(back.rows[0].seconds_evaluate, 0.015625);
-  EXPECT_EQ(trace_to_json(back).dump(), j.dump());
+  EXPECT_EQ(test::run_trace_text(back), text);
 }
 
 TEST(SimTraceJson, ShapeErrorsThrow) {

@@ -1,8 +1,8 @@
 // The streaming trace path (io/emit + io/trace_stream) and the compact
 // binary trace format (io/trace_binary): emitter-vs-tree byte
-// equivalence, incremental per-window flushing, and lossless binary
-// round trips over every trace flavour (faulted, admission-controlled,
-// sharded, brokered).
+// equivalence, incremental per-window flushing, emit -> parse -> re-emit
+// identity, and lossless binary round trips over every trace flavour
+// (faulted, admission-controlled, sharded, brokered, strategic).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "io/trace_json.h"
 #include "io/trace_stream.h"
 #include "sim/simulator.h"
+#include "tests/trace_text.h"
 #include "workload/strategic.h"
 
 namespace iaas {
@@ -110,47 +111,6 @@ TEST(JsonEmitter, MatchesTreeDumpByteForByte) {
     emit_tricky(e);
     EXPECT_EQ(streamed, doc.dump(indent)) << "indent " << indent;
   }
-}
-
-TEST(JsonEmitter, EmitJsonWalkerMatchesDumpAndKeepsIntegerLexemes) {
-  // Parse a document whose integers exceed 2^53 — a double path would
-  // corrupt them; the walker must re-emit the exact lexemes.
-  const std::string text =
-      R"({"seed": 9223372036854775809, "neg": -9007199254740995,)"
-      R"( "d": 1.5, "rows": [1, 2, 3]})";
-  const Json doc = Json::parse(text);
-  for (int indent : {-1, 2}) {
-    std::string streamed;
-    JsonEmitter e(streamed, indent);
-    emit_json(e, doc);
-    EXPECT_EQ(streamed, doc.dump(indent));
-  }
-  EXPECT_NE(doc.dump().find("9223372036854775809"), std::string::npos);
-}
-
-TEST(JsonEmitter, FlushChunksConcatenateToTheExactDocument) {
-  const Json doc = tricky_document();
-  std::string buffer;
-  JsonEmitter e(buffer, 2);
-  std::string collected;
-  std::size_t chunks = 0;
-  e.set_flush(
-      [&](std::string_view chunk) {
-        collected.append(chunk);
-        ++chunks;
-      },
-      /*threshold=*/16);
-  emit_tricky(e);
-  collected.append(buffer);  // tail below the threshold
-  EXPECT_EQ(collected, doc.dump(2));
-  EXPECT_GT(chunks, 1u);
-  // The buffer high-water mark is bounded by threshold + one token, not
-  // by the document size.
-  EXPECT_LT(e.peak_buffer_bytes(), collected.size());
-  EXPECT_LE(e.peak_buffer_bytes(), std::size_t{16} + 64);
-  // bytes_emitted counts the flushed bytes; the sub-threshold tail is
-  // still sitting in the buffer.
-  EXPECT_EQ(e.bytes_emitted() + buffer.size(), collected.size());
 }
 
 // --- simulation fixtures --------------------------------------------
@@ -242,19 +202,22 @@ std::vector<WindowMetrics> brokered_run() {
   return sim.run(13);
 }
 
-std::string canonical_sim_trace_text(
-    const std::vector<WindowMetrics>& rows) {
-  return sim_trace_to_json(rows).dump(2) + "\n";
-}
+using test::sim_trace_text;
 
 // --- streaming writers ----------------------------------------------
 
-TEST(SimTraceStreaming, FileIsByteIdenticalToTheTreeDump) {
+TEST(SimTraceStreaming, FileReParsesToTheSameBytes) {
   const std::vector<WindowMetrics> rows = eventful_run();
   ASSERT_GT(summarize(rows).fault_events, 0u);
   const std::string path = temp_path("iaas_trace_stream.json");
   write_sim_trace_json(rows, path);
-  EXPECT_EQ(load_text(path), canonical_sim_trace_text(rows));
+  const std::string text = load_text(path);
+  EXPECT_EQ(text, sim_trace_text(rows));
+  const std::vector<WindowMetrics> parsed =
+      sim_trace_from_json(Json::parse(text));
+  EXPECT_EQ(sim_trace_text(parsed), text);
+  EXPECT_EQ(deterministic_fingerprint(parsed),
+            deterministic_fingerprint(rows));
   std::filesystem::remove(path);
 }
 
@@ -295,7 +258,7 @@ TEST(SimTraceStreaming, PerWindowSinkFlushesIncrementally) {
   EXPECT_LT(bytes_mid_run, writer.bytes_written());
   // Peak emission memory is one window, not the horizon.
   EXPECT_LT(writer.peak_buffer_bytes(), writer.bytes_written());
-  EXPECT_EQ(load_text(path), canonical_sim_trace_text(rows));
+  EXPECT_EQ(load_text(path), sim_trace_text(rows));
   std::filesystem::remove(path);
 }
 
@@ -309,21 +272,6 @@ TEST(SimTraceStreaming, EmptyHorizonStillFormsAValidDocument) {
       sim_trace_from_json(Json::parse(load_text(path)));
   EXPECT_TRUE(parsed.empty());
   std::filesystem::remove(path);
-}
-
-TEST(TraceScratch, ShrinksPastRetainThreshold) {
-  std::string scratch;
-  scratch.assign(kTraceScratchRetainBytes * 2, 'x');
-  shrink_scratch(scratch);
-  EXPECT_TRUE(scratch.empty());
-  EXPECT_LT(scratch.capacity(), kTraceScratchRetainBytes);
-  // A buffer within the retain threshold is left alone — its warm
-  // capacity (and contents) survive for the next document.
-  scratch.assign(512, 'y');
-  const std::size_t warm = scratch.capacity();
-  shrink_scratch(scratch);
-  EXPECT_EQ(scratch.size(), 512u);
-  EXPECT_EQ(scratch.capacity(), warm);
 }
 
 // --- binary round trips ---------------------------------------------
@@ -341,8 +289,8 @@ void expect_binary_roundtrip(const std::vector<WindowMetrics>& rows,
             deterministic_fingerprint(rows));
   // Lossless beyond the fingerprint: the reloaded rows re-emit to the
   // exact canonical JSON text (wall clocks and all).
-  EXPECT_EQ(canonical_sim_trace_text(reloaded),
-            canonical_sim_trace_text(rows));
+  EXPECT_EQ(sim_trace_text(reloaded),
+            sim_trace_text(rows));
   // And the streaming binary writer produces the same file.
   const std::string streamed_path =
       temp_path("iaas_trace_" + tag + "_streamed.trc");
@@ -431,7 +379,7 @@ TEST(BinaryTrace, StrategicTraceRoundTrips) {
 
 TEST(SimTraceJson, FairnessBlockRoundTripsThroughJson) {
   const std::vector<WindowMetrics> rows = strategic_run();
-  const Json doc = sim_trace_to_json(rows);
+  const Json doc = Json::parse(sim_trace_text(rows));
   const Json& windows = doc.at("windows");
   bool any_block = false;
   for (std::size_t i = 0; i < windows.size(); ++i) {
@@ -471,7 +419,7 @@ TEST(BinaryTrace, RunTraceWithHuge64BitSeedRoundTrips) {
 
   // Through JSON (integer lexemes)...
   const telemetry::RunTrace via_json =
-      trace_from_json(Json::parse(trace_to_json(trace).dump()));
+      trace_from_json(Json::parse(test::run_trace_text(trace)));
   EXPECT_EQ(via_json.seed, trace.seed);
   EXPECT_EQ(via_json.rows[0].evaluations, trace.rows[0].evaluations);
 
@@ -485,7 +433,7 @@ TEST(BinaryTrace, RunTraceWithHuge64BitSeedRoundTrips) {
   ASSERT_EQ(reloaded.rows.size(), 1u);
   EXPECT_EQ(reloaded.rows[0].evaluations, trace.rows[0].evaluations);
   EXPECT_DOUBLE_EQ(reloaded.rows[0].seconds_evaluate, 0.25);
-  EXPECT_EQ(trace_to_json(reloaded).dump(), trace_to_json(trace).dump());
+  EXPECT_EQ(test::run_trace_text(reloaded), test::run_trace_text(trace));
   std::filesystem::remove(path);
 }
 
@@ -514,6 +462,71 @@ TEST(BinaryTrace, MalformedInputThrows) {
   // Kind confusion: a sim trace is not a run trace.
   write_binary_sim_trace(rows, path);
   EXPECT_THROW(read_binary_run_trace(path), std::runtime_error);
+
+  // Forged counts must not size an allocation.  A default window's
+  // record reaches its fault-event count after 35 bytes: header 13, tag
+  // and flags 2, seven one-byte varints, a double, five varints.  Then
+  // a count of 2^55 (eight varint bytes) makes a 43-byte file.
+  const auto write_bytes = [&path](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  };
+  write_binary_sim_trace({WindowMetrics{}}, path);
+  const std::string window = load_text(path);
+  write_bytes(window.substr(0, 35) + std::string(7, '\x80') + '\x40');
+  EXPECT_THROW(read_binary_sim_trace(path), std::runtime_error);
+  // A flag bit no block declares (byte 14 is the record's flags byte).
+  std::string flagged = window;
+  flagged[14] = '\x80';
+  write_bytes(flagged);
+  EXPECT_THROW(read_binary_sim_trace(path), std::runtime_error);
+  // A run trace reaches its row count after 16 bytes: header 13, an
+  // empty label, seed 0 and the column count.  A count of 2^62 (nine
+  // varint bytes) makes a 25-byte file.
+  write_binary_run_trace(telemetry::RunTrace{}, path);
+  const std::string run = load_text(path);
+  write_bytes(run.substr(0, 16) + std::string(8, '\x80') + '\x40');
+  EXPECT_THROW(read_binary_run_trace(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceReaders, RejectThirtyTwoBitOverflow) {
+  // One 32-bit field at a time holds 2^32 - 1; the readers accept it
+  // and reject the same field one past it.
+  constexpr std::uint32_t kMax = 0xFFFFFFFFu;
+  const std::string path = temp_path("iaas_trace_overflow.trc");
+  for (int field = 0; field < 3; ++field) {
+    SCOPED_TRACE(field);
+    WindowMetrics row;
+    row.fault_events = {{0, FaultEventKind::kServerFailure,
+                         field == 0 ? kMax : 1u,
+                         {field == 1 ? kMax : 2u}, 1}};
+    row.providers.resize(1);
+    row.providers[0].provider = field == 2 ? kMax : 3u;
+    const std::vector<WindowMetrics> rows = {row};
+    const auto same = [&row](const std::vector<WindowMetrics>& read) {
+      return read.size() == 1 && read[0].fault_events == row.fault_events &&
+             read[0].providers.size() == 1 &&
+             read[0].providers[0].provider == row.providers[0].provider;
+    };
+
+    const std::string text = sim_trace_text(rows);
+    EXPECT_TRUE(same(sim_trace_from_json(Json::parse(text))));
+    std::string json = text;
+    json.replace(json.find("4294967295"), 10, "4294967296");
+    EXPECT_THROW(sim_trace_from_json(Json::parse(json)), std::runtime_error);
+
+    // The varint of 2^32 - 1 ends in 0x0F; 0x1F makes it 2^33 - 1.
+    write_binary_sim_trace(rows, path);
+    EXPECT_TRUE(same(read_binary_sim_trace(path)));
+    std::string binary = load_text(path);
+    binary[binary.find("\xFF\xFF\xFF\xFF\x0F") + 4] = '\x1F';
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << binary;
+    }
+    EXPECT_THROW(read_binary_sim_trace(path), std::runtime_error);
+  }
   std::filesystem::remove(path);
 }
 
@@ -522,7 +535,7 @@ TEST(BinaryTrace, CompactsRichTracesByFiveTimesOrMore) {
   const std::string path = temp_path("iaas_trace_ratio.trc");
   write_binary_sim_trace(rows, path);
   const std::size_t binary_bytes = std::filesystem::file_size(path);
-  const std::size_t json_bytes = canonical_sim_trace_text(rows).size();
+  const std::size_t json_bytes = sim_trace_text(rows).size();
   EXPECT_GE(json_bytes, binary_bytes * 5)
       << "json " << json_bytes << " vs binary " << binary_bytes;
   std::filesystem::remove(path);
