@@ -9,9 +9,9 @@
 //                       same multi-cloud pipeline for a fair metric);
 //   brokered/cheapest   three specialised providers, greedy
 //                       cheapest-feasible routing, first-fit backends;
-//   brokered/market     same market, market-aware mode (in-window
-//                       reassignment + reshopping) with the paper's
-//                       NSGA-III+tabu backend at a reduced budget.
+//   brokered/market     same market, market-aware mode (price-driven
+//                       reshopping) with the paper's NSGA-III+tabu
+//                       backend at a reduced budget.
 //
 // Part 3 is the warm-start ablation: the market-aware EA config with
 // SimConfig-style front persistence ON vs OFF — same seeds, same

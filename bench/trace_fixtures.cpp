@@ -1,13 +1,20 @@
 // Writes the golden trace fixtures checked by tests/test_trace_golden.cpp
-// and the trace_golden_roundtrip ctest:
+// and the trace_golden_roundtrip ctest, or replays them:
 //
 //   trace_fixtures <dir>      (the committed set lives in tests/data/traces)
+//   trace_fixtures --check <dir>
+//
+// --check rebuilds every sim fixture in memory and exits 1 unless each
+// one's deterministic_fingerprint equals that of the committed
+// <dir>/<name>.json.  It pins the simulators' behaviour (ctest
+// trace_fixtures_replay); test_trace_golden pins the files themselves.
 //
 // Between them the fixtures carry every optional window block both
 // present and absent (fault events with servers, providers, admission,
 // shard, fairness, nested allocator trace), windows degraded to
-// best_effort and to fallback, a run trace whose seed is above 2^53, and
-// the binary (.trc) twin of every file.  all_blocks.json is assembled by
+// best_effort and to fallback, cross-cloud redirects, a dark provider,
+// permanent rejections, a run trace whose seed is above 2^53, and the
+// binary (.trc) twin of every file.  all_blocks.json is assembled by
 // hand: its first window has every block present with edge values
 // (negative zero, 17-digit mantissas, counters past 2^53, the largest
 // 32-bit server id), its second has every block absent.
@@ -17,15 +24,19 @@
 // binary layout moved and update the fingerprints pinned in the test.
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "algo/heuristics.h"
 #include "algo/nsga_allocators.h"
+#include "algo/registry.h"
 #include "algo/sharded_allocator.h"
 #include "broker/multicloud_sim.h"
+#include "io/json.h"
 #include "io/trace_binary.h"
 #include "io/trace_json.h"
 #include "io/trace_stream.h"
@@ -137,6 +148,54 @@ std::vector<WindowMetrics> brokered() {
   return sim.run(13);
 }
 
+// Three-provider market-aware run on 1-thread NSGA-III+tabu backends
+// carrying warm-start fronts.  beta (the cheapest) goes dark for two
+// windows, so its fleet re-enters through routing on gamma; a price
+// shock then makes reshop move beta's group-free VMs off, and beta goes
+// dark again while empty but still carrying its front; gamma loses a
+// rack while hosting VMs and later decommissions, and with one redirect
+// allowed, its orphans that already moved once are permanently
+// rejected.
+std::vector<WindowMetrics> market() {
+  ScenarioConfig tiny;
+  tiny.datacenters = 1;
+  tiny.total_servers = 16;
+  tiny.servers_per_leaf = 8;
+  tiny.vms = 0;
+  ProviderConfig alpha;
+  alpha.id = "alpha";
+  alpha.scenario = tiny;
+  ProviderConfig beta;
+  beta.id = "beta";
+  beta.scenario = tiny;
+  beta.pricing.billing = BillingModel::kReserved;
+  beta.pricing.reserved_multiplier = 0.6;
+  beta.pricing.shocks = {{/*window=*/4, /*duration=*/2, /*factor=*/3.0}};
+  ProviderConfig gamma;
+  gamma.id = "gamma";
+  gamma.scenario = tiny;
+  gamma.pricing.on_demand_multiplier = 0.8;
+  gamma.faults.scripted = {{3, /*leaf_level=*/true, 0, /*mttr_windows=*/1,
+                            false}};
+  MultiCloudSimConfig cfg;
+  cfg.windows = 8;
+  cfg.arrival_schedule = {10, 8, 6, 4};
+  cfg.retry.max_attempts = 4;
+  cfg.retry.backoff_cap_windows = 1;
+  cfg.market.providers = {alpha, beta, gamma};
+  cfg.market.outages = {{/*window=*/1, /*provider=*/1, /*duration=*/2, false},
+                        {5, 1, 1, false},
+                        {6, 2, 1, /*decommission=*/true}};
+  cfg.broker.mode = BrokerMode::kMarketAware;
+  cfg.broker.backend = AlgorithmId::kNsga3Tabu;
+  cfg.broker.suite.ea = tiny_ea(false);
+  cfg.broker.max_redirects = 1;
+  cfg.request_shape = tiny;
+  cfg.warm_start_front = true;
+  MultiCloudSimulator sim(cfg);
+  return sim.run(19);
+}
+
 telemetry::RunTrace huge_seed_trace() {
   telemetry::RunTrace trace;
   trace.label = "huge \"seed\"";
@@ -222,30 +281,69 @@ std::vector<WindowMetrics> all_blocks() {
   return {w, empty};
 }
 
-void write_sim(const std::string& dir, const std::string& name,
-               const std::vector<WindowMetrics>& rows) {
-  write_sim_trace_json(rows, dir + "/" + name + ".json");
-  write_binary_sim_trace(rows, dir + "/" + name + ".trc");
-  std::printf("%s: %zu windows, deterministic_fingerprint=%016llx\n",
-              name.c_str(), rows.size(),
-              static_cast<unsigned long long>(
-                  deterministic_fingerprint(rows)));
+struct SimFixture {
+  const char* name;
+  std::vector<WindowMetrics> (*build)();
+};
+
+constexpr SimFixture kSimFixtures[] = {
+    {"all_blocks", all_blocks},
+    {"faulted", faulted},
+    {"fallback", fallback},
+    {"admission", admission},
+    {"sharded_strategic", sharded_strategic},
+    {"brokered", brokered},
+    {"market", market},
+};
+
+std::uint64_t committed_fingerprint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "%s: cannot open\n", path.c_str());
+    return 0;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return deterministic_fingerprint(
+      sim_trace_from_json(Json::parse(text.str())));
+}
+
+int check(const std::string& dir) {
+  int mismatches = 0;
+  for (const SimFixture& fixture : kSimFixtures) {
+    const std::uint64_t built = deterministic_fingerprint(fixture.build());
+    const std::uint64_t committed =
+        committed_fingerprint(dir + "/" + fixture.name + ".json");
+    std::printf("%s: rebuilt %016llx committed %016llx %s\n", fixture.name,
+                static_cast<unsigned long long>(built),
+                static_cast<unsigned long long>(committed),
+                built == committed ? "ok" : "MISMATCH");
+    mismatches += built == committed ? 0 : 1;
+  }
+  return mismatches == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 3 && std::string(argv[1]) == "--check") {
+    return check(argv[2]);
+  }
   if (argc != 2) {
-    std::fprintf(stderr, "usage: trace_fixtures <dir>\n");
+    std::fprintf(stderr, "usage: trace_fixtures [--check] <dir>\n");
     return 2;
   }
   const std::string dir = argv[1];
-  write_sim(dir, "all_blocks", all_blocks());
-  write_sim(dir, "faulted", faulted());
-  write_sim(dir, "fallback", fallback());
-  write_sim(dir, "admission", admission());
-  write_sim(dir, "sharded_strategic", sharded_strategic());
-  write_sim(dir, "brokered", brokered());
+  for (const SimFixture& fixture : kSimFixtures) {
+    const std::vector<WindowMetrics> rows = fixture.build();
+    const std::string stem = dir + "/" + fixture.name;
+    write_sim_trace_json(rows, stem + ".json");
+    write_binary_sim_trace(rows, stem + ".trc");
+    std::printf("%s: %zu windows, deterministic_fingerprint=%016llx\n",
+                fixture.name, rows.size(),
+                static_cast<unsigned long long>(
+                    deterministic_fingerprint(rows)));
+  }
   write_trace_json(huge_seed_trace(), dir + "/run_trace.json");
   write_binary_run_trace(huge_seed_trace(), dir + "/run_trace.trc");
   return 0;

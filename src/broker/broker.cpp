@@ -1,7 +1,6 @@
 #include "broker/broker.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "common/expect.h"
@@ -32,10 +31,9 @@ Allocator& BrokerAllocator::backend(std::size_t provider) {
 }
 
 std::vector<double> BrokerAllocator::demand_of(
-    const RequestSet& requests, const std::vector<std::uint32_t>& vms) {
+    const std::vector<VmRequest>& vms) {
   std::vector<double> demand;
-  for (const std::uint32_t k : vms) {
-    const VmRequest& vm = requests.vms[k];
+  for (const VmRequest& vm : vms) {
     if (demand.size() < vm.demand.size()) {
       demand.resize(vm.demand.size(), 0.0);
     }
@@ -82,174 +80,6 @@ std::size_t BrokerAllocator::route(
     }
   }
   return kNoProvider;
-}
-
-BrokerResult BrokerAllocator::allocate(const RequestSet& requests,
-                                       std::size_t window,
-                                       std::uint64_t seed) {
-  const std::size_t providers = market_->provider_count();
-  const std::size_t n = requests.vm_count();
-
-  BrokerResult result;
-  result.vm_count = n;
-  result.per_cloud.resize(providers);
-  result.provider_of_vm.assign(n, BrokerResult::kRejectedProvider);
-
-  // Per-provider slice membership (global VM ids, kept sorted) and the
-  // projected-load accounting behind the routing headroom check.
-  std::vector<std::vector<std::uint32_t>> slice(providers);
-  std::vector<std::vector<double>> load(providers);
-  for (std::size_t p = 0; p < providers; ++p) {
-    load[p].assign(
-        market_->provider(p).infrastructure().attribute_count(), 0.0);
-  }
-  const auto add_load = [&load](std::size_t p,
-                                const std::vector<double>& demand) {
-    for (std::size_t l = 0; l < demand.size() && l < load[p].size(); ++l) {
-      load[p][l] += demand[l];
-    }
-  };
-
-  // Initial partition: whole units, cheapest-feasible.
-  std::vector<char> no_exclusions;
-  for (const std::vector<std::uint32_t>& unit : assignment_units(requests)) {
-    const std::vector<double> demand = demand_of(requests, unit);
-    const std::size_t p = route(demand, window, load, no_exclusions);
-    if (p == kNoProvider) {
-      continue;  // market-aware rounds retry the members standalone
-    }
-    add_load(p, demand);
-    slice[p].insert(slice[p].end(), unit.begin(), unit.end());
-  }
-  for (std::vector<std::uint32_t>& members : slice) {
-    std::sort(members.begin(), members.end());
-  }
-
-  // Per-provider seeds drawn up front in provider order, so reassignment
-  // rounds can never shift another provider's stream.
-  Rng rng(seed);
-  std::vector<std::uint64_t> provider_seed(providers);
-  for (std::size_t p = 0; p < providers; ++p) {
-    provider_seed[p] = rng.next_u64();
-  }
-
-  // Solve one provider's current slice; the result's placement is
-  // index-parallel with slice[p].
-  const auto solve = [&](std::size_t p) {
-    if (slice[p].empty()) {
-      result.per_cloud[p] = AllocationResult{};
-      return;
-    }
-    RequestSet sliced;
-    sliced.vms.reserve(slice[p].size());
-    std::vector<std::int32_t> local_of(n, -1);
-    for (const std::uint32_t g : slice[p]) {
-      local_of[g] = static_cast<std::int32_t>(sliced.vms.size());
-      sliced.vms.push_back(requests.vms[g]);
-    }
-    // Constraints whose members survive in this slice (>= 2), remapped —
-    // members redirected to other clouds dissolve from their group,
-    // mirroring the retry-queue semantics.
-    for (const PlacementConstraint& c : requests.constraints) {
-      std::vector<std::uint32_t> members;
-      for (const std::uint32_t g : c.vms) {
-        if (local_of[g] >= 0) {
-          members.push_back(static_cast<std::uint32_t>(local_of[g]));
-        }
-      }
-      if (members.size() >= 2) {
-        sliced.constraints.push_back({c.kind, std::move(members)});
-      }
-    }
-    Instance instance(market_->provider(p).infrastructure(),
-                      std::move(sliced));
-    result.per_cloud[p] =
-        backend(p).allocate(instance, provider_seed[p]);
-  };
-
-  for (std::size_t p = 0; p < providers; ++p) {
-    solve(p);
-  }
-
-  // Market-aware reassignment: rejected VMs re-enter the broker as
-  // standalone units, cheapest-first among the clouds they have not
-  // tried, and receiving slices are re-solved.
-  std::vector<std::vector<char>> tried(n, std::vector<char>(providers, 0));
-  std::vector<std::size_t> redirect_count(n, 0);
-  const std::size_t rounds =
-      config_.mode == BrokerMode::kMarketAware ? config_.reassignment_rounds
-                                               : 0;
-
-  const auto collect_rejects = [&](std::size_t p,
-                                   std::vector<std::uint32_t>& pending) {
-    const AllocationResult& r = result.per_cloud[p];
-    std::vector<std::uint32_t> kept;
-    for (std::size_t k = 0; k < slice[p].size(); ++k) {
-      const std::uint32_t g = slice[p][k];
-      if (r.placement.is_assigned(k)) {
-        kept.push_back(g);
-      } else {
-        tried[g][p] = 1;
-        pending.push_back(g);
-      }
-    }
-    slice[p] = std::move(kept);
-  };
-
-  // Prune every slice to its accepted members (so the final mapping can
-  // mark whole slices assigned); the rejects feed the reassignment
-  // rounds in market-aware mode and stay rejected otherwise.
-  std::vector<std::uint32_t> pending;
-  for (std::size_t p = 0; p < providers; ++p) {
-    collect_rejects(p, pending);
-  }
-  std::sort(pending.begin(), pending.end());
-  for (std::size_t round = 0; round < rounds && !pending.empty(); ++round) {
-    std::vector<char> changed(providers, 0);
-    for (const std::uint32_t g : pending) {
-      if (redirect_count[g] >= config_.max_redirects) {
-        continue;  // redirect budget spent: permanently rejected
-      }
-      const std::vector<double> demand = demand_of(requests, {g});
-      const std::size_t p = route(demand, window, load, tried[g]);
-      if (p == kNoProvider) {
-        continue;
-      }
-      add_load(p, demand);
-      slice[p].insert(
-          std::lower_bound(slice[p].begin(), slice[p].end(), g), g);
-      tried[g][p] = 1;
-      ++redirect_count[g];
-      ++result.redirects;
-      changed[p] = 1;
-    }
-    pending.clear();
-    for (std::size_t p = 0; p < providers; ++p) {
-      if (changed[p] != 0) {
-        solve(p);
-        collect_rejects(p, pending);
-      }
-    }
-    std::sort(pending.begin(), pending.end());
-  }
-
-  // Final accounting: provider mapping, price-scaled cost roll-up.
-  for (std::size_t p = 0; p < providers; ++p) {
-    AllocationResult& r = result.per_cloud[p];
-    const double multiplier =
-        market_->provider(p).price_multiplier(window);
-    r.objectives.usage_cost *= multiplier;
-    for (std::size_t k = 0; k < slice[p].size(); ++k) {
-      result.provider_of_vm[slice[p][k]] = static_cast<std::int32_t>(p);
-    }
-    result.total.usage_cost += r.objectives.usage_cost;
-    result.total.downtime_cost += r.objectives.downtime_cost;
-    result.total.migration_cost += r.objectives.migration_cost;
-  }
-  for (const std::int32_t p : result.provider_of_vm) {
-    result.rejected += p == BrokerResult::kRejectedProvider ? 1 : 0;
-  }
-  return result;
 }
 
 }  // namespace iaas

@@ -1,17 +1,14 @@
-// BrokerAllocator: partitions a request set across the clouds of a
-// CloudMarket and runs a per-cloud backend allocator on each slice.
+// BrokerAllocator: the routing rule and the per-cloud backends the
+// multi-cloud simulator (broker/multicloud_sim) drives each window.
 //
 // Routing is greedy cheapest-feasible: assignment units (the transitive
 // closure of each relationship group — a group is never split across
 // clouds, so every Eq. 9-12 constraint stays locally checkable) are
 // offered to online providers in ascending effective-price order, the
 // first one whose projected utilisation stays under the headroom cap
-// taking the unit.  The market-aware mode additionally runs
-// `reassignment_rounds` of in-window redirection: VMs a backend rejects
-// are re-routed (as standalone units) to the other clouds,
-// cheapest-first, and the receiving slices are re-solved — the
-// iterative rejected/expensive reassignment loop of the multi-cloud
-// brokering literature.
+// taking the unit.  The market-aware mode additionally reshops: VMs on
+// a cloud whose price has spiked are re-routed to cheaper clouds, paying
+// the cross-cloud egress bill.
 //
 // The per-cloud backend is any registered allocator (algo/registry), so
 // the paper's NSGA-III+tabu — or the CP baseline, or first-fit — can
@@ -26,14 +23,13 @@
 
 #include "algo/registry.h"
 #include "broker/market.h"
-#include "model/assignment_units.h"
-#include "model/request_set.h"
+#include "model/vm_request.h"
 
 namespace iaas {
 
 enum class BrokerMode : std::uint8_t {
-  kCheapestFeasible,  // route once; rejects stay rejected
-  kMarketAware,       // + in-window reassignment of rejected VMs
+  kCheapestFeasible,  // route arrivals and retries only
+  kMarketAware,       // + price-driven reshopping of running VMs
 };
 
 const char* broker_mode_name(BrokerMode mode);
@@ -43,9 +39,6 @@ struct BrokerConfig {
   // Per-cloud backend, built through algo/registry.
   AlgorithmId backend = AlgorithmId::kFirstFitDecreasing;
   SuiteOptions suite;
-  // Market-aware: rounds of offering rejected VMs to the other clouds
-  // within the same allocation (each round re-solves receiving slices).
-  std::size_t reassignment_rounds = 2;
   // Cross-cloud redirect budget per VM (outages, rejections, reshops):
   // a VM redirected more than this many times is permanently rejected —
   // the bound that keeps an orphan of a decommissioned cloud from
@@ -63,48 +56,12 @@ struct BrokerConfig {
   std::size_t reshop_max_vms_per_window = 8;
 };
 
-// One brokered allocation over a fresh request set.
-struct BrokerResult {
-  // Index-parallel with the market's providers; empty slice results have
-  // vm_count 0.  Objectives inside are already price-scaled (Eq. 22
-  // term x the provider's effective multiplier for the window).
-  std::vector<AllocationResult> per_cloud;
-  // Provider index per VM of the input request set; kRejectedProvider
-  // for VMs no cloud accepted.
-  static constexpr std::int32_t kRejectedProvider = -1;
-  std::vector<std::int32_t> provider_of_vm;
-
-  ObjectiveVector total;  // price-scaled sum over clouds
-  std::size_t vm_count = 0;
-  std::size_t rejected = 0;
-  std::size_t redirects = 0;  // cross-cloud reassignments performed
-
-  [[nodiscard]] double rejection_rate() const {
-    return vm_count == 0 ? 0.0
-                         : static_cast<double>(rejected) /
-                               static_cast<double>(vm_count);
-  }
-  [[nodiscard]] double acceptance_rate() const {
-    return 1.0 - rejection_rate();
-  }
-};
-
-// assignment_units (the unit closure the router operates on) moved to
-// model/assignment_units.h so the sharded allocator shares it; the
-// include above keeps it visible to existing broker callers.
-
 class BrokerAllocator {
  public:
   static constexpr std::size_t kNoProvider = static_cast<std::size_t>(-1);
 
   // `market` must outlive the broker.
   BrokerAllocator(CloudMarket& market, BrokerConfig config);
-
-  // One-shot brokered allocation of a fresh request set (no previous
-  // placements; the multi-cloud simulator drives windowed allocation
-  // through route()/backend() directly).  Deterministic per seed.
-  BrokerResult allocate(const RequestSet& requests, std::size_t window,
-                        std::uint64_t seed);
 
   // Routing primitive: cheapest online provider (by effective price
   // multiplier at `window`, provider order breaking ties) that can take
@@ -122,11 +79,10 @@ class BrokerAllocator {
   Allocator& backend(std::size_t provider);
 
   [[nodiscard]] const BrokerConfig& config() const { return config_; }
-  [[nodiscard]] CloudMarket& market() { return *market_; }
 
-  // Summed per-attribute demand of a set of VMs.
-  static std::vector<double> demand_of(const RequestSet& requests,
-                                       const std::vector<std::uint32_t>& vms);
+  // Summed per-attribute demand of a unit's VMs (what route() checks and
+  // the caller then adds to the unit's projected load, as one sum).
+  static std::vector<double> demand_of(const std::vector<VmRequest>& vms);
 
  private:
   CloudMarket* market_;

@@ -1,93 +1,24 @@
 #include "broker/multicloud_sim.h"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 #include "algo/heuristics.h"
 #include "common/expect.h"
-#include "common/stopwatch.h"
-#include "sim/reconfiguration_plan.h"
+#include "model/assignment_units.h"
 
 namespace iaas {
 namespace {
-
-// Drop the entries of `v` whose keep flag is 0, preserving order (the
-// per-VM side-array companion of compact_requests).
-template <typename T>
-void compact_parallel(std::vector<T>& v, const std::vector<char>& keep) {
-  std::size_t out = 0;
-  for (std::size_t k = 0; k < v.size(); ++k) {
-    if (keep[k] != 0) {
-      v[out++] = std::move(v[k]);
-    }
-  }
-  v.resize(out);
-}
-
-// Everything the simulator tracks about one provider's slice of the
-// fleet, index-parallel across all vectors.
-struct ProviderState {
-  RequestSet live;
-  Placement placement{0};
-  std::vector<std::size_t> attempts;   // failed placements per VM
-  std::vector<std::size_t> redirects;  // cross-cloud hops per VM
-  // warm_start_front: the backend's last exported front, kept aligned
-  // with `live` through the same compactions/appends.
-  std::vector<std::vector<std::int32_t>> front;
-
-  void compact(const std::vector<char>& keep) {
-    compact_requests(live, placement, keep);
-    compact_parallel(attempts, keep);
-    compact_parallel(redirects, keep);
-    for (std::vector<std::int32_t>& genes : front) {
-      compact_parallel(genes, keep);
-    }
-  }
-
-  void append(VmRequest vm, std::size_t vm_attempts,
-              std::size_t vm_redirects) {
-    live.vms.push_back(std::move(vm));
-    placement.genes().push_back(Placement::kRejected);
-    attempts.push_back(vm_attempts);
-    redirects.push_back(vm_redirects);
-    for (std::vector<std::int32_t>& genes : front) {
-      genes.push_back(Placement::kRejected);
-    }
-  }
-
-  void clear() {
-    live = RequestSet{};
-    placement = Placement(0);
-    attempts.clear();
-    redirects.clear();
-    front.clear();
-  }
-};
 
 // One unit awaiting routing this window: a whole fresh relationship
 // group, or a single retried/reshopped VM (groups dissolve on failure,
 // mirroring the single-cloud retry queue).
 struct PoolUnit {
-  std::vector<VmRequest> vms;
-  std::vector<PlacementConstraint> constraints;  // local to `vms`
+  RequestSet set;  // constraints local to set.vms
   std::size_t attempts = 0;
   std::size_t redirects = 0;
   std::int32_t home = -1;  // last host; -1 = fresh arrival
 };
-
-std::vector<double> unit_demand(const PoolUnit& unit) {
-  std::vector<double> demand;
-  for (const VmRequest& vm : unit.vms) {
-    if (demand.size() < vm.demand.size()) {
-      demand.resize(vm.demand.size(), 0.0);
-    }
-    for (std::size_t l = 0; l < vm.demand.size(); ++l) {
-      demand[l] += vm.demand[l];
-    }
-  }
-  return demand;
-}
 
 }  // namespace
 
@@ -112,13 +43,15 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       market.provider(0).infrastructure();
   RetryQueue retries(config_.retry);
   FirstFitDecreasingAllocator fallback;
+  const SolvePolicy policy{config_.warm_start_front};
 
-  std::vector<ProviderState> state(providers);
+  std::vector<Fleet> fleet(providers);  // each cloud's slice
 
   std::vector<WindowMetrics> metrics;
   metrics.reserve(config_.windows);
 
   for (std::size_t w = 0; w < config_.windows; ++w) {
+    WindowScope scope;
     WindowMetrics row;
     row.window = w;
     row.providers.resize(providers);
@@ -128,6 +61,7 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
     // pause, dark cloud or not.
     (void)market.advance(w);
     row.offline_providers = providers - market.online_count();
+    std::size_t fault_events = 0;
     for (std::size_t p = 0; p < providers; ++p) {
       CloudProvider& provider = market.provider(p);
       ProviderWindowMetrics& prow = row.providers[p];
@@ -135,6 +69,7 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       prow.online = provider.online();
       prow.price_multiplier = provider.price_multiplier(w);
       const std::vector<FaultEvent> events = provider.faults().advance(w);
+      fault_events += events.size();
       for (const FaultEvent& e : events) {
         if (e.kind == FaultEventKind::kRepair) {
           ++row.repaired_servers;
@@ -145,46 +80,27 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       row.decommissioned_servers += provider.faults().decommissioned_count();
     }
 
-    // 2. A cloud that went dark loses its whole slice: every hosted VM
-    // is evicted into the broker-level retry queue and will re-enter
-    // through routing — never the original cloud directly.
+    // 2. A cloud that went dark rejects its whole slice (every VM on it
+    // is running, so each one is evicted) into the broker-level retry
+    // queue: the VMs re-enter through routing — never the original
+    // cloud directly — and the slice's carried front is dropped.  A
+    // slice that is already empty keeps its front.
     for (std::size_t p = 0; p < providers; ++p) {
-      if (market.provider(p).online() || state[p].live.vms.empty()) {
+      if (market.provider(p).online() || fleet[p].empty()) {
         continue;
       }
-      ProviderWindowMetrics& prow = row.providers[p];
-      for (std::size_t k = 0; k < state[p].live.vms.size(); ++k) {
-        ++row.evicted;
-        ++prow.evicted;
-        if (!retries.offer(std::move(state[p].live.vms[k]),
-                           state[p].attempts[k] + 1, w,
-                           state[p].redirects[k],
-                           static_cast<std::int32_t>(p))) {
-          ++row.permanently_rejected;
-        }
-      }
-      state[p].clear();
+      const Settled dark =
+          settle_fleet(fleet[p], Placement(fleet[p].size()), retries, w,
+                       static_cast<std::int32_t>(p));
+      fleet[p].front.clear();
+      row.evicted += dark.evicted;
+      row.providers[p].evicted += dark.evicted;
+      row.permanently_rejected += dark.permanently_rejected;
     }
 
     // 3. Departures, provider order then VM order (fixed draw sequence).
-    if (config_.departure_probability > 0.0) {
-      for (std::size_t p = 0; p < providers; ++p) {
-        if (state[p].live.vms.empty()) {
-          continue;
-        }
-        std::vector<char> keep(state[p].live.vms.size(), 1);
-        std::size_t departed = 0;
-        for (std::size_t k = 0; k < keep.size(); ++k) {
-          if (rng.bernoulli(config_.departure_probability)) {
-            keep[k] = 0;
-            ++departed;
-          }
-        }
-        if (departed > 0) {
-          state[p].compact(keep);
-          row.departed += departed;
-        }
-      }
+    for (Fleet& slice : fleet) {
+      row.departed += slice.depart(config_.departure_probability, rng);
     }
 
     // 4. Routing pool: queued rejects whose backoff elapsed first (FIFO
@@ -192,46 +108,22 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
     // relationship groups at a time.
     std::vector<PoolUnit> pool;
     for (RetryEntry& entry : retries.pop_due(w)) {
-      PoolUnit unit;
-      unit.vms.push_back(std::move(entry.vm));
+      PoolUnit& unit = pool.emplace_back();
+      unit.set.vms.push_back(std::move(entry.vm));
       unit.attempts = entry.attempts;
       unit.redirects = entry.redirects;
       unit.home = entry.home_provider;
-      pool.push_back(std::move(unit));
       ++row.retried;
     }
 
-    std::size_t arrivals = 0;
-    if (!config_.arrival_schedule.empty()) {
-      arrivals = config_.arrival_schedule[w % config_.arrival_schedule.size()];
-    } else {
-      arrivals = poisson_sample(config_.arrivals_per_window_mean, rng);
-    }
+    const std::size_t arrivals = window_arrivals(
+        config_.arrival_schedule, config_.arrivals_per_window_mean, w, rng);
     row.arrived = arrivals;
     if (arrivals > 0) {
-      RequestSet batch = request_gen.generate_requests(
-          group_bound_infra, static_cast<std::uint32_t>(arrivals),
-          rng.next_u64());
-      for (const std::vector<std::uint32_t>& members :
-           assignment_units(batch)) {
-        PoolUnit unit;
-        std::vector<std::int32_t> local_of(batch.vms.size(), -1);
-        for (const std::uint32_t g : members) {
-          local_of[g] = static_cast<std::int32_t>(unit.vms.size());
-          unit.vms.push_back(batch.vms[g]);
-        }
-        for (const PlacementConstraint& c : batch.constraints) {
-          std::vector<std::uint32_t> local;
-          for (const std::uint32_t g : c.vms) {
-            if (local_of[g] >= 0) {
-              local.push_back(static_cast<std::uint32_t>(local_of[g]));
-            }
-          }
-          if (local.size() >= 2) {
-            unit.constraints.push_back({c.kind, std::move(local)});
-          }
-        }
-        pool.push_back(std::move(unit));
+      for (RequestSet& unit : split_units(request_gen.generate_requests(
+               group_bound_infra, static_cast<std::uint32_t>(arrivals),
+               rng.next_u64()))) {
+        pool.push_back({std::move(unit)});
       }
     }
 
@@ -239,27 +131,17 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
     // what each cloud already hosts, updated as units land.
     std::vector<std::vector<double>> load(providers);
     for (std::size_t p = 0; p < providers; ++p) {
-      load[p].assign(
-          market.provider(p).infrastructure().attribute_count(), 0.0);
-      for (const VmRequest& vm : state[p].live.vms) {
-        for (std::size_t l = 0;
-             l < vm.demand.size() && l < load[p].size(); ++l) {
-          load[p][l] += vm.demand[l];
-        }
-      }
+      load[p] = BrokerAllocator::demand_of(fleet[p].live.vms);
+      load[p].resize(market.provider(p).infrastructure().attribute_count(),
+                     0.0);
     }
-    const auto add_load = [&load](std::size_t p,
-                                  const std::vector<double>& demand) {
+    // sign is +1 or -1, so the scaled demand is exact.
+    const auto shift_load = [&load](std::size_t p,
+                                    const std::vector<double>& demand,
+                                    double sign) {
       for (std::size_t l = 0;
            l < demand.size() && l < load[p].size(); ++l) {
-        load[p][l] += demand[l];
-      }
-    };
-    const auto sub_load = [&load](std::size_t p,
-                                  const std::vector<double>& demand) {
-      for (std::size_t l = 0;
-           l < demand.size() && l < load[p].size(); ++l) {
-        load[p][l] -= demand[l];
+        load[p][l] += sign * demand[l];
       }
     };
 
@@ -271,47 +153,47 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       const double cheapest = market.cheapest_multiplier(w);
       for (std::size_t p = 0; p < providers; ++p) {
         const CloudProvider& provider = market.provider(p);
-        if (!provider.online() || state[p].live.vms.empty() ||
+        Fleet& slice = fleet[p];
+        if (!provider.online() || slice.empty() ||
             provider.price_multiplier(w) <=
                 cheapest * config_.broker.reshop_threshold) {
           continue;
         }
-        std::vector<char> grouped(state[p].live.vms.size(), 0);
-        for (const PlacementConstraint& c : state[p].live.constraints) {
+        std::vector<char> grouped(slice.size(), 0);
+        for (const PlacementConstraint& c : slice.live.constraints) {
           for (const std::uint32_t k : c.vms) {
             grouped[k] = 1;
           }
         }
-        std::vector<char> keep(state[p].live.vms.size(), 1);
+        std::vector<char> keep(slice.size(), 1);
         std::vector<char> exclude(providers, 0);
         exclude[p] = 1;  // reshopping back home would be a placement reset
         std::size_t moved = 0;
-        for (std::size_t k = 0; k < state[p].live.vms.size() &&
+        for (std::size_t k = 0; k < slice.size() &&
                                 moved < config_.broker.reshop_max_vms_per_window;
              ++k) {
           if (grouped[k] != 0 ||
-              state[p].redirects[k] >= config_.broker.max_redirects) {
+              slice.redirects[k] >= config_.broker.max_redirects) {
             continue;
           }
-          const VmRequest& vm = state[p].live.vms[k];
+          const VmRequest& vm = slice.live.vms[k];
           const std::size_t target =
               broker.route(vm.demand, w, load, exclude);
           if (target == BrokerAllocator::kNoProvider) {
             continue;
           }
-          add_load(target, vm.demand);
-          sub_load(p, vm.demand);
-          PoolUnit unit;
-          unit.vms.push_back(vm);
-          unit.attempts = state[p].attempts[k];
-          unit.redirects = state[p].redirects[k];
+          shift_load(target, vm.demand, 1.0);
+          shift_load(p, vm.demand, -1.0);
+          PoolUnit& unit = pool.emplace_back();
+          unit.set.vms.push_back(vm);
+          unit.attempts = slice.attempts[k];
+          unit.redirects = slice.redirects[k];
           unit.home = static_cast<std::int32_t>(p);
-          pool.push_back(std::move(unit));
           keep[k] = 0;
           ++moved;
         }
         if (moved > 0) {
-          state[p].compact(keep);
+          slice.compact(keep);
         }
       }
     }
@@ -328,18 +210,19 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       if (budget_spent && unit.home >= 0) {
         const auto home = static_cast<std::size_t>(unit.home);
         if (market.provider(home).decommissioned()) {
-          row.permanently_rejected += unit.vms.size();
+          row.permanently_rejected += unit.set.vm_count();
           continue;  // orphan of a dead cloud: stop circulating
         }
         exclude.assign(providers, 1);
         exclude[home] = 0;
       }
-      const std::size_t target =
-          broker.route(unit_demand(unit), w, load, exclude);
+      const std::vector<double> demand =
+          BrokerAllocator::demand_of(unit.set.vms);
+      const std::size_t target = broker.route(demand, w, load, exclude);
       if (target == BrokerAllocator::kNoProvider) {
         // Nowhere fits this window: back to the queue (groups dissolve),
         // the attempt budget bounding the loop.
-        for (VmRequest& vm : unit.vms) {
+        for (VmRequest& vm : unit.set.vms) {
           if (!retries.offer(std::move(vm), unit.attempts + 1, w,
                              unit.redirects, unit.home)) {
             ++row.permanently_rejected;
@@ -356,28 +239,19 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
             market.provider(static_cast<std::size_t>(unit.home))
                 .pricing()
                 .egress_migration_multiplier;
-        for (const VmRequest& vm : unit.vms) {
+        for (const VmRequest& vm : unit.set.vms) {
           row.cross_cloud_migration_cost += vm.migration_cost * egress;
-          ++row.redirects;
-          ++row.providers[target].redirects_in;
         }
+        row.redirects += unit.set.vm_count();
+        row.providers[target].redirects_in += unit.set.vm_count();
       }
-      add_load(target, unit_demand(unit));
-      const auto offset =
-          static_cast<std::uint32_t>(state[target].live.vms.size());
-      for (VmRequest& vm : unit.vms) {
-        state[target].append(std::move(vm), unit.attempts, unit_redirects);
-        ++row.providers[target].routed;
-      }
-      for (PlacementConstraint& c : unit.constraints) {
-        for (std::uint32_t& k : c.vms) {
-          k += offset;
-        }
-        state[target].live.constraints.push_back(std::move(c));
-      }
+      shift_load(target, demand, 1.0);
+      row.providers[target].routed += unit.set.vm_count();
+      fleet[target].append(std::move(unit.set), unit.attempts,
+                           unit_redirects);
     }
 
-    // 7. Per-cloud solves.  One backend seed per provider per window,
+    // 7. Per-cloud rounds.  One backend seed per provider per window,
     // drawn up front in provider order whether or not the provider has
     // work — load changes can never shift another cloud's stream.
     std::vector<std::uint64_t> provider_seed(providers);
@@ -385,61 +259,29 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       provider_seed[p] = rng.next_u64();
     }
 
-    Stopwatch timer;
     for (std::size_t p = 0; p < providers; ++p) {
-      if (state[p].live.vms.empty()) {
+      if (fleet[p].empty()) {
         continue;
       }
       ProviderWindowMetrics& prow = row.providers[p];
-      const CloudProvider& provider = market.provider(p);
-
-      // Down servers keep their identity but lose their capacity, so the
-      // backend is forced to evacuate them (pricing Eq. 26 per save).
-      const FaultModel& faults = market.provider(p).faults();
-      Infrastructure window_infra = provider.infrastructure();
-      if (faults.down_count() > 0) {
-        std::vector<Server> servers = provider.infrastructure().servers();
-        for (std::size_t j = 0; j < servers.size(); ++j) {
-          if (faults.is_down(static_cast<std::uint32_t>(j))) {
-            for (double& f : servers[j].factor) {
-              f = 1e-9;
-            }
-          }
-        }
-        window_infra = Infrastructure(
-            provider.infrastructure().fabric().config(), std::move(servers));
-      }
-
-      Instance instance(std::move(window_infra), state[p].live);
-      instance.previous = state[p].placement;
-
-      Allocator& backend = broker.backend(p);
-      if (config_.warm_start_front) {
-        backend.seed_next_run(state[p].front);
-      }
-      AllocationResult result;
-      try {
-        result = backend.allocate(instance, provider_seed[p]);
-      } catch (const std::exception&) {
-        result = fallback.allocate(instance, provider_seed[p]);
-        row.degrade = DegradeLevel::kFallback;
+      CloudProvider& provider = market.provider(p);
+      FleetSolve step =
+          solve_fleet(fleet[p], provider.infrastructure(), provider.faults(),
+                      broker.backend(p), fallback, provider_seed[p], policy);
+      row.degrade = std::max(row.degrade, step.degrade);  // worst cloud
+      if (step.degrade == DegradeLevel::kFallback) {
         row.fallback_algorithm = fallback.name();
       }
-      if (config_.warm_start_front && !result.front_genes.empty()) {
-        state[p].front = std::move(result.front_genes);
-      }
-
-      const ReconfigurationPlan plan =
-          make_plan(instance, state[p].placement, result.placement);
-      prow.migrations = plan.migrations();
-      prow.migration_cost = plan.migration_cost();
-      prow.rejected = result.rejected;
-      prow.objectives = result.objectives;
+      row.solve_seconds += step.seconds;
+      prow.migrations = step.plan.migrations();
+      prow.migration_cost = step.plan.migration_cost();
+      prow.rejected = step.result.rejected;
+      prow.objectives = step.result.objectives;
       prow.objectives.usage_cost *= prow.price_multiplier;
-      row.boots += plan.boots();
-      row.migrations += plan.migrations();
-      row.migration_cost += plan.migration_cost();
-      row.rejected += result.rejected;
+      row.boots += step.plan.boots();
+      row.migrations += step.plan.migrations();
+      row.migration_cost += step.plan.migration_cost();
+      row.rejected += step.result.rejected;
       row.objectives.usage_cost += prow.objectives.usage_cost;
       row.objectives.downtime_cost += prow.objectives.downtime_cost;
       row.objectives.migration_cost += prow.objectives.migration_cost;
@@ -447,37 +289,17 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       // Rejected VMs leave this cloud — back through the broker while
       // their attempt budget lasts (the next window may route them to a
       // cheaper or emptier cloud).
-      state[p].placement = result.placement;
-      std::vector<char> keep(state[p].live.vms.size(), 1);
-      bool any_drop = false;
-      for (std::size_t k = 0; k < state[p].live.vms.size(); ++k) {
-        if (state[p].placement.is_assigned(k)) {
-          continue;
-        }
-        keep[k] = 0;
-        any_drop = true;
-        if (instance.previous.is_assigned(k)) {
-          ++row.evicted;
-          ++prow.evicted;
-        }
-        if (!retries.offer(state[p].live.vms[k], state[p].attempts[k] + 1,
-                           w, state[p].redirects[k],
-                           static_cast<std::int32_t>(p))) {
-          ++row.permanently_rejected;
-        }
-      }
-      if (any_drop) {
-        state[p].compact(keep);
-      }
-      prow.running = state[p].live.vms.size();
+      const Settled settled =
+          settle_fleet(fleet[p], std::move(step.result.placement), retries,
+                       w, static_cast<std::int32_t>(p));
+      row.evicted += settled.evicted;
+      prow.evicted += settled.evicted;
+      row.permanently_rejected += settled.permanently_rejected;
+      prow.running = fleet[p].size();
       row.running += prow.running;
     }
-    row.solve_seconds = timer.elapsed_seconds();
     row.retry_queue_depth = retries.size();
-    metrics.push_back(row);
-    if (window_sink_) {
-      window_sink_(metrics.back());
-    }
+    scope.close(std::move(row), fault_events, metrics, window_sink_);
   }
   return metrics;
 }

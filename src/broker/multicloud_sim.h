@@ -1,6 +1,9 @@
-// Multi-provider time-window simulator: the single-cloud CloudSimulator
-// loop lifted over a CloudMarket, with a BrokerAllocator deciding which
-// cloud serves each request.
+// Multi-provider time-window simulator: the single-cloud window lifted
+// over a CloudMarket, with a BrokerAllocator deciding which cloud serves
+// each request.  Each provider's slice is a Fleet re-solved by the same
+// per-cloud round as CloudSimulator's (sim/fleet); this loop owns the
+// market lifecycle, dark-cloud eviction, reshopping, routing and the
+// price-scaled roll-up.
 //
 // Each window: the market's provider lifecycle ticks (scripted + random
 // whole-cloud outages, recoveries), every provider's own FaultModel

@@ -75,6 +75,7 @@
 #include "algo/round_robin.h"
 
 // Cyclic time-window simulation.
+#include "sim/fleet.h"
 #include "sim/reconfiguration_plan.h"
 #include "sim/simulator.h"
 

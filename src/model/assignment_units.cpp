@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace iaas {
 namespace {
@@ -41,6 +42,29 @@ std::vector<std::vector<std::uint32_t>> assignment_units(
       units.emplace_back();
     }
     units[static_cast<std::size_t>(unit_of[root])].push_back(v);
+  }
+  return units;
+}
+
+std::vector<RequestSet> split_units(RequestSet batch) {
+  const std::vector<std::vector<std::uint32_t>> members =
+      assignment_units(batch);
+  std::vector<RequestSet> units(members.size());
+  std::vector<std::size_t> unit_of(batch.vm_count());
+  std::vector<std::uint32_t> local_of(batch.vm_count());
+  for (std::size_t u = 0; u < members.size(); ++u) {
+    for (const std::uint32_t k : members[u]) {
+      unit_of[k] = u;
+      local_of[k] = static_cast<std::uint32_t>(units[u].vms.size());
+      units[u].vms.push_back(std::move(batch.vms[k]));
+    }
+  }
+  for (PlacementConstraint& c : batch.constraints) {
+    RequestSet& unit = units[unit_of[c.vms.front()]];
+    for (std::uint32_t& k : c.vms) {
+      k = local_of[k];
+    }
+    unit.constraints.push_back(std::move(c));
   }
   return units;
 }

@@ -18,4 +18,11 @@ namespace iaas {
 std::vector<std::vector<std::uint32_t>> assignment_units(
     const RequestSet& requests);
 
+// The units of `batch` as standalone request sets, in assignment_units
+// order: each unit's VMs in member order, and its constraints in batch
+// order with unit-local indices (every constraint lies whole inside one
+// unit).  The admission queue and the multi-cloud routing pool take a
+// fresh batch apart this way.
+std::vector<RequestSet> split_units(RequestSet batch);
+
 }  // namespace iaas

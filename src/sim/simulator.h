@@ -5,11 +5,14 @@
 //
 // Each window: failed servers repair or fail per the FaultModel's
 // lifecycle, some running VMs depart, queued rejects whose backoff
-// elapsed re-enter, a fresh arrival batch lands, and the allocator solves
-// one Instance containing every VM that should be running — with the
-// current placement as `previous`, so migrations are priced by Eq. 26.
-// The sanitized result is applied as a reconfiguration plan; VMs it could
-// not place go to the bounded retry queue instead of vanishing.
+// elapsed re-enter, a fresh arrival batch lands (through the admission
+// queue when one is configured), and the fleet's round (sim/fleet)
+// solves one Instance containing every VM that should be running — with
+// the current placement as `previous`, so migrations are priced by
+// Eq. 26.  The sanitized result is applied as a reconfiguration plan;
+// VMs it could not place go to the bounded retry queue instead of
+// vanishing.  What the loop keeps for itself: the admission queue, the
+// fairness columns, the allocator trace and the down-server invariant.
 //
 // Graceful degradation: when the allocator exceeds its per-window budget
 // the window is served anyway — first by the EA's best-front-so-far
@@ -30,7 +33,7 @@
 #include "model/fairness.h"
 #include "model/instance.h"
 #include "sim/fault_model.h"
-#include "sim/reconfiguration_plan.h"
+#include "sim/fleet.h"
 #include "sim/retry_queue.h"
 #include "workload/generator.h"
 
@@ -41,14 +44,6 @@ namespace iaas {
 // ~745) are split into <= 500 chunks and summed — Poisson additivity
 // keeps the distribution exact for arbitrarily heavy traffic.
 std::size_t poisson_sample(double mean, Rng& rng);
-
-// Remove the VMs with keep[k] == 0 from the set + placement: surviving
-// VM indices are compacted (and constraint-group members remapped to
-// them); relationship groups shrinking below two members are dropped.
-// Exposed for testing — the simulator applies it on departures and
-// rejections every window.
-void compact_requests(RequestSet& requests, Placement& placement,
-                      const std::vector<char>& keep);
 
 struct SimConfig {
   std::size_t windows = 10;
@@ -99,21 +94,12 @@ struct SimConfig {
   ScenarioConfig scenario;                 // infrastructure + request shape
 };
 
-// The single arrival rule shared by every window: a non-empty schedule is
-// periodic (window modulo its length); an empty schedule falls back to
-// Poisson(arrivals_per_window_mean) — which consumes rng draws, so the
-// two modes intentionally produce different downstream streams.
-std::size_t window_arrivals(const SimConfig& config, std::size_t window,
-                            Rng& rng);
-
-// How a window's allocation was obtained.
-enum class DegradeLevel : std::uint8_t {
-  kNone = 0,        // primary allocator, within budget
-  kBestEffort = 1,  // primary truncated by its budget: best front so far
-  kFallback = 2,    // greedy fallback (allocator threw / hard deadline)
-};
-
-const char* degrade_level_name(DegradeLevel level);
+// The single arrival rule of both simulators' windows: a non-empty
+// schedule is periodic (window modulo its length); an empty schedule
+// falls back to Poisson(mean) — which consumes rng draws, so the two
+// modes intentionally produce different downstream streams.
+std::size_t window_arrivals(const std::vector<std::size_t>& schedule,
+                            double mean, std::size_t window, Rng& rng);
 
 // Per-provider slice of one multi-cloud window (broker/multicloud_sim).
 // Single-cloud simulations leave WindowMetrics::providers empty, so the
@@ -323,11 +309,30 @@ SimSummary summarize(const std::vector<WindowMetrics>& metrics);
 std::uint64_t deterministic_fingerprint(
     const std::vector<WindowMetrics>& metrics);
 
+// The telemetry scope of one window, either simulator's: everything
+// counted during the window lands in its counter block, and the window
+// is a kSimWindow span.  close() counts the finished row's simulator
+// events, appends it to `metrics`, shows it to `observer` and flushes
+// the block to the global registry.
+class WindowScope {
+ public:
+  WindowScope() : sink_(counters_), span_(telemetry::Phase::kSimWindow) {}
+
+  void close(WindowMetrics row, std::size_t fault_events,
+             std::vector<WindowMetrics>& metrics,
+             const std::function<void(const WindowMetrics&)>& observer);
+
+ private:
+  telemetry::CounterBlock counters_;
+  telemetry::ScopedSink sink_;
+  telemetry::ScopedPhaseTimer span_;
+};
+
 class CloudSimulator {
  public:
   // `fallback` serves windows the primary allocator loses to its hard
   // deadline or to an exception; null installs greedy first-fit
-  // (algo/heuristics) lazily on first use.
+  // (algo/heuristics).
   CloudSimulator(SimConfig config, std::unique_ptr<Allocator> allocator,
                  std::unique_ptr<Allocator> fallback = nullptr);
 
@@ -347,8 +352,6 @@ class CloudSimulator {
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
  private:
-  Allocator& fallback_allocator();
-
   SimConfig config_;
   std::unique_ptr<Allocator> allocator_;
   std::unique_ptr<Allocator> fallback_;

@@ -1,11 +1,12 @@
 // The multi-cloud brokering subsystem: market config validation
 // (fail-loud), the pricing stack (billing models x spot series x
-// shocks), the provider outage lifecycle, assignment units, broker
-// routing, the cross-cloud redirect budget (a decommissioned home
-// provider's orphans must be permanently rejected, not circulate
-// forever), warm-start front hand-off, per-provider metric columns in
-// the deterministic fingerprint, and bit-identical brokered replays
-// across thread counts.
+// shocks), the provider outage lifecycle, assignment units and their
+// split into standalone request sets, broker routing, the cross-cloud
+// redirect budget (a decommissioned home provider's orphans must be
+// permanently rejected, not circulate forever), registry telemetry of
+// brokered windows, warm-start front hand-off, per-provider metric
+// columns in the deterministic fingerprint, and bit-identical brokered
+// replays across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,10 @@
 #include "broker/broker.h"
 #include "broker/market.h"
 #include "broker/multicloud_sim.h"
+#include "common/rng.h"
+#include "common/telemetry.h"
 #include "io/trace_json.h"
+#include "model/assignment_units.h"
 #include "sim/retry_queue.h"
 #include "sim/simulator.h"
 #include "tests/trace_text.h"
@@ -273,7 +277,77 @@ TEST(AssignmentUnits, TransitiveClosureMergesOverlappingGroups) {
   EXPECT_EQ(units[3], (std::vector<std::uint32_t>{5}));
 }
 
-// --- broker routing and allocation ----------------------------------
+// split_units hands the admission queue and the routing pool whole
+// units, so a relationship group is never split across windows or
+// clouds: every constraint must land whole in one unit, re-indexed
+// locally, and the units' VMs must be the batch in unit order.
+TEST(SplitUnits, ConstraintsLandWholeInOneUnitInUnitOrder) {
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    RequestSet batch;
+    const std::size_t n = 1 + rng.uniform_index(16);
+    for (std::size_t k = 0; k < n; ++k) {
+      VmRequest vm;
+      vm.demand = {1.0, 1.0, 1.0};
+      vm.migration_cost = static_cast<double>(k);  // identity tag
+      batch.vms.push_back(vm);
+    }
+    const std::size_t groups = rng.uniform_index(5);
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::vector<std::uint32_t> members;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        if (rng.bernoulli(0.25)) {
+          members.push_back(k);
+        }
+      }
+      if (members.size() >= 2) {
+        const auto kind = rng.bernoulli(0.5)
+                              ? RelationKind::kSameDatacenter
+                              : RelationKind::kDifferentServers;
+        batch.constraints.push_back({kind, std::move(members)});
+      }
+    }
+
+    const std::vector<std::vector<std::uint32_t>> members =
+        assignment_units(batch);
+    const std::vector<RequestSet> units = split_units(batch);
+    ASSERT_EQ(units.size(), members.size());
+    std::vector<double> expected;
+    std::vector<double> concatenated;
+    std::vector<std::size_t> unit_of(n);
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      for (const std::uint32_t k : members[u]) {
+        expected.push_back(batch.vms[k].migration_cost);
+        unit_of[k] = u;
+      }
+      for (const VmRequest& vm : units[u].vms) {
+        concatenated.push_back(vm.migration_cost);
+      }
+    }
+    EXPECT_EQ(concatenated, expected);
+
+    // Batch constraints, in order, are the units' constraints in order.
+    std::vector<std::size_t> cursor(units.size(), 0);
+    for (const PlacementConstraint& c : batch.constraints) {
+      const std::size_t u = unit_of[c.vms.front()];
+      ASSERT_LT(cursor[u], units[u].constraints.size());
+      const PlacementConstraint& local = units[u].constraints[cursor[u]++];
+      EXPECT_EQ(local.kind, c.kind);
+      ASSERT_EQ(local.vms.size(), c.vms.size());
+      for (std::size_t i = 0; i < c.vms.size(); ++i) {
+        ASSERT_LT(local.vms[i], units[u].vms.size());
+        EXPECT_EQ(members[u][local.vms[i]], c.vms[i])
+            << "relationship group split across units";
+      }
+    }
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      EXPECT_EQ(cursor[u], units[u].constraints.size());
+      EXPECT_TRUE(units[u].valid(3));
+    }
+  }
+}
+
+// --- broker routing -------------------------------------------------
 
 TEST(BrokerAllocator, RoutePrefersCheapestFeasible) {
   CloudMarket market(two_provider_market(), 7);
@@ -299,30 +373,6 @@ TEST(BrokerAllocator, RoutePrefersCheapestFeasible) {
   std::fill(exclude.begin(), exclude.end(), 0);
   EXPECT_EQ(broker.route(huge, 0, load, exclude),
             BrokerAllocator::kNoProvider);
-}
-
-TEST(BrokerAllocator, AllocateKeepsGroupsOnOneCloud) {
-  CloudMarket market(two_provider_market(), 7);
-  BrokerConfig config;
-  config.mode = BrokerMode::kCheapestFeasible;
-  BrokerAllocator broker(market, config);
-
-  const ScenarioGenerator generator(tiny_scenario());
-  const RequestSet requests = generator.generate_requests(
-      market.provider(0).infrastructure(), 20, 33);
-  const BrokerResult result = broker.allocate(requests, 0, 33);
-
-  EXPECT_EQ(result.vm_count, requests.vm_count());
-  ASSERT_EQ(result.provider_of_vm.size(), requests.vm_count());
-  EXPECT_LT(result.rejected, result.vm_count);
-  for (const std::vector<std::uint32_t>& unit :
-       assignment_units(requests)) {
-    for (std::uint32_t k : unit) {
-      EXPECT_EQ(result.provider_of_vm[k],
-                result.provider_of_vm[unit.front()])
-          << "relationship group split across clouds";
-    }
-  }
 }
 
 // --- retry queue redirect metadata ----------------------------------
@@ -389,6 +439,37 @@ TEST(MultiCloudSim, DecommissionedHomeOrphansArePermanentlyRejected) {
     EXPECT_GE(metrics[w].offline_providers, 1u);
   }
 }
+
+#if IAAS_TELEMETRY
+// A brokered run meters its lifecycle into the registry as the
+// single-cloud loop does (its windows used to count nothing).
+TEST(MultiCloudSim, TelemetryCountersMeterTheLifecycle) {
+  telemetry::Registry::global().reset();
+  MultiCloudSimConfig cfg = tiny_sim_config();
+  ProviderOutageScript outage;
+  outage.window = 2;
+  outage.provider = 1;  // beta, the cheaper cloud, hosts the fleet
+  outage.duration = 2;
+  cfg.market.outages = {outage};
+  cfg.market.providers[1].faults.scripted = {{1, /*leaf_level=*/true, 0,
+                                              /*mttr_windows=*/1, false}};
+  MultiCloudSimulator sim(cfg);
+  const SimSummary summary = summarize(sim.run(23));
+  ASSERT_GT(summary.evicted, 0u);
+
+  const telemetry::CounterBlock counters =
+      telemetry::Registry::global().counters();
+  EXPECT_GT(counters[telemetry::Counter::kSimEvictions], 0u);
+  EXPECT_EQ(counters[telemetry::Counter::kSimEvictions], summary.evicted);
+  EXPECT_EQ(counters[telemetry::Counter::kSimRetries], summary.retried);
+  EXPECT_EQ(counters[telemetry::Counter::kSimPermanentRejections],
+            summary.permanently_rejected);
+  EXPECT_GT(counters[telemetry::Counter::kSimFaultEvents], 0u);
+  const auto seconds = telemetry::Registry::global().phase_seconds();
+  EXPECT_GT(seconds[static_cast<std::size_t>(telemetry::Phase::kSimWindow)],
+            0.0);
+}
+#endif  // IAAS_TELEMETRY
 
 // --- determinism ----------------------------------------------------
 

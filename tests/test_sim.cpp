@@ -1,9 +1,11 @@
-// Reconfiguration plans and the cyclic time-window simulator, including
-// the fault-injection / graceful-degradation battery: determinism across
-// thread counts, rack-outage recovery, deadline degradation, and the
-// retry-queue conservation laws.
+// Reconfiguration plans, the fleet bookkeeping both window loops share,
+// and the cyclic time-window simulator, including the fault-injection /
+// graceful-degradation battery: determinism across thread counts,
+// rack-outage recovery, deadline degradation, and the retry-queue
+// conservation laws.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "algo/heuristics.h"
@@ -344,11 +346,8 @@ TEST(WindowArrivals, ScheduleWrapAndPoissonFallbackTable) {
       {{}, 17, 0, true},
   };
   for (const Case& c : cases) {
-    SimConfig cfg;
-    cfg.arrival_schedule = c.schedule;
-    cfg.arrivals_per_window_mean = 6.0;
     Rng rng(21);
-    const std::size_t got = window_arrivals(cfg, c.window, rng);
+    const std::size_t got = window_arrivals(c.schedule, 6.0, c.window, rng);
     if (c.poisson) {
       // The fallback must consume the rng and match a fresh Poisson draw.
       Rng twin(21);
@@ -358,11 +357,9 @@ TEST(WindowArrivals, ScheduleWrapAndPoissonFallbackTable) {
     }
   }
   // Zero-mean Poisson boundary: no draw, no arrivals, for any window.
-  SimConfig cfg;
-  cfg.arrivals_per_window_mean = 0.0;
   Rng rng(3);
-  EXPECT_EQ(window_arrivals(cfg, 0, rng), 0u);
-  EXPECT_EQ(window_arrivals(cfg, 1000, rng), 0u);
+  EXPECT_EQ(window_arrivals({}, 0.0, 0, rng), 0u);
+  EXPECT_EQ(window_arrivals({}, 0.0, 1000, rng), 0u);
 }
 
 // --- compact_requests property test (randomised) ---
@@ -426,6 +423,188 @@ TEST(CompactRequests, RandomisedInvariantsHold) {
       for (std::uint32_t m : c.vms) {
         EXPECT_LT(m, requests.vms.size());
       }
+    }
+  }
+}
+
+// --- Fleet bookkeeping property test (randomised) ---
+
+// What one VM carries through a Fleet, keyed by its identity tag.
+struct FleetEntry {
+  double tag = 0.0;
+  std::int32_t gene = Placement::kRejected;
+  std::size_t attempts = 0;
+  std::size_t redirects = 0;
+  std::vector<std::int32_t> front;
+};
+
+// The fleet's VMs as entries, read through the index-parallel vectors
+// (which must all have the fleet's length).
+std::vector<FleetEntry> fleet_entries(const Fleet& fleet) {
+  EXPECT_EQ(fleet.placement.vm_count(), fleet.size());
+  EXPECT_EQ(fleet.attempts.size(), fleet.size());
+  EXPECT_EQ(fleet.redirects.size(), fleet.size());
+  std::vector<FleetEntry> entries;
+  for (std::size_t k = 0; k < fleet.size(); ++k) {
+    FleetEntry e{fleet.live.vms[k].migration_cost,
+                 fleet.placement.genes().at(k), fleet.attempts.at(k),
+                 fleet.redirects.at(k), {}};
+    for (const std::vector<std::int32_t>& genes : fleet.front) {
+      EXPECT_EQ(genes.size(), fleet.size());
+      e.front.push_back(genes.at(k));
+    }
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+// Constraints as sets of member tags, in order.
+std::vector<std::set<double>> fleet_groups(const Fleet& fleet) {
+  std::vector<std::set<double>> groups;
+  for (const PlacementConstraint& c : fleet.live.constraints) {
+    EXPECT_GE(c.vms.size(), 2u);
+    std::set<double>& tags = groups.emplace_back();
+    for (const std::uint32_t k : c.vms) {
+      EXPECT_LT(k, fleet.size());
+      if (k < fleet.size()) {
+        tags.insert(fleet.live.vms[k].migration_cost);
+      }
+    }
+  }
+  return groups;
+}
+
+// Random appends (single VMs and grouped units), departures and
+// compactions keep every per-VM vector attached to its VM, and every
+// constraint valid and on the VMs it was declared over.
+TEST(Fleet, RandomisedAppendDepartCompactKeepVectorsIndexParallel) {
+  Rng rng(0xf1ee7);
+  for (int trial = 0; trial < 100; ++trial) {
+    Fleet fleet;
+    fleet.front.resize(rng.uniform_index(3));
+    std::vector<FleetEntry> model;            // expected, in fleet order
+    std::vector<std::set<double>> model_groups;
+    double next_tag = 0.0;
+    const auto fresh_vm = [&next_tag]() {
+      VmRequest vm = test::make_vm({1.0, 1.0, 1.0});
+      vm.migration_cost = next_tag++;
+      return vm;
+    };
+    // Survivors of a removal: drop dead entries and shrink the groups.
+    const auto keep_model = [&](const std::vector<char>& keep) {
+      std::set<double> dead;
+      std::vector<FleetEntry> kept;
+      for (std::size_t k = 0; k < model.size(); ++k) {
+        if (keep[k] != 0) {
+          kept.push_back(model[k]);
+        } else {
+          dead.insert(model[k].tag);
+        }
+      }
+      model = std::move(kept);
+      std::vector<std::set<double>> groups;
+      for (std::set<double> g : model_groups) {
+        std::erase_if(g, [&dead](double t) { return dead.count(t) != 0; });
+        if (g.size() >= 2) {
+          groups.push_back(std::move(g));
+        }
+      }
+      model_groups = std::move(groups);
+    };
+
+    for (int op = 0; op < 16; ++op) {
+      switch (rng.uniform_index(4)) {
+        case 0: {  // one retried VM
+          const std::size_t attempts = rng.uniform_index(4);
+          const std::size_t redirects = rng.uniform_index(3);
+          VmRequest vm = fresh_vm();
+          model.push_back({vm.migration_cost, Placement::kRejected, attempts,
+                           redirects,
+                           std::vector<std::int32_t>(fleet.front.size(),
+                                                     Placement::kRejected)});
+          fleet.append(std::move(vm), attempts, redirects);
+          break;
+        }
+        case 1: {  // a unit with unit-local groups
+          RequestSet unit;
+          const std::size_t n = 1 + rng.uniform_index(5);
+          const std::size_t redirects = rng.uniform_index(3);
+          for (std::size_t k = 0; k < n; ++k) {
+            unit.vms.push_back(fresh_vm());
+            model.push_back({unit.vms.back().migration_cost,
+                             Placement::kRejected, 0, redirects,
+                             std::vector<std::int32_t>(fleet.front.size(),
+                                                       Placement::kRejected)});
+          }
+          for (std::size_t g = rng.uniform_index(3); g > 0; --g) {
+            std::vector<std::uint32_t> members;
+            std::set<double> tags;
+            for (std::uint32_t k = 0; k < n; ++k) {
+              if (rng.bernoulli(0.5)) {
+                members.push_back(k);
+                tags.insert(unit.vms[k].migration_cost);
+              }
+            }
+            if (members.size() >= 2) {
+              unit.constraints.push_back(
+                  {RelationKind::kDifferentServers, std::move(members)});
+              model_groups.push_back(std::move(tags));
+            }
+          }
+          fleet.append(std::move(unit), 0, redirects);
+          break;
+        }
+        case 2: {  // departures: which VMs leave is the rng's call
+          const std::vector<FleetEntry> before = model;
+          const std::size_t departed = fleet.depart(0.3, rng);
+          std::set<double> alive;
+          for (const VmRequest& vm : fleet.live.vms) {
+            alive.insert(vm.migration_cost);
+          }
+          std::vector<char> keep(before.size(), 0);
+          for (std::size_t k = 0; k < before.size(); ++k) {
+            keep[k] = alive.count(before[k].tag) != 0 ? 1 : 0;
+          }
+          keep_model(keep);
+          EXPECT_EQ(model.size() + departed, before.size());
+          break;
+        }
+        default: {  // a settle-style compaction
+          std::vector<char> keep(fleet.size());
+          for (char& flag : keep) {
+            flag = rng.bernoulli(0.7) ? 1 : 0;
+          }
+          fleet.compact(keep);
+          keep_model(keep);
+          break;
+        }
+      }
+      // Place some VMs and rewrite some front genes, so every vector
+      // carries VM-specific values through the next operation.
+      for (std::size_t k = 0; k < fleet.size(); ++k) {
+        if (rng.bernoulli(0.5)) {
+          const auto server = static_cast<std::int32_t>(rng.uniform_index(8));
+          fleet.placement.assign(k, server);
+          model[k].gene = server;
+        }
+        for (std::size_t f = 0; f < fleet.front.size(); ++f) {
+          const auto gene = static_cast<std::int32_t>(rng.uniform_index(8));
+          fleet.front[f].at(k) = gene;
+          model[k].front[f] = gene;
+        }
+      }
+
+      const std::vector<FleetEntry> got = fleet_entries(fleet);
+      ASSERT_EQ(got.size(), model.size());
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].tag, model[k].tag);
+        EXPECT_EQ(got[k].gene, model[k].gene);
+        EXPECT_EQ(got[k].attempts, model[k].attempts);
+        EXPECT_EQ(got[k].redirects, model[k].redirects);
+        EXPECT_EQ(got[k].front, model[k].front);
+      }
+      EXPECT_EQ(fleet_groups(fleet), model_groups);
+      EXPECT_TRUE(fleet.live.valid(3));
     }
   }
 }

@@ -51,6 +51,7 @@ constexpr Pin kSimFixtures[] = {
     {"admission", 0xd0f9aaf5c155f8ddULL},
     {"sharded_strategic", 0x165bc277016f8276ULL},
     {"brokered", 0xee2c9ef850fc95ecULL},
+    {"market", 0x264129c2a6656e0aULL},
 };
 
 std::vector<WindowMetrics> load_fixture(const std::string& name) {
@@ -102,7 +103,8 @@ TEST(TraceGolden, RunTraceKeepsSeedAbove2To53) {
 TEST(TraceGolden, FixturesCoverEveryBlockAndDegradeLevel) {
   bool faults = false, providers = false, admission = false, shard = false,
        fairness = false, trace = false, absent = false, best_effort = false,
-       fallback = false;
+       fallback = false, redirects = false, offline = false,
+       permanent = false;
   for (const Pin& pin : kSimFixtures) {
     for (const WindowMetrics& w : load_fixture(pin.name)) {
       for (const FaultEvent& e : w.fault_events) {
@@ -119,10 +121,14 @@ TEST(TraceGolden, FixturesCoverEveryBlockAndDegradeLevel) {
                           w.allocator_trace.empty());
       best_effort = best_effort || w.degrade == DegradeLevel::kBestEffort;
       fallback = fallback || w.degrade == DegradeLevel::kFallback;
+      redirects = redirects || w.redirects != 0;
+      offline = offline || w.offline_providers != 0;
+      permanent = permanent || w.permanently_rejected != 0;
     }
   }
   EXPECT_TRUE(faults && providers && admission && shard && fairness &&
               trace && absent && best_effort && fallback);
+  EXPECT_TRUE(redirects && offline && permanent);
 }
 
 // Visits a listed struct mutably and perturbs its n-th leaf (counting
