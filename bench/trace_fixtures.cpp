@@ -14,10 +14,11 @@
 // shard, fairness, nested allocator trace), windows degraded to
 // best_effort and to fallback, cross-cloud redirects, a dark provider,
 // permanent rejections, a run trace whose seed is above 2^53, and the
-// binary (.trc) twin of every file.  all_blocks.json is assembled by
-// hand: its first window has every block present with edge values
-// (negative zero, 17-digit mantissas, counters past 2^53, the largest
-// 32-bit server id), its second has every block absent.
+// binary (.trc) twin of every file.  cp and nsga3_cp pin the histories
+// of the two constraint-programming allocators.  all_blocks.json is
+// assembled by hand: its first window has every block present with edge
+// values (negative zero, 17-digit mantissas, counters past 2^53, the
+// largest 32-bit server id), its second has every block absent.
 //
 // The fixtures pin the trace formats: regenerate them only when a change
 // alters the bytes on purpose, and then bump kBinaryTraceVersion if the
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/cp_allocator.h"
 #include "algo/heuristics.h"
 #include "algo/nsga_allocators.h"
 #include "algo/registry.h"
@@ -196,6 +198,44 @@ std::vector<WindowMetrics> market() {
   return sim.run(19);
 }
 
+// 16 servers, relationship groups on 60% of the arrivals, and one of the
+// two leaves down in window 2: the first two windows fit, the last two
+// do not.  Shared by the two CP fixtures.
+SimConfig constrained_fleet() {
+  SimConfig cfg;
+  cfg.windows = 4;
+  cfg.arrivals_per_window_mean = 36.0;
+  cfg.departure_probability = 0.05;
+  cfg.scenario = ScenarioConfig::paper_scale(16);
+  cfg.scenario.constrained_fraction = 0.6;
+  cfg.faults.scripted = {{2, /*leaf_level=*/true, 0, /*mttr_windows=*/1,
+                          false}};
+  cfg.retry.max_attempts = 2;
+  return cfg;
+}
+
+// The CP baseline cut by a backtrack budget, never by the wall clock
+// (as fig_fairness runs it), so the history does not depend on host
+// speed.  It deploys its incumbent while the fleet fits, and the greedy
+// fallback's rejections once it does not.
+std::vector<WindowMetrics> cp() {
+  CpSolverOptions options;
+  options.time_limit_seconds = 1e9;
+  options.max_backtracks = 64;
+  CloudSimulator sim(constrained_fleet(),
+                     std::make_unique<CpAllocator>(options));
+  return sim.run(23);
+}
+
+// NSGA-III with the constraint-solver repair, whose searches both
+// succeed and fail (budget spent, tree exhausted), in the loop and in
+// the deep final pass.
+std::vector<WindowMetrics> nsga3_cp() {
+  CloudSimulator sim(constrained_fleet(),
+                     std::make_unique<Nsga3CpAllocator>(tiny_ea(false)));
+  return sim.run(31);
+}
+
 telemetry::RunTrace huge_seed_trace() {
   telemetry::RunTrace trace;
   trace.label = "huge \"seed\"";
@@ -294,6 +334,8 @@ constexpr SimFixture kSimFixtures[] = {
     {"sharded_strategic", sharded_strategic},
     {"brokered", brokered},
     {"market", market},
+    {"cp", cp},
+    {"nsga3_cp", nsga3_cp},
 };
 
 std::uint64_t committed_fingerprint(const std::string& path) {

@@ -1,21 +1,14 @@
 #include "algo/cp_allocator.h"
 
 #include "common/stopwatch.h"
-#include "lp/propagating_solver.h"
 
 namespace iaas {
 
 AllocationResult CpAllocator::allocate(const Instance& instance,
                                        std::uint64_t /*seed*/) {
   Stopwatch timer;
-  Placement placement(instance.n());
-  if (use_propagation_) {
-    PropagatingCpSolver solver(instance, solver_options_);
-    placement = solver.solve(&last_stats_);
-  } else {
-    CpSolver solver(instance, solver_options_);
-    placement = solver.solve(&last_stats_);
-  }
+  Placement placement =
+      CpSolver(instance, solver_options_).solve(&last_stats_);
   return finalize(instance, name(), std::move(placement),
                   timer.elapsed_seconds(), 0, objective_options_);
 }

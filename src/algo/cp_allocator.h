@@ -1,6 +1,6 @@
 // Constraint-programming baseline — the paper solves the linear model
 // with the Choco solver; this allocator drives our CpSolver substitute
-// (branch-and-bound with propagation, DESIGN.md §4).
+// (branch-and-bound with forward checking, DESIGN.md §4).
 #pragma once
 
 #include "algo/allocator.h"
@@ -10,19 +10,13 @@ namespace iaas {
 
 class CpAllocator : public Allocator {
  public:
-  // `use_propagation` selects the domain-propagation engine
-  // (PropagatingCpSolver) over the forward-checking CpSolver; both are
-  // complete and prove the same optima (see test_propagating_solver).
   explicit CpAllocator(CpSolverOptions solver_options = {},
-                       ObjectiveOptions objective_options = {},
-                       bool use_propagation = false)
+                       ObjectiveOptions objective_options = {})
       : solver_options_(solver_options),
-        objective_options_(objective_options),
-        use_propagation_(use_propagation) {}
+        objective_options_(objective_options) {}
 
   [[nodiscard]] std::string name() const override {
-    return use_propagation_ ? "ConstraintProgramming(prop)"
-                            : "ConstraintProgramming";
+    return "ConstraintProgramming";
   }
 
   AllocationResult allocate(const Instance& instance,
@@ -33,7 +27,6 @@ class CpAllocator : public Allocator {
  private:
   CpSolverOptions solver_options_;
   ObjectiveOptions objective_options_;
-  bool use_propagation_;
   CpStats last_stats_;
 };
 

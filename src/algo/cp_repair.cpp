@@ -4,11 +4,14 @@
 
 #include "common/expect.h"
 #include "model/placement.h"
+#include "model/vm_order.h"
 
 namespace iaas {
 
-CpRepair::CpRepair(const Instance& instance, CpRepairOptions options)
-    : instance_(&instance), options_(options), checker_(instance) {}
+CpRepair::CpRepair(const Instance& instance, std::uint64_t max_backtracks)
+    : instance_(&instance),
+      max_backtracks_(max_backtracks),
+      checker_(instance) {}
 
 bool CpRepair::dfs(Placement& placement, Matrix<double>& used,
                    const std::vector<std::uint32_t>& order,
@@ -46,7 +49,7 @@ bool CpRepair::dfs(Placement& placement, Matrix<double>& used,
       used(j, l) -= inst.requests.vms[k].demand[l];
     }
     placement.reject(k);
-    if (++backtracks >= options_.max_backtracks) {
+    if (++backtracks >= max_backtracks_) {
       return false;
     }
   }
@@ -58,10 +61,9 @@ std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes, Rng& rng) {
   IAAS_EXPECT(genes.size() == inst.n(), "gene count mismatch with instance");
 
   Placement placement(genes);
-  const std::vector<std::int32_t> original = genes;
 
   // Identify the VMs involved in violations.
-  ViolationReport report = checker_.check(placement);
+  const ViolationReport report = checker_.check(placement);
   if (report.feasible()) {
     return 0;
   }
@@ -84,8 +86,7 @@ std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes, Rng& rng) {
 
   // Unassign the offenders, then re-place them by backtracking search.
   // Order: shuffled for diversity, but same-server group members kept
-  // adjacent — interleaving them with unrelated VMs makes the DFS thrash
-  // (a late member's failure backtracks through unrelated decisions).
+  // adjacent.
   std::vector<std::uint32_t> order;
   for (std::size_t k = 0; k < inst.n(); ++k) {
     if (bad[k] != 0) {
@@ -94,43 +95,17 @@ std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes, Rng& rng) {
     }
   }
   rng.shuffle(order);
-  std::vector<std::uint32_t> regrouped;
-  std::vector<char> queued(inst.n(), 0);
-  regrouped.reserve(order.size());
-  for (std::uint32_t k : order) {
-    if (queued[k] != 0) {
-      continue;
-    }
-    regrouped.push_back(k);
-    queued[k] = 1;
-    for (const PlacementConstraint& c : inst.requests.constraints) {
-      if (c.kind != RelationKind::kSameServer ||
-          std::find(c.vms.begin(), c.vms.end(), k) == c.vms.end()) {
-        continue;
-      }
-      for (std::uint32_t peer : c.vms) {
-        if (queued[peer] == 0 && bad[peer] != 0) {
-          regrouped.push_back(peer);
-          queued[peer] = 1;
-        }
-      }
-    }
-  }
-  order = std::move(regrouped);
+  order = keep_same_server_groups_adjacent(inst.requests, order);
 
   Matrix<double> used;
   checker_.compute_used(placement, used);
 
   std::uint64_t backtracks = 0;
-  const bool solved = dfs(placement, used, order, 0, backtracks);
-  if (!solved) {
-    // Keep whatever the partial search assigned; restore the original
-    // server for anything still unplaced so genes remain fully assigned.
-    for (std::uint32_t k : order) {
-      if (!placement.is_assigned(k)) {
-        placement.assign(k, original[k]);
-      }
-    }
+  if (!dfs(placement, used, order, 0, backtracks)) {
+    // A failed search (budget spent or tree exhausted) has undone every
+    // assignment on its way out: the genes still hold the original
+    // placement, whose violations were counted above.
+    return report.total();
   }
   genes = placement.genes();
   return checker_.check(placement).total();

@@ -15,21 +15,15 @@
 
 namespace iaas {
 
-struct CpRepairOptions {
-  std::uint64_t max_backtracks = 500;  // per in-loop repair invocation
-  // Budget for the single final pass over the solution actually
-  // returned; a deeper search there is cheap (one invocation) and is
-  // what keeps the CP-hybrid compliant at scale.
-  std::uint64_t final_max_backtracks = 50000;
-};
-
 class CpRepair {
  public:
-  explicit CpRepair(const Instance& instance, CpRepairOptions options = {});
+  // `max_backtracks` bounds each repair() call's search.
+  explicit CpRepair(const Instance& instance,
+                    std::uint64_t max_backtracks = 500);
 
   // Repairs genes in place; returns remaining violations (0 when the
-  // mini-solve succeeded).  VMs the search cannot re-place keep their
-  // original (violating) server so genes stay fully assigned.
+  // mini-solve succeeded).  When the search fails, the genes are left
+  // untouched, so they stay fully assigned.
   std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng);
 
  private:
@@ -38,7 +32,7 @@ class CpRepair {
            std::uint64_t& backtracks) const;
 
   const Instance* instance_;
-  CpRepairOptions options_;
+  std::uint64_t max_backtracks_;
   ConstraintChecker checker_;
 };
 

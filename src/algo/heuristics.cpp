@@ -6,33 +6,10 @@
 
 #include "common/stopwatch.h"
 #include "model/constraint_checker.h"
+#include "model/vm_order.h"
 
 namespace iaas {
 namespace {
-
-// Largest relative demand of VM k against the fleet-average capacity.
-double relative_size(const Instance& instance, std::size_t k,
-                     const std::vector<double>& mean_capacity) {
-  double worst = 0.0;
-  for (std::size_t l = 0; l < instance.h(); ++l) {
-    worst = std::max(worst,
-                     instance.requests.vms[k].demand[l] / mean_capacity[l]);
-  }
-  return worst;
-}
-
-std::vector<double> fleet_mean_capacity(const Instance& instance) {
-  std::vector<double> mean(instance.h(), 0.0);
-  for (std::size_t j = 0; j < instance.m(); ++j) {
-    for (std::size_t l = 0; l < instance.h(); ++l) {
-      mean[l] += instance.infra.server(j).effective_capacity(l);
-    }
-  }
-  for (double& v : mean) {
-    v /= static_cast<double>(instance.m());
-  }
-  return mean;
-}
 
 void commit(const Instance& instance, Placement& placement,
             Matrix<double>& used, std::size_t k, std::size_t j) {
@@ -51,14 +28,12 @@ AllocationResult FirstFitDecreasingAllocator::allocate(
   Placement placement(instance.n());
   Matrix<double> used(instance.m(), instance.h());
 
-  const std::vector<double> mean_capacity = fleet_mean_capacity(instance);
+  const std::vector<double> size = relative_sizes(instance);
   std::vector<std::uint32_t> order(instance.n());
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return relative_size(instance, a, mean_capacity) >
-                            relative_size(instance, b, mean_capacity);
-                   });
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&](std::uint32_t a, std::uint32_t b) { return size[a] > size[b]; });
 
   for (std::uint32_t k : order) {
     for (std::size_t j = 0; j < instance.m(); ++j) {

@@ -1,10 +1,12 @@
 #include "algo/nsga_allocators.h"
 
+#include "algo/cp_repair.h"
 #include "algo/ideal_point.h"
 #include "common/stopwatch.h"
 #include "ea/nsga2.h"
 #include "ea/nsga3.h"
 #include "ea/problem.h"
+#include "tabu/repair.h"
 
 namespace iaas {
 namespace {
@@ -93,24 +95,28 @@ AllocationResult Nsga3Allocator::allocate(const Instance& instance,
                     export_front_, nullptr, problem.tables());
 }
 
+// Backtrack budgets of the constraint-solver repair: per in-loop
+// invocation, and for the single final pass over the deployed solution
+// (deep, but only one invocation).
+constexpr std::uint64_t kCpRepairBacktracks = 500;
+constexpr std::uint64_t kCpFinalRepairBacktracks = 50000;
+
 Nsga3CpAllocator::Nsga3CpAllocator(EaAllocatorOptions options)
     : EaAllocatorBase(std::move(options)) {}
 
 AllocationResult Nsga3CpAllocator::allocate(const Instance& instance,
                                             std::uint64_t seed) {
   AllocationProblem problem(instance, options_.objectives);
-  CpRepair repair(instance, options_.cp_repair);
+  CpRepair repair(instance, kCpRepairBacktracks);
   const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
                                        Rng& rng) {
     repair.repair(genes, rng);
   };
   Nsga3 engine(problem, with_repair(options_.nsga), repair_fn);
-  // The deployed solution gets one deep constraint solve (cheap: a
-  // single invocation) so the CP-hybrid's answer is compliant even when
-  // the in-loop budget could not fully repair at scale.
-  CpRepairOptions final_options = options_.cp_repair;
-  final_options.max_backtracks = options_.cp_repair.final_max_backtracks;
-  CpRepair final_repair(instance, final_options);
+  // The deployed solution gets one deep constraint solve so the
+  // CP-hybrid's answer is compliant even when the in-loop budget could
+  // not fully repair at scale.
+  CpRepair final_repair(instance, kCpFinalRepairBacktracks);
   const RepairFn final_fn = [&final_repair](std::vector<std::int32_t>& genes,
                                             Rng& rng) {
     final_repair.repair(genes, rng);
@@ -127,7 +133,7 @@ AllocationResult Nsga3TabuAllocator::allocate(const Instance& instance,
   AllocationProblem problem(instance, options_.objectives);
   // One SoA flattening serves the whole hybrid: the problem's pooled
   // evaluators, the repairer's per-call states, and the post-search walk.
-  TabuRepair repair(instance, options_.tabu_repair, problem.tables());
+  TabuRepair repair(instance, {}, problem.tables());
   const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
                                        Rng& rng) {
     repair.repair(genes, rng);

@@ -13,18 +13,14 @@
 #include <vector>
 
 #include "algo/allocator.h"
-#include "algo/cp_repair.h"
 #include "ea/nsga_config.h"
-#include "tabu/repair.h"
 #include "tabu/tabu_search.h"
 
 namespace iaas {
 
 struct EaAllocatorOptions {
-  NsgaConfig nsga;                 // Table III defaults
+  NsgaConfig nsga;  // Table III defaults
   ObjectiveOptions objectives;
-  TabuRepairOptions tabu_repair;   // hybrid variant
-  CpRepairOptions cp_repair;       // constraint-solver variant
   // Extension: polish the selected solution with the standalone tabu
   // search after the EA finishes (off by default — not in the paper).
   bool post_tabu_search = false;

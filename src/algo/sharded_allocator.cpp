@@ -17,6 +17,14 @@ namespace iaas {
 
 namespace {
 
+// Cross-shard rebalance budgets (stage 3): re-admissions of VMs every
+// shard rejected, and migrations pulling rebalance orphans home, each of
+// which must improve the aggregate objective by more than
+// kMigrationMinGain (absolute).
+constexpr std::size_t kMaxRebalancePlacements = 4096;
+constexpr std::size_t kMaxMigrations = 256;
+constexpr double kMigrationMinGain = 1e-9;
+
 std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -336,7 +344,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
                      merged.shard.pre_rejections);
   }
 
-  if (options_.rebalance && merged.rejected > 0) {
+  if (merged.rejected > 0) {
     // Incremental delta engine over the sanitized global placement: the
     // state starts feasible, and only moves that keep violations_delta
     // <= 0 are ever committed, so it stays feasible.
@@ -348,7 +356,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
       if (state.placement().is_assigned(k)) {
         continue;
       }
-      if (placed.size() >= options_.max_rebalance_placements) {
+      if (placed.size() >= kMaxRebalancePlacements) {
         break;
       }
       std::int32_t best_server = Placement::kRejected;
@@ -370,7 +378,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
     // strictly improves the aggregate (boundary losers migrating home).
     std::size_t migrations = 0;
     for (const std::uint32_t k : placed) {
-      if (migrations >= options_.max_migrations) {
+      if (migrations >= kMaxMigrations) {
         break;
       }
       const std::int32_t home = shard_of_vm[k];
@@ -385,7 +393,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
         continue;
       }
       std::int32_t best_server = Placement::kRejected;
-      double best_delta = -options_.migration_min_gain;
+      double best_delta = -kMigrationMinGain;
       for (std::uint32_t j = slice.server_begin; j < slice.server_end;
            ++j) {
         const ObjectiveDelta d =

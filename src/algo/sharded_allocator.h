@@ -54,14 +54,6 @@ struct ShardedAllocatorOptions {
   // (0 = hardware_concurrency).  Each run gets max(1, threads / shards)
   // inner threads; 1 shard degenerates to the unsharded parallel run.
   std::size_t threads = 0;
-  // Cross-shard rebalance pass (stage 3).  Placements re-admit VMs every
-  // shard rejected; migrations pull cross-shard rebalance orphans home.
-  bool rebalance = true;
-  std::size_t max_rebalance_placements = 4096;
-  std::size_t max_migrations = 256;
-  // A migration must improve the aggregate objective by more than this
-  // (absolute) to be applied.
-  double migration_min_gain = 1e-9;
 };
 
 class ShardedAllocator : public Allocator {

@@ -6,6 +6,14 @@
 #include "common/expect.h"
 
 namespace iaas {
+namespace {
+
+// Routing feasibility: a provider can take a unit while its projected
+// per-attribute utilisation stays under this fraction of effective
+// capacity.
+constexpr double kCapacityHeadroom = 0.9;
+
+}  // namespace
 
 const char* broker_mode_name(BrokerMode mode) {
   switch (mode) {
@@ -66,7 +74,7 @@ std::size_t BrokerAllocator::route(
     for (std::size_t l = 0; l < unit_demand.size(); ++l) {
       const double capacity =
           l < infra.attribute_count()
-              ? infra.total_effective_capacity(l) * config_.capacity_headroom
+              ? infra.total_effective_capacity(l) * kCapacityHeadroom
               : 0.0;
       const double load =
           l < projected_load[p].size() ? projected_load[p][l] : 0.0;

@@ -44,16 +44,6 @@ struct BrokerConfig {
   // the bound that keeps an orphan of a decommissioned cloud from
   // circulating forever.
   std::size_t max_redirects = 3;
-  // Routing feasibility: a provider can take a unit while its projected
-  // per-attribute utilisation stays under this fraction of effective
-  // capacity.
-  double capacity_headroom = 0.9;
-  // Reshop (multi-cloud simulator, market-aware only): when a
-  // provider's price multiplier exceeds the cheapest online one by this
-  // factor, up to reshop_max_vms_per_window group-free VMs are pulled
-  // off it and re-brokered, paying the cross-cloud egress bill.
-  double reshop_threshold = 1.5;
-  std::size_t reshop_max_vms_per_window = 8;
 };
 
 class BrokerAllocator {
@@ -66,8 +56,9 @@ class BrokerAllocator {
   // Routing primitive: cheapest online provider (by effective price
   // multiplier at `window`, provider order breaking ties) that can take
   // `unit_demand` (summed per attribute) while `projected_load[p][l] +
-  // demand <= headroom x effective capacity`; `exclude[p]` skips
-  // providers already tried.  kNoProvider when nothing fits.
+  // demand <= headroom x effective capacity`, at a fixed 90% headroom;
+  // `exclude[p]` skips providers already tried.  kNoProvider when
+  // nothing fits.
   [[nodiscard]] std::size_t route(const std::vector<double>& unit_demand,
                                   std::size_t window,
                                   const std::vector<std::vector<double>>&

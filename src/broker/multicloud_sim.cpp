@@ -10,6 +10,10 @@
 namespace iaas {
 namespace {
 
+// Reshop limits (market-aware mode, step 5 of run()).
+constexpr double kReshopThreshold = 1.5;
+constexpr std::size_t kReshopMaxVmsPerWindow = 8;
+
 // One unit awaiting routing this window: a whole fresh relationship
 // group, or a single retried/reshopped VM (groups dissolve on failure,
 // mirroring the single-cloud retry queue).
@@ -146,9 +150,9 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
     };
 
     // 5. Reshop (market-aware only): clouds charging more than
-    // reshop_threshold x the cheapest online multiplier shed up to
-    // reshop_max_vms_per_window group-free VMs with redirect budget
-    // left, each moved only if some *other* cloud can take it now.
+    // kReshopThreshold x the cheapest online multiplier shed up to
+    // kReshopMaxVmsPerWindow group-free VMs with redirect budget left,
+    // each moved only if some *other* cloud can take it now.
     if (config_.broker.mode == BrokerMode::kMarketAware) {
       const double cheapest = market.cheapest_multiplier(w);
       for (std::size_t p = 0; p < providers; ++p) {
@@ -156,7 +160,7 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
         Fleet& slice = fleet[p];
         if (!provider.online() || slice.empty() ||
             provider.price_multiplier(w) <=
-                cheapest * config_.broker.reshop_threshold) {
+                cheapest * kReshopThreshold) {
           continue;
         }
         std::vector<char> grouped(slice.size(), 0);
@@ -169,9 +173,8 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
         std::vector<char> exclude(providers, 0);
         exclude[p] = 1;  // reshopping back home would be a placement reset
         std::size_t moved = 0;
-        for (std::size_t k = 0; k < slice.size() &&
-                                moved < config_.broker.reshop_max_vms_per_window;
-             ++k) {
+        for (std::size_t k = 0;
+             k < slice.size() && moved < kReshopMaxVmsPerWindow; ++k) {
           if (grouped[k] != 0 ||
               slice.redirects[k] >= config_.broker.max_redirects) {
             continue;

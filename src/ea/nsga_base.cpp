@@ -16,6 +16,9 @@
 namespace iaas {
 namespace {
 
+// ConstraintMode::kPenalty: added to every objective per violation.
+constexpr double kPenaltyWeight = 1000.0;
+
 // Front size + best (min-aggregate) objective vector of the survivors;
 // called right after environmental_selection stamps ranks.
 void stamp_population_summary(const Population& population,
@@ -88,21 +91,19 @@ DominanceFn NsgaBase::dominance() const {
       return [](const Individual& a, const Individual& b) {
         return dominates(a, b);
       };
-    case ConstraintMode::kPenalty: {
-      const double w = config_.penalty_weight;
-      return [w](const Individual& a, const Individual& b) {
+    case ConstraintMode::kPenalty:
+      return [](const Individual& a, const Individual& b) {
         // Penalise stack copies of the objective arrays only — the gene
         // vectors play no role in dominance.
         std::array<double, ObjectiveVector::kCount> pa = a.objectives;
         std::array<double, ObjectiveVector::kCount> pb = b.objectives;
         for (std::size_t i = 0; i < pa.size(); ++i) {
-          pa[i] += w * a.violations;
-          pb[i] += w * b.violations;
+          pa[i] += kPenaltyWeight * a.violations;
+          pb[i] += kPenaltyWeight * b.violations;
         }
         return dominates(std::span<const double>(pa),
                          std::span<const double>(pb));
       };
-    }
     case ConstraintMode::kExclude:
     case ConstraintMode::kRepair:
       return [](const Individual& a, const Individual& b) {

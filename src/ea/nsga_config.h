@@ -29,7 +29,6 @@ struct NsgaConfig {
   double pm_distribution_index = 15.0;   // Table III
 
   ConstraintMode constraint_mode = ConstraintMode::kIgnore;
-  double penalty_weight = 1000.0;  // kPenalty: added per violation per axis
 
   // Repair placement within the generation (paper Fig. 4 repairs the two
   // selected parents before variation; repairing offspring too keeps the

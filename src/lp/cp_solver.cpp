@@ -5,6 +5,7 @@
 
 #include "common/expect.h"
 #include "model/constraint_checker.h"
+#include "model/vm_order.h"
 
 namespace iaas {
 namespace {
@@ -62,22 +63,7 @@ CpSolver::CpSolver(const Instance& instance, CpSolverOptions options)
       }
     }
   }
-  std::vector<double> tightness(n, 0.0);
-  std::vector<double> mean_capacity(inst.h(), 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      mean_capacity[l] += inst.infra.server(j).effective_capacity(l);
-    }
-  }
-  for (double& c : mean_capacity) {
-    c /= static_cast<double>(m);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      tightness[k] = std::max(
-          tightness[k], inst.requests.vms[k].demand[l] / mean_capacity[l]);
-    }
-  }
+  const std::vector<double> tightness = relative_sizes(inst);
   vm_order_.resize(n);
   std::iota(vm_order_.begin(), vm_order_.end(), 0u);
   std::stable_sort(vm_order_.begin(), vm_order_.end(),
@@ -88,33 +74,7 @@ CpSolver::CpSolver(const Instance& instance, CpSolverOptions options)
                      return tightness[a] > tightness[b];
                    });
 
-  // Keep same-server group members adjacent so the group collapses to a
-  // single server choice early in the search.
-  std::vector<char> seen(n, 0);
-  std::vector<std::uint32_t> reordered;
-  reordered.reserve(n);
-  for (std::uint32_t k : vm_order_) {
-    if (seen[k] != 0) {
-      continue;
-    }
-    reordered.push_back(k);
-    seen[k] = 1;
-    for (const PlacementConstraint& c : inst.requests.constraints) {
-      if (c.kind != RelationKind::kSameServer) {
-        continue;
-      }
-      if (std::find(c.vms.begin(), c.vms.end(), k) == c.vms.end()) {
-        continue;
-      }
-      for (std::uint32_t peer : c.vms) {
-        if (seen[peer] == 0) {
-          reordered.push_back(peer);
-          seen[peer] = 1;
-        }
-      }
-    }
-  }
-  vm_order_ = std::move(reordered);
+  vm_order_ = keep_same_server_groups_adjacent(inst.requests, vm_order_);
 
   // Suffix lower bound on the remaining linear cost: every still-unplaced
   // VM pays at least the fleet-minimum usage cost (migration and opex can
@@ -149,14 +109,14 @@ bool CpSolver::dfs(SearchContext& ctx, std::size_t depth) {
   }
 
   if (depth == vm_order_.size()) {
+    // Complete leaf: record it and keep searching for a cheaper one.
     ctx.stats.found_complete = true;
     if (ctx.cost < ctx.best_cost) {
       ctx.best_cost = ctx.cost;
       ctx.best = ctx.placement;
       ctx.found_complete = true;
     }
-    // Complete leaf: with optimisation off, stop at the first solution.
-    return !options_.optimize;
+    return false;
   }
 
   ++ctx.stats.nodes;

@@ -31,8 +31,6 @@ namespace iaas {
 struct CpSolverOptions {
   double time_limit_seconds = 120.0;
   std::uint64_t max_backtracks = 200000;
-  bool optimize = true;  // keep searching for cheaper solutions after the
-                         // first feasible one (branch & bound)
 };
 
 struct CpStats {

@@ -8,6 +8,13 @@
 #include "tabu/tabu_list.h"
 
 namespace iaas {
+namespace {
+
+// Capacity + relationship sweeps before giving up (then one last sweep
+// with the tabu memory cleared).
+constexpr std::size_t kMaxPasses = 4;
+
+}  // namespace
 
 TabuRepair::TabuRepair(const Instance& instance, TabuRepairOptions options,
                        std::shared_ptr<const StateTables> tables)
@@ -313,11 +320,9 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
   TabuList tabu(options_.tabu_tenure);
 
   std::uint32_t remaining = state.total_violations();
-  for (std::size_t pass = 0; pass < options_.max_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
     bool moved = repair_capacity(state, tabu, rng);
-    if (options_.fix_relations) {
-      moved = repair_relations(state, tabu, rng) || moved;
-    }
+    moved = repair_relations(state, tabu, rng) || moved;
     remaining = state.total_violations();
     if (remaining == 0 || !moved) {
       break;
@@ -328,9 +333,7 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
     // moves — clear it and sweep once more unrestricted.
     tabu.clear();
     repair_capacity(state, tabu, rng);
-    if (options_.fix_relations) {
-      repair_relations(state, tabu, rng);
-    }
+    repair_relations(state, tabu, rng);
     remaining = state.total_violations();
   }
   telemetry::count(telemetry::Counter::kTabuMovesAccepted,

@@ -31,9 +31,7 @@
 namespace iaas {
 
 struct TabuRepairOptions {
-  std::size_t max_passes = 4;   // repair sweeps before giving up
-  std::size_t tabu_tenure = 16; // forbidden (vm, server) return moves
-  bool fix_relations = true;    // repair affinity groups too
+  std::size_t tabu_tenure = 16;  // forbidden (vm, server) return moves
 };
 
 class TabuRepair {
@@ -59,8 +57,6 @@ class TabuRepair {
   // The move decisions and RNG consumption are identical to repair(), so
   // both entry points produce the same placement for the same stream.
   std::uint32_t repair_state(PlacementState& state, Rng& rng) const;
-
-  [[nodiscard]] const TabuRepairOptions& options() const { return options_; }
 
  private:
   // findNeighbour (Fig. 6): the first server, by fabric distance from the

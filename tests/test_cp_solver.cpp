@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "model/constraint_checker.h"
 #include "model/objectives.h"
@@ -55,21 +56,54 @@ TEST(CpSolver, FindsFeasibleCompleteAssignment) {
 }
 
 TEST(CpSolver, MatchesBruteForceOptimumOnTinyInstances) {
+  std::vector<Instance> instances;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    Instance inst = make_random_instance(seed, 4, 5);
+    instances.push_back(make_random_instance(seed, 4, 5));
+  }
+  // Four servers (two per leaf; by default each datacenter rounds up to
+  // one 8-server leaf), six VMs, each instance with a relationship
+  // group: the optimum under groups, against 4^6 exhaustive leaves.
+  for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
+    ScenarioConfig cfg = ScenarioConfig::paper_scale(4);
+    cfg.servers_per_leaf = 2;
+    cfg.vms = 6;
+    cfg.constrained_fraction = 0.6;
+    instances.push_back(ScenarioGenerator(cfg).generate(seed));
+    ASSERT_EQ(instances.back().m(), 4u);
+    ASSERT_FALSE(instances.back().requests.constraints.empty());
+  }
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i];
     CpSolver solver(inst);
     CpStats stats;
     const Placement p = solver.solve(&stats);
-    ASSERT_TRUE(stats.found_complete) << "seed " << seed;
-    EXPECT_TRUE(stats.proved_optimal) << "seed " << seed;
+    ASSERT_TRUE(stats.found_complete) << "instance " << i;
+    EXPECT_TRUE(stats.proved_optimal) << "instance " << i;
 
     Evaluator evaluator(inst);
     const ObjectiveVector obj = evaluator.objectives(p);
     const double expected = brute_force_optimum(inst);
     EXPECT_NEAR(obj.usage_cost + obj.migration_cost, expected, 1e-6)
-        << "seed " << seed;
+        << "instance " << i;
   }
 }
+
+// A complete, feasible answer proved optimal within the default budget
+// (every seed needs at most a few thousand nodes).
+class CpProvesOptimum : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CpProvesOptimum, CompleteFeasibleAndProved) {
+  const Instance inst = make_random_instance(GetParam(), 8, 10);
+  CpStats stats;
+  const Placement p = CpSolver(inst).solve(&stats);
+  EXPECT_TRUE(stats.found_complete);
+  EXPECT_TRUE(stats.proved_optimal);
+  EXPECT_EQ(p.rejected_count(), 0u);
+  EXPECT_TRUE(ConstraintChecker(inst).check(p).feasible());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CpProvesOptimum,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 TEST(CpSolver, RespectsRelationshipConstraints) {
   const Instance inst = make_instance(
@@ -146,18 +180,6 @@ TEST(CpSolver, HonoursDeadline) {
   EXPECT_TRUE(stats.timed_out);
   // Fallback still yields a feasible (possibly rejecting) placement.
   EXPECT_TRUE(ConstraintChecker(inst).check(p).feasible());
-}
-
-TEST(CpSolver, FirstSolutionOnlyWhenOptimizeOff) {
-  CpSolverOptions options;
-  options.optimize = false;
-  const Instance inst = make_random_instance(7, 4, 6);
-  CpSolver solver(inst, options);
-  CpStats stats;
-  const Placement p = solver.solve(&stats);
-  EXPECT_TRUE(stats.found_complete);
-  EXPECT_FALSE(stats.proved_optimal);  // stopped at the first leaf
-  EXPECT_EQ(p.rejected_count(), 0u);
 }
 
 // Property: branch-and-bound never returns a costlier complete solution

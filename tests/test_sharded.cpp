@@ -173,20 +173,11 @@ TEST(ShardedAllocator, RebalanceRecoversShardRejections) {
   constraints.push_back({RelationKind::kDifferentDatacenters, {8, 9}});
   const Instance inst = test::make_instance(2, 8, {10.0, 10.0}, demands,
                                             std::move(constraints));
-  ShardedAllocator with(lean_options(2, 1));
-  const AllocationResult result = with.allocate(inst, 9);
+  ShardedAllocator allocator(lean_options(2, 1));
+  const AllocationResult result = allocator.allocate(inst, 9);
   ASSERT_GT(result.shard.pre_rejections, 0u);
   EXPECT_GT(result.shard.rebalance_placements, 0u);
   EXPECT_LT(result.rejected, result.shard.pre_rejections);
-
-  // Rebalance off: the pre-rejections stay rejected.
-  ShardedAllocatorOptions no_rebalance = lean_options(2, 1);
-  no_rebalance.rebalance = false;
-  ShardedAllocator without(no_rebalance);
-  const AllocationResult raw = without.allocate(inst, 9);
-  EXPECT_EQ(raw.rejected, raw.shard.pre_rejections);
-  EXPECT_EQ(raw.shard.rebalance_placements, 0u);
-  EXPECT_EQ(raw.shard.migrations, 0u);
 }
 
 TEST(ShardedAllocator, BitIdenticalAcrossThreadCounts) {

@@ -52,6 +52,8 @@ constexpr Pin kSimFixtures[] = {
     {"sharded_strategic", 0x165bc277016f8276ULL},
     {"brokered", 0xee2c9ef850fc95ecULL},
     {"market", 0x264129c2a6656e0aULL},
+    {"cp", 0xc0f1c71f53638922ULL},
+    {"nsga3_cp", 0xba0b73b777bcaf4eULL},
 };
 
 std::vector<WindowMetrics> load_fixture(const std::string& name) {
