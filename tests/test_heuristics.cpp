@@ -1,10 +1,23 @@
 // Extended baselines: Filtering (Table II's fourth family), First-Fit
-// Decreasing and Best-Fit.
+// Decreasing and Best-Fit, plus a digest that pins the placement history
+// of every greedy and CP placer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "algo/cp_allocator.h"
+#include "algo/cp_repair.h"
 #include "algo/filtering.h"
 #include "algo/heuristics.h"
+#include "algo/nsga_allocators.h"
 #include "algo/registry.h"
+#include "algo/round_robin.h"
+#include "common/rng.h"
+#include "lp/cp_solver.h"
 #include "model/constraint_checker.h"
 #include "tests/test_util.h"
 
@@ -127,6 +140,105 @@ INSTANTIATE_TEST_SUITE_P(Extras, ExtendedContract,
                          ::testing::Values(AlgorithmId::kFiltering,
                                            AlgorithmId::kFirstFitDecreasing,
                                            AlgorithmId::kBestFit));
+
+// 64-bit FNV-1a, folded over raw bytes.
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+void fnv1a(std::uint64_t& hash, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+}
+
+void fnv1a(std::uint64_t& hash, const std::vector<std::int32_t>& genes) {
+  fnv1a(hash, genes.data(), genes.size() * sizeof(std::int32_t));
+}
+
+// The placement history of every greedy and CP placer over a sweep of
+// generated instances, one digest per placer.  No simulator fixture runs
+// BestFit, Filtering or the generator's preplacement, and the CP fixtures
+// stop at 16 servers; the 220-VM rows overload the fleet, so CP rejects,
+// sanitization sheds and CP repair fails.  A refactor of the placers'
+// capacity or validity bookkeeping must leave every digest unchanged: a
+// moved digest means a placement changed, however rarely.
+TEST(PlacerDigest, HistoriesAreStable) {
+  std::map<std::string, std::uint64_t> digest;
+  const auto fold = [&](const std::string& name,
+                        const std::vector<std::int32_t>& genes) {
+    fnv1a(digest.try_emplace(name, kFnvOffset).first->second, genes);
+  };
+
+  for (const std::uint32_t servers : {16u, 32u}) {
+    for (const std::uint32_t vms : {24u, 96u, 220u}) {
+      for (const double constrained : {0.3, 0.6}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          ScenarioConfig cfg = ScenarioConfig::paper_scale(servers);
+          cfg.vms = vms;
+          cfg.constrained_fraction = constrained;
+          cfg.preplaced_fraction = 0.6;
+          const Instance inst = ScenarioGenerator(cfg).generate(seed);
+          fold("previous", inst.previous.genes());
+
+          CpSolverOptions cp;
+          cp.time_limit_seconds = 1e9;  // the backtrack budget decides
+          cp.max_backtracks = 64;
+          EaAllocatorOptions ea;
+          ea.nsga.population_size = 8;
+          ea.nsga.max_evaluations = 48;
+          std::vector<std::unique_ptr<Allocator>> placers;
+          placers.push_back(std::make_unique<RoundRobinAllocator>());
+          placers.push_back(std::make_unique<FirstFitDecreasingAllocator>());
+          placers.push_back(std::make_unique<BestFitAllocator>());
+          placers.push_back(std::make_unique<FilteringAllocator>());
+          placers.push_back(std::make_unique<CpAllocator>(cp));
+          placers.push_back(std::make_unique<Nsga3Allocator>(ea));
+          for (const auto& placer : placers) {
+            const AllocationResult r = placer->allocate(inst, seed);
+            fold(placer->name() + " raw", r.raw_placement.genes());
+            fold(placer->name(), r.placement.genes());
+          }
+
+          fold("greedy_with_rejection",
+               CpSolver(inst, cp).greedy_with_rejection().genes());
+
+          CpRepair repair(inst, 200);
+          Rng rng(seed * 7919 + vms);
+          for (int trial = 0; trial < 4; ++trial) {
+            std::vector<std::int32_t> genes(inst.n());
+            for (auto& g : genes) {
+              g = rng.bernoulli(0.1)
+                      ? Placement::kRejected
+                      : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+            }
+            const std::uint32_t remaining = repair.repair(genes, rng);
+            fold("CpRepair", genes);
+            fnv1a(digest["CpRepair"], &remaining, sizeof(remaining));
+          }
+        }
+      }
+    }
+  }
+
+  const std::map<std::string, std::uint64_t> expected = {
+      {"previous", 0x44cef32ed17c8646ULL},
+      {"RoundRobin raw", 0x27f43fd28f85ada1ULL},
+      {"RoundRobin", 0x27f43fd28f85ada1ULL},
+      {"FirstFitDecreasing raw", 0x043f96ef5a4298e7ULL},
+      {"FirstFitDecreasing", 0x043f96ef5a4298e7ULL},
+      {"BestFit raw", 0x7e3941cdd36ee29bULL},
+      {"BestFit", 0x7e3941cdd36ee29bULL},
+      {"Filtering raw", 0x2e5a042e6a5db885ULL},
+      {"Filtering", 0x6c77ff36f5fcabcdULL},
+      {"ConstraintProgramming raw", 0x02d20bf4be55e6f2ULL},
+      {"ConstraintProgramming", 0x02d20bf4be55e6f2ULL},
+      {"NSGA-III raw", 0x38152419832cc275ULL},
+      {"NSGA-III", 0x046221c0661e91ebULL},
+      {"greedy_with_rejection", 0xb3b04eb0e214f146ULL},
+      {"CpRepair", 0x36501d2c86aabb63ULL},
+  };
+  EXPECT_EQ(digest, expected);
+}
 
 }  // namespace
 }  // namespace iaas
