@@ -4,6 +4,7 @@
 
 #include "common/expect.h"
 #include "model/constraint_checker.h"
+#include "model/placement_state.h"
 
 namespace iaas {
 
@@ -91,31 +92,20 @@ Placement sanitize_placement(const Instance& instance, const Placement& raw) {
     }
   }
 
-  // 2. Capacity: overloaded servers shed their largest VMs first.
-  Matrix<double> used;
-  checker.compute_used(placement, used);
+  // 2. Capacity: overloaded servers shed their largest VMs first.  The
+  // rebuild sums the surviving demand in VM order, the order the
+  // kCapacityEps comparisons below must see.
+  PlacementState state(instance, {}, StateTracking::kViolationsOnly);
+  state.rebuild(placement);
   for (std::size_t j = 0; j < instance.m(); ++j) {
-    const Server& server = instance.infra.server(j);
-    auto exceeds = [&] {
-      for (std::size_t l = 0; l < instance.h(); ++l) {
-        if (used(j, l) > server.effective_capacity(l) + 1e-9) {
-          return true;
-        }
-      }
-      return false;
-    };
-    if (!exceeds()) {
+    if (!state.server_overloaded(j)) {
       continue;
     }
     // VMs on j sorted by largest relative demand — shedding big ones
     // first rejects the fewest requests.
-    std::vector<std::uint32_t> occupants;
-    for (std::size_t k = 0; k < instance.n(); ++k) {
-      if (placement.is_assigned(k) &&
-          static_cast<std::size_t>(placement.server_of(k)) == j) {
-        occupants.push_back(static_cast<std::uint32_t>(k));
-      }
-    }
+    const Server& server = instance.infra.server(j);
+    const auto members = state.vms_on(j);
+    std::vector<std::uint32_t> occupants(members.begin(), members.end());
     auto relative_demand = [&](std::uint32_t k) {
       double worst = 0.0;
       for (std::size_t l = 0; l < instance.h(); ++l) {
@@ -129,19 +119,17 @@ Placement sanitize_placement(const Instance& instance, const Placement& raw) {
                        return relative_demand(a) > relative_demand(b);
                      });
     for (std::uint32_t k : occupants) {
-      if (!exceeds()) {
+      if (!state.server_overloaded(j)) {
         break;
       }
-      for (std::size_t l = 0; l < instance.h(); ++l) {
-        used(j, l) -= instance.requests.vms[k].demand[l];
-      }
-      placement.reject(k);
+      state.apply_move(k, Placement::kRejected);
     }
   }
 
-  IAAS_DEBUG_EXPECT(ConstraintChecker(instance).check(placement).feasible(),
-                    "sanitized placement must be feasible");
-  return placement;
+  IAAS_DEBUG_EXPECT(
+      ConstraintChecker(instance).check(state.placement()).feasible(),
+      "sanitized placement must be feasible");
+  return state.placement();
 }
 
 AllocationResult Allocator::finalize(const Instance& instance,

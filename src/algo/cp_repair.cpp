@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/expect.h"
-#include "model/placement.h"
+#include "model/constraint_checker.h"
 #include "model/vm_order.h"
 
 namespace iaas {
@@ -11,9 +11,9 @@ namespace iaas {
 CpRepair::CpRepair(const Instance& instance, std::uint64_t max_backtracks)
     : instance_(&instance),
       max_backtracks_(max_backtracks),
-      checker_(instance) {}
+      tables_(std::make_shared<const StateTables>(instance)) {}
 
-bool CpRepair::dfs(Placement& placement, Matrix<double>& used,
+bool CpRepair::dfs(PlacementState& state,
                    const std::vector<std::uint32_t>& order,
                    std::size_t depth, std::uint64_t& backtracks) const {
   if (depth == order.size()) {
@@ -27,7 +27,7 @@ bool CpRepair::dfs(Placement& placement, Matrix<double>& used,
   std::vector<std::uint32_t> servers;
   servers.reserve(inst.m());
   for (std::size_t j = 0; j < inst.m(); ++j) {
-    if (checker_.is_valid_allocation(placement, used, k, j)) {
+    if (state.is_valid_allocation(k, j)) {
       servers.push_back(static_cast<std::uint32_t>(j));
     }
   }
@@ -38,17 +38,11 @@ bool CpRepair::dfs(Placement& placement, Matrix<double>& used,
                    });
 
   for (std::uint32_t j : servers) {
-    placement.assign(k, static_cast<std::int32_t>(j));
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      used(j, l) += inst.requests.vms[k].demand[l];
-    }
-    if (dfs(placement, used, order, depth + 1, backtracks)) {
+    state.apply_move(k, static_cast<std::int32_t>(j));
+    if (dfs(state, order, depth + 1, backtracks)) {
       return true;
     }
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      used(j, l) -= inst.requests.vms[k].demand[l];
-    }
-    placement.reject(k);
+    state.revert();
     if (++backtracks >= max_backtracks_) {
       return false;
     }
@@ -56,29 +50,32 @@ bool CpRepair::dfs(Placement& placement, Matrix<double>& used,
   return false;
 }
 
-std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes, Rng& rng) {
+std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes,
+                               Rng& rng) const {
   const Instance& inst = *instance_;
   IAAS_EXPECT(genes.size() == inst.n(), "gene count mismatch with instance");
 
-  Placement placement(genes);
-
-  // Identify the VMs involved in violations.
-  const ViolationReport report = checker_.check(placement);
-  if (report.feasible()) {
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly, tables_);
+  state.rebuild(genes);
+  const std::uint32_t violations = state.total_violations();
+  if (violations == 0) {
     return 0;
   }
+
+  // The VMs involved in violations: every VM on an overloaded server and
+  // every member of a violated relationship group.
   std::vector<char> bad(inst.n(), 0);
-  for (std::uint32_t j : report.overloaded_servers) {
-    for (std::size_t k = 0; k < inst.n(); ++k) {
-      if (placement.is_assigned(k) &&
-          placement.server_of(k) == static_cast<std::int32_t>(j)) {
+  for (std::size_t j = 0; j < inst.m(); ++j) {
+    if (state.server_overloaded(j)) {
+      for (std::uint32_t k : state.vms_on(j)) {
         bad[k] = 1;
       }
     }
   }
-  for (const PlacementConstraint& c : inst.requests.constraints) {
-    if (!checker_.relation_satisfied(c, placement)) {
-      for (std::uint32_t k : c.vms) {
+  const auto& constraints = inst.requests.constraints;
+  for (std::size_t c = 0; c < constraints.size(); ++c) {
+    if (!state.relation_satisfied(c)) {
+      for (std::uint32_t k : constraints[c].vms) {
         bad[k] = 1;
       }
     }
@@ -88,27 +85,31 @@ std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes, Rng& rng) {
   // Order: shuffled for diversity, but same-server group members kept
   // adjacent.
   std::vector<std::uint32_t> order;
+  std::vector<std::int32_t> kept = genes;
   for (std::size_t k = 0; k < inst.n(); ++k) {
     if (bad[k] != 0) {
       order.push_back(static_cast<std::uint32_t>(k));
-      placement.reject(k);
+      kept[k] = Placement::kRejected;
     }
   }
   rng.shuffle(order);
   order = keep_same_server_groups_adjacent(inst.requests, order);
-
-  Matrix<double> used;
-  checker_.compute_used(placement, used);
+  // A rebuild, not a chain of detaches: the search's capacity checks
+  // must read demand summed in VM order, or a kCapacityEps comparison
+  // can flip on the last bit.
+  state.rebuild(kept);
 
   std::uint64_t backtracks = 0;
-  if (!dfs(placement, used, order, 0, backtracks)) {
-    // A failed search (budget spent or tree exhausted) has undone every
+  if (!dfs(state, order, 0, backtracks)) {
+    // A failed search (budget spent or tree exhausted) has reverted every
     // assignment on its way out: the genes still hold the original
     // placement, whose violations were counted above.
-    return report.total();
+    return violations;
   }
-  genes = placement.genes();
-  return checker_.check(placement).total();
+  genes = state.placement().genes();
+  // Audited from scratch: the state summed the re-placed VMs in search
+  // order, not VM order.
+  return ConstraintChecker(inst).check(state.placement()).total();
 }
 
 }  // namespace iaas

@@ -7,11 +7,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "model/constraint_checker.h"
 #include "model/instance.h"
+#include "model/placement_state.h"
 
 namespace iaas {
 
@@ -23,17 +24,18 @@ class CpRepair {
 
   // Repairs genes in place; returns remaining violations (0 when the
   // mini-solve succeeded).  When the search fails, the genes are left
-  // untouched, so they stay fully assigned.
-  std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng);
+  // untouched, so they stay fully assigned.  Safe to call concurrently:
+  // each call searches its own PlacementState over the shared, immutable
+  // tables.
+  std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng) const;
 
  private:
-  bool dfs(Placement& placement, Matrix<double>& used,
-           const std::vector<std::uint32_t>& order, std::size_t depth,
-           std::uint64_t& backtracks) const;
+  bool dfs(PlacementState& state, const std::vector<std::uint32_t>& order,
+           std::size_t depth, std::uint64_t& backtracks) const;
 
   const Instance* instance_;
   std::uint64_t max_backtracks_;
-  ConstraintChecker checker_;
+  std::shared_ptr<const StateTables> tables_;
 };
 
 }  // namespace iaas

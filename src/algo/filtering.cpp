@@ -4,14 +4,15 @@
 #include <limits>
 
 #include "common/stopwatch.h"
+#include "model/placement_state.h"
 
 namespace iaas {
 
 AllocationResult FilteringAllocator::allocate(const Instance& instance,
                                               std::uint64_t /*seed*/) {
   Stopwatch timer;
-  Placement placement(instance.n());
-  Matrix<double> used(instance.m(), instance.h());
+  PlacementState state(instance, {}, StateTracking::kViolationsOnly);
+  const Matrix<double>& used = state.used();
 
   for (std::size_t k = 0; k < instance.n(); ++k) {
     const VmRequest& vm = instance.requests.vms[k];
@@ -40,17 +41,12 @@ AllocationResult FilteringAllocator::allocate(const Instance& instance,
         best_server = static_cast<std::int32_t>(j);
       }
     }
-    if (best_server == Placement::kRejected) {
-      continue;
-    }
-    placement.assign(k, best_server);
-    const auto j = static_cast<std::size_t>(best_server);
-    for (std::size_t l = 0; l < instance.h(); ++l) {
-      used(j, l) += vm.demand[l];
+    if (best_server != Placement::kRejected) {
+      state.apply_move(k, best_server);
     }
   }
 
-  return finalize(instance, name(), std::move(placement),
+  return finalize(instance, name(), state.placement(),
                   timer.elapsed_seconds(), 0, options_);
 }
 

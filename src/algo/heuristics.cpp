@@ -5,28 +5,15 @@
 #include <numeric>
 
 #include "common/stopwatch.h"
-#include "model/constraint_checker.h"
+#include "model/placement_state.h"
 #include "model/vm_order.h"
 
 namespace iaas {
-namespace {
-
-void commit(const Instance& instance, Placement& placement,
-            Matrix<double>& used, std::size_t k, std::size_t j) {
-  placement.assign(k, static_cast<std::int32_t>(j));
-  for (std::size_t l = 0; l < instance.h(); ++l) {
-    used(j, l) += instance.requests.vms[k].demand[l];
-  }
-}
-
-}  // namespace
 
 AllocationResult FirstFitDecreasingAllocator::allocate(
     const Instance& instance, std::uint64_t /*seed*/) {
   Stopwatch timer;
-  ConstraintChecker checker(instance);
-  Placement placement(instance.n());
-  Matrix<double> used(instance.m(), instance.h());
+  PlacementState state(instance, {}, StateTracking::kViolationsOnly);
 
   const std::vector<double> size = relative_sizes(instance);
   std::vector<std::uint32_t> order(instance.n());
@@ -37,29 +24,27 @@ AllocationResult FirstFitDecreasingAllocator::allocate(
 
   for (std::uint32_t k : order) {
     for (std::size_t j = 0; j < instance.m(); ++j) {
-      if (checker.is_valid_allocation(placement, used, k, j)) {
-        commit(instance, placement, used, k, j);
+      if (state.is_valid_allocation(k, j)) {
+        state.apply_move(k, static_cast<std::int32_t>(j));
         break;
       }
     }
   }
-  return finalize(instance, name(), std::move(placement),
+  return finalize(instance, name(), state.placement(),
                   timer.elapsed_seconds(), 0, options_);
 }
 
 AllocationResult BestFitAllocator::allocate(const Instance& instance,
                                             std::uint64_t /*seed*/) {
   Stopwatch timer;
-  ConstraintChecker checker(instance);
-  Placement placement(instance.n());
-  Matrix<double> used(instance.m(), instance.h());
+  PlacementState state(instance, {}, StateTracking::kViolationsOnly);
 
   for (std::size_t k = 0; k < instance.n(); ++k) {
     const VmRequest& vm = instance.requests.vms[k];
     double best_slack = std::numeric_limits<double>::infinity();
     std::int32_t best_server = Placement::kRejected;
     for (std::size_t j = 0; j < instance.m(); ++j) {
-      if (!checker.is_valid_allocation(placement, used, k, j)) {
+      if (!state.is_valid_allocation(k, j)) {
         continue;
       }
       // Slack: the loosest attribute after placement; tightest fit wins.
@@ -67,7 +52,7 @@ AllocationResult BestFitAllocator::allocate(const Instance& instance,
       double slack = 0.0;
       for (std::size_t l = 0; l < instance.h(); ++l) {
         const double remaining = server.effective_capacity(l) -
-                                 used(j, l) - vm.demand[l];
+                                 state.used()(j, l) - vm.demand[l];
         slack = std::max(slack, remaining / server.effective_capacity(l));
       }
       if (slack < best_slack) {
@@ -76,11 +61,10 @@ AllocationResult BestFitAllocator::allocate(const Instance& instance,
       }
     }
     if (best_server != Placement::kRejected) {
-      commit(instance, placement, used, k,
-             static_cast<std::size_t>(best_server));
+      state.apply_move(k, best_server);
     }
   }
-  return finalize(instance, name(), std::move(placement),
+  return finalize(instance, name(), state.placement(),
                   timer.elapsed_seconds(), 0, options_);
 }
 

@@ -4,16 +4,14 @@
 #include <numeric>
 
 #include "common/stopwatch.h"
-#include "model/constraint_checker.h"
+#include "model/placement_state.h"
 
 namespace iaas {
 
 AllocationResult RoundRobinAllocator::allocate(const Instance& instance,
                                                std::uint64_t /*seed*/) {
   Stopwatch timer;
-  ConstraintChecker checker(instance);
-  Placement placement(instance.n());
-  Matrix<double> used(instance.m(), instance.h());
+  PlacementState state(instance, {}, StateTracking::kViolationsOnly);
 
   // Affinity sort: VMs of one relationship group back-to-back, groups
   // first, unconstrained VMs after.
@@ -36,26 +34,17 @@ AllocationResult RoundRobinAllocator::allocate(const Instance& instance,
 
   std::size_t cursor = 0;
   for (std::uint32_t k : order) {
-    bool placed = false;
     for (std::size_t off = 0; off < instance.m(); ++off) {
       const std::size_t j = (cursor + off) % instance.m();
-      if (!checker.is_valid_allocation(placement, used, k, j)) {
-        continue;
+      if (state.is_valid_allocation(k, j)) {
+        state.apply_move(k, static_cast<std::int32_t>(j));
+        cursor = (j + 1) % instance.m();  // keep rotating
+        break;
       }
-      placement.assign(k, static_cast<std::int32_t>(j));
-      for (std::size_t l = 0; l < instance.h(); ++l) {
-        used(j, l) += instance.requests.vms[k].demand[l];
-      }
-      cursor = (j + 1) % instance.m();  // keep rotating
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      placement.reject(k);
     }
   }
 
-  return finalize(instance, name(), std::move(placement),
+  return finalize(instance, name(), state.placement(),
                   timer.elapsed_seconds(), 0, options_);
 }
 

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "common/expect.h"
-#include "model/constraint_checker.h"
+#include "model/placement_state.h"
 #include "model/vm_order.h"
 
 namespace iaas {
@@ -21,26 +21,18 @@ double migration_cost(const Instance& inst, std::size_t k, std::size_t j) {
 }  // namespace
 
 struct CpSolver::SearchContext {
-  ConstraintChecker checker;
-  Placement placement;
-  Matrix<double> used;
-  std::vector<std::uint32_t> vms_on_server;
+  PlacementState state;  // the partial assignment, extended and reverted
   double cost = 0.0;
 
   Placement best;
   double best_cost = std::numeric_limits<double>::infinity();
-  bool found_complete = false;
 
   Deadline deadline;
   std::uint64_t backtrack_budget = 0;
   CpStats stats;
 
   explicit SearchContext(const Instance& inst)
-      : checker(inst),
-        placement(inst.n()),
-        used(inst.m(), inst.h()),
-        vms_on_server(inst.m(), 0),
-        best(inst.n()) {}
+      : state(inst, {}, StateTracking::kViolationsOnly), best(inst.n()) {}
 };
 
 CpSolver::CpSolver(const Instance& instance, CpSolverOptions options)
@@ -109,13 +101,13 @@ bool CpSolver::dfs(SearchContext& ctx, std::size_t depth) {
   }
 
   if (depth == vm_order_.size()) {
-    // Complete leaf: record it and keep searching for a cheaper one.
+    // Complete leaf: record it and keep searching for a cheaper one.  The
+    // bound below descends only while the cost stays under the
+    // incumbent's (the remainder bound past the last VM is 0), so every
+    // leaf reached is a new incumbent.
     ctx.stats.found_complete = true;
-    if (ctx.cost < ctx.best_cost) {
-      ctx.best_cost = ctx.cost;
-      ctx.best = ctx.placement;
-      ctx.found_complete = true;
-    }
+    ctx.best_cost = ctx.cost;
+    ctx.best = ctx.state.placement();
     return false;
   }
 
@@ -130,11 +122,11 @@ bool CpSolver::dfs(SearchContext& ctx, std::size_t depth) {
   std::vector<Candidate> candidates;
   candidates.reserve(inst.m());
   for (std::size_t j = 0; j < inst.m(); ++j) {
-    if (!ctx.checker.is_valid_allocation(ctx.placement, ctx.used, k, j)) {
-      continue;
+    if (ctx.state.is_valid_allocation(k, j)) {
+      candidates.push_back(
+          {static_cast<std::uint32_t>(j),
+           incremental_cost(k, j, ctx.state.vm_count_on(j) > 0)});
     }
-    candidates.push_back({static_cast<std::uint32_t>(j),
-                          incremental_cost(k, j, ctx.vms_on_server[j] > 0)});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
@@ -146,22 +138,13 @@ bool CpSolver::dfs(SearchContext& ctx, std::size_t depth) {
     if (ctx.cost + cand.cost + remaining_lb_[depth + 1] >= ctx.best_cost) {
       break;  // candidates are cost-sorted; the rest only gets worse
     }
-    const std::size_t j = cand.server;
-    ctx.placement.assign(k, static_cast<std::int32_t>(j));
-    ++ctx.vms_on_server[j];
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      ctx.used(j, l) += inst.requests.vms[k].demand[l];
-    }
+    ctx.state.apply_move(k, static_cast<std::int32_t>(cand.server));
     ctx.cost += cand.cost;
 
     const bool abort = dfs(ctx, depth + 1);
 
     ctx.cost -= cand.cost;
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      ctx.used(j, l) -= inst.requests.vms[k].demand[l];
-    }
-    --ctx.vms_on_server[j];
-    ctx.placement.reject(k);
+    ctx.state.revert();
 
     if (abort) {
       return true;
@@ -180,10 +163,11 @@ Placement CpSolver::solve(CpStats* stats) {
   ctx.backtrack_budget = options_.max_backtracks;
 
   const bool aborted = dfs(ctx, 0);
-  ctx.stats.proved_optimal = !aborted && ctx.found_complete;
+  ctx.stats.proved_optimal = !aborted && ctx.stats.found_complete;
   ctx.stats.best_cost = ctx.best_cost;
 
-  Placement result = ctx.found_complete ? ctx.best : greedy_with_rejection();
+  Placement result =
+      ctx.stats.found_complete ? ctx.best : greedy_with_rejection();
   if (stats != nullptr) {
     *stats = ctx.stats;
   }
@@ -192,35 +176,27 @@ Placement CpSolver::solve(CpStats* stats) {
 
 Placement CpSolver::greedy_with_rejection() const {
   const Instance& inst = *instance_;
-  ConstraintChecker checker(inst);
-  Placement placement(inst.n());
-  Matrix<double> used(inst.m(), inst.h());
-  std::vector<std::uint32_t> vms_on_server(inst.m(), 0);
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
 
   for (std::uint32_t k : vm_order_) {
     double best_cost = std::numeric_limits<double>::infinity();
     std::int32_t best_server = Placement::kRejected;
     for (std::size_t j = 0; j < inst.m(); ++j) {
-      if (!checker.is_valid_allocation(placement, used, k, j)) {
+      if (!state.is_valid_allocation(k, j)) {
         continue;
       }
-      const double c = incremental_cost(k, j, vms_on_server[j] > 0);
+      const double c = incremental_cost(k, j, state.vm_count_on(j) > 0);
       if (c < best_cost) {
         best_cost = c;
         best_server = static_cast<std::int32_t>(j);
       }
     }
-    if (best_server == Placement::kRejected) {
-      continue;  // reject: no feasible host under the partial assignment
-    }
-    const auto j = static_cast<std::size_t>(best_server);
-    placement.assign(k, best_server);
-    ++vms_on_server[j];
-    for (std::size_t l = 0; l < inst.h(); ++l) {
-      used(j, l) += inst.requests.vms[k].demand[l];
+    // No feasible host under the partial assignment: k stays rejected.
+    if (best_server != Placement::kRejected) {
+      state.apply_move(k, best_server);
     }
   }
-  return placement;
+  return state.placement();
 }
 
 }  // namespace iaas

@@ -1,8 +1,9 @@
 // Constraint-programming solver over the allocation model — the
 // substitute for the paper's Choco baseline (DESIGN.md §4).
 //
-// Complete depth-first search with:
-//   * forward checking through ConstraintChecker::is_valid_allocation
+// Complete depth-first search over a PlacementState, extended with
+// apply_move and undone with revert, with:
+//   * forward checking through PlacementState::is_valid_allocation
 //     (capacity + affinity/anti-affinity against assigned peers);
 //   * first-fail variable ordering (same-server group members first, then
 //     largest relative demand);

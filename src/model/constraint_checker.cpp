@@ -2,31 +2,9 @@
 
 #include <algorithm>
 
-#include "model/placement_state.h"
+#include "common/matrix.h"
 
 namespace iaas {
-
-void ConstraintChecker::compute_used(const Placement& placement,
-                                     Matrix<double>& used) const {
-  const Instance& inst = *instance_;
-  const std::size_t m = inst.m();
-  const std::size_t h = inst.h();
-  if (used.rows() != m || used.cols() != h) {
-    used = Matrix<double>(m, h);
-  } else {
-    used.fill(0.0);
-  }
-  for (std::size_t k = 0; k < inst.n(); ++k) {
-    if (!placement.is_assigned(k)) {
-      continue;
-    }
-    const auto j = static_cast<std::size_t>(placement.server_of(k));
-    const VmRequest& vm = inst.requests.vms[k];
-    for (std::size_t l = 0; l < h; ++l) {
-      used(j, l) += vm.demand[l];
-    }
-  }
-}
 
 ViolationReport ConstraintChecker::check(const Placement& placement) const {
   const Instance& inst = *instance_;
@@ -37,13 +15,24 @@ ViolationReport ConstraintChecker::check(const Placement& placement) const {
   report.rejected_vms =
       static_cast<std::uint32_t>(placement.rejected_count());
 
-  Matrix<double> used;
-  compute_used(placement, used);
+  const std::size_t h = inst.h();
+  Matrix<double> used(inst.m(), h);
+  for (std::size_t k = 0; k < inst.n(); ++k) {
+    if (!placement.is_assigned(k)) {
+      continue;
+    }
+    const auto j = static_cast<std::size_t>(placement.server_of(k));
+    IAAS_EXPECT(j < inst.m(), "placement assigns a VM to an unknown server");
+    const VmRequest& vm = inst.requests.vms[k];
+    for (std::size_t l = 0; l < h; ++l) {
+      used(j, l) += vm.demand[l];
+    }
+  }
 
   for (std::size_t j = 0; j < inst.m(); ++j) {
     const Server& server = inst.infra.server(j);
     bool overloaded = false;
-    for (std::size_t l = 0; l < inst.h(); ++l) {
+    for (std::size_t l = 0; l < h; ++l) {
       if (used(j, l) > server.effective_capacity(l) + kCapacityEps) {
         ++report.capacity_violations;
         overloaded = true;
@@ -105,72 +94,6 @@ bool ConstraintChecker::relation_satisfied(const PlacementConstraint& c,
     }
   }
   return true;
-}
-
-bool ConstraintChecker::is_valid_allocation(const Placement& placement,
-                                            const Matrix<double>& used,
-                                            std::size_t k,
-                                            std::size_t j) const {
-  const Instance& inst = *instance_;
-  const Server& server = inst.infra.server(j);
-  const VmRequest& vm = inst.requests.vms[k];
-
-  // Capacity after adding k to j; if k is currently on j its demand is
-  // already inside `used`, so only test the increment when moving in.
-  const bool already_there =
-      placement.is_assigned(k) &&
-      static_cast<std::size_t>(placement.server_of(k)) == j;
-  for (std::size_t l = 0; l < inst.h(); ++l) {
-    const double add = already_there ? 0.0 : vm.demand[l];
-    if (used(j, l) + add > server.effective_capacity(l) + kCapacityEps) {
-      return false;
-    }
-  }
-
-  // Relationship constraints involving k, against already-assigned peers.
-  const std::uint32_t dc_j = inst.infra.datacenter_of(j);
-  for (const PlacementConstraint& c : inst.requests.constraints) {
-    if (std::find(c.vms.begin(), c.vms.end(),
-                  static_cast<std::uint32_t>(k)) == c.vms.end()) {
-      continue;
-    }
-    for (std::uint32_t peer : c.vms) {
-      if (peer == k || !placement.is_assigned(peer)) {
-        continue;
-      }
-      const auto peer_server =
-          static_cast<std::size_t>(placement.server_of(peer));
-      const std::uint32_t peer_dc = inst.infra.datacenter_of(peer_server);
-      switch (c.kind) {
-        case RelationKind::kSameServer:
-          if (peer_server != j) {
-            return false;
-          }
-          break;
-        case RelationKind::kSameDatacenter:
-          if (peer_dc != dc_j) {
-            return false;
-          }
-          break;
-        case RelationKind::kDifferentServers:
-          if (peer_server == j) {
-            return false;
-          }
-          break;
-        case RelationKind::kDifferentDatacenters:
-          if (peer_dc == dc_j) {
-            return false;
-          }
-          break;
-      }
-    }
-  }
-  return true;
-}
-
-bool ConstraintChecker::is_valid_move(const PlacementState& state,
-                                      std::size_t k, std::size_t j) const {
-  return is_valid_allocation(state.placement(), state.used(), k, j);
 }
 
 }  // namespace iaas

@@ -18,13 +18,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/matrix.h"
 #include "model/instance.h"
 #include "model/placement.h"
 
 namespace iaas {
-
-class PlacementState;
 
 // Capacity comparisons tolerate tiny FP noise from accumulating demands;
 // shared by the checker and the incremental PlacementState accumulators.
@@ -50,33 +47,15 @@ class ConstraintChecker {
       : instance_(&instance) {}
 
   // Full report, including the list of overloaded servers (the tabu repair
-  // operator's exceedingDetection, paper Fig. 5 line 2).
+  // operator's exceedingDetection, paper Fig. 5 line 2).  Sums the demand
+  // from scratch, so it is the reference the incremental PlacementState
+  // is tested against.  Every assigned server must exist.
   [[nodiscard]] ViolationReport check(const Placement& placement) const;
-
-  // True when VM k can be placed on server j without breaking capacity
-  // (given current used capacities) or any relationship constraint with
-  // the already-placed VMs in `placement`.  `used` is the m x h matrix of
-  // demand already allocated per server.  This is isValidAllocation of the
-  // paper's Fig. 6.
-  [[nodiscard]] bool is_valid_allocation(const Placement& placement,
-                                         const Matrix<double>& used,
-                                         std::size_t k,
-                                         std::size_t j) const;
-
-  // Delta-aware variant: reads the placement and the used-capacity
-  // accumulators maintained incrementally by a PlacementState, so callers
-  // scoring relocation moves never rebuild a `used` matrix.
-  [[nodiscard]] bool is_valid_move(const PlacementState& state, std::size_t k,
-                                   std::size_t j) const;
 
   // True when the relationship constraint `c` holds under `placement`
   // (among assigned members only).
   [[nodiscard]] bool relation_satisfied(const PlacementConstraint& c,
                                         const Placement& placement) const;
-
-  // Accumulated allocated demand per (server, attribute) — shared scratch
-  // for check() and the repair operators.
-  void compute_used(const Placement& placement, Matrix<double>& used) const;
 
  private:
   const Instance* instance_;

@@ -604,6 +604,54 @@ void PlacementState::revert() {
   do_move(move.vm, move.target);
 }
 
+bool PlacementState::is_valid_allocation(std::size_t k,
+                                         std::size_t j) const {
+  const Instance& inst = *instance_;
+  const StateTables& t = *tables_;
+  const std::span<const double> used = used_.row(j);
+  const std::span<const double> ecap = t.effective_capacity.row(j);
+  const std::span<const double> demand = t.demand.row(k);
+  const bool already_there =
+      placement_.server_of(k) == static_cast<std::int32_t>(j);
+  for (std::size_t l = 0; l < used.size(); ++l) {
+    const double add = already_there ? 0.0 : demand[l];
+    if (used[l] + add > ecap[l] + kCapacityEps) {
+      return false;
+    }
+  }
+
+  const std::uint32_t dc_j = inst.infra.datacenter_of(j);
+  for (std::uint32_t c : t.constraints_of(k)) {
+    const PlacementConstraint& constraint = inst.requests.constraints[c];
+    for (std::uint32_t peer : constraint.vms) {
+      if (peer == k || !placement_.is_assigned(peer)) {
+        continue;
+      }
+      const auto peer_server =
+          static_cast<std::size_t>(placement_.server_of(peer));
+      bool ok = true;
+      switch (constraint.kind) {
+        case RelationKind::kSameServer:
+          ok = peer_server == j;
+          break;
+        case RelationKind::kSameDatacenter:
+          ok = inst.infra.datacenter_of(peer_server) == dc_j;
+          break;
+        case RelationKind::kDifferentServers:
+          ok = peer_server != j;
+          break;
+        case RelationKind::kDifferentDatacenters:
+          ok = inst.infra.datacenter_of(peer_server) != dc_j;
+          break;
+      }
+      if (!ok) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 ViolationReport PlacementState::violation_report() const {
   ViolationReport report;
   report.capacity_violations = capacity_violations_;

@@ -8,6 +8,9 @@
 // Invariants (see DESIGN.md §7): after construction, rebuild(), rebase(),
 // assign_from(), or any apply/revert, all accumulators equal what a
 // from-scratch Evaluator::evaluate of the same placement would produce.
+// The same accumulators answer the paper's isValidAllocation (Fig. 6), so
+// every placer, from Round-Robin to the CP search, builds its placement
+// by committing moves into a state.
 //
 // Relocating VM k from server a to server b only changes rows a and b of
 // every per-server quantity, the constraints that mention k, and k's own
@@ -180,14 +183,26 @@ class PlacementState {
   [[nodiscard]] bool server_overloaded(std::size_t j) const {
     return overload_count_[j] > 0;
   }
+  // True when relationship constraint c (an index into the instance's
+  // constraint list) holds among its assigned members.
+  [[nodiscard]] bool relation_satisfied(std::size_t c) const {
+    return relation_ok_[c] != 0;
+  }
   // Full report in the ConstraintChecker::check format (builds the
   // overloaded-server list, O(m)).
   [[nodiscard]] ViolationReport violation_report() const;
 
+  // isValidAllocation of the paper's Fig. 6: true when VM k can sit on
+  // server j without exceeding its effective capacity (k's demand counts
+  // only when it is not already there) or breaking a relationship
+  // constraint with an assigned peer.  Reads server j's used row and
+  // k's constraints from the CSR adjacency: O(h + peers of k).
+  [[nodiscard]] bool is_valid_allocation(std::size_t k, std::size_t j) const;
+
   // --- structure accessors ---
   [[nodiscard]] const Placement& placement() const { return placement_; }
-  // Allocated demand per (server, attribute) — the same accumulator the
-  // repair operators and ConstraintChecker::is_valid_move read.
+  // Allocated demand per (server, attribute) — the accumulator the
+  // placers and is_valid_allocation read.
   [[nodiscard]] const Matrix<double>& used() const { return used_; }
   [[nodiscard]] const Matrix<double>& loads() const { return loads_; }
   [[nodiscard]] const Matrix<double>& qos() const { return qos_; }

@@ -20,7 +20,6 @@ TabuRepair::TabuRepair(const Instance& instance, TabuRepairOptions options,
                        std::shared_ptr<const StateTables> tables)
     : instance_(&instance),
       options_(options),
-      checker_(instance),
       tables_(tables ? std::move(tables)
                      : std::make_shared<const StateTables>(instance)),
       neighbour_order_(instance.m()) {
@@ -58,7 +57,7 @@ std::int32_t TabuRepair::find_neighbour(const PlacementState& state,
                      static_cast<std::int32_t>(j))) {
       continue;
     }
-    if (checker_.is_valid_move(state, k, j)) {
+    if (state.is_valid_allocation(k, j)) {
       return static_cast<std::int32_t>(j);
     }
   }
@@ -139,8 +138,8 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
 
     // Deadlock breaker: a satisfied same-server group on a too-small
     // host cannot shed members individually (each move would break the
-    // relation and is_valid_move vetoes it) — relocate the whole group
-    // to a bigger server instead.
+    // relation and is_valid_allocation vetoes it) — relocate the whole
+    // group to a bigger server instead.
     if (state.server_overloaded(j)) {
       for (const PlacementConstraint& c : inst.requests.constraints) {
         if (!state.server_overloaded(j)) {
@@ -179,10 +178,12 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
   const Instance& inst = *instance_;
   bool moved_any = false;
 
-  for (const PlacementConstraint& c : inst.requests.constraints) {
-    if (checker_.relation_satisfied(c, state.placement())) {
+  const auto& constraints = inst.requests.constraints;
+  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
+    if (state.relation_satisfied(ci)) {
       continue;
     }
+    const PlacementConstraint& c = constraints[ci];
     switch (c.kind) {
       case RelationKind::kSameServer: {
         // Relocate the whole group atomically (member-by-member moves can
@@ -235,7 +236,7 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
             if (inst.infra.datacenter_of(j) != anchor_dc) {
               continue;
             }
-            if (checker_.is_valid_move(state, k, j)) {
+            if (state.is_valid_allocation(k, j)) {
               state.apply_move(k, static_cast<std::int32_t>(j));
               tabu.forbid(k, static_cast<std::int32_t>(cur));
               moved_any = true;
@@ -248,8 +249,8 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
       case RelationKind::kDifferentServers:
       case RelationKind::kDifferentDatacenters: {
         // Keep the first occupant of each server/DC; move the duplicates
-        // to the nearest valid alternative (is_valid_move enforces the
-        // anti-affinity against the remaining members).
+        // to the nearest valid alternative (is_valid_allocation enforces
+        // the anti-affinity against the remaining members).
         std::vector<std::uint32_t> members(c.vms);
         rng.shuffle(members);
         std::vector<std::int32_t> taken;

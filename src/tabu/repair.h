@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "model/constraint_checker.h"
 #include "model/instance.h"
 #include "model/placement_state.h"
 
@@ -79,7 +78,6 @@ class TabuRepair {
 
   const Instance* instance_;
   TabuRepairOptions options_;
-  ConstraintChecker checker_;
   std::shared_ptr<const StateTables> tables_;
   // Candidate server ordering per source server (by fabric hop distance),
   // precomputed in the constructor: the heart of the "nearest neighbour"

@@ -5,7 +5,6 @@
 
 #include "common/expect.h"
 #include "common/telemetry.h"
-#include "model/constraint_checker.h"
 #include "model/placement_state.h"
 #include "tabu/tabu_list.h"
 
@@ -25,7 +24,6 @@ TabuSearchResult TabuSearch::improve(const Placement& start, Rng& rng) {
   IAAS_EXPECT(start.vm_count() == inst.n(),
               "placement size mismatch with instance");
 
-  ConstraintChecker checker(inst);
   TabuList tabu(options_.tenure);
 
   // Standalone runs (no EA task sink on this thread) tally into a local
@@ -67,7 +65,7 @@ TabuSearchResult TabuSearch::improve(const Placement& start, Rng& rng) {
       if (j == state.placement().server_of(k)) {
         continue;
       }
-      if (!checker.is_valid_move(state, k, static_cast<std::size_t>(j))) {
+      if (!state.is_valid_allocation(k, static_cast<std::size_t>(j))) {
         continue;
       }
       telemetry::count(telemetry::Counter::kTabuMovesTried);

@@ -7,7 +7,7 @@
 
 #include "common/expect.h"
 #include "common/rng.h"
-#include "model/constraint_checker.h"
+#include "model/placement_state.h"
 #include "workload/strategic.h"
 
 namespace iaas {
@@ -241,9 +241,7 @@ Instance ScenarioGenerator::generate(std::uint64_t seed) const {
   // Previous placement (for the migration objective).
   if (config_.preplaced_fraction > 0.0) {
     Rng rng(seed ^ 0x70726576ULL);
-    ConstraintChecker checker(instance);
-    Matrix<double> used(instance.m(), instance.h());
-    Placement prev(instance.n());
+    PlacementState prev(instance, {}, StateTracking::kViolationsOnly);
     const auto preplaced = static_cast<std::size_t>(
         config_.preplaced_fraction * static_cast<double>(instance.n()));
     for (std::size_t k = 0; k < preplaced; ++k) {
@@ -251,16 +249,13 @@ Instance ScenarioGenerator::generate(std::uint64_t seed) const {
       const std::size_t start = rng.uniform_index(instance.m());
       for (std::size_t off = 0; off < instance.m(); ++off) {
         const std::size_t j = (start + off) % instance.m();
-        if (checker.is_valid_allocation(prev, used, k, j)) {
-          prev.assign(k, static_cast<std::int32_t>(j));
-          for (std::size_t l = 0; l < instance.h(); ++l) {
-            used(j, l) += instance.requests.vms[k].demand[l];
-          }
+        if (prev.is_valid_allocation(k, j)) {
+          prev.apply_move(k, static_cast<std::int32_t>(j));
           break;
         }
       }
     }
-    instance.previous = std::move(prev);
+    instance.previous = prev.placement();
   }
 
   return instance;

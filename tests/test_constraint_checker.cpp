@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/placement_state.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -113,58 +114,33 @@ TEST(ConstraintChecker, RejectedMembersCannotViolateRelations) {
   EXPECT_EQ(checker.check(p).rejected_vms, 1u);
 }
 
-TEST(ConstraintChecker, IsValidAllocationChecksCapacity) {
+TEST(IsValidAllocation, ChecksCapacity) {
   const Instance inst = make_instance(
       1, 2, {10.0, 10.0, 10.0}, {{6.0, 1.0, 1.0}, {6.0, 1.0, 1.0}});
-  const ConstraintChecker checker(inst);
-  Placement p(2);
-  Matrix<double> used;
-  checker.compute_used(p, used);
-  EXPECT_TRUE(checker.is_valid_allocation(p, used, 0, 0));
-  p.assign(0, 0);
-  checker.compute_used(p, used);
-  EXPECT_FALSE(checker.is_valid_allocation(p, used, 1, 0));  // 12 > 10
-  EXPECT_TRUE(checker.is_valid_allocation(p, used, 1, 1));
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  EXPECT_TRUE(state.is_valid_allocation(0, 0));
+  state.apply_move(0, 0);
+  EXPECT_FALSE(state.is_valid_allocation(1, 0));  // 12 > 10
+  EXPECT_TRUE(state.is_valid_allocation(1, 1));
 }
 
-TEST(ConstraintChecker, IsValidAllocationNoIncrementWhenAlreadyThere) {
+TEST(IsValidAllocation, NoIncrementWhenAlreadyThere) {
   const Instance inst =
       make_instance(1, 1, {10.0, 10.0, 10.0}, {{9.0, 9.0, 9.0}});
-  const ConstraintChecker checker(inst);
-  Placement p(1);
-  p.assign(0, 0);
-  Matrix<double> used;
-  checker.compute_used(p, used);
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  state.apply_move(0, 0);
   // Re-validating the current host must not double-count the demand.
-  EXPECT_TRUE(checker.is_valid_allocation(p, used, 0, 0));
+  EXPECT_TRUE(state.is_valid_allocation(0, 0));
 }
 
-TEST(ConstraintChecker, IsValidAllocationHonoursRelations) {
+TEST(IsValidAllocation, HonoursRelations) {
   const Instance inst = make_instance(
       2, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}},
       {{RelationKind::kDifferentDatacenters, {0, 1}}});
-  const ConstraintChecker checker(inst);
-  Placement p(2);
-  p.assign(0, 0);  // DC 0
-  Matrix<double> used;
-  checker.compute_used(p, used);
-  EXPECT_FALSE(checker.is_valid_allocation(p, used, 1, 1));  // DC 0
-  EXPECT_TRUE(checker.is_valid_allocation(p, used, 1, 2));   // DC 1
-}
-
-TEST(ConstraintChecker, ComputeUsedAccumulates) {
-  const Instance inst = make_instance(
-      1, 2, {10.0, 10.0, 10.0}, {{2.0, 3.0, 4.0}, {1.0, 1.0, 1.0}});
-  const ConstraintChecker checker(inst);
-  Placement p(2);
-  p.assign(0, 1);
-  p.assign(1, 1);
-  Matrix<double> used;
-  checker.compute_used(p, used);
-  EXPECT_DOUBLE_EQ(used(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(used(1, 1), 4.0);
-  EXPECT_DOUBLE_EQ(used(1, 2), 5.0);
-  EXPECT_DOUBLE_EQ(used(0, 0), 0.0);
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  state.apply_move(0, 0);  // DC 0
+  EXPECT_FALSE(state.is_valid_allocation(1, 1));  // DC 0
+  EXPECT_TRUE(state.is_valid_allocation(1, 2));   // DC 1
 }
 
 // Property: on generator-produced scenarios an all-rejected placement is

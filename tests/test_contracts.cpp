@@ -3,6 +3,7 @@
 // pin the contract for the library's entry points.
 #include <gtest/gtest.h>
 
+#include "algo/allocator.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "ea/archive.h"
@@ -75,6 +76,19 @@ TEST(ContractsDeathTest, PercentileRejectsBadQuantile) {
 
 TEST(ContractsDeathTest, ArchiveRejectsZeroCapacity) {
   EXPECT_DEATH({ ParetoArchive archive(0); }, "positive");
+}
+
+TEST(ContractsDeathTest, FinalizeRejectsUnknownServer) {
+  // The raw audit runs before sanitization drops out-of-range servers, so
+  // the checker itself must refuse them (Matrix checks bounds only in
+  // debug builds).
+  const Instance inst =
+      test::make_instance(1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
+  Placement raw(1);
+  raw.assign(0, 77);
+  EXPECT_DEATH(
+      (void)Allocator::finalize(inst, "x", raw, 0.0, 0, ObjectiveOptions{}),
+      "unknown server");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // repair hooks, improvement over random, parallel evaluation.
 #include <gtest/gtest.h>
 
+#include "algo/cp_repair.h"
 #include "ea/nsga2.h"
 #include "ea/nsga3.h"
 #include "tabu/repair.h"
@@ -239,6 +240,58 @@ TEST(NsgaBase, ThreadCountInvariantInAllConstraintModes) {
         EXPECT_EQ(ra.population[i].genes, rb.population[i].genes);
         EXPECT_EQ(ra.population[i].objectives, rb.population[i].objectives);
       }
+    }
+  }
+}
+
+TEST(NsgaBase, CpRepairThreadCountInvariant) {
+  // Every CpRepair::repair call searches its own PlacementState over the
+  // repairer's shared, immutable tables, so concurrent repairs from the
+  // evaluation threads must reproduce the serial run exactly.
+  const Instance inst = test::make_random_instance(21, 8, 32);
+  const AllocationProblem problem(inst);
+  const CpRepair repair(inst, 200);
+  const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
+                                       Rng& rng) {
+    repair.repair(genes, rng);
+  };
+
+  NsgaConfig serial = quick_config();
+  serial.constraint_mode = ConstraintMode::kRepair;
+  serial.threads = 1;
+  serial.collect_trace = true;
+  Nsga3 a(problem, serial, repair_fn);
+  const auto ra = a.run(91);
+#if IAAS_TELEMETRY
+  // The repairs searched: their moves are the run's only delta moves.
+  EXPECT_GT(ra.trace.total(&telemetry::GenerationRow::delta_moves), 0u);
+#endif
+
+  for (const std::size_t grain : {std::size_t{0}, std::size_t{7}}) {
+    NsgaConfig parallel = serial;
+    parallel.threads = 8;
+    parallel.task_grain = grain;
+    Nsga3 b(problem, parallel, repair_fn);
+    const auto rb = b.run(91);
+
+    EXPECT_EQ(ra.evaluations, rb.evaluations);
+    EXPECT_EQ(ra.repair_invocations, rb.repair_invocations);
+    EXPECT_EQ(ra.generations, rb.generations);
+    ASSERT_EQ(ra.front.size(), rb.front.size());
+    for (std::size_t i = 0; i < ra.front.size(); ++i) {
+      EXPECT_EQ(ra.front[i].genes, rb.front[i].genes);
+      EXPECT_EQ(ra.front[i].objectives, rb.front[i].objectives);
+      EXPECT_EQ(ra.front[i].violations, rb.front[i].violations);
+    }
+    ASSERT_EQ(ra.population.size(), rb.population.size());
+    for (std::size_t i = 0; i < ra.population.size(); ++i) {
+      EXPECT_EQ(ra.population[i].genes, rb.population[i].genes);
+      EXPECT_EQ(ra.population[i].objectives, rb.population[i].objectives);
+    }
+    ASSERT_EQ(ra.trace.rows.size(), rb.trace.rows.size());
+    for (std::size_t g = 0; g < ra.trace.rows.size(); ++g) {
+      EXPECT_EQ(ra.trace.rows[g].full_rebuilds, rb.trace.rows[g].full_rebuilds);
+      EXPECT_EQ(ra.trace.rows[g].delta_moves, rb.trace.rows[g].delta_moves);
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -207,22 +208,131 @@ TEST(PlacementState, CapacityViolationsTrackMoves) {
   EXPECT_EQ(state.capacity_violations(), 0u);
 }
 
-TEST(ConstraintChecker, IsValidMoveMatchesIsValidAllocation) {
-  const Instance inst = constrained_instance(8);
-  const ConstraintChecker checker(inst);
-  PlacementState state(inst);
-  Rng rng(29);
-  state.rebuild(random_genes(inst, rng));
-
-  Matrix<double> used;
-  checker.compute_used(state.placement(), used);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t k = rng.uniform_index(inst.n());
-    const std::size_t j = rng.uniform_index(inst.m());
-    EXPECT_EQ(checker.is_valid_move(state, k, j),
-              checker.is_valid_allocation(state.placement(), used, k, j));
+// The full-scan isValidAllocation the state's predicate replaced: demand
+// summed from scratch, and every constraint of the instance searched for
+// VM k.
+bool full_scan_is_valid(const Instance& inst, const Placement& placement,
+                        std::size_t k, std::size_t j) {
+  Matrix<double> used(inst.m(), inst.h());
+  for (std::size_t v = 0; v < inst.n(); ++v) {
+    if (placement.is_assigned(v)) {
+      const auto s = static_cast<std::size_t>(placement.server_of(v));
+      for (std::size_t l = 0; l < inst.h(); ++l) {
+        used(s, l) += inst.requests.vms[v].demand[l];
+      }
+    }
   }
+  const Server& server = inst.infra.server(j);
+  const bool already_there =
+      placement.is_assigned(k) &&
+      static_cast<std::size_t>(placement.server_of(k)) == j;
+  for (std::size_t l = 0; l < inst.h(); ++l) {
+    const double add = already_there ? 0.0 : inst.requests.vms[k].demand[l];
+    if (used(j, l) + add > server.effective_capacity(l) + kCapacityEps) {
+      return false;
+    }
+  }
+  const std::uint32_t dc_j = inst.infra.datacenter_of(j);
+  for (const PlacementConstraint& c : inst.requests.constraints) {
+    if (std::find(c.vms.begin(), c.vms.end(),
+                  static_cast<std::uint32_t>(k)) == c.vms.end()) {
+      continue;
+    }
+    for (std::uint32_t peer : c.vms) {
+      if (peer == k || !placement.is_assigned(peer)) {
+        continue;
+      }
+      const auto peer_server =
+          static_cast<std::size_t>(placement.server_of(peer));
+      const std::uint32_t peer_dc = inst.infra.datacenter_of(peer_server);
+      switch (c.kind) {
+        case RelationKind::kSameServer:
+          if (peer_server != j) {
+            return false;
+          }
+          break;
+        case RelationKind::kSameDatacenter:
+          if (peer_dc != dc_j) {
+            return false;
+          }
+          break;
+        case RelationKind::kDifferentServers:
+          if (peer_server == j) {
+            return false;
+          }
+          break;
+        case RelationKind::kDifferentDatacenters:
+          if (peer_dc == dc_j) {
+            return false;
+          }
+          break;
+      }
+    }
+  }
+  return true;
 }
+
+// Property: along a random apply/revert walk (rejections included), the
+// state's isValidAllocation agrees with the full scan on random (k, j)
+// and on k's own host, and every relation flag agrees with the checker.
+class ValidityProperty : public ::testing::TestWithParam<StateTracking> {};
+
+TEST_P(ValidityProperty, PredicateMatchesFullScanAlongAWalk) {
+  std::set<RelationKind> kinds;
+  std::size_t valid = 0;
+  std::size_t invalid = 0;
+  for (const std::uint64_t seed : {8u, 9u, 10u, 11u}) {
+    const Instance inst = constrained_instance(seed);
+    const auto& constraints = inst.requests.constraints;
+    for (const PlacementConstraint& c : constraints) {
+      kinds.insert(c.kind);
+    }
+    const ConstraintChecker checker(inst);
+    PlacementState state(inst, {}, GetParam());
+    Rng rng(seed * 29);
+    state.rebuild(random_genes(inst, rng));
+
+    for (int step = 0; step < 300; ++step) {
+      const std::size_t k = rng.uniform_index(inst.n());
+      std::vector<std::size_t> probes = {rng.uniform_index(inst.m())};
+      if (state.placement().is_assigned(k)) {
+        probes.push_back(
+            static_cast<std::size_t>(state.placement().server_of(k)));
+      }
+      for (const std::size_t j : probes) {
+        const bool expected = full_scan_is_valid(inst, state.placement(), k, j);
+        EXPECT_EQ(state.is_valid_allocation(k, j), expected)
+            << "seed " << seed << " step " << step << " vm " << k
+            << " server " << j;
+        ++(expected ? valid : invalid);
+      }
+
+      if (state.applied_moves() > 0 && rng.bernoulli(0.25)) {
+        state.revert();
+      } else {
+        const std::int32_t target =
+            rng.bernoulli(0.1)
+                ? Placement::kRejected
+                : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+        state.apply_move(rng.uniform_index(inst.n()), target);
+      }
+      for (std::size_t c = 0; c < constraints.size(); ++c) {
+        ASSERT_EQ(state.relation_satisfied(c),
+                  checker.relation_satisfied(constraints[c],
+                                             state.placement()))
+            << "seed " << seed << " step " << step << " constraint " << c;
+      }
+    }
+  }
+  // The seeds hold all four relation kinds, and both outcomes occur.
+  EXPECT_EQ(kinds.size(), 4u);
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(invalid, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tracking, ValidityProperty,
+                         ::testing::Values(StateTracking::kFull,
+                                           StateTracking::kViolationsOnly));
 
 TEST(PlacementState, ViolationsOnlyModeTracksViolationsExactly) {
   // The repair operators run the state in kViolationsOnly mode; its

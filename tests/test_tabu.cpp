@@ -266,20 +266,17 @@ TEST(TabuSearch, ImprovesCostAndStaysFeasible) {
   const Instance inst = make_random_instance(21, 8, 24);
   const ConstraintChecker checker(inst);
   // Start from a deliberately spread-out feasible placement.
-  Placement start(inst.n());
-  Matrix<double> used(inst.m(), inst.h());
+  PlacementState spread(inst, {}, StateTracking::kViolationsOnly);
   for (std::size_t k = 0; k < inst.n(); ++k) {
     for (std::size_t j = 0; j < inst.m(); ++j) {
       const std::size_t cand = (k + j) % inst.m();
-      if (checker.is_valid_allocation(start, used, k, cand)) {
-        start.assign(k, static_cast<std::int32_t>(cand));
-        for (std::size_t l = 0; l < inst.h(); ++l) {
-          used(cand, l) += inst.requests.vms[k].demand[l];
-        }
+      if (spread.is_valid_allocation(k, cand)) {
+        spread.apply_move(k, static_cast<std::int32_t>(cand));
         break;
       }
     }
   }
+  const Placement start = spread.placement();
   ASSERT_TRUE(checker.check(start).feasible());
 
   Evaluator evaluator(inst);
