@@ -109,8 +109,8 @@ void BM_ApplyRevert(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyRevert)->Arg(16)->Arg(64)->Arg(256);
 
-// Full rebuild cost for reference (what evaluate_population pays once per
-// individual).
+// Full rebuild cost for reference (what the engine's unfused evaluation
+// pays once per individual).
 void BM_Rebuild(benchmark::State& state) {
   const Instance inst = make_instance_for(state.range(0));
   PlacementState delta_state(inst);

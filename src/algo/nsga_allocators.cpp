@@ -12,17 +12,15 @@ namespace iaas {
 namespace {
 
 // Shared tail of every EA allocator: run the engine, pick the front
-// member nearest the ideal point, optionally polish with tabu search,
-// then audit + sanitize.  `export_front` additionally copies the final
-// front's gene vectors into the result for the warm-start hand-off.
+// member nearest the ideal point, then audit + sanitize.  `export_front`
+// additionally copies the final front's gene vectors into the result for
+// the warm-start hand-off.
 template <typename Engine>
 AllocationResult run_engine(const Instance& instance, std::uint64_t seed,
                             const std::string& algo_name,
                             const EaAllocatorOptions& options,
                             Engine& engine, bool export_front,
-                            const RepairFn& final_repair = nullptr,
-                            std::shared_ptr<const StateTables> tables =
-                                nullptr) {
+                            const RepairFn& final_repair = nullptr) {
   Stopwatch timer;
   typename Engine::Result ea_result = engine.run(seed);
 
@@ -34,18 +32,10 @@ AllocationResult run_engine(const Instance& instance, std::uint64_t seed,
     Rng repair_rng(seed ^ 0x66696e616cULL);
     final_repair(genes, repair_rng);
   }
-  Placement placement(std::move(genes));
-
-  if (options.post_tabu_search) {
-    TabuSearch search(instance, options.post_search, options.objectives,
-                      std::move(tables));
-    Rng rng(seed ^ 0x7261626175u);  // independent polish stream
-    placement = search.improve(placement, rng).best;
-  }
 
   AllocationResult result = Allocator::finalize(
-      instance, algo_name, std::move(placement), timer.elapsed_seconds(),
-      ea_result.evaluations, options.objectives);
+      instance, algo_name, Placement(std::move(genes)),
+      timer.elapsed_seconds(), ea_result.evaluations, options.objectives);
   result.deadline_hit = ea_result.hit_time_limit;
   if (!ea_result.trace.empty()) {
     result.trace = std::move(ea_result.trace);
@@ -80,8 +70,7 @@ AllocationResult Nsga2Allocator::allocate(const Instance& instance,
                                           std::uint64_t seed) {
   AllocationProblem problem(instance, options_.objectives);
   Nsga2 engine(problem, unmodified(options_.nsga));
-  return run_engine(instance, seed, name(), options_, engine,
-                    export_front_, nullptr, problem.tables());
+  return run_engine(instance, seed, name(), options_, engine, export_front_);
 }
 
 Nsga3Allocator::Nsga3Allocator(EaAllocatorOptions options)
@@ -91,8 +80,7 @@ AllocationResult Nsga3Allocator::allocate(const Instance& instance,
                                           std::uint64_t seed) {
   AllocationProblem problem(instance, options_.objectives);
   Nsga3 engine(problem, unmodified(options_.nsga));
-  return run_engine(instance, seed, name(), options_, engine,
-                    export_front_, nullptr, problem.tables());
+  return run_engine(instance, seed, name(), options_, engine, export_front_);
 }
 
 // Backtrack budgets of the constraint-solver repair: per in-loop
@@ -122,7 +110,7 @@ AllocationResult Nsga3CpAllocator::allocate(const Instance& instance,
     final_repair.repair(genes, rng);
   };
   return run_engine(instance, seed, name(), options_, engine,
-                    export_front_, final_fn, problem.tables());
+                    export_front_, final_fn);
 }
 
 Nsga3TabuAllocator::Nsga3TabuAllocator(EaAllocatorOptions options)
@@ -131,8 +119,8 @@ Nsga3TabuAllocator::Nsga3TabuAllocator(EaAllocatorOptions options)
 AllocationResult Nsga3TabuAllocator::allocate(const Instance& instance,
                                               std::uint64_t seed) {
   AllocationProblem problem(instance, options_.objectives);
-  // One SoA flattening serves the whole hybrid: the problem's pooled
-  // evaluators, the repairer's per-call states, and the post-search walk.
+  // One SoA flattening serves the whole hybrid: the engine's per-slot
+  // evaluators and the repairer's per-call states.
   TabuRepair repair(instance, {}, problem.tables());
   const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
                                        Rng& rng) {
@@ -146,7 +134,7 @@ AllocationResult Nsga3TabuAllocator::allocate(const Instance& instance,
   };
   Nsga3 engine(problem, with_repair(options_.nsga), repair_fn, state_fn);
   return run_engine(instance, seed, name(), options_, engine,
-                    export_front_, repair_fn, problem.tables());
+                    export_front_, repair_fn);
 }
 
 }  // namespace iaas

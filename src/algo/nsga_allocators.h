@@ -14,17 +14,13 @@
 
 #include "algo/allocator.h"
 #include "ea/nsga_config.h"
-#include "tabu/tabu_search.h"
+#include "model/objective_types.h"
 
 namespace iaas {
 
 struct EaAllocatorOptions {
   NsgaConfig nsga;  // Table III defaults
   ObjectiveOptions objectives;
-  // Extension: polish the selected solution with the standalone tabu
-  // search after the EA finishes (off by default — not in the paper).
-  bool post_tabu_search = false;
-  TabuSearchOptions post_search;
 };
 
 // Shared state/plumbing of the EA family: the options block, the anytime

@@ -1,6 +1,7 @@
 #include "broker/multicloud_sim.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "algo/heuristics.h"
@@ -28,6 +29,12 @@ struct PoolUnit {
 
 MultiCloudSimulator::MultiCloudSimulator(MultiCloudSimConfig config)
     : config_(std::move(config)) {
+  IAAS_EXPECT(std::isfinite(config_.arrivals_per_window_mean) &&
+                  config_.arrivals_per_window_mean >= 0.0,
+              "arrivals_per_window_mean must be finite and non-negative");
+  IAAS_EXPECT(config_.departure_probability >= 0.0 &&
+                  config_.departure_probability <= 1.0,
+              "departure_probability must lie in [0, 1]");
   const std::vector<std::string> findings = validate_market(config_.market);
   for (const std::string& finding : findings) {
     IAAS_EXPECT(false, finding.c_str());

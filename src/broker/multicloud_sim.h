@@ -45,8 +45,8 @@ namespace iaas {
 
 struct MultiCloudSimConfig {
   std::size_t windows = 10;
-  double arrivals_per_window_mean = 20.0;  // Poisson arrivals
-  double departure_probability = 0.10;     // per running VM per window
+  double arrivals_per_window_mean = 20.0;  // Poisson arrivals, finite >= 0
+  double departure_probability = 0.10;     // per running VM per window, [0, 1]
   // Periodic explicit schedule overriding the Poisson arrivals (same
   // semantics as SimConfig::arrival_schedule).
   std::vector<std::size_t> arrival_schedule;

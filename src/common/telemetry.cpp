@@ -125,8 +125,6 @@ void count(Counter c, std::uint64_t n) {
   }
 }
 
-bool sink_installed() { return t_sink != nullptr; }
-
 ScopedSink::ScopedSink(CounterBlock& block) : previous_(t_sink) {
   t_sink = &block;
 }

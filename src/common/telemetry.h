@@ -144,8 +144,6 @@ class Registry {
 // when no sink is installed.
 void count(Counter c, std::uint64_t n = 1);
 
-[[nodiscard]] bool sink_installed();
-
 // Installs `block` as the calling thread's counter sink for the scope;
 // restores the previous sink on exit (sinks nest).  The block is NOT
 // flushed to the Registry automatically — the owner decides when its
@@ -164,7 +162,6 @@ class ScopedSink {
 #else  // IAAS_TELEMETRY == 0: everything compiles away.
 
 inline void count(Counter, std::uint64_t = 1) {}
-inline bool sink_installed() { return false; }
 
 class ScopedSink {
  public:

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/expect.h"
 #include "common/stopwatch.h"
-#include "ea/archive.h"
 #include "model/placement.h"
 
 namespace iaas {
@@ -181,7 +179,7 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
     // state at the unrepaired placement; the repair walk keeps every
     // accumulator current, so the state read-out after it IS the
     // evaluation of the repaired genes.
-    PlacementState& state = arena.evaluator().state();
+    PlacementState& state = arena.evaluator->state();
     {
       telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
                                            : nullptr);
@@ -203,8 +201,6 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
     ind.objectives = state.objectives().as_array();
     ind.violations = state.total_violations();
     ind.evaluated = true;
-    // The fused path bypasses AllocationProblem::evaluate (which counts
-    // its own calls), so the evaluation is counted here.
     telemetry::count(telemetry::Counter::kEvaluations);
   } else {
     if (do_repair) {
@@ -214,12 +210,10 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
     }
     telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
                                          : nullptr);
-    // Same contract as AllocationProblem::evaluate, on the arena's
-    // evaluator — no per-call lease round-trip through the pool mutex.
     IAAS_EXPECT(ind.genes.size() == problem_->gene_count(),
                 "individual gene count mismatch");
     telemetry::count(telemetry::Counter::kEvaluations);
-    const Evaluation eval = arena.evaluator().evaluate_genes(ind.genes);
+    const Evaluation eval = arena.evaluator->evaluate_genes(ind.genes);
     ind.objectives = eval.objectives.as_array();
     ind.violations = eval.violations.total();
     ind.evaluated = true;
@@ -306,15 +300,16 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   ThreadPool* pool = evaluation_pool();
   Stopwatch budget_timer;
 
-  // Thread-affine arenas: one evaluator lease (plus gene scratch) per
-  // pool slot, held for the whole run.  Every parallel phase below hands
-  // each participating thread a stable slot (parallel_for_slots), so a
-  // task reaches its scratch without locks and the evaluator free-list
-  // is visited twice per run instead of twice per offspring.
+  // Thread-affine arenas: one evaluator (plus gene scratch) per pool
+  // slot over the problem's shared tables, built here, before any task
+  // fans out, and held for the whole run.  Every parallel phase below
+  // hands each participating thread a stable slot (parallel_for_slots),
+  // so a task reaches its scratch without locks.
   const std::size_t slot_count = pool != nullptr ? pool->size() : 1;
   arenas_ = std::vector<Arena>(slot_count);
   for (Arena& arena : arenas_) {
-    arena.lease.emplace(*problem_);
+    arena.evaluator.emplace(problem_->instance(), problem_->options(),
+                            problem_->tables());
   }
 
   Result result;
@@ -391,14 +386,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     telemetry::Registry::global().flush_counters(task_counters);
   }
 
-  std::optional<ParetoArchive> archive;
-  if (config_.archive_capacity > 0) {
-    archive.emplace(config_.archive_capacity);
-    for (const Individual& ind : population) {
-      archive->insert(ind);
-    }
-  }
-
   // Rank the initial population so the first tournament has information.
   // environmental_selection moves the survivors out of its input, and the
   // input is discarded right after — no copy needed.
@@ -468,12 +455,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     }
     telemetry::Registry::global().flush_counters(task_counters);
 
-    if (archive) {
-      for (const Individual& ind : offspring) {
-        archive->insert(ind);
-      }
-    }
-
     Population merged;
     merged.reserve(population.size() + offspring.size());
     std::move(population.begin(), population.end(),
@@ -507,10 +488,7 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     result.front.push_back(population[idx]);
   }
   result.population = std::move(population);
-  if (archive) {
-    result.archive = archive->members();
-  }
-  arenas_.clear();  // return the leased evaluators to the problem pool
+  arenas_.clear();
   return result;
 }
 

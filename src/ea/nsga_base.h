@@ -12,8 +12,8 @@
 // pair a counter-derived child stream.  The parallel phase then fans each
 // pair out over the thread pool: crossover, mutation, parent/offspring
 // repair, and objective evaluation fused into one task, dispatched in
-// chunks to thread-affine arenas (one evaluator lease + gene scratch per
-// pool slot, held for the whole run).  Because a task touches only its
+// chunks to thread-affine arenas (one evaluator + gene scratch per pool
+// slot, held for the whole run).  Because a task touches only its
 // own offspring slots, its own RNG stream, and its slot's arena — and
 // every cross-individual state reuse (the second child's gene-diff
 // rebase) stays within one task — results are bit-identical for a given
@@ -58,8 +58,6 @@ class NsgaBase {
     Population population;          // final population
     std::vector<Individual> front;  // rank-0 members under the engine's
                                     // dominance relation
-    Population archive;             // external Pareto archive (empty when
-                                    // config.archive_capacity == 0)
     std::size_t evaluations = 0;
     std::size_t repair_invocations = 0;
     std::size_t generations = 0;
@@ -131,17 +129,15 @@ class NsgaBase {
     TaskStats stats;
   };
 
-  // Thread-affine scratch: one per ThreadPool slot, acquired for the
-  // whole run (DESIGN.md §8).  The long-lived lease removes the
-  // per-offspring free-list round-trip; the gene buffers back the lazy
+  // Thread-affine scratch: one per ThreadPool slot, built for the whole
+  // run (DESIGN.md §8).  The evaluator's state is reused across every
+  // individual the slot handles; the gene buffers back the lazy
   // parent-repair copies.  A slot's arena is only ever touched by the
   // participant owning that slot (parallel_for_slots), so no locking.
   struct Arena {
-    std::optional<AllocationProblem::EvaluatorLease> lease;
+    std::optional<Evaluator> evaluator;
     std::vector<std::int32_t> genes_a;  // parent-repair scratch
     std::vector<std::int32_t> genes_b;
-
-    Evaluator& evaluator() { return **lease; }
   };
 
   // One fused task: (lazily copied + repaired) parents, SBX + PM, repair

@@ -40,11 +40,6 @@ struct NsgaConfig {
   // (12 divisions on 3 objectives -> C(14,2) = 91 points < pop 100).
   std::size_t reference_divisions = 12;
 
-  // External Pareto archive capacity; 0 disables it.  When enabled, the
-  // engine's Result carries every non-dominated solution seen across the
-  // run, not just the final generation's front.
-  std::size_t archive_capacity = 0;
-
   // Seed the initial population with the previous window's placement
   // (rejected VMs randomised).  Without it the search almost never
   // rediscovers the incumbent and the migration objective cannot hold

@@ -1,7 +1,5 @@
 #include "ea/problem.h"
 
-#include "common/expect.h"
-#include "common/telemetry.h"
 #include "model/placement.h"
 
 namespace iaas {
@@ -11,24 +9,6 @@ AllocationProblem::AllocationProblem(const Instance& instance,
     : instance_(&instance),
       options_(options),
       tables_(std::make_shared<const StateTables>(instance)) {}
-
-std::unique_ptr<Evaluator> AllocationProblem::acquire_evaluator() const {
-  {
-    std::lock_guard lock(pool_mutex_);
-    if (!evaluator_pool_.empty()) {
-      auto evaluator = std::move(evaluator_pool_.back());
-      evaluator_pool_.pop_back();
-      return evaluator;
-    }
-  }
-  return std::make_unique<Evaluator>(*instance_, options_, tables_);
-}
-
-void AllocationProblem::release_evaluator(
-    std::unique_ptr<Evaluator> evaluator) const {
-  std::lock_guard lock(pool_mutex_);
-  evaluator_pool_.push_back(std::move(evaluator));
-}
 
 std::vector<std::int32_t> AllocationProblem::warm_start_genes(
     Rng& rng) const {
@@ -44,44 +24,6 @@ std::vector<std::int32_t> AllocationProblem::warm_start_genes(
                          0, max_gene()));
   }
   return genes;
-}
-
-void AllocationProblem::evaluate(Individual& individual) const {
-  IAAS_EXPECT(individual.genes.size() == gene_count(),
-              "individual gene count mismatch");
-  telemetry::count(telemetry::Counter::kEvaluations);
-  EvaluatorLease lease(*this);
-  // Pooled evaluators keep their PlacementState accumulators across
-  // individuals (repair-mode populations cycle through here constantly),
-  // and evaluate_genes rebuilds in place — no per-call allocation or
-  // Placement copy.
-  const Evaluation eval = lease->evaluate_genes(individual.genes);
-  individual.objectives = eval.objectives.as_array();
-  individual.violations = eval.violations.total();
-  individual.evaluated = true;
-}
-
-std::size_t AllocationProblem::evaluate_population(
-    std::span<Individual> population, ThreadPool* pool) const {
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < population.size(); ++i) {
-    if (!population[i].evaluated) {
-      pending.push_back(i);
-    }
-  }
-  if (pending.empty()) {
-    return 0;
-  }
-  if (pool == nullptr || pending.size() < 2) {
-    for (std::size_t i : pending) {
-      evaluate(population[i]);
-    }
-  } else {
-    pool->parallel_for(0, pending.size(), [&](std::size_t idx) {
-      evaluate(population[pending[idx]]);
-    });
-  }
-  return pending.size();
 }
 
 }  // namespace iaas

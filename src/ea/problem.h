@@ -1,15 +1,12 @@
-// EA-facing adapter of the allocation model: genes <-> placements,
-// thread-safe objective evaluation with reusable Evaluator scratch.
+// EA-facing adapter of the allocation model: the instance, its objective
+// options and shared SoA tables (what each engine arena builds its
+// Evaluator over), and the warm-start genes.
 #pragma once
 
 #include <memory>
-#include <mutex>
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "ea/individual.h"
 #include "model/instance.h"
 #include "model/objectives.h"
 
@@ -25,8 +22,9 @@ class AllocationProblem {
     return static_cast<std::int32_t>(instance_->m()) - 1;
   }
   [[nodiscard]] const Instance& instance() const { return *instance_; }
+  [[nodiscard]] const ObjectiveOptions& options() const { return options_; }
 
-  // Shared immutable SoA tables (model/placement_state.h); every pooled
+  // Shared immutable SoA tables (model/placement_state.h); every arena
   // evaluator and caller-built repair state of this problem reuses them.
   [[nodiscard]] const std::shared_ptr<const StateTables>& tables() const {
     return tables_;
@@ -38,50 +36,10 @@ class AllocationProblem {
   // place.  Empty when no VM was previously placed.
   [[nodiscard]] std::vector<std::int32_t> warm_start_genes(Rng& rng) const;
 
-  // Evaluate one individual (objectives + violation count).  Thread-safe:
-  // each call borrows an Evaluator from an internal pool.
-  void evaluate(Individual& individual) const;
-
-  // Evaluate all not-yet-evaluated individuals; parallel when pool given.
-  // Returns the number of evaluations actually performed.
-  std::size_t evaluate_population(std::span<Individual> population,
-                                  ThreadPool* pool) const;
-
-  // RAII borrow of a pooled Evaluator (and the PlacementState scratch it
-  // owns).  The fused repair-as-evaluation pipeline rebuilds the state to
-  // an individual's genes, runs the repair walk directly on it, and reads
-  // the evaluation straight out of the state's accumulators — one rebuild
-  // total, no post-repair re-scan.  Thread-safe: each lease holds a
-  // distinct Evaluator.
-  class EvaluatorLease {
-   public:
-    explicit EvaluatorLease(const AllocationProblem& problem)
-        : problem_(&problem), evaluator_(problem.acquire_evaluator()) {}
-    ~EvaluatorLease() {
-      if (evaluator_ != nullptr) {
-        problem_->release_evaluator(std::move(evaluator_));
-      }
-    }
-    EvaluatorLease(const EvaluatorLease&) = delete;
-    EvaluatorLease& operator=(const EvaluatorLease&) = delete;
-
-    [[nodiscard]] Evaluator& operator*() const { return *evaluator_; }
-    [[nodiscard]] Evaluator* operator->() const { return evaluator_.get(); }
-
-   private:
-    const AllocationProblem* problem_;
-    std::unique_ptr<Evaluator> evaluator_;
-  };
-
  private:
-  std::unique_ptr<Evaluator> acquire_evaluator() const;
-  void release_evaluator(std::unique_ptr<Evaluator> evaluator) const;
-
   const Instance* instance_;
   ObjectiveOptions options_;
   std::shared_ptr<const StateTables> tables_;
-  mutable std::mutex pool_mutex_;
-  mutable std::vector<std::unique_ptr<Evaluator>> evaluator_pool_;
 };
 
 }  // namespace iaas

@@ -34,10 +34,9 @@
 #include "model/validate.h"
 #include "model/vm_request.h"
 
-// Random scenario generation + arrival traces.
+// Random scenario generation.
 #include "workload/generator.h"
 #include "workload/scenario_config.h"
-#include "workload/trace.h"
 
 // Integer-programming formulation, CP solver, LP relaxation.
 #include "lp/cp_solver.h"
@@ -46,7 +45,6 @@
 #include "lp/simplex.h"
 
 // Evolutionary framework (NSGA-II / NSGA-III).
-#include "ea/archive.h"
 #include "ea/hypervolume.h"
 #include "ea/individual.h"
 #include "ea/nondominated_sort.h"
@@ -57,10 +55,9 @@
 #include "ea/problem.h"
 #include "ea/reference_points.h"
 
-// Tabu search (repair operator + standalone improvement).
+// Tabu-search repair operator (paper Figs. 5-6).
 #include "tabu/repair.h"
 #include "tabu/tabu_list.h"
-#include "tabu/tabu_search.h"
 
 // Allocation algorithms.
 #include "algo/allocator.h"

@@ -51,8 +51,9 @@ struct Evaluation {
 // state() and PlacementState::try_move instead of repeated full calls.
 class Evaluator {
  public:
-  // `tables` lets pooled evaluators share one immutable StateTables (the
-  // instance-derived SoA flattening) instead of rebuilding it per state.
+  // `tables` lets an engine's per-slot evaluators share one immutable
+  // StateTables (the instance-derived SoA flattening) instead of
+  // rebuilding it per state.
   explicit Evaluator(const Instance& instance, ObjectiveOptions options = {},
                      std::shared_ptr<const StateTables> tables = nullptr)
       : state_(instance, options, StateTracking::kFull, std::move(tables)) {}

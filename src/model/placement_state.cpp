@@ -104,9 +104,9 @@ void PlacementState::rebuild(std::span<const std::int32_t> genes) {
   IAAS_EXPECT(genes.size() == instance_->n(),
               "placement size mismatch with instance");
   // Counted here rather than in rebuild_from_placement: the constructor
-  // also scans (over an all-rejected placement), but evaluator-pool
-  // construction varies with thread count and would make the tally
-  // nondeterministic.
+  // also scans (over an all-rejected placement), but the number of arena
+  // evaluators an engine builds varies with thread count and would make
+  // the tally nondeterministic.
   telemetry::count(telemetry::Counter::kStateRebuilds);
   std::vector<std::int32_t>& dst = placement_.genes();
   std::copy(genes.begin(), genes.end(), dst.begin());
@@ -159,7 +159,6 @@ void PlacementState::rebuild_from_placement() {
     }
   }
 
-  pending_.reset();
   undo_.clear();
 }
 
@@ -173,7 +172,6 @@ std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
     diff += cur[k] != genes[k] ? 1 : 0;
   }
   if (diff == 0) {
-    pending_.reset();
     undo_.clear();
     return 0;
   }
@@ -235,37 +233,8 @@ std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
     relation_ok_[c] = ok ? 1 : 0;
   }
 
-  pending_.reset();
   undo_.clear();
   return diff;
-}
-
-void PlacementState::assign_from(const PlacementState& other) {
-  IAAS_EXPECT(instance_ == other.instance_,
-              "assign_from across different instances");
-  IAAS_EXPECT(tracking_ == other.tracking_,
-              "assign_from across tracking modes");
-  options_ = other.options_;
-  placement_ = other.placement_;
-  used_ = other.used_;
-  loads_ = other.loads_;
-  qos_ = other.qos_;
-  server_head_ = other.server_head_;
-  server_tail_ = other.server_tail_;
-  server_count_ = other.server_count_;
-  vm_next_ = other.vm_next_;
-  vm_prev_ = other.vm_prev_;
-  server_cost_ = other.server_cost_;
-  overload_count_ = other.overload_count_;
-  total_usage_ = other.total_usage_;
-  total_downtime_ = other.total_downtime_;
-  total_migration_ = other.total_migration_;
-  relation_ok_ = other.relation_ok_;
-  capacity_violations_ = other.capacity_violations_;
-  relation_violations_ = other.relation_violations_;
-  rejected_count_ = other.rejected_count_;
-  pending_.reset();
-  undo_.clear();
 }
 
 void PlacementState::detach_vm(std::size_t k, std::size_t j) {
@@ -458,7 +427,6 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
   const Instance& inst = *instance_;
   const std::size_t h = inst.h();
   const std::int32_t from = placement_.server_of(k);
-  pending_ = Move{k, target};
 
   ObjectiveDelta delta;
   delta.objectives = objectives();
@@ -584,17 +552,10 @@ void PlacementState::do_move(std::size_t k, std::int32_t target) {
   }
 }
 
-void PlacementState::apply() {
-  IAAS_EXPECT(pending_.has_value(), "apply without a pending try_move");
-  const Move move = *pending_;
-  apply_move(move.vm, move.target);
-}
-
 void PlacementState::apply_move(std::size_t k, std::int32_t target) {
   telemetry::count(telemetry::Counter::kDeltaMoves);
   undo_.push_back(Move{k, placement_.server_of(k)});
   do_move(k, target);
-  pending_.reset();
 }
 
 void PlacementState::revert() {

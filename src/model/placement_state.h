@@ -6,8 +6,8 @@
 // and downtime cost terms, the per-server VM membership lists, the
 // per-constraint satisfied flags, and the three objective totals.
 // Invariants (see DESIGN.md §7): after construction, rebuild(), rebase(),
-// assign_from(), or any apply/revert, all accumulators equal what a
-// from-scratch Evaluator::evaluate of the same placement would produce.
+// or any apply_move/revert, all accumulators equal what a from-scratch
+// Evaluator::evaluate of the same placement would produce.
 // The same accumulators answer the paper's isValidAllocation (Fig. 6), so
 // every placer, from Round-Robin to the CP search, builds its placement
 // by committing moves into a state.
@@ -25,14 +25,13 @@
 // scalars, per-server capacity/knee/QoS rows and cost scalars, the
 // VM→constraint adjacency) live in an immutable StateTables, flattened
 // into contiguous matrices, scalar arrays, and a CSR index — shareable
-// between every state built against the same Instance, so an evaluator
-// pool pays the flattening once.  The mutable side is equally flat:
-// per-server membership is an intrusive doubly-linked list over three
-// plain arrays (head/next/prev) with O(1) attach/detach and no per-server
-// heap vectors, and the per-server cost accumulators are striped into one
-// contiguous buffer.  A state is therefore copyable with a handful of
-// memcpy-sized vector assignments (assign_from), and the per-attribute
-// hot loops in refresh_server/edit_server run over contiguous row spans.
+// between every state built against the same Instance, so an engine's
+// per-slot evaluators pay the flattening once.  The mutable side is
+// equally flat: per-server membership is an intrusive doubly-linked list
+// over three plain arrays (head/next/prev) with O(1) attach/detach and no
+// per-server heap vectors, and the per-server cost accumulators are
+// striped into one contiguous buffer, so the per-attribute hot loops in
+// refresh_server/edit_server run over contiguous row spans.
 //
 // The invariant also powers the fused repair-as-evaluation pipeline
 // (DESIGN.md §8): TabuRepair::repair_state walks a full-tracking state
@@ -48,7 +47,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,8 +62,8 @@ namespace iaas {
 // hot loops read, flattened out of the AoS Server/VmRequest structs and
 // the per-VM constraint lists.  Built once per Instance and shared (by
 // shared_ptr) across every PlacementState/Evaluator of that instance —
-// the pooled-evaluator and arena paths construct states without re-doing
-// the O(n·h + m·h + constraints) flattening.
+// the engine arenas and repairers construct states without re-doing the
+// O(n·h + m·h + constraints) flattening.
 struct StateTables {
   explicit StateTables(const Instance& instance);
 
@@ -134,23 +132,15 @@ class PlacementState {
   // the servers and constraints the diff touches —
   // O(diff·h + |affected servers|·(h + members) + |affected constraints|)
   // instead of a full rebuild.  Falls back to rebuild() internally when
-  // the diff is too large to pay off.  Like rebuild(), clears the
-  // pending/undo history.  Returns the number of differing genes.
+  // the diff is too large to pay off.  Like rebuild(), clears the undo
+  // history.  Returns the number of differing genes.
   std::size_t rebase(std::span<const std::int32_t> genes);
 
-  // Becomes a copy of `other` (same instance, options, and tracking mode)
-  // without rebuilding: a handful of flat vector assignments, no
-  // allocation after first use.  The pending/undo history is not copied.
-  void assign_from(const PlacementState& other);
-
   // Scores relocating VM k to `target` (server id or Placement::kRejected)
-  // without changing the observable state; the move becomes "pending" so a
-  // following apply() can commit it.
+  // without changing the observable state.
   ObjectiveDelta try_move(std::size_t k, std::int32_t target);
 
-  // Commits the pending move from the last try_move.
-  void apply();
-  // Commits an arbitrary move directly (try_move is not required first).
+  // Commits relocating VM k to `target` (try_move is not required first).
   void apply_move(std::size_t k, std::int32_t target);
   // Undoes applied moves in LIFO order (any depth, back to the last
   // rebuild/rebase).
@@ -353,7 +343,6 @@ class PlacementState {
     std::size_t vm = 0;
     std::int32_t target = 0;
   };
-  std::optional<Move> pending_;
   std::vector<Move> undo_;  // target = the server to move back to
 
   std::vector<double> scratch_row_;  // h-sized hypothetical used row

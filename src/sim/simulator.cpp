@@ -99,6 +99,7 @@ class Fingerprint {
 }  // namespace
 
 std::size_t poisson_sample(double mean, Rng& rng) {
+  IAAS_EXPECT(std::isfinite(mean), "poisson mean must be finite");
   if (mean <= 0.0) {
     return 0;
   }
@@ -187,6 +188,12 @@ CloudSimulator::CloudSimulator(SimConfig config,
                     ? std::move(fallback)
                     : std::make_unique<FirstFitDecreasingAllocator>()) {
   IAAS_EXPECT(allocator_ != nullptr, "simulator needs an allocator");
+  IAAS_EXPECT(std::isfinite(config_.arrivals_per_window_mean) &&
+                  config_.arrivals_per_window_mean >= 0.0,
+              "arrivals_per_window_mean must be finite and non-negative");
+  IAAS_EXPECT(config_.departure_probability >= 0.0 &&
+                  config_.departure_probability <= 1.0,
+              "departure_probability must lie in [0, 1]");
 }
 
 std::vector<WindowMetrics> CloudSimulator::run(std::uint64_t seed) {

@@ -42,13 +42,14 @@ namespace iaas {
 // Poisson-distributed arrival count.  Knuth's multiplicative sampler for
 // small means; large means (where exp(-mean) would underflow, mean >
 // ~745) are split into <= 500 chunks and summed — Poisson additivity
-// keeps the distribution exact for arbitrarily heavy traffic.
+// keeps the distribution exact for arbitrarily heavy traffic.  The mean
+// must be finite; a negative one yields 0.
 std::size_t poisson_sample(double mean, Rng& rng);
 
 struct SimConfig {
   std::size_t windows = 10;
-  double arrivals_per_window_mean = 20.0;  // Poisson arrivals
-  double departure_probability = 0.10;     // per running VM per window
+  double arrivals_per_window_mean = 20.0;  // Poisson arrivals, finite >= 0
+  double departure_probability = 0.10;     // per running VM per window, [0, 1]
   // Platform failures with a lifecycle: correlated rack outages, MTTR
   // measured in windows, permanent decommissions, scripted scenarios.
   FaultConfig faults;
@@ -65,9 +66,9 @@ struct SimConfig {
   // allocate call exceeds deadline * hard factor, its (stale) result is
   // discarded and the greedy fallback serves the window (kFallback).
   double deadline_hard_factor = 0.0;
-  // Explicit per-window arrival counts (e.g. from an ArrivalTrace's
-  // diurnal/burst model).  When non-empty it overrides the Poisson
-  // arrivals; windows beyond its length wrap around (periodic schedule).
+  // Explicit per-window arrival counts (e.g. a recorded or hand-written
+  // load curve).  When non-empty it overrides the Poisson arrivals;
+  // windows beyond its length wrap around (periodic schedule).
   std::vector<std::size_t> arrival_schedule;
   // Persist the allocator's final front across windows and feed it back
   // (Allocator::seed_next_run) as seeds for the next window's search.

@@ -36,54 +36,4 @@ SpotPriceSeries diurnal_spot_series(std::size_t windows, double mean,
   return series;
 }
 
-std::vector<PriceShock> random_price_shocks(std::size_t windows, double rate,
-                                            double factor_min,
-                                            double factor_max,
-                                            std::size_t duration_min,
-                                            std::size_t duration_max,
-                                            std::uint64_t seed) {
-  std::vector<PriceShock> shocks;
-  Rng rng(seed);
-  const std::size_t lo = std::min(duration_min, duration_max);
-  const std::size_t hi = std::max(duration_min, duration_max);
-  for (std::size_t w = 0; w < windows; ++w) {
-    if (!rng.bernoulli(rate)) {
-      continue;
-    }
-    PriceShock shock;
-    shock.window = w;
-    shock.factor = rng.uniform_real(std::min(factor_min, factor_max),
-                                    std::max(factor_min, factor_max));
-    shock.duration = lo + static_cast<std::size_t>(rng.uniform_int(
-                              0, static_cast<std::int64_t>(hi - lo)));
-    shocks.push_back(shock);
-  }
-  return shocks;
-}
-
-std::vector<ProviderOutageScript> random_provider_outages(
-    std::size_t windows, std::uint32_t providers, double rate,
-    std::size_t duration_min, std::size_t duration_max,
-    double decommission_probability, std::uint64_t seed) {
-  std::vector<ProviderOutageScript> script;
-  Rng rng(seed);
-  const std::size_t lo = std::min(duration_min, duration_max);
-  const std::size_t hi = std::max(duration_min, duration_max);
-  for (std::size_t w = 0; w < windows; ++w) {
-    for (std::uint32_t p = 0; p < providers; ++p) {
-      if (!rng.bernoulli(rate)) {
-        continue;
-      }
-      ProviderOutageScript outage;
-      outage.window = w;
-      outage.provider = p;
-      outage.duration = lo + static_cast<std::size_t>(rng.uniform_int(
-                                 0, static_cast<std::int64_t>(hi - lo)));
-      outage.decommission = rng.bernoulli(decommission_probability);
-      script.push_back(outage);
-    }
-  }
-  return script;
-}
-
 }  // namespace iaas

@@ -1,4 +1,4 @@
-// Dynamic-market event primitives and scenario drivers: spot-price
+// Dynamic-market event primitives and a scenario driver: spot-price
 // series, price-shock schedules, and provider-level outage scripts.
 //
 // These are the workload-side inputs of the multi-cloud broker layer
@@ -8,8 +8,8 @@
 // correlated fault of the dynamic-market brokering literature —
 // López-Pires et al., arXiv 2001.02561; Zhao et al., arXiv 1308.0841).
 //
-// Everything here is deterministic: the generators draw from an explicit
-// seed, and the series/scripts they emit are plain data replayed
+// Everything here is deterministic: the spot-series generator draws from
+// an explicit seed, and the series and scripts are plain data replayed
 // identically by every run.
 #pragma once
 
@@ -60,7 +60,7 @@ struct ProviderOutageScript {
   bool decommission = false;
 };
 
-// --- deterministic scenario drivers ---
+// --- deterministic scenario driver ---
 
 // Sinusoidal diurnal spot market: multipliers oscillating around `mean`
 // with the given amplitude and period (windows per cycle), plus bounded
@@ -69,26 +69,5 @@ struct ProviderOutageScript {
 SpotPriceSeries diurnal_spot_series(std::size_t windows, double mean,
                                     double amplitude, std::size_t period,
                                     double jitter, std::uint64_t seed);
-
-// Poisson-thinned shock schedule: each window starts a shock with
-// probability `rate`; factors are drawn uniformly from
-// [factor_min, factor_max] and durations from [duration_min,
-// duration_max].  Deterministic per seed.
-std::vector<PriceShock> random_price_shocks(std::size_t windows, double rate,
-                                            double factor_min,
-                                            double factor_max,
-                                            std::size_t duration_min,
-                                            std::size_t duration_max,
-                                            std::uint64_t seed);
-
-// Random provider-outage script over `providers` clouds: each window,
-// each provider goes dark with probability `rate` for a duration drawn
-// from [duration_min, duration_max]; with probability
-// `decommission_probability` the outage is permanent.  At most one
-// scripted event per (provider, window).
-std::vector<ProviderOutageScript> random_provider_outages(
-    std::size_t windows, std::uint32_t providers, double rate,
-    std::size_t duration_min, std::size_t duration_max,
-    double decommission_probability, std::uint64_t seed);
 
 }  // namespace iaas

@@ -224,21 +224,5 @@ TEST(HybridAllocator, MigrationTermSteersTowardStability) {
             0.5);
 }
 
-TEST(HybridAllocator, PostTabuSearchDoesNotWorsenCost) {
-  const Instance inst = make_random_instance(13, 8, 24);
-  EaAllocatorOptions base = quick_ea_options();
-  Nsga3TabuAllocator plain(base);
-  EaAllocatorOptions polished_options = quick_ea_options();
-  polished_options.post_tabu_search = true;
-  polished_options.post_search.max_iterations = 100;
-  Nsga3TabuAllocator polished(polished_options);
-
-  const double plain_cost =
-      plain.allocate(inst, 17).objectives.aggregate();
-  const double polished_cost =
-      polished.allocate(inst, 17).objectives.aggregate();
-  EXPECT_LE(polished_cost, plain_cost + 1e-9);
-}
-
 }  // namespace
 }  // namespace iaas

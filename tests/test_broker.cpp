@@ -471,6 +471,23 @@ TEST(MultiCloudSim, TelemetryCountersMeterTheLifecycle) {
 }
 #endif  // IAAS_TELEMETRY
 
+// The brokered window loop takes its arrivals from the same rule as the
+// single-cloud one: a schedule shorter than the horizon wraps, and its
+// zero entry leaves the window empty.
+TEST(MultiCloudSim, ArrivedColumnFollowsTheSchedule) {
+  MultiCloudSimConfig cfg = tiny_sim_config();
+  cfg.windows = 7;
+  cfg.departure_probability = 0.0;
+  cfg.arrival_schedule = {3, 0, 7};
+  MultiCloudSimulator sim(cfg);
+  const std::vector<WindowMetrics> metrics = sim.run(11);
+  ASSERT_EQ(metrics.size(), 7u);
+  for (std::size_t w = 0; w < metrics.size(); ++w) {
+    EXPECT_EQ(metrics[w].arrived, cfg.arrival_schedule[w % 3])
+        << "window " << w;
+  }
+}
+
 // --- determinism ----------------------------------------------------
 
 TEST(MultiCloudSim, FingerprintIdenticalAcrossRuns) {

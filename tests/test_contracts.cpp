@@ -3,11 +3,16 @@
 // pin the contract for the library's entry points.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "algo/allocator.h"
+#include "algo/round_robin.h"
+#include "broker/multicloud_sim.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "ea/archive.h"
 #include "model/infrastructure.h"
+#include "sim/simulator.h"
 #include "tests/test_util.h"
 #include "topology/fabric.h"
 
@@ -74,8 +79,54 @@ TEST(ContractsDeathTest, PercentileRejectsBadQuantile) {
   EXPECT_DEATH((void)percentile(v, 1.5), "0,1");
 }
 
-TEST(ContractsDeathTest, ArchiveRejectsZeroCapacity) {
-  EXPECT_DEATH({ ParetoArchive archive(0); }, "positive");
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(ContractsDeathTest, PoissonRejectsNonFiniteMean) {
+  Rng rng(1);
+  EXPECT_DEATH((void)poisson_sample(kInf, rng), "finite");
+  EXPECT_DEATH((void)poisson_sample(kNaN, rng), "finite");
+}
+
+TEST(ContractsDeathTest, SimulatorRejectsBadChurnRates) {
+  for (const double mean : {kInf, kNaN, -1.0}) {
+    SimConfig cfg;
+    cfg.arrivals_per_window_mean = mean;
+    EXPECT_DEATH(
+        { CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>()); },
+        "arrivals_per_window_mean")
+        << "mean " << mean;
+  }
+  for (const double p : {7.5, -0.1, kNaN}) {
+    SimConfig cfg;
+    cfg.departure_probability = p;
+    EXPECT_DEATH(
+        { CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>()); },
+        "departure_probability")
+        << "probability " << p;
+  }
+}
+
+TEST(ContractsDeathTest, MultiCloudSimulatorRejectsBadChurnRates) {
+  MultiCloudSimConfig base;
+  ProviderConfig provider;
+  provider.id = "solo";
+  provider.scenario = ScenarioConfig::paper_scale(16);
+  base.market.providers = {provider};
+  base.request_shape = provider.scenario;
+  for (const double mean : {kInf, kNaN, -1.0}) {
+    MultiCloudSimConfig cfg = base;
+    cfg.arrivals_per_window_mean = mean;
+    EXPECT_DEATH({ MultiCloudSimulator sim(cfg); },
+                 "arrivals_per_window_mean")
+        << "mean " << mean;
+  }
+  for (const double p : {7.5, -0.1, kNaN}) {
+    MultiCloudSimConfig cfg = base;
+    cfg.departure_probability = p;
+    EXPECT_DEATH({ MultiCloudSimulator sim(cfg); }, "departure_probability")
+        << "probability " << p;
+  }
 }
 
 TEST(ContractsDeathTest, FinalizeRejectsUnknownServer) {

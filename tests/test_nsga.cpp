@@ -22,14 +22,14 @@ NsgaConfig quick_config() {
 double mean_random_aggregate(const AllocationProblem& problem,
                              std::uint64_t seed) {
   Rng rng(seed);
+  Evaluator evaluator(problem.instance(), problem.options(),
+                      problem.tables());
   double total = 0.0;
   const int samples = 50;
+  std::vector<std::int32_t> genes(problem.gene_count());
   for (int i = 0; i < samples; ++i) {
-    Individual ind;
-    ind.genes.resize(problem.gene_count());
-    randomize_genes(ind.genes, problem.max_gene(), rng);
-    problem.evaluate(ind);
-    total += ind.objectives[0] + ind.objectives[1] + ind.objectives[2];
+    randomize_genes(genes, problem.max_gene(), rng);
+    total += evaluator.evaluate_genes(genes).objectives.aggregate();
   }
   return total / samples;
 }
@@ -398,13 +398,13 @@ TEST(Nsga3, FusedRepairPathYieldsFeasibleFront) {
   }
   // Fused evaluations must agree with the rebuild facade on the final
   // front members (the repaired genes re-evaluated from scratch).
+  Evaluator evaluator(inst);
   for (const Individual& i : result.front) {
-    Individual fresh;
-    fresh.genes = i.genes;
-    problem.evaluate(fresh);
-    EXPECT_EQ(fresh.violations, i.violations);
+    const Evaluation fresh = evaluator.evaluate_genes(i.genes);
+    EXPECT_EQ(fresh.violations.total(), i.violations);
+    const ObjArray objectives = fresh.objectives.as_array();
     for (std::size_t o = 0; o < ObjectiveVector::kCount; ++o) {
-      EXPECT_NEAR(fresh.objectives[o], i.objectives[o], 1e-7);
+      EXPECT_NEAR(objectives[o], i.objectives[o], 1e-7);
     }
   }
 }
@@ -457,28 +457,6 @@ TEST(AllocationProblem, WarmStartEmptyWithoutPrevious) {
   const AllocationProblem problem(inst);
   Rng rng(1);
   EXPECT_TRUE(problem.warm_start_genes(rng).empty());
-}
-
-TEST(AllocationProblem, EvaluateSetsAllFields) {
-  const Instance inst = test::make_random_instance(12, 8, 16);
-  const AllocationProblem problem(inst);
-  Individual ind;
-  ind.genes.assign(problem.gene_count(), 0);
-  problem.evaluate(ind);
-  EXPECT_TRUE(ind.evaluated);
-  EXPECT_GT(ind.objectives[0], 0.0);  // everything on server 0 costs
-}
-
-TEST(AllocationProblem, EvaluatePopulationSkipsEvaluated) {
-  const Instance inst = test::make_random_instance(13, 8, 16);
-  const AllocationProblem problem(inst);
-  Population pop(4);
-  for (Individual& i : pop) {
-    i.genes.assign(problem.gene_count(), 0);
-  }
-  pop[0].evaluated = true;  // pretend
-  const std::size_t evaluated = problem.evaluate_population(pop, nullptr);
-  EXPECT_EQ(evaluated, 3u);
 }
 
 }  // namespace

@@ -127,7 +127,7 @@ TEST(PlacementState, TryMovePredictsFullEvaluation) {
   }
 }
 
-TEST(PlacementState, ApplyCommitsThePendingMove) {
+TEST(PlacementState, ApplyMoveLandsOnTheScoredDelta) {
   const Instance inst = constrained_instance(5);
   PlacementState state(inst);
   Evaluator evaluator(inst);
@@ -139,7 +139,7 @@ TEST(PlacementState, ApplyCommitsThePendingMove) {
       (state.placement().server_of(k) + 1) %
       static_cast<std::int32_t>(inst.m());
   const ObjectiveDelta delta = state.try_move(k, target);
-  state.apply();
+  state.apply_move(k, target);
   EXPECT_EQ(state.placement().server_of(k), target);
   EXPECT_NEAR(state.aggregate(), delta.objectives.aggregate(), kTol);
   expect_matches_full(state, evaluator);
@@ -184,7 +184,7 @@ TEST(PlacementState, RelationViolationsTrackMoves) {
 
   const ObjectiveDelta fix = state.try_move(1, 0);
   EXPECT_EQ(fix.violations_delta, -1);
-  state.apply();
+  state.apply_move(1, 0);
   EXPECT_EQ(state.relation_violations(), 0u);
   state.revert();
   EXPECT_EQ(state.relation_violations(), 1u);
@@ -201,7 +201,7 @@ TEST(PlacementState, CapacityViolationsTrackMoves) {
 
   const ObjectiveDelta crowd = state.try_move(1, 0);
   EXPECT_EQ(crowd.violations_delta, 3);  // all three attributes exceed
-  state.apply();
+  state.apply_move(1, 0);
   EXPECT_TRUE(state.server_overloaded(0));
   EXPECT_EQ(state.capacity_violations(), 3u);
   state.revert();
@@ -355,8 +355,8 @@ TEST(PlacementState, ViolationsOnlyModeTracksViolationsExactly) {
     const ObjectiveDelta lean_delta = lean.try_move(k, target);
     const ObjectiveDelta full_delta = full.try_move(k, target);
     EXPECT_EQ(lean_delta.violations_delta, full_delta.violations_delta);
-    full.apply();
-    lean.apply();
+    full.apply_move(k, target);
+    lean.apply_move(k, target);
     EXPECT_EQ(lean.capacity_violations(), full.capacity_violations());
     EXPECT_EQ(lean.relation_violations(), full.relation_violations());
     EXPECT_EQ(lean.rejected_count(), full.rejected_count());
@@ -414,33 +414,6 @@ TEST(PlacementState, MembershipListsMirrorThePlacement) {
     total_members += members.size();
   }
   EXPECT_EQ(total_members, inst.n() - state.rejected_count());
-}
-
-TEST(PlacementState, AssignFromClonesAndDecouples) {
-  const Instance inst = constrained_instance(12);
-  const auto tables = std::make_shared<const StateTables>(inst);
-  PlacementState source(inst, {}, StateTracking::kFull, tables);
-  PlacementState copy(inst, {}, StateTracking::kFull, tables);
-  Evaluator evaluator(inst);
-  Rng rng(43);
-  source.rebuild(random_genes(inst, rng));
-  source.apply_move(0, Placement::kRejected);  // non-empty undo log
-
-  copy.assign_from(source);
-  EXPECT_EQ(copy.placement(), source.placement());
-  EXPECT_NEAR(copy.aggregate(), source.aggregate(), kTol);
-  EXPECT_EQ(copy.applied_moves(), 0u);  // undo log does not transfer
-  expect_matches_full(copy, evaluator);
-
-  // The clone is independent: moves on one never leak into the other.
-  const Placement source_before = source.placement();
-  for (int step = 0; step < 40; ++step) {
-    copy.apply_move(rng.uniform_index(inst.n()),
-                    static_cast<std::int32_t>(rng.uniform_index(inst.m())));
-  }
-  EXPECT_EQ(source.placement(), source_before);
-  expect_matches_full(source, evaluator);
-  expect_matches_full(copy, evaluator);
 }
 
 // Rebase property: after any mix of moves, a gene-diff rebase must leave
@@ -542,7 +515,7 @@ TEST_P(PlacementStateProperty, DeltaAgreesWithFullAtEveryStep) {
       const std::int32_t predicted =
           static_cast<std::int32_t>(state.total_violations()) +
           delta.violations_delta;
-      state.apply();
+      state.apply_move(k, target);
       EXPECT_NEAR(state.aggregate(), delta.objectives.aggregate(), kTol);
       EXPECT_EQ(static_cast<std::int32_t>(state.total_violations()),
                 predicted);

@@ -362,6 +362,22 @@ TEST(WindowArrivals, ScheduleWrapAndPoissonFallbackTable) {
   EXPECT_EQ(window_arrivals({}, 0.0, 1000, rng), 0u);
 }
 
+// The window loop takes its arrivals from that rule: a schedule shorter
+// than the horizon wraps, and its zero entry leaves the window empty.
+TEST(CloudSimulator, ArrivedColumnFollowsTheSchedule) {
+  SimConfig cfg = small_sim();
+  cfg.windows = 7;
+  cfg.departure_probability = 0.0;
+  cfg.arrival_schedule = {3, 0, 7};
+  CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>());
+  const auto metrics = sim.run(11);
+  ASSERT_EQ(metrics.size(), 7u);
+  for (std::size_t w = 0; w < metrics.size(); ++w) {
+    EXPECT_EQ(metrics[w].arrived, cfg.arrival_schedule[w % 3])
+        << "window " << w;
+  }
+}
+
 // --- compact_requests property test (randomised) ---
 
 TEST(CompactRequests, RandomisedInvariantsHold) {

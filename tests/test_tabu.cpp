@@ -1,12 +1,10 @@
-// Tabu list, the Fig. 5/6 repair operator, and the standalone tabu
-// search.
+// Tabu list and the Fig. 5/6 repair operator.
 #include <gtest/gtest.h>
 
 #include "model/constraint_checker.h"
 #include "model/objectives.h"
 #include "tabu/repair.h"
 #include "tabu/tabu_list.h"
-#include "tabu/tabu_search.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -260,50 +258,6 @@ TEST(TabuRepair, RepairStateAccumulatorsMatchFreshEvaluation) {
   EXPECT_NEAR(state.objectives().migration_cost,
               full.objectives.migration_cost, kTol);
   EXPECT_EQ(state.total_violations(), full.violations.total());
-}
-
-TEST(TabuSearch, ImprovesCostAndStaysFeasible) {
-  const Instance inst = make_random_instance(21, 8, 24);
-  const ConstraintChecker checker(inst);
-  // Start from a deliberately spread-out feasible placement.
-  PlacementState spread(inst, {}, StateTracking::kViolationsOnly);
-  for (std::size_t k = 0; k < inst.n(); ++k) {
-    for (std::size_t j = 0; j < inst.m(); ++j) {
-      const std::size_t cand = (k + j) % inst.m();
-      if (spread.is_valid_allocation(k, cand)) {
-        spread.apply_move(k, static_cast<std::int32_t>(cand));
-        break;
-      }
-    }
-  }
-  const Placement start = spread.placement();
-  ASSERT_TRUE(checker.check(start).feasible());
-
-  Evaluator evaluator(inst);
-  const double start_cost = evaluator.objectives(start).aggregate();
-
-  TabuSearch search(inst);
-  Rng rng(22);
-  const TabuSearchResult result = search.improve(start, rng);
-  EXPECT_LE(result.best_objectives.aggregate(), start_cost);
-  EXPECT_TRUE(checker.check(result.best).feasible());
-  EXPECT_GT(result.iterations, 0u);
-}
-
-TEST(TabuSearch, NoValidMovesTerminates) {
-  // Single server: no relocation possible; search must stop quickly.
-  const Instance inst =
-      make_instance(1, 1, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
-  Placement start(1);
-  start.assign(0, 0);
-  TabuSearchOptions options;
-  options.max_iterations = 1000;
-  options.stall_limit = 5;
-  TabuSearch search(inst, options);
-  Rng rng(23);
-  const TabuSearchResult result = search.improve(start, rng);
-  EXPECT_LE(result.iterations, 1000u);
-  EXPECT_EQ(result.best.server_of(0), 0);
 }
 
 }  // namespace

@@ -57,24 +57,24 @@ TEST(CounterNames, AllDistinctAndNamed) {
 #if IAAS_TELEMETRY
 
 TEST(ScopedSink, CapturesAndRestores) {
-  EXPECT_FALSE(telemetry::sink_installed());
   telemetry::count(Counter::kEvaluations);  // no sink: dropped, no crash
 
   CounterBlock outer;
+  CounterBlock inner;
   {
     ScopedSink sink(outer);
-    EXPECT_TRUE(telemetry::sink_installed());
     telemetry::count(Counter::kEvaluations);
-    CounterBlock inner;
     {
       ScopedSink nested(inner);
       telemetry::count(Counter::kEvaluations, 4);
     }
     // Nested sink restored: this lands in `outer` again.
     telemetry::count(Counter::kDeltaMoves, 2);
-    EXPECT_EQ(inner[Counter::kEvaluations], 4u);
   }
-  EXPECT_FALSE(telemetry::sink_installed());
+  // Both sinks removed: this lands in neither block.
+  telemetry::count(Counter::kEvaluations, 8);
+  EXPECT_EQ(inner[Counter::kEvaluations], 4u);
+  EXPECT_EQ(inner[Counter::kDeltaMoves], 0u);
   EXPECT_EQ(outer[Counter::kEvaluations], 1u);
   EXPECT_EQ(outer[Counter::kDeltaMoves], 2u);
 }
