@@ -40,9 +40,9 @@ void BM_PolynomialMutation(benchmark::State& state) {
   Rng rng(2);
   std::vector<std::int32_t> genes(static_cast<std::size_t>(state.range(0)));
   randomize_genes(genes, 799, rng);
-  const PmParams params;  // Table III rate 0.20
+  const PmTable table(799, PmParams{});  // Table III rate 0.20
   for (auto _ : state) {
-    polynomial_mutation(genes, 799, params, rng);
+    polynomial_mutation(genes, table, rng);
     benchmark::DoNotOptimize(genes);
   }
 }
@@ -54,7 +54,7 @@ void BM_NondominatedSort(benchmark::State& state) {
   for (Individual& i : pop) {
     i.objectives = {rng.next_double(), rng.next_double(), rng.next_double()};
   }
-  const DominanceFn dom = [](const Individual& a, const Individual& b) {
+  const auto dom = [](const Individual& a, const Individual& b) {
     return dominates(a, b);
   };
   for (auto _ : state) {

@@ -5,47 +5,6 @@
 
 namespace iaas {
 
-std::vector<std::vector<std::size_t>> nondominated_sort(
-    std::span<Individual> population, const DominanceFn& dominates_fn) {
-  const std::size_t n = population.size();
-  std::vector<std::vector<std::size_t>> dominated_by(n);
-  std::vector<std::size_t> domination_count(n, 0);
-  std::vector<std::vector<std::size_t>> fronts(1);
-
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t q = p + 1; q < n; ++q) {
-      if (dominates_fn(population[p], population[q])) {
-        dominated_by[p].push_back(q);
-        ++domination_count[q];
-      } else if (dominates_fn(population[q], population[p])) {
-        dominated_by[q].push_back(p);
-        ++domination_count[p];
-      }
-    }
-    if (domination_count[p] == 0) {
-      population[p].rank = 0;
-      fronts[0].push_back(p);
-    }
-  }
-
-  std::size_t current = 0;
-  while (!fronts[current].empty()) {
-    std::vector<std::size_t> next;
-    for (std::size_t p : fronts[current]) {
-      for (std::size_t q : dominated_by[p]) {
-        if (--domination_count[q] == 0) {
-          population[q].rank = static_cast<std::uint32_t>(current + 1);
-          next.push_back(q);
-        }
-      }
-    }
-    ++current;
-    fronts.push_back(std::move(next));
-  }
-  fronts.pop_back();  // trailing empty front
-  return fronts;
-}
-
 void assign_crowding_distance(std::span<Individual> population,
                               const std::vector<std::size_t>& front) {
   constexpr double kInf = std::numeric_limits<double>::infinity();

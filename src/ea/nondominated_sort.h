@@ -1,7 +1,8 @@
 // Fast non-dominated sorting (Deb et al. 2002, the NSGA-II paper).
 #pragma once
 
-#include <functional>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -9,14 +10,61 @@
 
 namespace iaas {
 
-using DominanceFn =
-    std::function<bool(const Individual&, const Individual&)>;
-
 // Partitions `population` indices into fronts F_0, F_1, ...; sets each
-// individual's `rank` to its front number.  `dominates_fn` selects plain
-// or constrained dominance.
+// individual's `rank` to its front number.  `dominates(a, b)` is the
+// relation (plain, penalised or constrained dominance); it is a template
+// parameter so the O(n^2) pairwise scan inlines it.  Front 0 lists its
+// members in ascending index; front f+1 lists them in the order the
+// members of front f, in turn, release them, each member releasing the
+// ones it dominates in ascending index.
+template <class Dominates>
 std::vector<std::vector<std::size_t>> nondominated_sort(
-    std::span<Individual> population, const DominanceFn& dominates_fn);
+    std::span<Individual> population, const Dominates& dominates) {
+  const std::size_t n = population.size();
+  // Row p of the bit matrix marks the members p dominates, so a row scan
+  // yields them in ascending index with no per-member list.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> dominated(n * words, 0);
+  std::vector<std::size_t> domination_count(n, 0);
+  const auto mark = [&](std::size_t p, std::size_t q) {
+    dominated[p * words + q / 64] |= std::uint64_t{1} << (q % 64);
+    ++domination_count[q];
+  };
+  std::vector<std::vector<std::size_t>> fronts(1);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = p + 1; q < n; ++q) {
+      if (dominates(population[p], population[q])) {
+        mark(p, q);
+      } else if (dominates(population[q], population[p])) {
+        mark(q, p);
+      }
+    }
+    if (domination_count[p] == 0) {
+      population[p].rank = 0;
+      fronts[0].push_back(p);
+    }
+  }
+
+  for (std::size_t current = 0; !fronts[current].empty(); ++current) {
+    std::vector<std::size_t> next;
+    for (std::size_t p : fronts[current]) {
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = dominated[p * words + w]; bits != 0;
+             bits &= bits - 1) {
+          const std::size_t q =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          if (--domination_count[q] == 0) {
+            population[q].rank = static_cast<std::uint32_t>(current + 1);
+            next.push_back(q);
+          }
+        }
+      }
+    }
+    fronts.push_back(std::move(next));
+  }
+  fronts.pop_back();  // trailing empty front
+  return fronts;
+}
 
 // Crowding distance (NSGA-II) over one front; writes Individual::crowding.
 void assign_crowding_distance(std::span<Individual> population,

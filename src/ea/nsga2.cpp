@@ -9,7 +9,7 @@ void Nsga2::environmental_selection(Population& merged, Population& next,
   if (config().constraint_mode == ConstraintMode::kExclude) {
     apply_exclusion(merged);
   }
-  const auto fronts = nondominated_sort(merged, dominance());
+  const auto fronts = sort_fronts(merged);
   next.clear();
   next.reserve(config().population_size);
   for (const auto& front : fronts) {

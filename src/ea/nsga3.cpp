@@ -18,7 +18,7 @@ void Nsga3::environmental_selection(Population& merged, Population& next,
     apply_exclusion(merged);
   }
   const std::size_t target = config().population_size;
-  const auto fronts = nondominated_sort(merged, dominance());
+  const auto fronts = sort_fronts(merged);
 
   next.clear();
   next.reserve(target);

@@ -83,34 +83,36 @@ ThreadPool* NsgaBase::evaluation_pool() {
   return &ThreadPool::shared();
 }
 
-DominanceFn NsgaBase::dominance() const {
+std::vector<std::vector<std::size_t>> NsgaBase::sort_fronts(
+    std::span<Individual> population) const {
   switch (config_.constraint_mode) {
     case ConstraintMode::kIgnore:
-      return [](const Individual& a, const Individual& b) {
-        return dominates(a, b);
-      };
+      break;
     case ConstraintMode::kPenalty:
-      return [](const Individual& a, const Individual& b) {
-        // Penalise stack copies of the objective arrays only — the gene
-        // vectors play no role in dominance.
-        std::array<double, ObjectiveVector::kCount> pa = a.objectives;
-        std::array<double, ObjectiveVector::kCount> pb = b.objectives;
-        for (std::size_t i = 0; i < pa.size(); ++i) {
-          pa[i] += kPenaltyWeight * a.violations;
-          pb[i] += kPenaltyWeight * b.violations;
-        }
-        return dominates(std::span<const double>(pa),
-                         std::span<const double>(pb));
-      };
+      return nondominated_sort(
+          population, [](const Individual& a, const Individual& b) {
+            // Penalise stack copies of the objective arrays only — the
+            // gene vectors play no role in dominance.
+            std::array<double, ObjectiveVector::kCount> pa = a.objectives;
+            std::array<double, ObjectiveVector::kCount> pb = b.objectives;
+            for (std::size_t i = 0; i < pa.size(); ++i) {
+              pa[i] += kPenaltyWeight * a.violations;
+              pb[i] += kPenaltyWeight * b.violations;
+            }
+            return dominates(std::span<const double>(pa),
+                             std::span<const double>(pb));
+          });
     case ConstraintMode::kExclude:
     case ConstraintMode::kRepair:
-      return [](const Individual& a, const Individual& b) {
-        return constrained_dominates(a, b);
-      };
+      return nondominated_sort(
+          population, [](const Individual& a, const Individual& b) {
+            return constrained_dominates(a, b);
+          });
   }
-  return [](const Individual& a, const Individual& b) {
-    return dominates(a, b);
-  };
+  return nondominated_sort(population,
+                           [](const Individual& a, const Individual& b) {
+                             return dominates(a, b);
+                           });
 }
 
 void NsgaBase::apply_exclusion(Population& merged) const {
@@ -221,11 +223,10 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
   ++stats.evaluations;
 }
 
-void NsgaBase::variation_task(const Population& parents, MatingTask& task,
-                              Individual* child_a, Individual* child_b,
-                              Arena& arena) {
+void NsgaBase::variation_task(const Population& parents, const PmTable& pm,
+                              MatingTask& task, Individual* child_a,
+                              Individual* child_b, Arena& arena) {
   const SbxParams sbx{config_.sbx_rate, config_.sbx_distribution_index, 0.5};
-  const PmParams pm{config_.pm_rate, config_.pm_distribution_index};
   const std::int32_t max_gene = problem_->max_gene();
   Rng& rng = task.rng;
 
@@ -265,9 +266,9 @@ void NsgaBase::variation_task(const Population& parents, MatingTask& task,
                                          : nullptr);
     sbx_crossover(*genes_a, *genes_b, child_a->genes, second_genes, max_gene,
                   sbx, rng);
-    polynomial_mutation(child_a->genes, max_gene, pm, rng);
+    polynomial_mutation(child_a->genes, pm, rng);
     if (child_b != nullptr) {
-      polynomial_mutation(child_b->genes, max_gene, pm, rng);
+      polynomial_mutation(child_b->genes, pm, rng);
     }
   }
   repair_evaluate(*child_a, rng, task.stats, arena);
@@ -275,9 +276,12 @@ void NsgaBase::variation_task(const Population& parents, MatingTask& task,
     // The arena state now holds the pair's repaired first child — a base
     // that is a deterministic function of this task alone, so the second
     // child may reposition it with a gene-diff rebase without breaking
-    // bit-identical results across thread counts.  In converged or
-    // warm-started populations the siblings share most genes and the
-    // rebase touches only a few servers.
+    // bit-identical results across thread counts.  It rarely qualifies:
+    // PM mutates each gene of each child with probability 0.20 (Table
+    // III), so siblings differ in over a third of their genes, past the
+    // rebase's n/4 fallback to a rebuild.  perfbench counts 0.0125
+    // rebases against 961 rebuilds per strategic window, 7.97 against
+    // 3,832 per sharded window.
     repair_evaluate(*child_b, rng, task.stats, arena,
                     /*rebase_from_current=*/true);
   }
@@ -317,6 +321,8 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   result.trace.seed = seed;
 
   const std::int32_t max_gene = problem_->max_gene();
+  const PmTable pm_table(max_gene, PmParams{config_.pm_rate,
+                                            config_.pm_distribution_index});
 
   // Initial population.  Serial phase: every main-stream draw (gene
   // randomisation, warm start) happens here in a fixed order.
@@ -443,8 +449,8 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
       Individual* child_b = 2 * p + 1 < offspring.size()
                                 ? &offspring[2 * p + 1]
                                 : nullptr;
-      variation_task(population, tasks[p], &offspring[2 * p], child_b,
-                     arenas_[slot]);
+      variation_task(population, pm_table, tasks[p], &offspring[2 * p],
+                     child_b, arenas_[slot]);
     });
     telemetry::CounterBlock task_counters;
     for (const MatingTask& task : tasks) {
@@ -480,8 +486,7 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   // Final front: rank-0 members under the engine's dominance.  The sort
   // only stamps ranks, so it can run on the population in place; only the
   // front members themselves are copied out.
-  const DominanceFn dom = dominance();
-  const auto fronts = nondominated_sort(population, dom);
+  const auto fronts = sort_fronts(population);
   IAAS_EXPECT(!fronts.empty(), "population cannot be empty");
   result.front.reserve(fronts[0].size());
   for (std::size_t idx : fronts[0]) {

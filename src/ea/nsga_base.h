@@ -96,8 +96,10 @@ class NsgaBase {
   virtual const Individual& tournament(const Population& population,
                                        Rng& rng);
 
-  // Dominance relation implied by the constraint mode.
-  [[nodiscard]] DominanceFn dominance() const;
+  // nondominated_sort under the dominance relation the constraint mode
+  // implies (plain, penalised or Deb's constrained dominance).
+  [[nodiscard]] std::vector<std::vector<std::size_t>> sort_fronts(
+      std::span<Individual> population) const;
 
   // kExclude (paper method 1): drop infeasible individuals; if fewer
   // feasible than population_size remain, keep the least-violating.
@@ -143,9 +145,9 @@ class NsgaBase {
   // One fused task: (lazily copied + repaired) parents, SBX + PM, repair
   // + evaluate the offspring.  `child_b` is null when the pair's second
   // slot falls outside the offspring population (odd size).
-  void variation_task(const Population& parents, MatingTask& task,
-                      Individual* child_a, Individual* child_b,
-                      Arena& arena);
+  void variation_task(const Population& parents, const PmTable& pm,
+                      MatingTask& task, Individual* child_a,
+                      Individual* child_b, Arena& arena);
 
   // Offspring/initial-individual treatment: repair (when the mode asks
   // for it) fused with evaluation.  With a StateRepairFn the repair

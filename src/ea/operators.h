@@ -30,10 +30,24 @@ void sbx_crossover(const std::vector<std::int32_t>& parent_a,
                    std::vector<std::int32_t>& child_b, std::int32_t max_gene,
                    const SbxParams& params, Rng& rng);
 
-// Polynomial mutation in place.
+// Polynomial mutation over the gene domain [0, max_gene], tabulated: the
+// two boundary terms pow(1 - delta, eta_m + 1) depend only on the integer
+// gene, so they are computed once per gene value (2 * (max_gene + 1)
+// pow calls) instead of once per mutated gene.  Read-only after
+// construction, so one table serves every variation task of a run.
+struct PmTable {
+  PmTable(std::int32_t max_gene, const PmParams& params);
+
+  std::int32_t max_gene;
+  PmParams params;
+  std::vector<double> lower;  // pow(1 - x / max_gene, eta_m + 1)
+  std::vector<double> upper;  // pow(1 - (max_gene - x) / max_gene, eta_m + 1)
+};
+
+// Polynomial mutation in place.  Every gene must lie in
+// [0, table.max_gene]; a gene outside it aborts.
 void polynomial_mutation(std::vector<std::int32_t>& genes,
-                         std::int32_t max_gene, const PmParams& params,
-                         Rng& rng);
+                         const PmTable& table, Rng& rng);
 
 // Uniform random genes in [0, max_gene].
 void randomize_genes(std::vector<std::int32_t>& genes, std::int32_t max_gene,

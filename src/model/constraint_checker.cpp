@@ -1,10 +1,55 @@
 #include "model/constraint_checker.h"
 
-#include <algorithm>
-
 #include "common/matrix.h"
 
 namespace iaas {
+namespace {
+
+// The relation checks compare the assigned members in place, with no
+// temporary buffer: they run for every constraint of every moved VM.
+// Rejected members cannot violate a relation, so they are skipped.
+
+// True when every assigned member's server maps to the same key.
+template <class Key>
+bool assigned_keys_equal(const std::vector<std::uint32_t>& vms,
+                         const Placement& placement, Key key) {
+  bool seen = false;
+  decltype(key(0)) first{};
+  for (std::uint32_t k : vms) {
+    if (!placement.is_assigned(k)) {
+      continue;
+    }
+    const auto here = key(placement.server_of(k));
+    if (!seen) {
+      seen = true;
+      first = here;
+    } else if (here != first) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// True when no two assigned members' servers map to the same key.
+template <class Key>
+bool assigned_keys_distinct(const std::vector<std::uint32_t>& vms,
+                            const Placement& placement, Key key) {
+  for (std::size_t i = 1; i < vms.size(); ++i) {
+    if (!placement.is_assigned(vms[i])) {
+      continue;
+    }
+    const auto here = key(placement.server_of(vms[i]));
+    for (std::size_t p = 0; p < i; ++p) {
+      if (placement.is_assigned(vms[p]) &&
+          key(placement.server_of(vms[p])) == here) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 ViolationReport ConstraintChecker::check(const Placement& placement) const {
   const Instance& inst = *instance_;
@@ -53,45 +98,20 @@ ViolationReport ConstraintChecker::check(const Placement& placement) const {
 
 bool ConstraintChecker::relation_satisfied(const PlacementConstraint& c,
                                            const Placement& placement) const {
-  const Instance& inst = *instance_;
-  // Collect the assigned members; groups with < 2 placed members cannot be
-  // violated.
-  std::vector<std::int32_t> servers;
-  servers.reserve(c.vms.size());
-  for (std::uint32_t k : c.vms) {
-    if (placement.is_assigned(k)) {
-      servers.push_back(placement.server_of(k));
-    }
-  }
-  if (servers.size() < 2) {
-    return true;
-  }
-
+  const Infrastructure& infra = instance_->infra;
+  const auto server = [](std::int32_t s) { return s; };
+  const auto datacenter = [&infra](std::int32_t s) {
+    return infra.datacenter_of(static_cast<std::size_t>(s));
+  };
   switch (c.kind) {
     case RelationKind::kSameServer:
-      return std::all_of(servers.begin(), servers.end(),
-                         [&](std::int32_t s) { return s == servers[0]; });
-    case RelationKind::kSameDatacenter: {
-      const std::uint32_t dc0 =
-          inst.infra.datacenter_of(static_cast<std::size_t>(servers[0]));
-      return std::all_of(servers.begin(), servers.end(), [&](std::int32_t s) {
-        return inst.infra.datacenter_of(static_cast<std::size_t>(s)) == dc0;
-      });
-    }
-    case RelationKind::kDifferentServers: {
-      std::vector<std::int32_t> sorted = servers;
-      std::sort(sorted.begin(), sorted.end());
-      return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
-    }
-    case RelationKind::kDifferentDatacenters: {
-      std::vector<std::uint32_t> dcs;
-      dcs.reserve(servers.size());
-      for (std::int32_t s : servers) {
-        dcs.push_back(inst.infra.datacenter_of(static_cast<std::size_t>(s)));
-      }
-      std::sort(dcs.begin(), dcs.end());
-      return std::adjacent_find(dcs.begin(), dcs.end()) == dcs.end();
-    }
+      return assigned_keys_equal(c.vms, placement, server);
+    case RelationKind::kSameDatacenter:
+      return assigned_keys_equal(c.vms, placement, datacenter);
+    case RelationKind::kDifferentServers:
+      return assigned_keys_distinct(c.vms, placement, server);
+    case RelationKind::kDifferentDatacenters:
+      return assigned_keys_distinct(c.vms, placement, datacenter);
   }
   return true;
 }

@@ -1,27 +1,6 @@
 #include "model/load_model.h"
 
-#include <cmath>
-
 namespace iaas {
-
-double qos_at_load(double load, double max_load, double max_qos) {
-  // Eq. 24 divides by (1 - L^M): a knee at exactly 1.0 (or NaN, or out
-  // of range) would emit inf/NaN that propagates into the Eq. 23
-  // downtime cost and silently poisons every objective downstream.
-  // Clamp in all build modes — a server loadable to 100% degrades with
-  // the steepest finite slope instead.  validate_instance additionally
-  // flags such servers on untrusted input.
-  constexpr double kKneeCeiling = 1.0 - 1e-9;
-  if (!(max_load >= 0.0)) {  // negated compare also catches NaN
-    max_load = 0.0;
-  } else if (max_load > kKneeCeiling) {
-    max_load = kKneeCeiling;
-  }
-  if (load <= max_load) {
-    return max_qos;
-  }
-  return max_qos * std::exp((max_load - load) / (1.0 - max_load));
-}
 
 void compute_loads(const Instance& instance, const Placement& placement,
                    Matrix<double>& loads) {

@@ -10,6 +10,8 @@
 //     Q_jl = Q^M_jl * exp((L^M_jl - L_jl)/(1-L^M_jl)) otherwise
 #pragma once
 
+#include <cmath>
+
 #include "common/matrix.h"
 #include "model/instance.h"
 #include "model/placement.h"
@@ -17,8 +19,26 @@
 namespace iaas {
 
 // QoS value for a single (load, knee, max_qos) triple; the scalar core of
-// Eq. 24, exposed for tests and for the piecewise-shape property checks.
-double qos_at_load(double load, double max_load, double max_qos);
+// Eq. 24.  Inline: PlacementState::refresh_server calls it once per
+// attribute of every server it refreshes.
+inline double qos_at_load(double load, double max_load, double max_qos) {
+  // Eq. 24 divides by (1 - L^M): a knee at exactly 1.0 (or NaN, or out
+  // of range) would emit inf/NaN that propagates into the Eq. 23
+  // downtime cost and silently poisons every objective downstream.
+  // Clamp in all build modes — a server loadable to 100% degrades with
+  // the steepest finite slope instead.  validate_instance additionally
+  // flags such servers on untrusted input.
+  constexpr double kKneeCeiling = 1.0 - 1e-9;
+  if (!(max_load >= 0.0)) {  // negated compare also catches NaN
+    max_load = 0.0;
+  } else if (max_load > kKneeCeiling) {
+    max_load = kKneeCeiling;
+  }
+  if (load <= max_load) {
+    return max_qos;
+  }
+  return max_qos * std::exp((max_load - load) / (1.0 - max_load));
+}
 
 // Fills `loads` (m x h) with Eq. 25 for the given placement; rejected VMs
 // contribute nothing.  `loads` is resized if needed.

@@ -1,7 +1,6 @@
 #include "tabu/repair.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/expect.h"
 #include "common/telemetry.h"
@@ -21,47 +20,24 @@ TabuRepair::TabuRepair(const Instance& instance, TabuRepairOptions options,
     : instance_(&instance),
       options_(options),
       tables_(tables ? std::move(tables)
-                     : std::make_shared<const StateTables>(instance)),
-      neighbour_order_(instance.m()) {
-  const Fabric& fabric = instance.infra.fabric();
-  for (std::size_t server = 0; server < instance.m(); ++server) {
-    auto& order = neighbour_order_[server];
-    order.resize(instance.m());
-    std::iota(order.begin(), order.end(), 0u);
-    const auto src = static_cast<std::uint32_t>(server);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return fabric.hop_distance(src, a) <
-                              fabric.hop_distance(src, b);
-                     });
-  }
-}
-
-const std::vector<std::uint32_t>& TabuRepair::neighbours_of(
-    std::size_t server) const {
-  return neighbour_order_[server];
-}
+                     : std::make_shared<const StateTables>(instance)) {}
 
 std::int32_t TabuRepair::find_neighbour(const PlacementState& state,
                                         std::size_t k,
                                         const TabuList& tabu) const {
   telemetry::count(telemetry::Counter::kTabuMovesTried);
+  const Fabric& fabric = instance_->infra.fabric();
   const std::int32_t current = state.placement().server_of(k);
-  const std::size_t anchor =
-      current >= 0 ? static_cast<std::size_t>(current) : 0;
-  for (std::uint32_t j : neighbours_of(anchor)) {
-    if (static_cast<std::int32_t>(j) == current) {
-      continue;
-    }
-    if (tabu.is_tabu(static_cast<std::uint32_t>(k),
-                     static_cast<std::int32_t>(j))) {
-      continue;
-    }
-    if (state.is_valid_allocation(k, j)) {
-      return static_cast<std::int32_t>(j);
-    }
-  }
-  return Placement::kRejected;
+  const auto anchor = static_cast<std::uint32_t>(std::max(current, 0));
+  const auto vm = static_cast<std::uint32_t>(k);
+  const std::uint32_t hit =
+      fabric.find_nearest(anchor, [&](std::uint32_t j) {
+        const auto server = static_cast<std::int32_t>(j);
+        return server != current && !tabu.is_tabu(vm, server) &&
+               state.is_valid_allocation(k, j);
+      });
+  return hit < fabric.server_count() ? static_cast<std::int32_t>(hit)
+                                     : Placement::kRejected;
 }
 
 bool TabuRepair::relocate_group(PlacementState& state,
@@ -109,6 +85,7 @@ bool TabuRepair::relocate_group(PlacementState& state,
 bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
                                  Rng& rng) const {
   const Instance& inst = *instance_;
+  const Fabric& fabric = inst.infra.fabric();
   bool moved_any = false;
 
   for (std::size_t j = 0; j < inst.m(); ++j) {
@@ -157,16 +134,14 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
         if (!anchored_here) {
           continue;
         }
-        for (std::uint32_t target : neighbours_of(j)) {
-          if (target == j) {
-            continue;
-          }
-          if (relocate_group(state, c.vms,
-                             static_cast<std::int32_t>(target), tabu)) {
-            moved_any = true;
-            break;
-          }
-        }
+        const auto host = static_cast<std::uint32_t>(j);
+        const std::uint32_t target =
+            fabric.find_nearest(host, [&](std::uint32_t t) {
+              return t != host &&
+                     relocate_group(state, c.vms,
+                                    static_cast<std::int32_t>(t), tabu);
+            });
+        moved_any = moved_any || target < fabric.server_count();
       }
     }
   }
@@ -176,6 +151,7 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
 bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
                                   Rng& rng) const {
   const Instance& inst = *instance_;
+  const Fabric& fabric = inst.infra.fabric();
   bool moved_any = false;
 
   const auto& constraints = inst.requests.constraints;
@@ -190,25 +166,34 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
         // never reassemble a group scattered over 3+ servers, because the
         // first mover is invalid against its not-yet-moved peers).
         // Anchor candidates: each member's current host (cheapest moves),
-        // then the full fabric-ordered neighbour list.
-        std::vector<std::int32_t> anchors;
+        // then every server by fabric distance from the first host.  A
+        // failed relocation moves nothing, so the hosts can be read as
+        // the scan goes.
+        std::int32_t first_host = Placement::kRejected;
+        bool relocated = false;
         for (std::uint32_t anchor_vm : c.vms) {
-          if (state.placement().is_assigned(anchor_vm)) {
-            anchors.push_back(state.placement().server_of(anchor_vm));
+          if (!state.placement().is_assigned(anchor_vm)) {
+            continue;
           }
-        }
-        if (!anchors.empty()) {
-          for (std::uint32_t j : neighbours_of(
-                   static_cast<std::size_t>(anchors.front()))) {
-            anchors.push_back(static_cast<std::int32_t>(j));
+          const std::int32_t host = state.placement().server_of(anchor_vm);
+          if (first_host == Placement::kRejected) {
+            first_host = host;
           }
-        }
-        for (const std::int32_t anchor : anchors) {
-          if (relocate_group(state, c.vms, anchor, tabu)) {
-            moved_any = true;
+          if (relocate_group(state, c.vms, host, tabu)) {
+            relocated = true;
             break;
           }
         }
+        if (!relocated && first_host != Placement::kRejected) {
+          relocated =
+              fabric.find_nearest(
+                  static_cast<std::uint32_t>(first_host),
+                  [&](std::uint32_t t) {
+                    return relocate_group(state, c.vms,
+                                          static_cast<std::int32_t>(t), tabu);
+                  }) < fabric.server_count();
+        }
+        moved_any = moved_any || relocated;
         break;
       }
       case RelationKind::kSameDatacenter: {
@@ -232,10 +217,12 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
           if (inst.infra.datacenter_of(cur) == anchor_dc) {
             continue;
           }
-          for (std::uint32_t j : neighbours_of(cur)) {
-            if (inst.infra.datacenter_of(j) != anchor_dc) {
-              continue;
-            }
+          // Every server of another datacenter is equally far (6 hops)
+          // from the straggler, so the nearest valid one is the first in
+          // the anchor datacenter's contiguous index range.
+          const std::size_t dc_size = fabric.servers_per_datacenter();
+          for (std::size_t j = anchor_dc * dc_size;
+               j < (anchor_dc + 1) * dc_size; ++j) {
             if (state.is_valid_allocation(k, j)) {
               state.apply_move(k, static_cast<std::int32_t>(j));
               tabu.forbid(k, static_cast<std::int32_t>(cur));

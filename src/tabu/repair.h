@@ -6,9 +6,10 @@
 // Faithful to Fig. 5/6 with two practical refinements (DESIGN.md §6):
 //   * VMs are moved off an overloaded server only until it fits again
 //     (Fig. 5 as written empties the whole server);
-//   * "nearest" neighbour is resolved through the spine-leaf fabric — the
-//     candidate list is ordered by hop distance from the current host, so
-//     repairs prefer same-leaf, then same-DC, then remote servers.
+//   * "nearest" neighbour is resolved through the spine-leaf fabric —
+//     candidates are visited by hop distance from the current host
+//     (Fabric::find_nearest), so repairs prefer same-leaf, then same-DC,
+//     then remote servers.
 // Relationship groups (Eqs. 9-12) are repaired after capacity: members of
 // a violated group are re-anchored onto a server/datacenter that can
 // legally take them.
@@ -79,12 +80,6 @@ class TabuRepair {
   const Instance* instance_;
   TabuRepairOptions options_;
   std::shared_ptr<const StateTables> tables_;
-  // Candidate server ordering per source server (by fabric hop distance),
-  // precomputed in the constructor: the heart of the "nearest neighbour"
-  // scan, immutable afterwards so one repair functor can be shared across
-  // evaluation threads.
-  std::vector<std::vector<std::uint32_t>> neighbour_order_;
-  const std::vector<std::uint32_t>& neighbours_of(std::size_t server) const;
 };
 
 }  // namespace iaas

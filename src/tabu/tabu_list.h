@@ -3,41 +3,40 @@
 // recently left, which is what prevents the repair operator from cycling.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
+#include <vector>
 
 namespace iaas {
 
+// A first-in, first-out set of at most `tenure` keys in one ring buffer
+// of `tenure` entries, scanned linearly: at the default tenure of 16 a
+// scan beats hashing, and forbid never allocates.
 class TabuList {
  public:
-  explicit TabuList(std::size_t tenure) : tenure_(tenure) {}
+  explicit TabuList(std::size_t tenure) : keys_(tenure) {}
 
   void forbid(std::uint32_t vm, std::int32_t server) {
-    if (tenure_ == 0) {
+    const std::uint64_t k = key(vm, server);
+    if (keys_.empty() || contains(k)) {
       return;
     }
-    const std::uint64_t k = key(vm, server);
-    if (entries_.insert(k).second) {
-      order_.push_back(k);
-      if (order_.size() > tenure_) {
-        entries_.erase(order_.front());
-        order_.pop_front();
-      }
-    }
+    keys_[next_] = k;  // overwrites the oldest key once full
+    next_ = next_ + 1 == keys_.size() ? 0 : next_ + 1;
+    size_ = std::min(size_ + 1, keys_.size());
   }
 
   [[nodiscard]] bool is_tabu(std::uint32_t vm, std::int32_t server) const {
-    return entries_.contains(key(vm, server));
+    return contains(key(vm, server));
   }
 
   void clear() {
-    entries_.clear();
-    order_.clear();
+    size_ = 0;
+    next_ = 0;
   }
 
-  [[nodiscard]] std::size_t size() const { return order_.size(); }
-  [[nodiscard]] std::size_t tenure() const { return tenure_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t tenure() const { return keys_.size(); }
 
  private:
   static std::uint64_t key(std::uint32_t vm, std::int32_t server) {
@@ -45,9 +44,16 @@ class TabuList {
            static_cast<std::uint32_t>(server);
   }
 
-  std::size_t tenure_;
-  std::unordered_set<std::uint64_t> entries_;
-  std::deque<std::uint64_t> order_;
+  // The live keys are keys_[0, size_): the buffer fills from the front,
+  // and once full every slot is live.
+  [[nodiscard]] bool contains(std::uint64_t k) const {
+    const auto live = keys_.begin() + static_cast<std::ptrdiff_t>(size_);
+    return std::find(keys_.begin(), live, k) != live;
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::size_t next_ = 0;  // slot the next forbid writes
+  std::size_t size_ = 0;
 };
 
 }  // namespace iaas

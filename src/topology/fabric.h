@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/expect.h"
+
 namespace iaas {
 
 enum class NodeKind : std::uint8_t { kCore, kSpine, kLeaf, kServer };
@@ -82,6 +84,36 @@ class Fabric {
   // 4 same DC (leaf-spine-leaf), 6 across DCs (via core).
   [[nodiscard]] std::uint32_t hop_distance(std::uint32_t server_a,
                                            std::uint32_t server_b) const;
+
+  // Visits servers in ascending hop distance from `source`, ties in
+  // ascending index (the order a stable sort of every server by
+  // hop_distance(source, .) gives), and returns the first one for which
+  // `pred` holds, or server_count() when none does.  Servers are
+  // numbered datacenter-major, then leaf-major, so each distance class
+  // is one or two index ranges: `source`, the rest of its leaf, the
+  // rest of its datacenter, then every other datacenter.
+  template <class Pred>
+  std::uint32_t find_nearest(std::uint32_t source, Pred&& pred) const {
+    IAAS_EXPECT(source < server_count_, "server index out of range");
+    const std::uint32_t leaf_lo =
+        source / config_.servers_per_leaf * config_.servers_per_leaf;
+    const std::uint32_t leaf_hi = leaf_lo + config_.servers_per_leaf;
+    const std::uint32_t dc_lo =
+        source / servers_per_datacenter() * servers_per_datacenter();
+    const std::uint32_t dc_hi = dc_lo + servers_per_datacenter();
+    const std::uint32_t ranges[][2] = {
+        {source, source + 1}, {leaf_lo, source}, {source + 1, leaf_hi},
+        {dc_lo, leaf_lo},     {leaf_hi, dc_hi},  {0, dc_lo},
+        {dc_hi, server_count_}};
+    for (const auto& [lo, hi] : ranges) {
+      for (std::uint32_t j = lo; j < hi; ++j) {
+        if (pred(j)) {
+          return j;
+        }
+      }
+    }
+    return server_count_;
+  }
 
   // Number of edge-disjoint shortest paths between two servers; the
   // redundancy the spine-leaf design buys [19].

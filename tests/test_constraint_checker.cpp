@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
+#include "common/rng.h"
 #include "model/placement_state.h"
 #include "tests/test_util.h"
 
@@ -155,6 +160,83 @@ TEST_P(CheckerProperty, EmptyPlacementFeasible) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerProperty,
                          ::testing::Values(1u, 2u, 3u, 42u, 1234u));
+
+// The relation check as first written — the assigned members' servers
+// (or datacenters) copied out, sorted, and scanned for duplicates — kept
+// as the reference for the in-place comparison.
+bool reference_relation_satisfied(const Instance& inst,
+                                  const PlacementConstraint& c,
+                                  const Placement& placement) {
+  std::vector<std::int32_t> servers;
+  for (std::uint32_t k : c.vms) {
+    if (placement.is_assigned(k)) {
+      servers.push_back(placement.server_of(k));
+    }
+  }
+  if (servers.size() < 2) {
+    return true;
+  }
+  std::vector<std::uint32_t> dcs;
+  for (std::int32_t s : servers) {
+    dcs.push_back(inst.infra.datacenter_of(static_cast<std::size_t>(s)));
+  }
+  switch (c.kind) {
+    case RelationKind::kSameServer:
+      return std::all_of(servers.begin(), servers.end(),
+                         [&](std::int32_t s) { return s == servers[0]; });
+    case RelationKind::kSameDatacenter:
+      return std::all_of(dcs.begin(), dcs.end(),
+                         [&](std::uint32_t d) { return d == dcs[0]; });
+    case RelationKind::kDifferentServers:
+      std::sort(servers.begin(), servers.end());
+      return std::adjacent_find(servers.begin(), servers.end()) ==
+             servers.end();
+    case RelationKind::kDifferentDatacenters:
+      std::sort(dcs.begin(), dcs.end());
+      return std::adjacent_find(dcs.begin(), dcs.end()) == dcs.end();
+  }
+  return true;
+}
+
+TEST(ConstraintChecker, RelationCheckMatchesSortReference) {
+  // 3 DCs x 4 servers, 12 VMs: groups of up to every VM, placed on few
+  // enough servers that shared hosts and datacenters are common.
+  const Instance inst = make_instance(
+      3, 4, {10.0, 10.0, 10.0},
+      std::vector<std::vector<double>>(12, {1.0, 1.0, 1.0}));
+  const ConstraintChecker checker(inst);
+  Rng rng(17);
+  const RelationKind kinds[] = {
+      RelationKind::kSameServer, RelationKind::kSameDatacenter,
+      RelationKind::kDifferentServers, RelationKind::kDifferentDatacenters};
+  std::size_t satisfied = 0;
+  std::size_t violated = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Placement placement(inst.n());
+    // Per trial, hosts come from a random prefix of the fleet, so both
+    // same-* relations and different-* relations hold in some trials.
+    const auto top = static_cast<std::int64_t>(rng.uniform_int(0, 11));
+    for (std::size_t k = 0; k < inst.n(); ++k) {
+      if (!rng.bernoulli(0.2)) {  // else rejected
+        placement.assign(k, static_cast<std::int32_t>(rng.uniform_int(0, top)));
+      }
+    }
+    std::vector<std::uint32_t> all(inst.n());
+    std::iota(all.begin(), all.end(), 0u);
+    rng.shuffle(all);
+    PlacementConstraint c;
+    c.kind = kinds[trial % 4];
+    c.vms.assign(all.begin(),
+                 all.begin() + static_cast<std::ptrdiff_t>(
+                                   rng.uniform_int(0, 12)));
+    const bool expected = reference_relation_satisfied(inst, c, placement);
+    ASSERT_EQ(checker.relation_satisfied(c, placement), expected)
+        << relation_name(c.kind) << ", trial " << trial;
+    ++(expected ? satisfied : violated);
+  }
+  EXPECT_GT(satisfied, 1000u);
+  EXPECT_GT(violated, 1000u);
+}
 
 }  // namespace
 }  // namespace iaas

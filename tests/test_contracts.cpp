@@ -5,12 +5,14 @@
 
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "algo/allocator.h"
 #include "algo/round_robin.h"
 #include "broker/multicloud_sim.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "ea/operators.h"
 #include "model/infrastructure.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
@@ -127,6 +129,20 @@ TEST(ContractsDeathTest, MultiCloudSimulatorRejectsBadChurnRates) {
     EXPECT_DEATH({ MultiCloudSimulator sim(cfg); }, "departure_probability")
         << "probability " << p;
   }
+}
+
+TEST(ContractsDeathTest, PolynomialMutationRejectsGeneOutsideDomain) {
+  // The tabulated mutation indexes its tables by gene, so a gene outside
+  // [0, max_gene] must abort rather than read past their end (or be
+  // folded silently back into range).
+  PmParams params;
+  params.rate = 1.0;
+  const PmTable table(9, params);
+  Rng rng(1);
+  std::vector<std::int32_t> above = {3, 10};
+  EXPECT_DEATH(polynomial_mutation(above, table, rng), "outside");
+  std::vector<std::int32_t> below = {-1, 3};
+  EXPECT_DEATH(polynomial_mutation(below, table, rng), "outside");
 }
 
 TEST(ContractsDeathTest, FinalizeRejectsUnknownServer) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 namespace iaas {
 namespace {
@@ -83,6 +86,53 @@ TEST(Fabric, HopDistanceIsSymmetric) {
   for (std::uint32_t a = 0; a < 24; a += 3) {
     for (std::uint32_t b = 0; b < 24; b += 5) {
       EXPECT_EQ(fabric.hop_distance(a, b), fabric.hop_distance(b, a));
+    }
+  }
+}
+
+// find_nearest against the table it replaced: every server stable-sorted
+// by hop distance from the source.
+TEST(Fabric, FindNearestVisitsTheStableDistanceOrder) {
+  for (std::uint32_t dcs = 1; dcs <= 3; ++dcs) {
+    for (std::uint32_t leaves : {1u, 2u, 4u}) {
+      for (std::uint32_t per_leaf : {1u, 3u, 8u}) {
+        FabricConfig fc;
+        fc.datacenters = dcs;
+        fc.leaves_per_dc = leaves;
+        fc.servers_per_leaf = per_leaf;
+        const Fabric fabric(fc);
+        const std::uint32_t m = fabric.server_count();
+        for (std::uint32_t source = 0; source < m; ++source) {
+          std::vector<std::uint32_t> expected(m);
+          std::iota(expected.begin(), expected.end(), 0u);
+          std::stable_sort(expected.begin(), expected.end(),
+                           [&](std::uint32_t a, std::uint32_t b) {
+                             return fabric.hop_distance(source, a) <
+                                    fabric.hop_distance(source, b);
+                           });
+          std::vector<std::uint32_t> visited;
+          const std::uint32_t none =
+              fabric.find_nearest(source, [&](std::uint32_t j) {
+                visited.push_back(j);
+                return false;
+              });
+          ASSERT_EQ(visited, expected)
+              << dcs << " DC x " << leaves << " leaves x " << per_leaf
+              << " servers, source " << source;
+          EXPECT_EQ(none, m);
+          // The scan stops at, and returns, the first server that
+          // satisfies the predicate.
+          const std::uint32_t target = expected[m / 2];
+          std::size_t calls = 0;
+          EXPECT_EQ(fabric.find_nearest(source,
+                                        [&](std::uint32_t j) {
+                                          ++calls;
+                                          return j == target;
+                                        }),
+                    target);
+          EXPECT_EQ(calls, m / 2 + 1);
+        }
+      }
     }
   }
 }

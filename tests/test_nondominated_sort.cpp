@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -17,11 +21,10 @@ Individual ind(double a, double b, double c, std::uint32_t violations = 0) {
   return i;
 }
 
-const DominanceFn kPlain = [](const Individual& a, const Individual& b) {
+const auto kPlain = [](const Individual& a, const Individual& b) {
   return dominates(a, b);
 };
-const DominanceFn kConstrained = [](const Individual& a,
-                                    const Individual& b) {
+const auto kConstrained = [](const Individual& a, const Individual& b) {
   return constrained_dominates(a, b);
 };
 
@@ -131,6 +134,102 @@ TEST(NondominatedSort, ConstrainedModeSeparatesInfeasible) {
   EXPECT_EQ(pop[2].rank, 1u);  // 1 violation
   EXPECT_EQ(pop[0].rank, 2u);  // 3 violations
   EXPECT_EQ(fronts.size(), 3u);
+}
+
+// Deb's sort as first written — one growing dominated list per member,
+// the relation behind a std::function — kept as the reference the
+// template is compared against.
+std::vector<std::vector<std::size_t>> reference_sort(
+    std::span<Individual> population,
+    const std::function<bool(const Individual&, const Individual&)>& dom) {
+  const std::size_t n = population.size();
+  std::vector<std::vector<std::size_t>> dominated_by(n);
+  std::vector<std::size_t> domination_count(n, 0);
+  std::vector<std::vector<std::size_t>> fronts(1);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = p + 1; q < n; ++q) {
+      if (dom(population[p], population[q])) {
+        dominated_by[p].push_back(q);
+        ++domination_count[q];
+      } else if (dom(population[q], population[p])) {
+        dominated_by[q].push_back(p);
+        ++domination_count[p];
+      }
+    }
+    if (domination_count[p] == 0) {
+      population[p].rank = 0;
+      fronts[0].push_back(p);
+    }
+  }
+  std::size_t current = 0;
+  while (!fronts[current].empty()) {
+    std::vector<std::size_t> next;
+    for (std::size_t p : fronts[current]) {
+      for (std::size_t q : dominated_by[p]) {
+        if (--domination_count[q] == 0) {
+          population[q].rank = static_cast<std::uint32_t>(current + 1);
+          next.push_back(q);
+        }
+      }
+    }
+    ++current;
+    fronts.push_back(std::move(next));
+  }
+  fronts.pop_back();
+  return fronts;
+}
+
+// Objectives drawn from a handful of levels (ties and exact duplicates),
+// with the odd NaN, and violation counts in 0..3 (infeasible members).
+Population random_population(Rng& rng, std::size_t n) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Population pop(n);
+  for (Individual& member : pop) {
+    for (double& v : member.objectives) {
+      v = rng.bernoulli(0.03)
+              ? kNaN
+              : static_cast<double>(rng.uniform_int(0, 4));
+    }
+    member.violations = rng.bernoulli(0.4)
+                            ? static_cast<std::uint32_t>(rng.uniform_int(1, 3))
+                            : 0u;
+  }
+  for (std::size_t i = 0; i + 1 < n; i += 7) {
+    pop[i + 1].objectives = pop[i].objectives;  // exact duplicates
+    pop[i + 1].violations = pop[i].violations;
+  }
+  return pop;
+}
+
+TEST(NondominatedSort, MatchesDebReferenceUnderEveryDominance) {
+  const auto penalised = [](const Individual& a, const Individual& b) {
+    std::array<double, ObjectiveVector::kCount> pa = a.objectives;
+    std::array<double, ObjectiveVector::kCount> pb = b.objectives;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      pa[i] += 1000.0 * a.violations;
+      pb[i] += 1000.0 * b.violations;
+    }
+    return dominates(std::span<const double>(pa),
+                     std::span<const double>(pb));
+  };
+  const auto check = [](Population pop, const auto& dom) {
+    Population expected_pop = pop;
+    const auto expected = reference_sort(expected_pop, dom);
+    const auto fronts = nondominated_sort(pop, dom);
+    ASSERT_EQ(fronts, expected);
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      ASSERT_EQ(pop[i].rank, expected_pop[i].rank) << "member " << i;
+    }
+  };
+  Rng rng(21);
+  for (std::size_t n : {0u, 1u, 2u, 5u, 48u, 63u, 64u, 65u, 130u}) {
+    for (int round = 0; round < 20; ++round) {
+      const Population pop = random_population(rng, n);
+      check(pop, kPlain);
+      check(pop, penalised);
+      check(pop, kConstrained);
+    }
+  }
 }
 
 TEST(Crowding, BoundariesAreInfinite) {

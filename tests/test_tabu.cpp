@@ -1,6 +1,10 @@
 // Tabu list and the Fig. 5/6 repair operator.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <unordered_set>
+
+#include "common/rng.h"
 #include "model/constraint_checker.h"
 #include "model/objectives.h"
 #include "tabu/repair.h"
@@ -46,6 +50,72 @@ TEST(TabuList, ClearEmpties) {
   tabu.clear();
   EXPECT_FALSE(tabu.is_tabu(1, 1));
   EXPECT_EQ(tabu.size(), 0u);
+}
+
+// The hashed set plus FIFO queue the ring buffer replaced, kept as the
+// reference for the differential test below.
+class ReferenceTabuList {
+ public:
+  explicit ReferenceTabuList(std::size_t tenure) : tenure_(tenure) {}
+
+  void forbid(std::uint32_t vm, std::int32_t server) {
+    if (tenure_ == 0) {
+      return;
+    }
+    const std::uint64_t k = key(vm, server);
+    if (entries_.insert(k).second) {
+      order_.push_back(k);
+      if (order_.size() > tenure_) {
+        entries_.erase(order_.front());
+        order_.pop_front();
+      }
+    }
+  }
+  [[nodiscard]] bool is_tabu(std::uint32_t vm, std::int32_t server) const {
+    return entries_.contains(key(vm, server));
+  }
+  void clear() {
+    entries_.clear();
+    order_.clear();
+  }
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+
+ private:
+  static std::uint64_t key(std::uint32_t vm, std::int32_t server) {
+    return (static_cast<std::uint64_t>(vm) << 32) |
+           static_cast<std::uint32_t>(server);
+  }
+  std::size_t tenure_;
+  std::unordered_set<std::uint64_t> entries_;
+  std::deque<std::uint64_t> order_;
+};
+
+TEST(TabuList, MatchesSetAndQueueReference) {
+  for (std::size_t tenure : {0u, 1u, 2u, 16u}) {
+    TabuList tabu(tenure);
+    ReferenceTabuList reference(tenure);
+    EXPECT_EQ(tabu.tenure(), tenure);
+    Rng rng(100 + tenure);
+    for (int step = 0; step < 10000; ++step) {
+      // A small key domain (6 VMs x servers -1..5) makes repeats, hits
+      // and evictions of still-queried keys common.
+      const auto vm = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+      const auto server = static_cast<std::int32_t>(rng.uniform_int(-1, 5));
+      const std::size_t op = rng.uniform_index(100);
+      if (op < 45) {
+        tabu.forbid(vm, server);
+        reference.forbid(vm, server);
+      } else if (op < 99) {
+        ASSERT_EQ(tabu.is_tabu(vm, server), reference.is_tabu(vm, server))
+            << "tenure " << tenure << ", step " << step;
+      } else {
+        tabu.clear();
+        reference.clear();
+      }
+      ASSERT_EQ(tabu.size(), reference.size())
+          << "tenure " << tenure << ", step " << step;
+    }
+  }
 }
 
 TEST(TabuRepair, FixesOverloadedServer) {
