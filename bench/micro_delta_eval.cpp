@@ -123,6 +123,39 @@ void BM_Rebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_Rebuild)->Arg(64)->Arg(256);
 
+// Full rebuild on the shape of a steady strategic window's live set: 128
+// servers in 2 datacenters, 245 VMs (85% carried over from the previous
+// window), 16 tenants, a quarter of them misreporting under the default
+// strategy mix.  The placement is consolidated the way the EA's accepted
+// offspring are: first fit in VM order, so most servers sit empty and
+// the rest run full, some past the QoS knee.
+void BM_RebuildLiveSet(benchmark::State& state) {
+  ScenarioConfig cfg = ScenarioConfig::paper_scale(128, 2);
+  cfg.vms = 245;
+  cfg.preplaced_fraction = 0.85;
+  cfg.consumers = 16;
+  cfg.strategic.strategic_fraction = 0.25;
+  cfg.strategic.profiles = default_strategy_profiles();
+  const Instance inst = ScenarioGenerator(cfg).generate(7);
+  PlacementState packer(inst, {}, StateTracking::kViolationsOnly);
+  for (std::size_t k = 0; k < inst.n(); ++k) {
+    for (std::size_t j = 0; j < inst.m(); ++j) {
+      if (packer.is_valid_allocation(k, j)) {
+        packer.apply_move(k, static_cast<std::int32_t>(j));
+        break;
+      }
+    }
+  }
+  const Placement p = packer.placement();
+  PlacementState delta_state(inst);
+  for (auto _ : state) {
+    delta_state.rebuild(p);
+    benchmark::DoNotOptimize(delta_state.aggregate());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RebuildLiveSet);
+
 // Gene-diff rebase: repositioning a live state onto a sibling's genes
 // (the offspring pipeline's second-child path).  Ping-pongs between two
 // vectors differing in ~2% of genes, so each iteration pays one

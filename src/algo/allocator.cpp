@@ -44,7 +44,9 @@ Placement sanitize_placement(const Instance& instance, const Placement& raw) {
                               : static_cast<std::int32_t>(
                                     instance.infra.datacenter_of(j)));
         }
-        std::int32_t majority = slots.front();
+        // A violated group has at least two assigned members, so the first
+        // slot always replaces this initial value.
+        std::int32_t majority = Placement::kRejected;
         std::size_t best_count = 0;
         for (std::int32_t s : slots) {
           const auto count = static_cast<std::size_t>(

@@ -15,16 +15,6 @@ constexpr double kCapacityHeadroom = 0.9;
 
 }  // namespace
 
-const char* broker_mode_name(BrokerMode mode) {
-  switch (mode) {
-    case BrokerMode::kCheapestFeasible:
-      return "cheapest-feasible";
-    case BrokerMode::kMarketAware:
-      return "market-aware";
-  }
-  return "unknown";
-}
-
 BrokerAllocator::BrokerAllocator(CloudMarket& market, BrokerConfig config)
     : market_(&market), config_(std::move(config)) {
   backends_.resize(market.provider_count());

@@ -32,8 +32,6 @@ enum class BrokerMode : std::uint8_t {
   kMarketAware,       // + price-driven reshopping of running VMs
 };
 
-const char* broker_mode_name(BrokerMode mode);
-
 struct BrokerConfig {
   BrokerMode mode = BrokerMode::kCheapestFeasible;
   // Per-cloud backend, built through algo/registry.

@@ -11,30 +11,6 @@
 
 namespace iaas {
 
-const char* billing_model_name(BillingModel billing) {
-  switch (billing) {
-    case BillingModel::kOnDemand:
-      return "on-demand";
-    case BillingModel::kReserved:
-      return "reserved";
-    case BillingModel::kSpot:
-      return "spot";
-  }
-  return "unknown";
-}
-
-const char* availability_class_name(AvailabilityClass availability) {
-  switch (availability) {
-    case AvailabilityClass::kGold:
-      return "gold";
-    case AvailabilityClass::kSilver:
-      return "silver";
-    case AvailabilityClass::kBronze:
-      return "bronze";
-  }
-  return "unknown";
-}
-
 AvailabilityParams availability_defaults(AvailabilityClass availability) {
   switch (availability) {
     case AvailabilityClass::kGold:
@@ -123,18 +99,6 @@ std::vector<std::string> validate_market(const CloudMarketConfig& config) {
   return findings;
 }
 
-const char* market_event_kind_name(MarketEventKind kind) {
-  switch (kind) {
-    case MarketEventKind::kProviderOutage:
-      return "provider-outage";
-    case MarketEventKind::kProviderRecovery:
-      return "provider-recovery";
-    case MarketEventKind::kProviderDecommission:
-      return "provider-decommission";
-  }
-  return "unknown";
-}
-
 CloudProvider::CloudProvider(ProviderConfig config,
                              Infrastructure infrastructure,
                              std::uint64_t fault_seed)
@@ -189,7 +153,7 @@ CloudMarket::CloudMarket(CloudMarketConfig config, std::uint64_t seed)
 std::size_t CloudMarket::online_count() const {
   std::size_t n = 0;
   for (const CloudProvider& provider : providers_) {
-    n += provider.online() ? 1 : 0;
+    n += provider.online() ? 1u : 0u;
   }
   return n;
 }

@@ -42,8 +42,6 @@ enum class BillingModel : std::uint8_t {
   kSpot,      // on_demand_multiplier x per-window spot series
 };
 
-const char* billing_model_name(BillingModel billing);
-
 // Outage-rate presets keyed by marketing tier; merged into a provider's
 // FaultConfig when the provider does not script its own rates, and
 // driving the market-level random provider-outage draw.
@@ -52,8 +50,6 @@ enum class AvailabilityClass : std::uint8_t {
   kSilver,  // rare rack faults, very rare provider blackouts
   kBronze,  // frequent rack faults, occasional provider blackouts
 };
-
-const char* availability_class_name(AvailabilityClass availability);
 
 struct AvailabilityParams {
   double leaf_failure_probability = 0.0;      // per rack per window
@@ -112,8 +108,6 @@ enum class MarketEventKind : std::uint8_t {
   kProviderRecovery,      // cloud back online
   kProviderDecommission,  // cloud left the market permanently
 };
-
-const char* market_event_kind_name(MarketEventKind kind);
 
 struct MarketEvent {
   std::size_t window = 0;

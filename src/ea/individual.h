@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,14 +33,40 @@ struct Individual {
 using Population = std::vector<Individual>;
 
 // Pareto dominance on raw objective values (minimisation); the kernel the
-// Individual overload and the penalised comparators share.
-bool dominates(std::span<const double> a, std::span<const double> b);
+// Individual overload and the penalised comparators share.  Inline, like
+// the other two: the non-dominated sort calls them once per pair of
+// individuals every generation.
+inline bool dominates(std::span<const double> a, std::span<const double> b) {
+  bool strictly_better = false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] > b[i]) {
+      return false;
+    }
+    if (a[i] < b[i]) {
+      strictly_better = true;
+    }
+  }
+  return strictly_better;
+}
 
 // Pareto dominance on the objective arrays (minimisation).
-bool dominates(const Individual& a, const Individual& b);
+inline bool dominates(const Individual& a, const Individual& b) {
+  return dominates(std::span<const double>(a.objectives),
+                   std::span<const double>(b.objectives));
+}
 
 // Deb's constrained dominance: feasible beats infeasible; among
 // infeasible, fewer violations win; among feasible, Pareto dominance.
-bool constrained_dominates(const Individual& a, const Individual& b);
+inline bool constrained_dominates(const Individual& a, const Individual& b) {
+  const bool a_feasible = a.violations == 0;
+  const bool b_feasible = b.violations == 0;
+  if (a_feasible != b_feasible) {
+    return a_feasible;
+  }
+  if (!a_feasible) {
+    return a.violations < b.violations;
+  }
+  return dominates(a, b);
+}
 
 }  // namespace iaas

@@ -9,8 +9,8 @@ namespace iaas {
 namespace {
 
 std::int32_t round_clamp(double value, std::int32_t max_gene) {
-  const auto rounded = static_cast<std::int32_t>(std::lround(value));
-  return std::clamp(rounded, 0, max_gene);
+  return static_cast<std::int32_t>(std::clamp<std::int64_t>(
+      round_half_away(value), 0, max_gene));
 }
 
 // Deb's SBX spread factor for a uniform draw u.
@@ -85,7 +85,8 @@ void polynomial_mutation(std::vector<std::int32_t>& genes,
     return;  // single server: nothing to mutate to
   }
   const double range = static_cast<double>(max_gene);
-  const double eta = table.params.distribution_index;
+  const double inverse_exponent =
+      1.0 / (table.params.distribution_index + 1.0);
   for (std::int32_t& gene : genes) {
     IAAS_EXPECT(gene >= 0 && gene <= max_gene,
                 "polynomial mutation: gene outside [0, max_gene]");
@@ -98,11 +99,11 @@ void polynomial_mutation(std::vector<std::int32_t>& genes,
     double deltaq;
     if (u <= 0.5) {
       const double val = 2.0 * u + (1.0 - 2.0 * u) * table.lower[index];
-      deltaq = std::pow(val, 1.0 / (eta + 1.0)) - 1.0;
+      deltaq = std::pow(val, inverse_exponent) - 1.0;
     } else {
       const double val =
           2.0 * (1.0 - u) + 2.0 * (u - 0.5) * table.upper[index];
-      deltaq = 1.0 - std::pow(val, 1.0 / (eta + 1.0));
+      deltaq = 1.0 - std::pow(val, inverse_exponent);
     }
     double mutated = x + deltaq * range;
     // Rounding can leave the gene unchanged on small perturbations; nudge

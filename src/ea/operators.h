@@ -22,6 +22,16 @@ struct PmParams {
   double distribution_index = 15.0;  // eta_m
 };
 
+// std::lround's rounding (halves away from zero), inline and exact for
+// every |x| < 2^63: the truncation is exact, so is x minus it (the
+// fraction), and the fraction is compared with 1/2 exactly.  SBX and PM
+// round every child gene through it.
+inline std::int64_t round_half_away(double x) {
+  const auto whole = static_cast<std::int64_t>(x);
+  const double fraction = x - static_cast<double>(whole);
+  return whole + (fraction >= 0.5 ? 1 : 0) - (fraction <= -0.5 ? 1 : 0);
+}
+
 // Simulated binary crossover on integer genes; children overwrite the
 // provided buffers.  Parents may alias children.
 void sbx_crossover(const std::vector<std::int32_t>& parent_a,

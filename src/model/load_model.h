@@ -18,26 +18,35 @@
 
 namespace iaas {
 
-// QoS value for a single (load, knee, max_qos) triple; the scalar core of
-// Eq. 24.  Inline: PlacementState::refresh_server calls it once per
-// attribute of every server it refreshes.
-inline double qos_at_load(double load, double max_load, double max_qos) {
-  // Eq. 24 divides by (1 - L^M): a knee at exactly 1.0 (or NaN, or out
-  // of range) would emit inf/NaN that propagates into the Eq. 23
-  // downtime cost and silently poisons every objective downstream.
-  // Clamp in all build modes — a server loadable to 100% degrades with
-  // the steepest finite slope instead.  validate_instance additionally
-  // flags such servers on untrusted input.
+// Eq. 24 divides by (1 - L^M): a knee at exactly 1.0 (or NaN, or out of
+// range) would emit inf/NaN that propagates into the Eq. 23 downtime
+// cost and silently poisons every objective downstream.  The knee is
+// clamped in all build modes — a server loadable to 100% degrades with
+// the steepest finite slope instead, and a NaN or negative knee becomes
+// 0.  validate_instance additionally flags such servers on untrusted
+// input.
+inline double clamp_knee(double max_load) {
   constexpr double kKneeCeiling = 1.0 - 1e-9;
   if (!(max_load >= 0.0)) {  // negated compare also catches NaN
-    max_load = 0.0;
-  } else if (max_load > kKneeCeiling) {
-    max_load = kKneeCeiling;
+    return 0.0;
   }
-  if (load <= max_load) {
+  return max_load > kKneeCeiling ? kKneeCeiling : max_load;
+}
+
+// Eq. 24 at a knee already clamped by clamp_knee: the exp runs only above
+// the knee.  PlacementState reads the clamped knees from its StateTables
+// and calls this once per attribute of every server it scans.
+inline double qos_at_knee(double load, double knee, double max_qos) {
+  if (load <= knee) {
     return max_qos;
   }
-  return max_qos * std::exp((max_load - load) / (1.0 - max_load));
+  return max_qos * std::exp((knee - load) / (1.0 - knee));
+}
+
+// QoS value for a single (load, knee, max_qos) triple; the scalar core of
+// Eq. 24.
+inline double qos_at_load(double load, double max_load, double max_qos) {
+  return qos_at_knee(load, clamp_knee(max_load), max_qos);
 }
 
 // Fills `loads` (m x h) with Eq. 25 for the given placement; rejected VMs

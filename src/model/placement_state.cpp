@@ -1,6 +1,8 @@
 #include "model/placement_state.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/telemetry.h"
@@ -13,9 +15,10 @@ StateTables::StateTables(const Instance& instance)
       vm_qos_guarantee(instance.n(), 0.0),
       vm_downtime_cost(instance.n(), 0.0),
       vm_migration_cost(instance.n(), 0.0),
+      previous_host(instance.n(), Placement::kRejected),
       capacity(instance.m(), instance.h()),
       effective_capacity(instance.m(), instance.h()),
-      max_load(instance.m(), instance.h()),
+      knee(instance.m(), instance.h()),
       max_qos(instance.m(), instance.h()),
       server_usage_cost(instance.m(), 0.0),
       server_opex(instance.m(), 0.0),
@@ -24,6 +27,9 @@ StateTables::StateTables(const Instance& instance)
   const std::size_t m = instance.m();
   const std::size_t h = instance.h();
 
+  IAAS_EXPECT(instance.previous.vm_count() == n,
+              "previous placement size mismatch with instance");
+  highest_qos_guarantee = -std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < n; ++k) {
     const VmRequest& vm = instance.requests.vms[k];
     std::span<double> row = demand.row(k);
@@ -33,18 +39,25 @@ StateTables::StateTables(const Instance& instance)
     vm_qos_guarantee[k] = vm.qos_guarantee;
     vm_downtime_cost[k] = vm.downtime_cost;
     vm_migration_cost[k] = vm.migration_cost;
+    previous_host[k] = instance.previous.server_of(k);
+    if (std::isnan(vm.qos_guarantee) || std::isnan(highest_qos_guarantee)) {
+      highest_qos_guarantee = std::numeric_limits<double>::quiet_NaN();
+    } else {
+      highest_qos_guarantee =
+          std::max(highest_qos_guarantee, vm.qos_guarantee);
+    }
   }
 
   for (std::size_t j = 0; j < m; ++j) {
     const Server& server = instance.infra.server(j);
     std::span<double> cap = capacity.row(j);
     std::span<double> ecap = effective_capacity.row(j);
-    std::span<double> ml = max_load.row(j);
+    std::span<double> kn = knee.row(j);
     std::span<double> mq = max_qos.row(j);
     for (std::size_t l = 0; l < h; ++l) {
       cap[l] = server.capacity[l];
       ecap[l] = server.effective_capacity(l);
-      ml[l] = server.max_load[l];
+      kn[l] = clamp_knee(server.max_load[l]);
       mq[l] = server.max_qos[l];
     }
     server_usage_cost[j] = server.usage_cost;
@@ -82,10 +95,9 @@ PlacementState::PlacementState(const Instance& instance,
                      : std::make_shared<const StateTables>(instance)),
       placement_(instance.n()),
       used_(instance.m(), instance.h()),
-      server_head_(instance.m(), kNoVm),
       server_tail_(instance.m(), kNoVm),
       server_count_(instance.m(), 0),
-      vm_next_(instance.n(), kNoVm),
+      vm_next_(instance.n() + instance.m(), kNoVm),
       vm_prev_(instance.n(), kNoVm),
       server_cost_(2 * instance.m(), 0.0),
       overload_count_(instance.m(), 0),
@@ -118,39 +130,111 @@ void PlacementState::rebuild(const Placement& placement) {
 }
 
 void PlacementState::rebuild_from_placement() {
-  const Instance& inst = *instance_;
-  const std::size_t m = inst.m();
+  const StateTables& t = *tables_;
+  const std::size_t n = instance_->n();
+  const std::size_t m = instance_->m();
+  const std::size_t h = instance_->h();
+  const std::int32_t* genes = placement_.genes().data();
 
+  // VM pass, ascending k: link k at its server's tail (an empty server's
+  // tail is its head slot, so no branch on an empty list) and add its
+  // demand row, so every used row sums its VMs in ascending order from 0.
+  // Each list is terminated once at the end, not after every link.
   used_.fill(0.0);
-  std::fill(server_head_.begin(), server_head_.end(), kNoVm);
-  std::fill(server_tail_.begin(), server_tail_.end(), kNoVm);
+  std::iota(server_tail_.begin(), server_tail_.end(),
+            static_cast<std::uint32_t>(n));
   std::fill(server_count_.begin(), server_count_.end(), 0u);
-  rejected_count_ = 0;
-  total_migration_ = 0.0;
-  for (std::size_t k = 0; k < inst.n(); ++k) {
-    if (!placement_.is_assigned(k)) {
-      ++rejected_count_;
+  double* used = used_.flat().data();
+  const double* demand = t.demand.flat().data();
+  std::uint32_t* next = vm_next_.data();
+  std::uint32_t* prev = vm_prev_.data();
+  std::uint32_t* tail = server_tail_.data();
+  std::uint32_t* count = server_count_.data();
+  std::size_t rejected = 0;
+  for (std::size_t k = 0; k < n; ++k, demand += h) {
+    if (genes[k] < 0) {
+      ++rejected;
       continue;
     }
-    const auto j = static_cast<std::size_t>(placement_.server_of(k));
+    const auto j = static_cast<std::size_t>(genes[k]);
     IAAS_DEBUG_EXPECT(j < m, "placement references unknown server");
-    attach_vm(k, j);
-    if (tracking_ == StateTracking::kFull) {
-      total_migration_ += migration_of(k, placement_.server_of(k));
+    const auto vm = static_cast<std::uint32_t>(k);
+    next[tail[j]] = vm;
+    prev[k] = tail[j];
+    tail[j] = vm;
+    ++count[j];
+    double* row = used + j * h;
+    for (std::size_t l = 0; l < h; ++l) {
+      row[l] += demand[l];
     }
   }
-
-  total_usage_ = 0.0;
-  total_downtime_ = 0.0;
-  capacity_violations_ = 0;
-  std::fill(server_cost_.begin(), server_cost_.end(), 0.0);
-  std::fill(overload_count_.begin(), overload_count_.end(), 0u);
   for (std::size_t j = 0; j < m; ++j) {
-    refresh_server(j);
+    next[tail[j]] = kNoVm;  // an empty server's head slot included
   }
+  rejected_count_ = rejected;
+
+  // Migration pass over the previous-host table, ascending k.
+  double migration = 0.0;
+  if (tracking_ == StateTracking::kFull) {
+    for (std::size_t k = 0; k < n; ++k) {
+      migration += migration_of(k, genes[k]);
+    }
+  }
+  total_migration_ = migration;
+
+  // Fleet pass over the flat m×h matrices, with the totals in locals:
+  // loads and QoS cell by cell, then each server's worst QoS, overloads,
+  // usage and downtime, summed in server order from 0 as refresh_server
+  // would.
+  double usage_total = 0.0;
+  double downtime_total = 0.0;
+  std::uint32_t overload_total = 0;
+  const double* ecap = t.effective_capacity.flat().data();
+  if (tracking_ == StateTracking::kViolationsOnly) {
+    for (std::size_t j = 0; j < m; ++j, used += h, ecap += h) {
+      std::uint32_t overloads = 0;
+      for (std::size_t l = 0; l < h; ++l) {
+        overloads += used[l] > ecap[l] + kCapacityEps ? 1u : 0u;
+      }
+      overload_count_[j] = overloads;
+      overload_total += overloads;
+    }
+  } else {
+    const std::size_t cells = m * h;
+    const double* cap = t.capacity.flat().data();
+    const double* knee = t.knee.flat().data();
+    const double* max_qos = t.max_qos.flat().data();
+    double* loads = loads_.flat().data();
+    double* qos = qos_.flat().data();
+    for (std::size_t i = 0; i < cells; ++i) {
+      loads[i] = used[i] / cap[i];
+    }
+    for (std::size_t i = 0; i < cells; ++i) {
+      qos[i] = qos_at_knee(loads[i], knee[i], max_qos[i]);
+    }
+    for (std::size_t j = 0; j < m; ++j, used += h, ecap += h, qos += h) {
+      double worst_qos = 1.0;
+      std::uint32_t overloads = 0;
+      for (std::size_t l = 0; l < h; ++l) {
+        worst_qos = std::min(worst_qos, qos[l]);
+        overloads += used[l] > ecap[l] + kCapacityEps ? 1u : 0u;
+      }
+      const double usage = usage_of(j, count[j]);
+      const double downtime = downtime_on(j, worst_qos);
+      usage_acc(j) = usage;
+      downtime_acc(j) = downtime;
+      overload_count_[j] = overloads;
+      usage_total += usage;
+      downtime_total += downtime;
+      overload_total += overloads;
+    }
+  }
+  total_usage_ = usage_total;
+  total_downtime_ = downtime_total;
+  capacity_violations_ = overload_total;
 
   relation_violations_ = 0;
-  const auto& constraints = inst.requests.constraints;
+  const auto& constraints = instance_->requests.constraints;
   for (std::size_t c = 0; c < constraints.size(); ++c) {
     const bool ok = checker_.relation_satisfied(constraints[c], placement_);
     relation_ok_[c] = ok ? 1 : 0;
@@ -169,7 +253,7 @@ std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
   const std::vector<std::int32_t>& cur = placement_.genes();
   std::size_t diff = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    diff += cur[k] != genes[k] ? 1 : 0;
+    diff += cur[k] != genes[k] ? 1u : 0u;
   }
   if (diff == 0) {
     undo_.clear();
@@ -240,11 +324,7 @@ std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
 void PlacementState::detach_vm(std::size_t k, std::size_t j) {
   const std::uint32_t next = vm_next_[k];
   const std::uint32_t prev = vm_prev_[k];
-  if (prev == kNoVm) {
-    server_head_[j] = next;
-  } else {
-    vm_next_[prev] = next;
-  }
+  vm_next_[prev] = next;  // prev is a member or j's head slot
   if (next == kNoVm) {
     server_tail_[j] = prev;
   } else {
@@ -260,13 +340,9 @@ void PlacementState::detach_vm(std::size_t k, std::size_t j) {
 
 void PlacementState::attach_vm(std::size_t k, std::size_t j) {
   const std::uint32_t tail = server_tail_[j];
+  vm_next_[tail] = static_cast<std::uint32_t>(k);
   vm_prev_[k] = tail;
   vm_next_[k] = kNoVm;
-  if (tail == kNoVm) {
-    server_head_[j] = static_cast<std::uint32_t>(k);
-  } else {
-    vm_next_[tail] = static_cast<std::uint32_t>(k);
-  }
   server_tail_[j] = static_cast<std::uint32_t>(k);
   ++server_count_[j];
   const std::span<const double> demand = tables_->demand.row(k);
@@ -307,22 +383,23 @@ double PlacementState::usage_of(std::size_t j, std::size_t vm_count) const {
 
 double PlacementState::migration_of(std::size_t k,
                                     std::int32_t server) const {
-  if (server < 0) {
+  const std::int32_t previous = tables_->previous_host[k];
+  // Non-short-circuit: the rebuild's migration pass calls this for every
+  // VM, and whether a gene left its previous host is data-dependent.
+  const bool moved = (server >= 0) & (previous >= 0) & (previous != server);
+  if (!options_.topology_migration_weight) {
+    return moved ? tables_->vm_migration_cost[k] : 0.0;
+  }
+  if (!moved) {
     return 0.0;
   }
-  const Instance& inst = *instance_;
-  if (!inst.previous.is_assigned(k) || inst.previous.server_of(k) == server) {
-    return 0.0;
-  }
-  double weight = 1.0;
-  if (options_.topology_migration_weight) {
-    const auto from = static_cast<std::uint32_t>(inst.previous.server_of(k));
-    const auto to = static_cast<std::uint32_t>(server);
-    // Normalise by the fabric diameter (6 hops) so the weight stays in
-    // (0, 1]; an on-host "move" costs nothing.
-    weight =
-        static_cast<double>(inst.infra.fabric().hop_distance(from, to)) / 6.0;
-  }
+  // Normalise by the fabric diameter (6 hops) so the weight stays in
+  // (0, 1]; an on-host "move" costs nothing.
+  const double weight =
+      static_cast<double>(instance_->infra.fabric().hop_distance(
+          static_cast<std::uint32_t>(previous),
+          static_cast<std::uint32_t>(server))) /
+      6.0;
   return tables_->vm_migration_cost[k] * weight;
 }
 
@@ -335,15 +412,33 @@ double PlacementState::downtime_penalty(std::size_t k,
   return tables_->vm_downtime_cost[k] * (1.0 - worst_qos / guarantee);
 }
 
-void PlacementState::refresh_server(std::size_t j) {
-  const StateTables& t = *tables_;
-  const std::size_t h = instance_->h();
-  const std::span<const double> used = used_.row(j);
-  const std::span<const double> ecap = t.effective_capacity.row(j);
+double PlacementState::downtime_on(std::size_t j, double worst_qos,
+                                   std::uint32_t joining,
+                                   std::uint32_t leaving) const {
+  // Every guarantee is at most the highest one, so a worst QoS that
+  // reaches it makes each penalty below exactly 0.0, and so their sum.  A
+  // NaN threshold fails the compare and keeps the walk.
+  if (worst_qos >= tables_->highest_qos_guarantee) {
+    return 0.0;
+  }
+  double downtime = 0.0;
+  if (joining != kNoVm) {
+    downtime += downtime_penalty(joining, worst_qos);
+  }
+  for (std::uint32_t k = head_of(j); k != kNoVm; k = vm_next_[k]) {
+    if (k != leaving) {
+      downtime += downtime_penalty(k, worst_qos);
+    }
+  }
+  return downtime;
+}
 
+void PlacementState::refresh_server(std::size_t j) {
   if (tracking_ == StateTracking::kViolationsOnly) {
+    const std::span<const double> used = used_.row(j);
+    const std::span<const double> ecap = tables_->effective_capacity.row(j);
     std::uint32_t overloads = 0;
-    for (std::size_t l = 0; l < h; ++l) {
+    for (std::size_t l = 0; l < used.size(); ++l) {
       overloads += used[l] > ecap[l] + kCapacityEps ? 1u : 0u;
     }
     capacity_violations_ =
@@ -354,24 +449,23 @@ void PlacementState::refresh_server(std::size_t j) {
 
   // Contiguous row spans; every per-attribute quantity of server j sits in
   // one cache-line run per table.
+  const StateTables& t = *tables_;
+  const std::span<const double> used = used_.row(j);
   const std::span<const double> cap = t.capacity.row(j);
-  const std::span<const double> max_load = t.max_load.row(j);
+  const std::span<const double> ecap = t.effective_capacity.row(j);
+  const std::span<const double> knee = t.knee.row(j);
   const std::span<const double> max_qos = t.max_qos.row(j);
   const std::span<double> loads = loads_.row(j);
   const std::span<double> qos = qos_.row(j);
   double worst_qos = 1.0;
   std::uint32_t overloads = 0;
-  for (std::size_t l = 0; l < h; ++l) {
+  for (std::size_t l = 0; l < used.size(); ++l) {
     loads[l] = used[l] / cap[l];
-    qos[l] = qos_at_load(loads[l], max_load[l], max_qos[l]);
+    qos[l] = qos_at_knee(loads[l], knee[l], max_qos[l]);
     worst_qos = std::min(worst_qos, qos[l]);
     overloads += used[l] > ecap[l] + kCapacityEps ? 1u : 0u;
   }
-
-  double downtime = 0.0;
-  for (std::uint32_t k = server_head_[j]; k != kNoVm; k = vm_next_[k]) {
-    downtime += downtime_penalty(k, worst_qos);
-  }
+  const double downtime = downtime_on(j, worst_qos);
   const double usage = usage_of(j, server_count_[j]);
 
   total_usage_ += usage - usage_acc(j);
@@ -390,33 +484,22 @@ PlacementState::ServerEdit PlacementState::edit_server(
   const std::size_t h = instance_->h();
   const std::span<const double> cap = t.capacity.row(j);
   const std::span<const double> ecap = t.effective_capacity.row(j);
-  const std::span<const double> max_load = t.max_load.row(j);
+  const std::span<const double> knee = t.knee.row(j);
   const std::span<const double> max_qos = t.max_qos.row(j);
 
   ServerEdit edit;
   double worst_qos = 1.0;
   for (std::size_t l = 0; l < h; ++l) {
     const double load = row[l] / cap[l];
-    worst_qos =
-        std::min(worst_qos, qos_at_load(load, max_load[l], max_qos[l]));
+    worst_qos = std::min(worst_qos, qos_at_knee(load, knee[l], max_qos[l]));
     edit.overloads += row[l] > ecap[l] + kCapacityEps ? 1u : 0u;
   }
 
-  std::size_t count = server_count_[j];
-  if (joining) {
-    edit.downtime += downtime_penalty(k, worst_qos);
-    ++count;
-  } else {
-    --count;
-  }
-  for (std::uint32_t member = server_head_[j]; member != kNoVm;
-       member = vm_next_[member]) {
-    if (!joining && member == k) {
-      continue;
-    }
-    edit.downtime += downtime_penalty(member, worst_qos);
-  }
-  edit.usage = usage_of(j, count);
+  const auto vm = static_cast<std::uint32_t>(k);
+  edit.downtime = downtime_on(j, worst_qos, joining ? vm : kNoVm,
+                              joining ? kNoVm : vm);
+  const std::size_t count = server_count_[j];
+  edit.usage = usage_of(j, joining ? count + 1 : count - 1);
   return edit;
 }
 

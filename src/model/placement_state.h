@@ -21,17 +21,33 @@
 // objective bookkeeping) applied to the paper's tabu + NSGA-III stack.
 //
 // Memory layout (DESIGN.md §7): structure-of-arrays throughout.  All
-// instance-derived inputs the hot loops read (per-VM demand rows and cost
-// scalars, per-server capacity/knee/QoS rows and cost scalars, the
-// VM→constraint adjacency) live in an immutable StateTables, flattened
-// into contiguous matrices, scalar arrays, and a CSR index — shareable
-// between every state built against the same Instance, so an engine's
-// per-slot evaluators pay the flattening once.  The mutable side is
-// equally flat: per-server membership is an intrusive doubly-linked list
-// over three plain arrays (head/next/prev) with O(1) attach/detach and no
-// per-server heap vectors, and the per-server cost accumulators are
-// striped into one contiguous buffer, so the per-attribute hot loops in
-// refresh_server/edit_server run over contiguous row spans.
+// instance-derived inputs the hot loops read (per-VM demand rows, cost
+// scalars and previous hosts, per-server capacity/knee/QoS rows and cost
+// scalars, the VM→constraint adjacency) live in an immutable StateTables,
+// flattened into contiguous matrices, scalar arrays, and a CSR index —
+// shareable between every state built against the same Instance, so an
+// engine's per-slot evaluators pay the flattening once.  The mutable side
+// is equally flat: per-server membership is an intrusive doubly-linked
+// list over plain arrays (tail/next/prev, with each server's head in a
+// slot of next) with O(1) attach/detach and no per-server heap vectors,
+// and the per-server cost accumulators are striped into one contiguous
+// buffer, so the per-attribute hot loops in refresh_server/edit_server
+// run over contiguous row spans.
+//
+// The full rebuild, once per offspring in the EA, is three flat passes
+// and the relation checks: a VM pass (link each VM at its server's tail,
+// add its demand row), a migration pass over the previous-host table,
+// and a fleet pass over the m×h matrices (loads, QoS, overloads, worst
+// QoS, usage and downtime, totals in locals).  Every sum runs in one
+// fixed order — used rows by ascending VM from 0, usage and downtime by
+// ascending server from 0, migration by ascending VM, loads as used /
+// capacity — the order of a refresh_server call per server, so a rebuild
+// equals that loop bit for bit (the RebuildDifferential test keeps it as
+// the reference) and every pinned history holds.  The downtime walk over
+// a server's members runs only when its worst QoS is below the
+// instance's highest guarantee: at or above it every Eq. 23 penalty is
+// exactly 0.0, so the skipped sum is 0.0 too (a NaN guarantee disables
+// the skip).
 //
 // The invariant also powers the fused repair-as-evaluation pipeline
 // (DESIGN.md §8): TabuRepair::repair_state walks a full-tracking state
@@ -75,10 +91,15 @@ struct StateTables {
   std::vector<double> vm_qos_guarantee;     // n: C^Q_k
   std::vector<double> vm_downtime_cost;     // n: C^U_k
   std::vector<double> vm_migration_cost;    // n: M_k
+  std::vector<std::int32_t> previous_host;  // n: X^t server or kRejected
+  // Highest C^Q_k of the instance, or NaN when some guarantee is NaN.  A
+  // server whose worst QoS reaches it owes no VM any downtime (Eq. 23), so
+  // the downtime walk over its members is skipped; NaN keeps every walk.
+  double highest_qos_guarantee = 0.0;
 
   Matrix<double> capacity;                  // m×h: P_jl
   Matrix<double> effective_capacity;        // m×h: P_jl * F_jl
-  Matrix<double> max_load;                  // m×h: L^M_jl
+  Matrix<double> knee;                      // m×h: clamp_knee(L^M_jl)
   Matrix<double> max_qos;                   // m×h: Q^M_jl
   std::vector<double> server_usage_cost;    // m: U_j
   std::vector<double> server_opex;          // m: E_j
@@ -250,7 +271,7 @@ class PlacementState {
   };
 
   [[nodiscard]] MemberRange vms_on(std::size_t j) const {
-    return {vm_next_.data(), server_head_[j], server_count_[j]};
+    return {vm_next_.data(), head_of(j), server_count_[j]};
   }
   [[nodiscard]] std::size_t vm_count_on(std::size_t j) const {
     return server_count_[j];
@@ -270,10 +291,19 @@ class PlacementState {
     std::uint32_t overloads = 0;  // new exceeded-attribute count
   };
 
+  // The full rebuild: a VM pass (membership and used rows), a migration
+  // pass and a fleet pass (loads, QoS, overloads, usage and downtime),
+  // then the relation constraints.
   void rebuild_from_placement();
   // Recomputes loads/qos rows, overload count, usage and downtime terms of
   // server j from used_ and the membership list, updating the totals.
   void refresh_server(std::size_t j);
+  // Eq. 23 downtime of server j's members at `worst_qos`, with VM
+  // `joining` added first and VM `leaving` left out (kNoVm for neither);
+  // 0 without a walk when worst_qos reaches the highest guarantee.
+  [[nodiscard]] double downtime_on(std::size_t j, double worst_qos,
+                                   std::uint32_t joining = kNoVm,
+                                   std::uint32_t leaving = kNoVm) const;
   // Commits a move into every accumulator (no undo bookkeeping).
   void do_move(std::size_t k, std::int32_t target);
 
@@ -297,6 +327,11 @@ class PlacementState {
   [[nodiscard]] double downtime_penalty(std::size_t k,
                                         double worst_qos) const;
 
+  // Server j's list head lives in slot n + j of vm_next_.
+  [[nodiscard]] std::uint32_t head_of(std::size_t j) const {
+    return vm_next_[placement_.vm_count() + j];
+  }
+
   [[nodiscard]] double& usage_acc(std::size_t j) { return server_cost_[j]; }
   [[nodiscard]] double& downtime_acc(std::size_t j) {
     return server_cost_[instance_->m() + j];
@@ -319,14 +354,15 @@ class PlacementState {
   Matrix<double> loads_;  // used / capacity (Eq. 25); kFull only
   Matrix<double> qos_;    // Eq. 24 of loads_; kFull only
 
-  // Intrusive per-server membership: flat head/tail/next/prev arrays,
-  // O(1) attach/detach, zero allocation on any path after construction.
-  // Attach links at the tail, so a fresh rebuild lists members in
-  // ascending VM order (the order the old vector layout produced).
-  std::vector<std::uint32_t> server_head_;   // m, kNoVm-terminated
-  std::vector<std::uint32_t> server_tail_;   // m
+  // Intrusive per-server membership: flat tail/next/prev arrays, O(1)
+  // attach/detach, zero allocation on any path after construction.  Slot
+  // n + j of vm_next_ is server j's head, so the first member's prev is
+  // that slot and an empty server's tail points at it: linking a VM never
+  // branches on an empty list.  Attach links at the tail, so a fresh
+  // rebuild lists members in ascending VM order.
+  std::vector<std::uint32_t> server_tail_;   // m: last member or head slot
   std::vector<std::uint32_t> server_count_;  // m
-  std::vector<std::uint32_t> vm_next_;       // n
+  std::vector<std::uint32_t> vm_next_;       // n + m, kNoVm-terminated
   std::vector<std::uint32_t> vm_prev_;       // n
 
   // Per-server cost accumulators, striped into one contiguous buffer:

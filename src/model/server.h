@@ -9,6 +9,7 @@
 //   usage_cost    = U_j    (Eq. 7)   cost per hosted consumer resource
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -38,20 +39,25 @@ struct Server {
     return capacity.size();
   }
 
-  // Structural sanity: all attribute vectors sized h, values in range.
+  // Structural sanity: all attribute vectors sized h, values finite and
+  // in range.  The compares are written so that NaN fails them, except
+  // for max_load: a NaN knee passes here and is left to
+  // validate_instance's Eq. 24 singularity screen (qos_at_load clamps it
+  // to 0 at runtime).
   [[nodiscard]] bool valid(std::size_t h) const {
     if (capacity.size() != h || factor.size() != h ||
         max_load.size() != h || max_qos.size() != h) {
       return false;
     }
     for (std::size_t l = 0; l < h; ++l) {
-      if (capacity[l] <= 0.0 || factor[l] <= 0.0 || factor[l] > 1.0 ||
-          max_load[l] < 0.0 || max_load[l] >= 1.0 || max_qos[l] < 0.0 ||
-          max_qos[l] >= 1.0) {
+      if (!(std::isfinite(capacity[l]) && capacity[l] > 0.0) ||
+          !(factor[l] > 0.0 && factor[l] <= 1.0) || max_load[l] < 0.0 ||
+          max_load[l] >= 1.0 || !(max_qos[l] >= 0.0 && max_qos[l] < 1.0)) {
         return false;
       }
     }
-    return opex >= 0.0 && usage_cost >= 0.0;
+    return std::isfinite(opex) && opex >= 0.0 && std::isfinite(usage_cost) &&
+           usage_cost >= 0.0;
   }
 };
 

@@ -6,6 +6,7 @@
 //   migration_cost  = M_k   (Eq.26)  cost of moving this VM in a plan
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,12 +36,17 @@ struct VmRequest {
     return true_demand.empty() ? demand : true_demand;
   }
 
+  // Structural sanity: demand rows sized h, every value finite and in
+  // range (NaN fails every compare below).
   [[nodiscard]] bool valid(std::size_t h) const {
+    const auto finite_non_negative = [](double x) {
+      return std::isfinite(x) && x >= 0.0;
+    };
     if (demand.size() != h) {
       return false;
     }
     for (double d : demand) {
-      if (d < 0.0) {
+      if (!finite_non_negative(d)) {
         return false;
       }
     }
@@ -49,13 +55,14 @@ struct VmRequest {
         return false;
       }
       for (double d : true_demand) {
-        if (d < 0.0) {
+        if (!finite_non_negative(d)) {
           return false;
         }
       }
     }
     return qos_guarantee > 0.0 && qos_guarantee < 1.0 &&
-           downtime_cost >= 0.0 && migration_cost >= 0.0;
+           finite_non_negative(downtime_cost) &&
+           finite_non_negative(migration_cost);
   }
 };
 

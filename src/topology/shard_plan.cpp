@@ -77,7 +77,7 @@ std::uint32_t ShardPlan::shard_of_server(std::uint32_t server) const {
   return shard_of_leaf_[global_leaf];
 }
 
-FabricConfig ShardPlan::slice_fabric(std::uint32_t s) const {
+FabricConfig ShardPlan::slice_fabric(std::size_t s) const {
   const ShardSlice& sl = slice(s);
   FabricConfig cfg = config_;
   if (sl.whole_datacenters) {

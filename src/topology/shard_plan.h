@@ -60,7 +60,7 @@ class ShardPlan {
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(slices_.size());
   }
-  [[nodiscard]] const ShardSlice& slice(std::uint32_t s) const {
+  [[nodiscard]] const ShardSlice& slice(std::size_t s) const {
     IAAS_EXPECT(s < slices_.size(), "shard index out of range");
     return slices_[s];
   }
@@ -88,7 +88,7 @@ class ShardPlan {
   // per-DC tier sizes over datacenter_count() DCs; partial-DC slices
   // collapse to one DC holding the slice's leaves.  Spine/core counts
   // and link speeds are inherited from the parent config.
-  [[nodiscard]] FabricConfig slice_fabric(std::uint32_t s) const;
+  [[nodiscard]] FabricConfig slice_fabric(std::size_t s) const;
 
   // Smallest shard index whose slice spans more than one datacenter, or
   // -1 when every shard is single-DC (the shard_count > datacenters

@@ -14,6 +14,7 @@
 #include "common/stats.h"
 #include "ea/operators.h"
 #include "model/infrastructure.h"
+#include "model/instance.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
 #include "topology/fabric.h"
@@ -59,6 +60,52 @@ TEST(ContractsDeathTest, InfrastructureRejectsDatacenterMismatch) {
       test::make_server(0, {1.0, 1.0, 1.0})};  // should be DC 1
   EXPECT_DEATH({ Infrastructure infra(fc, std::move(servers)); },
                "datacenter must match");
+}
+
+TEST(ContractsDeathTest, InfrastructureRejectsNonFiniteServer) {
+  // Every value must be finite: a NaN capacity compares false against
+  // every load and would hide each overload on its server.
+  FabricConfig fc;
+  fc.datacenters = 1;
+  fc.leaves_per_dc = 1;
+  fc.servers_per_leaf = 1;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<void (*)(Server&)> corruptions = {
+      [](Server& s) { s.capacity[0] = kNan; },
+      [](Server& s) { s.capacity[1] = kInf; },
+      [](Server& s) { s.factor[2] = kNan; },
+      [](Server& s) { s.max_qos[0] = kNan; },
+      [](Server& s) { s.opex = kInf; },
+      [](Server& s) { s.usage_cost = kNan; },
+      [](Server& s) { s.usage_cost = kInf; },
+  };
+  for (const auto corrupt : corruptions) {
+    Server server = test::make_server(0, {10.0, 10.0, 10.0});
+    corrupt(server);
+    EXPECT_DEATH({ Infrastructure infra(fc, {server}); }, "fails validation");
+  }
+}
+
+TEST(ContractsDeathTest, InstanceRejectsNonFiniteRequest) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<void (*)(VmRequest&)> corruptions = {
+      [](VmRequest& vm) { vm.demand[0] = kNan; },
+      [](VmRequest& vm) { vm.demand[2] = kInf; },
+      [](VmRequest& vm) { vm.true_demand = {1.0, kNan, 1.0}; },
+      [](VmRequest& vm) { vm.true_demand = {1.0, 1.0, kInf}; },
+      [](VmRequest& vm) { vm.downtime_cost = kInf; },
+      [](VmRequest& vm) { vm.migration_cost = kInf; },
+  };
+  for (const auto corrupt : corruptions) {
+    const Instance clean =
+        test::make_instance(1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
+    RequestSet requests = clean.requests;
+    corrupt(requests.vms[0]);
+    EXPECT_DEATH({ Instance inst(clean.infra, requests); },
+                 "request set inconsistent");
+  }
 }
 
 TEST(ContractsDeathTest, RngUniformIntRequiresOrderedBounds) {

@@ -70,9 +70,9 @@ TEST(Json, ParseErrors) {
 
 TEST(Json, TypeErrorsThrow) {
   const Json j = Json::parse("[1]");
-  EXPECT_THROW(j.as_string(), std::runtime_error);
-  EXPECT_THROW(j.at("key"), std::runtime_error);
-  EXPECT_THROW(j.at(5), std::runtime_error);
+  EXPECT_THROW(static_cast<void>(j.as_string()), std::runtime_error);
+  EXPECT_THROW(static_cast<void>(j.at("key")), std::runtime_error);
+  EXPECT_THROW(static_cast<void>(j.at(5)), std::runtime_error);
 }
 
 TEST(RelationKindWire, RoundTripsAllKinds) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace iaas {
@@ -295,6 +296,46 @@ TEST(Operators, MatchDirectFormulas) {
       ASSERT_EQ(cb, rb) << "max_gene " << max_gene << ", round " << round;
       ASSERT_EQ(rng.next_u64(), reference_rng.next_u64());
     }
+  }
+}
+
+TEST(Operators, RoundHalfAwayMatchesLround) {
+  std::vector<double> values = {0.0, -0.0, 0.5, -0.5, 1.5, -1.5,
+                                std::nextafter(0.5, 0.0),
+                                std::nextafter(-0.5, 0.0),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                1e-300, -1e-300};
+  // +-k.5 and its neighbours one ulp either side, across the gene
+  // magnitudes the operators produce and out to 2^52, past which every
+  // double is an integer.
+  for (int exponent = 0; exponent <= 52; ++exponent) {
+    for (const double k : {std::ldexp(1.0, exponent) - 1.0,
+                           std::ldexp(1.0, exponent),
+                           std::ldexp(1.0, exponent) + 1.0}) {
+      for (const double sign : {1.0, -1.0}) {
+        const double half = sign * (k + 0.5);
+        values.push_back(half);
+        values.push_back(std::nextafter(half, 0.0));
+        values.push_back(std::nextafter(half, sign * 1e300));
+        values.push_back(sign * k);
+      }
+    }
+  }
+  // The operators' range bounds: PM lands in [-max_gene, 2 max_gene];
+  // SBX, for eta >= 1 and genes below 2^24, within +-2^50; the int32
+  // gene type ends at 2^31.
+  for (const double bound :
+       {799.0, 1598.0, 2147483647.0, 2147483648.0, 4294967296.0,
+        std::ldexp(1.0, 50), std::ldexp(1.0, 53), std::ldexp(1.0, 62)}) {
+    for (const double v : {bound, -bound, bound - 0.5, -(bound - 0.5),
+                           std::nextafter(bound, 0.0),
+                           std::nextafter(-bound, 0.0)}) {
+      values.push_back(v);
+    }
+  }
+  for (const double v : values) {
+    EXPECT_EQ(round_half_away(v), std::lround(v)) << std::hexfloat << v;
   }
 }
 

@@ -6,8 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -529,6 +535,547 @@ TEST_P(PlacementStateProperty, DeltaAgreesWithFullAtEveryStep) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementStateProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// --- Differential reference for the rebuild passes ---------------------
+//
+// The per-VM attach and per-server refresh loop that the flat rebuild
+// passes replaced, with the per-candidate edit that try_move scored
+// through, written over the AoS Server/VmRequest records and plain
+// per-server member vectors.  It walks every member for downtime (no
+// highest-guarantee skip) and applies Eq. 24 with the knee clamped on
+// every call, as the replaced code did.  Every sum runs in the replaced
+// code's order, so its doubles must equal the state's bit for bit.
+class ReferenceState {
+ public:
+  ReferenceState(const Instance& inst, ObjectiveOptions options,
+                 StateTracking tracking)
+      : inst_(inst),
+        options_(options),
+        full_(tracking == StateTracking::kFull),
+        checker_(inst),
+        placement_(inst.n()),
+        used_(inst.m(), inst.h()),
+        loads_(inst.m(), inst.h()),
+        qos_(inst.m(), inst.h()),
+        members_(inst.m()),
+        usage_acc_(inst.m(), 0.0),
+        downtime_acc_(inst.m(), 0.0),
+        overloads_(inst.m(), 0),
+        relation_ok_(inst.requests.constraints.size(), 1),
+        constraints_of_(inst.n()) {
+    const auto& constraints = inst.requests.constraints;
+    for (std::size_t c = 0; c < constraints.size(); ++c) {
+      for (const std::uint32_t k : constraints[c].vms) {
+        constraints_of_[k].push_back(c);
+      }
+    }
+  }
+
+  void rebuild(const std::vector<std::int32_t>& genes) {
+    placement_ = Placement(genes);
+    used_.fill(0.0);
+    for (auto& list : members_) {
+      list.clear();
+    }
+    rejected_ = 0;
+    total_migration_ = 0.0;
+    for (std::size_t k = 0; k < inst_.n(); ++k) {
+      if (!placement_.is_assigned(k)) {
+        ++rejected_;
+        continue;
+      }
+      attach(k, static_cast<std::size_t>(placement_.server_of(k)));
+      if (full_) {
+        total_migration_ += migration_of(k, placement_.server_of(k));
+      }
+    }
+    total_usage_ = 0.0;
+    total_downtime_ = 0.0;
+    capacity_violations_ = 0;
+    std::fill(usage_acc_.begin(), usage_acc_.end(), 0.0);
+    std::fill(downtime_acc_.begin(), downtime_acc_.end(), 0.0);
+    std::fill(overloads_.begin(), overloads_.end(), 0u);
+    for (std::size_t j = 0; j < inst_.m(); ++j) {
+      refresh(j);
+    }
+    relation_violations_ = 0;
+    const auto& constraints = inst_.requests.constraints;
+    for (std::size_t c = 0; c < constraints.size(); ++c) {
+      const bool ok = checker_.relation_satisfied(constraints[c], placement_);
+      relation_ok_[c] = ok ? 1 : 0;
+      relation_violations_ += ok ? 0u : 1u;
+    }
+  }
+
+  ObjectiveDelta try_move(std::size_t k, std::int32_t target) {
+    const std::int32_t from = placement_.server_of(k);
+    ObjectiveDelta delta;
+    delta.objectives = objectives();
+    if (from == target) {
+      return delta;
+    }
+    const std::vector<double>& demand = inst_.requests.vms[k].demand;
+    double usage_delta = 0.0;
+    double downtime_delta = 0.0;
+    double migration_delta = 0.0;
+    std::int32_t capacity_delta = 0;
+    for (const std::int32_t side : {from, target}) {
+      if (side < 0) {
+        continue;
+      }
+      const auto j = static_cast<std::size_t>(side);
+      const bool joining = side == target;
+      std::vector<double> row(inst_.h());
+      for (std::size_t l = 0; l < inst_.h(); ++l) {
+        row[l] = joining ? used_(j, l) + demand[l] : used_(j, l) - demand[l];
+      }
+      const Edit edit = this->edit(j, k, joining, row);
+      if (full_) {
+        usage_delta += edit.usage - usage_acc_[j];
+        downtime_delta += edit.downtime - downtime_acc_[j];
+      }
+      capacity_delta += static_cast<std::int32_t>(edit.overloads) -
+                        static_cast<std::int32_t>(overloads_[j]);
+    }
+    if (full_) {
+      migration_delta = migration_of(k, target) - migration_of(k, from);
+    }
+    std::int32_t relation_delta = 0;
+    placement_.assign(k, target);
+    for (const std::size_t c : constraints_of_[k]) {
+      const bool ok = checker_.relation_satisfied(inst_.requests.constraints[c],
+                                                  placement_);
+      relation_delta += (ok ? 0 : 1) - (relation_ok_[c] != 0 ? 0 : 1);
+    }
+    placement_.assign(k, from);
+    delta.objectives.usage_cost += usage_delta;
+    delta.objectives.downtime_cost += downtime_delta;
+    delta.objectives.migration_cost += migration_delta;
+    delta.aggregate_delta = usage_delta + downtime_delta + migration_delta;
+    delta.violations_delta = capacity_delta + relation_delta;
+    return delta;
+  }
+
+  void apply_move(std::size_t k, std::int32_t target) {
+    const std::int32_t from = placement_.server_of(k);
+    if (from == target) {
+      return;
+    }
+    if (full_) {
+      total_migration_ += migration_of(k, target) - migration_of(k, from);
+    }
+    if (from >= 0) {
+      detach(k, static_cast<std::size_t>(from));
+    } else {
+      --rejected_;
+    }
+    placement_.assign(k, target);
+    if (target >= 0) {
+      attach(k, static_cast<std::size_t>(target));
+    } else {
+      ++rejected_;
+    }
+    if (from >= 0) {
+      refresh(static_cast<std::size_t>(from));
+    }
+    if (target >= 0) {
+      refresh(static_cast<std::size_t>(target));
+    }
+    for (const std::size_t c : constraints_of_[k]) {
+      const bool ok = checker_.relation_satisfied(inst_.requests.constraints[c],
+                                                  placement_);
+      relation_violations_ += ok ? 0u : 1u;
+      relation_violations_ -= relation_ok_[c] != 0 ? 0u : 1u;
+      relation_ok_[c] = ok ? 1 : 0;
+    }
+  }
+
+  [[nodiscard]] ObjectiveVector objectives() const {
+    return {total_usage_, total_downtime_, total_migration_};
+  }
+  [[nodiscard]] ViolationReport report() const {
+    ViolationReport out;
+    out.capacity_violations = capacity_violations_;
+    out.relation_violations = relation_violations_;
+    out.rejected_vms = static_cast<std::uint32_t>(rejected_);
+    for (std::size_t j = 0; j < inst_.m(); ++j) {
+      if (overloads_[j] > 0) {
+        out.overloaded_servers.push_back(static_cast<std::uint32_t>(j));
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] const Matrix<double>& loads() const { return loads_; }
+  [[nodiscard]] const Matrix<double>& qos() const { return qos_; }
+  [[nodiscard]] const std::vector<std::uint32_t>& members(
+      std::size_t j) const {
+    return members_[j];
+  }
+  [[nodiscard]] bool relation_ok(std::size_t c) const {
+    return relation_ok_[c] != 0;
+  }
+
+ private:
+  struct Edit {
+    double usage = 0.0;
+    double downtime = 0.0;
+    std::uint32_t overloads = 0;
+  };
+
+  // Eq. 24 exactly as the replaced inline qos_at_load computed it.
+  static double qos_at_load(double load, double max_load, double max_qos) {
+    constexpr double kKneeCeiling = 1.0 - 1e-9;
+    if (!(max_load >= 0.0)) {
+      max_load = 0.0;
+    } else if (max_load > kKneeCeiling) {
+      max_load = kKneeCeiling;
+    }
+    if (load <= max_load) {
+      return max_qos;
+    }
+    return max_qos * std::exp((max_load - load) / (1.0 - max_load));
+  }
+
+  void attach(std::size_t k, std::size_t j) {
+    members_[j].push_back(static_cast<std::uint32_t>(k));
+    for (std::size_t l = 0; l < inst_.h(); ++l) {
+      used_(j, l) += inst_.requests.vms[k].demand[l];
+    }
+  }
+  void detach(std::size_t k, std::size_t j) {
+    auto& list = members_[j];
+    list.erase(std::find(list.begin(), list.end(), k));
+    for (std::size_t l = 0; l < inst_.h(); ++l) {
+      used_(j, l) -= inst_.requests.vms[k].demand[l];
+    }
+  }
+
+  double migration_of(std::size_t k, std::int32_t server) const {
+    if (server < 0 || !inst_.previous.is_assigned(k) ||
+        inst_.previous.server_of(k) == server) {
+      return 0.0;
+    }
+    double weight = 1.0;
+    if (options_.topology_migration_weight) {
+      weight = static_cast<double>(inst_.infra.fabric().hop_distance(
+                   static_cast<std::uint32_t>(inst_.previous.server_of(k)),
+                   static_cast<std::uint32_t>(server))) /
+               6.0;
+    }
+    return inst_.requests.vms[k].migration_cost * weight;
+  }
+  double usage_of(std::size_t j, std::size_t count) const {
+    if (count == 0) {
+      return 0.0;
+    }
+    const Server& server = inst_.infra.server(j);
+    const double n = static_cast<double>(count);
+    double usage = n * server.usage_cost;
+    usage += options_.opex_per_vm ? n * server.opex : server.opex;
+    return usage;
+  }
+  double penalty(std::size_t k, double worst_qos) const {
+    const VmRequest& vm = inst_.requests.vms[k];
+    if (worst_qos >= vm.qos_guarantee) {
+      return 0.0;
+    }
+    return vm.downtime_cost * (1.0 - worst_qos / vm.qos_guarantee);
+  }
+
+  void refresh(std::size_t j) {
+    const Server& server = inst_.infra.server(j);
+    std::uint32_t overloads = 0;
+    double worst = 1.0;
+    for (std::size_t l = 0; l < inst_.h(); ++l) {
+      overloads += used_(j, l) > server.effective_capacity(l) + kCapacityEps
+                       ? 1u
+                       : 0u;
+      loads_(j, l) = used_(j, l) / server.capacity[l];
+      qos_(j, l) =
+          qos_at_load(loads_(j, l), server.max_load[l], server.max_qos[l]);
+      worst = std::min(worst, qos_(j, l));
+    }
+    capacity_violations_ = capacity_violations_ - overloads_[j] + overloads;
+    overloads_[j] = overloads;
+    if (!full_) {
+      return;
+    }
+    double downtime = 0.0;
+    for (const std::uint32_t k : members_[j]) {
+      downtime += penalty(k, worst);
+    }
+    const double usage = usage_of(j, members_[j].size());
+    total_usage_ += usage - usage_acc_[j];
+    total_downtime_ += downtime - downtime_acc_[j];
+    usage_acc_[j] = usage;
+    downtime_acc_[j] = downtime;
+  }
+
+  Edit edit(std::size_t j, std::size_t k, bool joining,
+            const std::vector<double>& row) const {
+    const Server& server = inst_.infra.server(j);
+    Edit out;
+    double worst = 1.0;
+    for (std::size_t l = 0; l < inst_.h(); ++l) {
+      worst = std::min(worst, qos_at_load(row[l] / server.capacity[l],
+                                          server.max_load[l],
+                                          server.max_qos[l]));
+      out.overloads +=
+          row[l] > server.effective_capacity(l) + kCapacityEps ? 1u : 0u;
+    }
+    std::size_t count = members_[j].size();
+    if (joining) {
+      out.downtime += penalty(k, worst);
+      ++count;
+    } else {
+      --count;
+    }
+    for (const std::uint32_t member : members_[j]) {
+      if (!joining && member == k) {
+        continue;
+      }
+      out.downtime += penalty(member, worst);
+    }
+    out.usage = usage_of(j, count);
+    return out;
+  }
+
+  const Instance& inst_;
+  ObjectiveOptions options_;
+  bool full_;
+  ConstraintChecker checker_;
+  Placement placement_;
+  Matrix<double> used_;
+  Matrix<double> loads_;
+  Matrix<double> qos_;
+  std::vector<std::vector<std::uint32_t>> members_;
+  std::vector<double> usage_acc_;
+  std::vector<double> downtime_acc_;
+  std::vector<std::uint32_t> overloads_;
+  std::vector<std::uint8_t> relation_ok_;
+  std::vector<std::vector<std::size_t>> constraints_of_;
+  double total_usage_ = 0.0;
+  double total_downtime_ = 0.0;
+  double total_migration_ = 0.0;
+  std::uint32_t capacity_violations_ = 0;
+  std::uint32_t relation_violations_ = 0;
+  std::size_t rejected_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const ObjectiveVector& a, const ObjectiveVector& b) {
+  return same_bits(a.usage_cost, b.usage_cost) &&
+         same_bits(a.downtime_cost, b.downtime_cost) &&
+         same_bits(a.migration_cost, b.migration_cost);
+}
+
+bool same_bits(const Matrix<double>& a, const Matrix<double>& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.flat().size(); ++i) {
+    if (!same_bits(a.flat()[i], b.flat()[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Asserts that the state and the reference agree bit for bit on every
+// observable the tracking mode specifies.
+void expect_same_as_reference(const PlacementState& state,
+                              const ReferenceState& ref,
+                              const std::string& where) {
+  EXPECT_TRUE(same_bits(state.objectives(), ref.objectives())) << where;
+  if (state.tracking() == StateTracking::kFull) {
+    EXPECT_TRUE(same_bits(state.loads(), ref.loads())) << where;
+    EXPECT_TRUE(same_bits(state.qos(), ref.qos())) << where;
+  }
+  const ViolationReport got = state.violation_report();
+  const ViolationReport want = ref.report();
+  EXPECT_EQ(got.capacity_violations, want.capacity_violations) << where;
+  EXPECT_EQ(got.relation_violations, want.relation_violations) << where;
+  EXPECT_EQ(got.rejected_vms, want.rejected_vms) << where;
+  EXPECT_EQ(got.overloaded_servers, want.overloaded_servers) << where;
+  for (std::size_t j = 0; j < state.instance().m(); ++j) {
+    const std::vector<std::uint32_t> members(state.vms_on(j).begin(),
+                                             state.vms_on(j).end());
+    EXPECT_EQ(members, ref.members(j)) << where << " server " << j;
+  }
+  for (std::size_t c = 0; c < state.instance().requests.constraints.size();
+       ++c) {
+    EXPECT_EQ(state.relation_satisfied(c), ref.relation_ok(c))
+        << where << " constraint " << c;
+  }
+}
+
+// A copy of `base` whose server records `edit` has changed (the
+// Infrastructure is immutable once built).
+Instance with_servers(const Instance& base,
+                      const std::function<void(std::vector<Server>&)>& edit) {
+  std::vector<Server> servers = base.infra.servers();
+  edit(servers);
+  Instance out(Infrastructure(base.infra.fabric().config(), std::move(servers)),
+               base.requests);
+  out.previous = base.previous;
+  return out;
+}
+
+// The instances the differential runs over: a generated one; one whose
+// max_qos rows sit at the highest guarantee or one ulp below it, so a
+// server below every knee has a worst QoS exactly at the skip threshold
+// (no VM owes downtime) or just under it (the top-guarantee VMs do, by a
+// hair); one with NaN knees
+// (clamped to 0: any load is above them) on a third of the servers; and
+// one with a NaN guarantee, which must keep every downtime walk.
+std::vector<std::pair<std::string, Instance>> differential_instances(
+    std::uint64_t seed) {
+  std::vector<std::pair<std::string, Instance>> out;
+  const Instance base = constrained_instance(seed);
+  out.emplace_back("generated", base);
+
+  double highest = 0.0;
+  for (const VmRequest& vm : base.requests.vms) {
+    highest = std::max(highest, vm.qos_guarantee);
+  }
+  out.emplace_back("qos-at-threshold",
+                   with_servers(base, [&](std::vector<Server>& servers) {
+                     for (std::size_t j = 0; j < servers.size(); ++j) {
+                       servers[j].max_qos.assign(
+                           servers[j].max_qos.size(),
+                           j % 2 == 0 ? highest
+                                      : std::nextafter(highest, 0.0));
+                     }
+                   }));
+  out.emplace_back("nan-knee", with_servers(base, [](std::vector<Server>& servers) {
+                     for (std::size_t j = 0; j < servers.size(); j += 3) {
+                       servers[j].max_load[j % servers[j].max_load.size()] =
+                           std::numeric_limits<double>::quiet_NaN();
+                     }
+                   }));
+  Instance nan_guarantee = base;
+  // Instance's constructor refuses a NaN guarantee; an edit after it
+  // cannot be refused, so the tables must still handle one.
+  nan_guarantee.requests.vms[seed % base.n()].qos_guarantee =
+      std::numeric_limits<double>::quiet_NaN();
+  out.emplace_back("nan-guarantee", std::move(nan_guarantee));
+  return out;
+}
+
+// Placements for the differential: uniform (about 10% rejected), and
+// packed onto the first quarter of the fleet so most servers are empty
+// and the rest run past their knees and capacities.
+std::vector<std::int32_t> differential_genes(const Instance& inst, Rng& rng,
+                                             bool packed) {
+  std::vector<std::int32_t> genes = random_genes(inst, rng);
+  if (packed) {
+    const std::size_t quarter = std::max<std::size_t>(1, inst.m() / 4);
+    for (std::int32_t& g : genes) {
+      if (g >= 0) {
+        g = static_cast<std::int32_t>(rng.uniform_index(quarter));
+      }
+    }
+  }
+  return genes;
+}
+
+using DifferentialParam = std::tuple<StateTracking, bool, bool>;
+class RebuildDifferential
+    : public ::testing::TestWithParam<DifferentialParam> {};
+
+TEST_P(RebuildDifferential, MatchesReplacedPassesBitForBit) {
+  const auto [tracking, opex_per_vm, topology] = GetParam();
+  ObjectiveOptions options;
+  options.opex_per_vm = opex_per_vm;
+  options.topology_migration_weight = topology;
+  std::size_t downtime_positive = 0;
+  std::size_t above_knee = 0;
+  std::size_t empty_servers = 0;
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    for (const auto& [name, inst] : differential_instances(seed)) {
+      PlacementState state(inst, options, tracking);
+      ReferenceState ref(inst, options, tracking);
+      Rng rng(seed * 977 + name.size());
+      for (int round = 0; round < 8; ++round) {
+        const std::string where = name + " seed " + std::to_string(seed) +
+                                  " round " + std::to_string(round);
+        const std::vector<std::int32_t> genes =
+            differential_genes(inst, rng, round % 2 == 1);
+        state.rebuild(genes);
+        ref.rebuild(genes);
+        expect_same_as_reference(state, ref, where + " rebuild");
+
+        // Candidate moves from this placement, then a short committed
+        // walk: try_move and refresh_server take the same skip.
+        for (int step = 0; step < 40; ++step) {
+          const std::size_t k = rng.uniform_index(inst.n());
+          const std::int32_t target =
+              rng.bernoulli(0.1)
+                  ? Placement::kRejected
+                  : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+          const ObjectiveDelta got = state.try_move(k, target);
+          const ObjectiveDelta want = ref.try_move(k, target);
+          EXPECT_TRUE(same_bits(got.objectives, want.objectives))
+              << where << " try_move " << step;
+          EXPECT_TRUE(same_bits(got.aggregate_delta, want.aggregate_delta))
+              << where << " try_move " << step;
+          EXPECT_EQ(got.violations_delta, want.violations_delta)
+              << where << " try_move " << step;
+          if (step % 4 == 0) {
+            state.apply_move(k, target);
+            ref.apply_move(k, target);
+            expect_same_as_reference(state, ref,
+                                     where + " move " + std::to_string(step));
+          }
+        }
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "divergence at " << where;
+        }
+        downtime_positive += state.objectives().downtime_cost > 0.0 ? 1 : 0;
+        if (tracking == StateTracking::kFull) {
+          for (std::size_t j = 0; j < inst.m(); ++j) {
+            empty_servers += state.vm_count_on(j) == 0 ? 1 : 0;
+            for (std::size_t l = 0; l < inst.h(); ++l) {
+              above_knee += state.qos()(j, l) <
+                                    inst.infra.server(j).max_qos[l]
+                                ? 1
+                                : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The placements reach the cases the passes special-case.
+  if (tracking == StateTracking::kFull) {
+    EXPECT_GT(downtime_positive, 0u);
+    EXPECT_GT(above_knee, 0u);
+    EXPECT_GT(empty_servers, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrackingAndOptions, RebuildDifferential,
+    ::testing::Combine(::testing::Values(StateTracking::kFull,
+                                         StateTracking::kViolationsOnly),
+                       ::testing::Bool(), ::testing::Bool()));
+
+TEST(StateTables, HighestGuaranteeThreshold) {
+  const Instance inst = constrained_instance(12);
+  double highest = 0.0;
+  for (const VmRequest& vm : inst.requests.vms) {
+    highest = std::max(highest, vm.qos_guarantee);
+  }
+  EXPECT_EQ(StateTables(inst).highest_qos_guarantee, highest);
+  Instance edited = inst;
+  edited.requests.vms[3].qos_guarantee =
+      std::numeric_limits<double>::quiet_NaN();
+  // NaN compares false against every worst QoS: no walk is ever skipped.
+  EXPECT_TRUE(std::isnan(StateTables(edited).highest_qos_guarantee));
+}
 
 }  // namespace
 }  // namespace iaas

@@ -87,6 +87,23 @@ TEST(RequestDsl, Errors) {
                std::runtime_error);
 }
 
+TEST(RequestDsl, NonFiniteValuesRejected) {
+  // strtod reads "nan", "inf" and overflowing literals; each must fail
+  // the VM's validity check instead of entering the model.
+  for (const char* line : {
+           "vm a cpu=nan ram=1 disk=1\n",
+           "vm a cpu=1 ram=1e999 disk=1\n",
+           "vm a cpu=1 ram=1 disk=inf\n",
+           "vm a cpu=1 ram=-nan disk=1\n",
+           "vm a cpu=1 ram=1 disk=1 qos=nan\n",
+           "vm a cpu=1 ram=1 disk=1 downtime_cost=inf\n",
+           "vm a cpu=1 ram=1 disk=1 migration_cost=nan\n",
+       }) {
+    EXPECT_THROW(parse_request_dsl(line), std::runtime_error) << line;
+  }
+  EXPECT_NO_THROW(parse_request_dsl("vm a cpu=1 ram=1e300 disk=1\n"));
+}
+
 TEST(RequestDsl, ErrorNamesLine) {
   try {
     parse_request_dsl("vm a cpu=1 ram=1 disk=1\nbogus\n");

@@ -72,6 +72,18 @@ TEST(Validate, NanMaxLoadFlagged) {
   EXPECT_TRUE(flagged);
 }
 
+TEST(Validate, NonFiniteVmFlagged) {
+  // A NaN demand compares false against every capacity, so it would hide
+  // its host's overload; an instance edited after construction must
+  // still be flagged.
+  Instance inst = make_instance(1, 1, {10.0, 10.0, 10.0},
+                                {{100.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
+  inst.requests.vms[1].demand[0] = std::nan("");
+  const auto findings = validate_instance(inst);
+  ASSERT_FALSE(findings.empty());
+  EXPECT_NE(findings.front().find("request set"), std::string::npos);
+}
+
 TEST(Validate, OversizedVmFlagged) {
   const Instance inst = make_instance(
       1, 2, {10.0, 10.0, 10.0}, {{99.0, 1.0, 1.0}});
