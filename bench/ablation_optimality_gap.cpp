@@ -14,7 +14,6 @@
 #include "common/table.h"
 #include "lp/lin_model.h"
 #include "lp/simplex.h"
-#include "model/objectives.h"
 #include "workload/generator.h"
 
 int main() {

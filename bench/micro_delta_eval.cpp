@@ -1,6 +1,6 @@
 // Delta-evaluation engine vs full rebuild: the tentpole claim is that
 // scoring one single-VM relocation via PlacementState::try_move beats a
-// full Evaluator::objectives pass by a wide margin (>= 5x on the
+// full PlacementState::rebuild pass by a wide margin (>= 5x on the
 // 64-server / 512-VM reference instance).  Run with
 // --benchmark_filter=512 to see exactly that pair.
 #include <benchmark/benchmark.h>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "model/objectives.h"
 #include "model/placement_state.h"
 #include "workload/generator.h"
 
@@ -58,10 +57,10 @@ MovePlan make_moves(const Instance& inst, std::size_t count,
 }
 
 // Baseline: score each candidate move the way the pre-refactor tabu loop
-// did — mutate the placement, full Evaluator::objectives, undo.
+// did — mutate the placement, full rebuild, undo.
 void BM_FullObjectivesPerMove(benchmark::State& state) {
   const Instance inst = make_instance_for(state.range(0));
-  Evaluator evaluator(inst);
+  PlacementState full(inst);
   Placement p = random_placement(inst, 1);
   const MovePlan plan = make_moves(inst, 1024, 2);
   std::size_t i = 0;
@@ -69,7 +68,8 @@ void BM_FullObjectivesPerMove(benchmark::State& state) {
     const std::size_t k = plan.vms[i];
     const std::int32_t old = p.server_of(k);
     p.assign(k, plan.targets[i]);
-    benchmark::DoNotOptimize(evaluator.objectives(p));
+    full.rebuild(p);
+    benchmark::DoNotOptimize(full.objectives());
     p.assign(k, old);
     i = (i + 1) % plan.vms.size();
   }

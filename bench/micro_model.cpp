@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "model/constraint_checker.h"
 #include "model/load_model.h"
-#include "model/objectives.h"
+#include "model/placement_state.h"
 #include "workload/generator.h"
 
 namespace {
@@ -30,10 +30,12 @@ Placement random_placement(const Instance& inst, std::uint64_t seed) {
 
 void BM_EvaluatePlacement(benchmark::State& state) {
   const Instance inst = make_instance_for(state.range(0));
-  Evaluator evaluator(inst);
+  PlacementState full(inst);
   const Placement p = random_placement(inst, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(p));
+    full.rebuild(p);
+    benchmark::DoNotOptimize(full.objectives());
+    benchmark::DoNotOptimize(full.total_violations());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(inst.n()));

@@ -152,8 +152,9 @@ AllocationResult Allocator::finalize(const Instance& instance,
   result.placement = sanitize_placement(instance, result.raw_placement);
   result.rejected = result.placement.rejected_count();
 
-  Evaluator evaluator(instance, options);
-  result.objectives = evaluator.objectives(result.placement);
+  PlacementState state(instance, options);
+  state.rebuild(result.placement);
+  result.objectives = state.objectives();
   return result;
 }
 

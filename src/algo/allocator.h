@@ -18,7 +18,8 @@
 
 #include "common/telemetry.h"
 #include "model/instance.h"
-#include "model/objectives.h"
+#include "model/constraint_checker.h"
+#include "model/objective_types.h"
 #include "model/placement.h"
 
 namespace iaas {

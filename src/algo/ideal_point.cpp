@@ -9,11 +9,6 @@
 namespace iaas {
 
 std::size_t select_ideal_point(const std::vector<Individual>& front) {
-  return select_ideal_point(front, {1.0, 1.0, 1.0});
-}
-
-std::size_t select_ideal_point(const std::vector<Individual>& front,
-                               const std::array<double, 3>& weights) {
   IAAS_EXPECT(!front.empty(), "cannot select from an empty front");
 
   // Prefer the feasible subset when it exists.
@@ -50,8 +45,7 @@ std::size_t select_ideal_point(const std::vector<Individual>& front,
       const double range = hi[o] - lo[o];
       const double v =
           range > 1e-12 ? (front[i].objectives[o] - lo[o]) / range : 0.0;
-      const double weighted = v * weights[o];
-      dist2 += weighted * weighted;
+      dist2 += v * v;
     }
     const double dist = std::sqrt(dist2);
     if (dist < best_dist) {

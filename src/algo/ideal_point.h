@@ -18,10 +18,4 @@ namespace iaas {
 // Index into `front` of the selected solution. Front must be non-empty.
 std::size_t select_ideal_point(const std::vector<Individual>& front);
 
-// Weighted variant: stakeholder weights stretch the normalised axes
-// before the Euclidean distance (weight 0 removes an axis from the
-// decision entirely).
-std::size_t select_ideal_point(const std::vector<Individual>& front,
-                               const std::array<double, 3>& weights);
-
 }  // namespace iaas

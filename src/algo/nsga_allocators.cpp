@@ -120,7 +120,7 @@ AllocationResult Nsga3TabuAllocator::allocate(const Instance& instance,
                                               std::uint64_t seed) {
   AllocationProblem problem(instance, options_.objectives);
   // One SoA flattening serves the whole hybrid: the engine's per-slot
-  // evaluators and the repairer's per-call states.
+  // states and the repairer's per-call states.
   TabuRepair repair(instance, {}, problem.tables());
   const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
                                        Rng& rng) {

@@ -82,10 +82,6 @@ class Rng {
   // Bernoulli trial with success probability p.
   bool bernoulli(double p) { return next_double() < p; }
 
-  // Derive an independent child stream (e.g. one per parallel worker).
-  // Consumes one draw from this stream.
-  Rng split() { return Rng(next_u64() ^ 0xa3ec647659359acdULL); }
-
   // Counter-derived child stream i, WITHOUT consuming the parent state:
   // the same (state, i) pair always yields the same child, so a serial
   // driver can assign stream i to parallel task i and the run is

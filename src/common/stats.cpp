@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/expect.h"
-
 namespace iaas {
 
 void RunningStats::add(double x) {
@@ -29,37 +27,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double percentile(std::span<const double> values, double q) {
-  IAAS_EXPECT(!values.empty(), "percentile of empty range");
-  IAAS_EXPECT(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double mean(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) {
-    s.add(v);
-  }
-  return s.mean();
-}
-
-double median(std::span<const double> values) {
-  return percentile(values, 0.5);
-}
-
-double stddev(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) {
-    s.add(v);
-  }
-  return s.stddev();
-}
 
 }  // namespace iaas

@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace iaas {
 
@@ -27,11 +25,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-// Percentile with linear interpolation; q in [0,1]. Copies and sorts.
-double percentile(std::span<const double> values, double q);
-double mean(std::span<const double> values);
-double median(std::span<const double> values);
-double stddev(std::span<const double> values);
 
 }  // namespace iaas

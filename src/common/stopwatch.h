@@ -11,12 +11,9 @@ class Stopwatch {
  public:
   Stopwatch() : start_(clock::now()) {}
 
-  void restart() { start_ = clock::now(); }
-
   [[nodiscard]] double elapsed_seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
-  [[nodiscard]] double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;

@@ -169,14 +169,6 @@ std::vector<std::string> RunTrace::row_values(const GenerationRow& row) {
   return cells.values;
 }
 
-std::size_t RunTrace::total(std::size_t GenerationRow::*field) const {
-  std::size_t sum = 0;
-  for (const GenerationRow& row : rows) {
-    sum += row.*field;
-  }
-  return sum;
-}
-
 void RunTrace::write_csv(const std::string& path) const {
   CsvWriter csv(path, columns());
   for (const GenerationRow& row : rows) {

@@ -130,6 +130,8 @@ class Registry {
 
   [[nodiscard]] CounterBlock counters() const;
   [[nodiscard]] std::array<double, kPhaseCount> phase_seconds() const;
+  // Only tests call it: it isolates the process-wide registry between
+  // tests.
   void reset();
 
  private:
@@ -276,9 +278,6 @@ struct RunTrace {
   // The GenerationRow field list's keys, and one row's CSV cells.
   static const std::vector<std::string>& columns();
   static std::vector<std::string> row_values(const GenerationRow& row);
-
-  // Sum of a counter field over all rows (e.g. total evaluations).
-  [[nodiscard]] std::size_t total(std::size_t GenerationRow::*field) const;
 
   // One CSV file, header + one line per generation (common/csv rules:
   // fails loudly on an unopenable path).

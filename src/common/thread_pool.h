@@ -13,7 +13,7 @@
 //
 // The slot-aware variant additionally hands every participating thread a
 // stable *slot index* in [0, size()): a participant drains chunks
-// serially, so per-slot caller state ("arenas": evaluator scratch, gene
+// serially, so per-slot caller state ("arenas": placement state, gene
 // buffers) needs no locking — the foundation of the EA's thread-affine
 // PlacementState arenas (DESIGN.md §8).
 #pragma once

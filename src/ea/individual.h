@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "model/objectives.h"
+#include "model/objective_types.h"
 
 namespace iaas {
 

@@ -181,7 +181,7 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
     // state at the unrepaired placement; the repair walk keeps every
     // accumulator current, so the state read-out after it IS the
     // evaluation of the repaired genes.
-    PlacementState& state = arena.evaluator->state();
+    PlacementState& state = *arena.state;
     {
       telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
                                            : nullptr);
@@ -215,9 +215,10 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
     IAAS_EXPECT(ind.genes.size() == problem_->gene_count(),
                 "individual gene count mismatch");
     telemetry::count(telemetry::Counter::kEvaluations);
-    const Evaluation eval = arena.evaluator->evaluate_genes(ind.genes);
-    ind.objectives = eval.objectives.as_array();
-    ind.violations = eval.violations.total();
+    PlacementState& state = *arena.state;
+    state.rebuild(ind.genes);
+    ind.objectives = state.objectives().as_array();
+    ind.violations = state.total_violations();
     ind.evaluated = true;
   }
   ++stats.evaluations;
@@ -304,16 +305,16 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   ThreadPool* pool = evaluation_pool();
   Stopwatch budget_timer;
 
-  // Thread-affine arenas: one evaluator (plus gene scratch) per pool
-  // slot over the problem's shared tables, built here, before any task
+  // Thread-affine arenas: one full-tracking state (plus gene scratch) per
+  // pool slot over the problem's shared tables, built here, before any task
   // fans out, and held for the whole run.  Every parallel phase below
   // hands each participating thread a stable slot (parallel_for_slots),
   // so a task reaches its scratch without locks.
   const std::size_t slot_count = pool != nullptr ? pool->size() : 1;
   arenas_ = std::vector<Arena>(slot_count);
   for (Arena& arena : arenas_) {
-    arena.evaluator.emplace(problem_->instance(), problem_->options(),
-                            problem_->tables());
+    arena.state.emplace(problem_->instance(), problem_->options(),
+                        StateTracking::kFull, problem_->tables());
   }
 
   Result result;

@@ -12,7 +12,7 @@
 // pair a counter-derived child stream.  The parallel phase then fans each
 // pair out over the thread pool: crossover, mutation, parent/offspring
 // repair, and objective evaluation fused into one task, dispatched in
-// chunks to thread-affine arenas (one evaluator + gene scratch per pool
+// chunks to thread-affine arenas (one PlacementState + gene scratch per pool
 // slot, held for the whole run).  Because a task touches only its
 // own offspring slots, its own RNG stream, and its slot's arena — and
 // every cross-individual state reuse (the second child's gene-diff
@@ -132,12 +132,12 @@ class NsgaBase {
   };
 
   // Thread-affine scratch: one per ThreadPool slot, built for the whole
-  // run (DESIGN.md §8).  The evaluator's state is reused across every
-  // individual the slot handles; the gene buffers back the lazy
-  // parent-repair copies.  A slot's arena is only ever touched by the
-  // participant owning that slot (parallel_for_slots), so no locking.
+  // run (DESIGN.md §8).  The state is reused across every individual the
+  // slot handles; the gene buffers back the lazy parent-repair copies.  A
+  // slot's arena is only ever touched by the participant owning that slot
+  // (parallel_for_slots), so no locking.
   struct Arena {
-    std::optional<Evaluator> evaluator;
+    std::optional<PlacementState> state;
     std::vector<std::int32_t> genes_a;  // parent-repair scratch
     std::vector<std::int32_t> genes_b;
   };
@@ -152,8 +152,8 @@ class NsgaBase {
   // Offspring/initial-individual treatment: repair (when the mode asks
   // for it) fused with evaluation.  With a StateRepairFn the repair
   // walk's PlacementState is read out directly as the evaluation;
-  // otherwise genes-based repair followed by a normal evaluation on the
-  // arena's evaluator.  `rebase_from_current` lets the fused path
+  // otherwise genes-based repair followed by a full rebuild of the
+  // arena's state.  `rebase_from_current` lets the fused path
   // reposition the arena state with a gene-diff rebase instead of a full
   // rebuild — only valid when the state's current placement is a
   // deterministic function of this task (the pair's first repaired

@@ -13,12 +13,13 @@ std::int32_t round_clamp(double value, std::int32_t max_gene) {
       round_half_away(value), 0, max_gene));
 }
 
-// Deb's SBX spread factor for a uniform draw u.
-double sbx_beta(double u, double eta) {
+// Deb's SBX spread factor for a uniform draw u; `inverse_exponent` is
+// 1 / (eta + 1), computed once per crossover.
+double sbx_beta(double u, double inverse_exponent) {
   if (u <= 0.5) {
-    return std::pow(2.0 * u, 1.0 / (eta + 1.0));
+    return std::pow(2.0 * u, inverse_exponent);
   }
-  return std::pow(1.0 / (2.0 * (1.0 - u)), 1.0 / (eta + 1.0));
+  return std::pow(1.0 / (2.0 * (1.0 - u)), inverse_exponent);
 }
 
 }  // namespace
@@ -35,6 +36,7 @@ void sbx_crossover(const std::vector<std::int32_t>& parent_a,
   if (!rng.bernoulli(params.rate)) {
     return;  // no crossover this pair
   }
+  const double inverse_exponent = 1.0 / (params.distribution_index + 1.0);
   for (std::size_t g = 0; g < parent_a.size(); ++g) {
     if (!rng.bernoulli(params.per_gene_swap)) {
       continue;
@@ -51,7 +53,7 @@ void sbx_crossover(const std::vector<std::int32_t>& parent_a,
     }
     const double x1 = static_cast<double>(parent_a[g]);
     const double x2 = static_cast<double>(parent_b[g]);
-    const double beta = sbx_beta(u, params.distribution_index);
+    const double beta = sbx_beta(u, inverse_exponent);
     const double c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
     const double c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2);
     child_a[g] = round_clamp(c1, max_gene);

@@ -1,6 +1,6 @@
 // EA-facing adapter of the allocation model: the instance, its objective
 // options and shared SoA tables (what each engine arena builds its
-// Evaluator over), and the warm-start genes.
+// PlacementState over), and the warm-start genes.
 #pragma once
 
 #include <memory>
@@ -8,7 +8,8 @@
 
 #include "common/rng.h"
 #include "model/instance.h"
-#include "model/objectives.h"
+#include "model/objective_types.h"
+#include "model/placement_state.h"
 
 namespace iaas {
 
@@ -25,7 +26,7 @@ class AllocationProblem {
   [[nodiscard]] const ObjectiveOptions& options() const { return options_; }
 
   // Shared immutable SoA tables (model/placement_state.h); every arena
-  // evaluator and caller-built repair state of this problem reuses them.
+  // state and caller-built repair state of this problem reuses them.
   [[nodiscard]] const std::shared_ptr<const StateTables>& tables() const {
     return tables_;
   }

@@ -26,9 +26,10 @@
 #include "model/infrastructure.h"
 #include "model/instance.h"
 #include "model/load_model.h"
-#include "model/objectives.h"
+#include "model/objective_types.h"
 #include "model/placement.h"
 #include "model/placement_constraint.h"
+#include "model/placement_state.h"
 #include "model/request_set.h"
 #include "model/server.h"
 #include "model/validate.h"

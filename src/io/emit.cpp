@@ -65,11 +65,6 @@ void JsonEmitter::key(std::string_view k) {
   key_pending_ = true;
 }
 
-void JsonEmitter::value_null() {
-  before_value();
-  out_ += "null";
-}
-
 void JsonEmitter::value(bool b) {
   before_value();
   out_ += b ? "true" : "false";
@@ -83,11 +78,6 @@ void JsonEmitter::value(double d) {
 void JsonEmitter::value(std::uint64_t v) {
   before_value();
   json_detail::format_uint(v, out_);
-}
-
-void JsonEmitter::value(std::int64_t v) {
-  before_value();
-  json_detail::format_int(v, out_);
 }
 
 void JsonEmitter::value(std::string_view s) {

@@ -44,12 +44,9 @@ class JsonEmitter {
   // container begin.
   void key(std::string_view k);
 
-  void value_null();
   void value(bool b);
   void value(double d);  // aborts on non-finite (json_detail screen)
   void value(std::uint64_t v);
-  void value(std::int64_t v);
-  void value(int v) { value(static_cast<std::int64_t>(v)); }
   void value(std::string_view s);
   void value(const char* s) { value(std::string_view(s)); }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 #include "common/expect.h"
@@ -28,6 +27,8 @@ bool double_equals_uint(double d, std::uint64_t u) {
   return cast == u && static_cast<double>(cast) == d;
 }
 
+// Only operator== calls it; kept as half of test_json_fuzz's round-trip
+// oracle.
 bool double_equals_int(double d, std::int64_t i) {
   if (i >= 0) {
     return double_equals_uint(d, static_cast<std::uint64_t>(i));
@@ -105,30 +106,6 @@ std::uint64_t Json::as_uint64() const {
       return cast;
     }
     fail("number is not an exact uint64");
-  }
-  fail("not a number");
-}
-
-std::int64_t Json::as_int64() const {
-  if (const std::int64_t* i = std::get_if<std::int64_t>(&value_)) {
-    return *i;
-  }
-  if (const std::uint64_t* u = std::get_if<std::uint64_t>(&value_)) {
-    if (*u <= static_cast<std::uint64_t>(
-                  std::numeric_limits<std::int64_t>::max())) {
-      return static_cast<std::int64_t>(*u);
-    }
-    fail("integer overflows int64");
-  }
-  if (const double* d = std::get_if<double>(&value_)) {
-    if (*d == std::floor(*d) && *d >= -9223372036854775808.0 &&
-        *d < 9223372036854775808.0) {
-      const auto cast = static_cast<std::int64_t>(*d);
-      if (static_cast<double>(cast) == *d) {
-        return cast;
-      }
-    }
-    fail("number is not an exact int64");
   }
   fail("not a number");
 }
@@ -315,15 +292,17 @@ void format_uint(std::uint64_t v, std::string& out) {
   out.append(buf, result.ptr);
 }
 
+}  // namespace json_detail
+
+namespace {
+
+// Negative integer lexemes are stored as int64; only Json::dump writes
+// them back.
 void format_int(std::int64_t v, std::string& out) {
   char buf[24];
   const auto result = std::to_chars(buf, buf + sizeof(buf), v);
   out.append(buf, result.ptr);
 }
-
-}  // namespace json_detail
-
-namespace {
 
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent < 0) {
@@ -347,7 +326,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       json_detail::format_double(std::get<double>(value_), out);
       return;
     case 3:  // int64
-      json_detail::format_int(std::get<std::int64_t>(value_), out);
+      format_int(std::get<std::int64_t>(value_), out);
       return;
     case 4:  // uint64
       json_detail::format_uint(std::get<std::uint64_t>(value_), out);

@@ -47,7 +47,6 @@ class Json {
     j.value_ = v;
     return j;
   }
-  static Json integer(int v) { return integer(static_cast<std::int64_t>(v)); }
   static Json string(std::string s) {
     Json j;
     j.value_ = std::move(s);
@@ -70,14 +69,13 @@ class Json {
   // Typed accessors; wrong-type access throws std::runtime_error.
   [[nodiscard]] bool as_bool() const;
   // Any number as a double (integers past 2^53 lose precision — use
-  // as_uint64/as_int64 for exact counter/seed reads).
+  // as_uint64 for exact counter/seed reads).
   [[nodiscard]] double as_number() const;
-  // Exact integer reads: integer lexemes convert directly; doubles are
-  // accepted only when integral and exactly representable in the target
-  // type.  Anything else throws — silent truncation is the bug class
-  // these exist to kill.
+  // Exact unsigned integer read: integer lexemes convert directly;
+  // doubles are accepted only when integral and exactly representable.
+  // Anything else throws — silent truncation is the bug class it exists
+  // to kill.
   [[nodiscard]] std::uint64_t as_uint64() const;
-  [[nodiscard]] std::int64_t as_int64() const;
   [[nodiscard]] const std::string& as_string() const;
 
   // --- array interface ---
@@ -108,6 +106,8 @@ class Json {
 
   // Structural equality.  Numbers compare by value across storage
   // representations: parse("7") (an integer lexeme) equals number(7.0).
+  // Only tests compare documents: it is test_json_fuzz's round-trip
+  // oracle.
   friend bool operator==(const Json&, const Json&);
 
  private:
@@ -129,7 +129,6 @@ namespace json_detail {
 void escape_string(std::string_view s, std::string& out);
 void format_double(double d, std::string& out);   // aborts on non-finite
 void format_uint(std::uint64_t v, std::string& out);
-void format_int(std::int64_t v, std::string& out);
 
 }  // namespace json_detail
 

@@ -188,6 +188,10 @@ Instance instance_from_json(const Json& json) {
       fc.leaves_per_dc == 0 || fc.servers_per_leaf == 0 || fc.cores == 0) {
     throw std::runtime_error("serialize: degenerate fabric configuration");
   }
+  if (!(fc.core_spine_gbps > 0.0 && fc.spine_leaf_gbps > 0.0 &&
+        fc.leaf_server_gbps > 0.0)) {
+    throw std::runtime_error("serialize: fabric link speeds must be positive");
+  }
   const Fabric fabric_check(fc);
   if (servers.size() != fabric_check.server_count()) {
     throw std::runtime_error(

@@ -27,17 +27,12 @@ class LinExpr {
     terms_.push_back({var, coeff});
     return *this;
   }
-  LinExpr& add_constant(double c) {
-    constant_ += c;
-    return *this;
-  }
 
   [[nodiscard]] const std::vector<LinTerm>& terms() const { return terms_; }
-  [[nodiscard]] double constant() const { return constant_; }
 
   // Value of the expression under a full assignment of variable values.
   [[nodiscard]] double value(const std::vector<double>& assignment) const {
-    double v = constant_;
+    double v = 0.0;
     for (const LinTerm& t : terms_) {
       v += t.coeff * assignment[t.var.index];
     }
@@ -46,7 +41,6 @@ class LinExpr {
 
  private:
   std::vector<LinTerm> terms_;
-  double constant_ = 0.0;
 };
 
 enum class Relation : std::uint8_t { kLessEqual, kEqual, kGreaterEqual };

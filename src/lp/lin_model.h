@@ -25,7 +25,7 @@
 // handle the full three-term objective.
 //
 // The model exists to (a) document the exact formulation, (b) let tests
-// cross-validate ConstraintChecker/Evaluator against an independent
+// cross-validate ConstraintChecker/PlacementState against an independent
 // encoding, and (c) provide the CP solver's bound machinery.
 #pragma once
 
@@ -55,10 +55,13 @@ class LinModel {
 
   // Encode a placement as a 0/1 assignment vector over the model's
   // variables (rejected VMs leave their row all-zero, which deliberately
-  // breaks Eq. 17 — rejection is outside the pure ILP).
+  // breaks Eq. 17 — rejection is outside the pure ILP).  Only tests call
+  // it: with violated_count it is the independent ILP oracle that
+  // LinModelConsistency checks ConstraintChecker against.
   [[nodiscard]] std::vector<double> encode(const Placement& placement) const;
 
-  // Count constraints violated by an assignment (cross-validation hook).
+  // Count constraints violated by an assignment; the other half of that
+  // test-only oracle.
   [[nodiscard]] std::size_t violated_count(
       const std::vector<double>& assignment) const;
 

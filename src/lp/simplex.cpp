@@ -43,7 +43,7 @@ void SimplexSolver::add_constraint(const LinExpr& lhs, Relation relation,
     IAAS_EXPECT(t.var.index < variables_, "constraint variable out of range");
   }
   row.relation = relation;
-  row.rhs = rhs - lhs.constant();
+  row.rhs = rhs;
   rows_.push_back(std::move(row));
 }
 

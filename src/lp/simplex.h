@@ -44,13 +44,12 @@ class SimplexSolver {
   // Objective coefficient (default 0). Minimisation.
   void set_objective(VarId var, double coeff);
 
-  // Add one constraint row; expression constants fold into the rhs.
+  // Add one constraint row: lhs relation rhs.
   void add_constraint(const LinExpr& lhs, Relation relation, double rhs);
 
   LpSolution solve(std::size_t max_iterations = 0) const;  // 0 = auto
 
   [[nodiscard]] std::size_t variable_count() const { return variables_; }
-  [[nodiscard]] std::size_t constraint_count() const { return rows_.size(); }
 
  private:
   struct Row {

@@ -23,6 +23,37 @@ double dominant_size(const std::vector<double>& demand,
   return size;
 }
 
+// The linear server power model: a powered server draws kIdleFraction of
+// its peak plus the rest in proportion to its CPU load, and its peak is
+// kWattsPerCore per unit of CPU capacity.
+constexpr double kIdleFraction = 0.4;
+constexpr double kWattsPerCore = 10.0;
+
+// Energy draw of the placement `state` (tracking kFull) is positioned
+// at; servers hosting no VM are off and draw nothing.
+double energy_cost(const Instance& instance, const PlacementState& state) {
+  const std::size_t m = instance.m();
+  if (instance.h() == 0) {
+    return 0.0;
+  }
+  std::vector<std::uint32_t> hosted(m, 0);
+  for (std::int32_t gene : state.placement().genes()) {
+    if (gene != Placement::kRejected) {
+      ++hosted[static_cast<std::size_t>(gene)];
+    }
+  }
+  double watts = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (hosted[j] == 0) {
+      continue;  // server is powered off
+    }
+    const double cpu_load = std::min(1.0, state.loads()(j, 0));
+    watts += kWattsPerCore * instance.infra.server(j).capacity[0] *
+             (kIdleFraction + (1.0 - kIdleFraction) * cpu_load);
+  }
+  return watts;
+}
+
 }  // namespace
 
 double jain_index(std::span<const double> shares) {
@@ -41,33 +72,8 @@ double jain_index(std::span<const double> shares) {
   return (sum * sum) / (static_cast<double>(shares.size()) * sum_sq);
 }
 
-double energy_cost(const Instance& instance, const PlacementState& state,
-                   const EnergyModel& model) {
-  const std::size_t m = instance.m();
-  if (instance.h() == 0) {
-    return 0.0;
-  }
-  std::vector<std::uint32_t> hosted(m, 0);
-  for (std::int32_t gene : state.placement().genes()) {
-    if (gene != Placement::kRejected) {
-      ++hosted[static_cast<std::size_t>(gene)];
-    }
-  }
-  double watts = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    if (hosted[j] == 0) {
-      continue;  // server is powered off
-    }
-    const double cpu_load = std::min(1.0, state.loads()(j, 0));
-    watts += model.watts_per_core * instance.infra.server(j).capacity[0] *
-             (model.idle_fraction + (1.0 - model.idle_fraction) * cpu_load);
-  }
-  return watts;
-}
-
 FairnessReport compute_fairness(const Instance& instance,
-                                const Placement& placement,
-                                const FairnessConfig& config) {
+                                const Placement& placement) {
   const std::size_t n = instance.n();
   const std::size_t h = instance.h();
   IAAS_EXPECT(placement.genes().size() == n,
@@ -155,7 +161,7 @@ FairnessReport compute_fairness(const Instance& instance,
 
   PlacementState state(instance);
   state.rebuild(placement);
-  report.energy_cost = energy_cost(instance, state, config.energy);
+  report.energy_cost = energy_cost(instance, state);
   return report;
 }
 

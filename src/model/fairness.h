@@ -13,7 +13,10 @@
 //   util_eff  = served actual size / served reported size  (inflation
 //               shrinks this below 1: capacity is booked but unused)
 //   energy    = sum over powered servers of
-//               watts_per_core * P_j,cpu * (idle + (1-idle) * load_j,cpu)
+//               10 * P_j,cpu * (0.4 + 0.6 * min(1, load_j,cpu))
+//               (a linear power model: 10 W per unit of CPU capacity at
+//               full load, 40% of that when idle; a server hosting no VM
+//               is off and draws nothing)
 //
 // "Actual" demand is VmRequest::actual_demand() — the honest vector a
 // strategic consumer hid behind an inflated report.  All sums iterate
@@ -29,24 +32,10 @@
 
 namespace iaas {
 
-class PlacementState;
-
 // Jain's fairness index over non-negative shares: 1 for a uniform
 // vector, 1/N when one consumer holds everything.  Defined as 1 for
 // empty or all-zero input (perfect equality of nothing).
 [[nodiscard]] double jain_index(std::span<const double> shares);
-
-// Linear server power model: a powered server draws idle_fraction of
-// its peak, plus the rest proportionally to CPU load; peak scales with
-// CPU capacity.  Servers hosting no VM are off and draw nothing.
-struct EnergyModel {
-  double idle_fraction = 0.4;    // in [0, 1]
-  double watts_per_core = 10.0;  // >= 0, per unit of CPU capacity
-};
-
-struct FairnessConfig {
-  EnergyModel energy;
-};
 
 // One consumer's slice of a window outcome.
 struct ConsumerShare {
@@ -69,17 +58,9 @@ struct FairnessReport {
   double energy_cost = 0.0;
 };
 
-// Energy draw of a committed placement.  `state` must track kFull (the
-// loads matrix feeds the proportional term) and be positioned at the
-// placement being scored.
-[[nodiscard]] double energy_cost(const Instance& instance,
-                                 const PlacementState& state,
-                                 const EnergyModel& model);
-
 // Scores `placement` against `instance`.  Rebuilds one PlacementState
 // internally for the energy term — call once per window, not per move.
 [[nodiscard]] FairnessReport compute_fairness(const Instance& instance,
-                                              const Placement& placement,
-                                              const FairnessConfig& config = {});
+                                              const Placement& placement);
 
 }  // namespace iaas

@@ -20,18 +20,6 @@ Infrastructure::Infrastructure(FabricConfig fabric_config,
   }
 }
 
-std::vector<std::uint32_t> Infrastructure::servers_in_datacenter(
-    std::uint32_t dc) const {
-  IAAS_EXPECT(dc < datacenter_count(), "datacenter out of range");
-  std::vector<std::uint32_t> out;
-  for (std::size_t j = 0; j < servers_.size(); ++j) {
-    if (servers_[j].datacenter == dc) {
-      out.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-  return out;
-}
-
 double Infrastructure::total_effective_capacity(std::size_t l) const {
   double total = 0.0;
   for (const Server& s : servers_) {

@@ -36,10 +36,6 @@ class Infrastructure {
     return servers_[j].datacenter;
   }
 
-  // Global indices of the servers in one datacenter (contiguous range).
-  [[nodiscard]] std::vector<std::uint32_t> servers_in_datacenter(
-      std::uint32_t dc) const;
-
   // Total effective capacity of attribute l across all servers.
   [[nodiscard]] double total_effective_capacity(std::size_t l) const;
 

@@ -30,22 +30,4 @@ void compute_loads(const Instance& instance, const Placement& placement,
   }
 }
 
-void compute_qos(const Instance& instance, const Matrix<double>& loads,
-                 Matrix<double>& qos) {
-  const std::size_t m = instance.m();
-  const std::size_t h = instance.h();
-  IAAS_EXPECT(loads.rows() == m && loads.cols() == h,
-              "load matrix shape mismatch");
-  if (qos.rows() != m || qos.cols() != h) {
-    qos = Matrix<double>(m, h);
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    const Server& server = instance.infra.server(j);
-    for (std::size_t l = 0; l < h; ++l) {
-      qos(j, l) = qos_at_load(loads(j, l), server.max_load[l],
-                              server.max_qos[l]);
-    }
-  }
-}
-
 }  // namespace iaas

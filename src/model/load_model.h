@@ -44,7 +44,7 @@ inline double qos_at_knee(double load, double knee, double max_qos) {
 }
 
 // QoS value for a single (load, knee, max_qos) triple; the scalar core of
-// Eq. 24.
+// Eq. 24.  Kept for test_load_model, which pins Eq. 24 through it.
 inline double qos_at_load(double load, double max_load, double max_qos) {
   return qos_at_knee(load, clamp_knee(max_load), max_qos);
 }
@@ -53,9 +53,5 @@ inline double qos_at_load(double load, double max_load, double max_qos) {
 // contribute nothing.  `loads` is resized if needed.
 void compute_loads(const Instance& instance, const Placement& placement,
                    Matrix<double>& loads);
-
-// Fills `qos` (m x h) from a load matrix via Eq. 24.
-void compute_qos(const Instance& instance, const Matrix<double>& loads,
-                 Matrix<double>& qos);
 
 }  // namespace iaas

@@ -40,12 +40,6 @@ inline std::string relation_name(RelationKind kind) {
 struct PlacementConstraint {
   RelationKind kind;
   std::vector<std::uint32_t> vms;  // indices into the request set, size >= 2
-
-  [[nodiscard]] bool is_affinity() const {
-    return kind == RelationKind::kSameDatacenter ||
-           kind == RelationKind::kSameServer;
-  }
-  [[nodiscard]] bool is_anti_affinity() const { return !is_affinity(); }
 };
 
 }  // namespace iaas

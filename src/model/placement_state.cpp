@@ -117,7 +117,7 @@ void PlacementState::rebuild(std::span<const std::int32_t> genes) {
               "placement size mismatch with instance");
   // Counted here rather than in rebuild_from_placement: the constructor
   // also scans (over an all-rejected placement), but the number of arena
-  // evaluators an engine builds varies with thread count and would make
+  // states an engine builds varies with thread count and would make
   // the tally nondeterministic.
   telemetry::count(telemetry::Counter::kStateRebuilds);
   std::vector<std::int32_t>& dst = placement_.genes();
@@ -694,19 +694,6 @@ bool PlacementState::is_valid_allocation(std::size_t k,
     }
   }
   return true;
-}
-
-ViolationReport PlacementState::violation_report() const {
-  ViolationReport report;
-  report.capacity_violations = capacity_violations_;
-  report.relation_violations = relation_violations_;
-  report.rejected_vms = static_cast<std::uint32_t>(rejected_count_);
-  for (std::size_t j = 0; j < instance_->m(); ++j) {
-    if (overload_count_[j] > 0) {
-      report.overloaded_servers.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-  return report;
 }
 
 }  // namespace iaas

@@ -5,9 +5,10 @@
 // per-server allocated demand, normalised loads and QoS, per-server usage
 // and downtime cost terms, the per-server VM membership lists, the
 // per-constraint satisfied flags, and the three objective totals.
-// Invariants (see DESIGN.md §7): after construction, rebuild(), rebase(),
-// or any apply_move/revert, all accumulators equal what a from-scratch
-// Evaluator::evaluate of the same placement would produce.
+// Invariants (see DESIGN.md §7): after construction, rebase() or any
+// apply_move/revert, all accumulators equal what a full rebuild() of the
+// same placement produces, and the violation counts equal
+// ConstraintChecker::check's from-scratch audit.
 // The same accumulators answer the paper's isValidAllocation (Fig. 6), so
 // every placer, from Round-Robin to the CP search, builds its placement
 // by committing moves into a state.
@@ -26,7 +27,7 @@
 // scalars, the VM→constraint adjacency) live in an immutable StateTables,
 // flattened into contiguous matrices, scalar arrays, and a CSR index —
 // shareable between every state built against the same Instance, so an
-// engine's per-slot evaluators pay the flattening once.  The mutable side
+// engine's per-slot states pay the flattening once.  The mutable side
 // is equally flat: per-server membership is an intrusive doubly-linked
 // list over plain arrays (tail/next/prev, with each server's head in a
 // slot of next) with O(1) attach/detach and no per-server heap vectors,
@@ -81,7 +82,7 @@ namespace iaas {
 // Immutable, instance-derived SoA tables: everything the delta engine's
 // hot loops read, flattened out of the AoS Server/VmRequest structs and
 // the per-VM constraint lists.  Built once per Instance and shared (by
-// shared_ptr) across every PlacementState/Evaluator of that instance —
+// shared_ptr) across every PlacementState of that instance —
 // the engine arenas and repairers construct states without re-doing the
 // O(n·h + m·h + constraints) flattening.
 struct StateTables {
@@ -203,10 +204,6 @@ class PlacementState {
   [[nodiscard]] bool relation_satisfied(std::size_t c) const {
     return relation_ok_[c] != 0;
   }
-  // Full report in the ConstraintChecker::check format (builds the
-  // overloaded-server list, O(m)).
-  [[nodiscard]] ViolationReport violation_report() const;
-
   // isValidAllocation of the paper's Fig. 6: true when VM k can sit on
   // server j without exceeding its effective capacity (k's demand counts
   // only when it is not already there) or breaking a relationship

@@ -26,6 +26,14 @@ FaultModel::FaultModel(FaultConfig config, const Fabric& fabric,
       fabric_(&fabric),
       rng_(seed),
       state_(fabric.server_count(), kHealthy) {
+  // A NaN probability fails both compares (it would switch faults off).
+  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  IAAS_EXPECT(probability(config_.server_failure_probability),
+              "server_failure_probability must lie in [0, 1]");
+  IAAS_EXPECT(probability(config_.leaf_failure_probability),
+              "leaf_failure_probability must lie in [0, 1]");
+  IAAS_EXPECT(probability(config_.decommission_probability),
+              "decommission_probability must lie in [0, 1]");
   IAAS_EXPECT(config_.mttr_min_windows >= 1,
               "MTTR is measured in whole windows (>= 1)");
   IAAS_EXPECT(config_.mttr_min_windows <= config_.mttr_max_windows,

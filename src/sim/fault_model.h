@@ -31,7 +31,8 @@ struct ScriptedFault {
 };
 
 struct FaultConfig {
-  // Per-window Bernoulli rates.  Server failures hit healthy servers
+  // Per-window Bernoulli rates, each in [0, 1] (FaultModel refuses NaN
+  // and anything outside).  Server failures hit healthy servers
   // independently; leaf failures hit a whole rack through the fabric.
   double server_failure_probability = 0.0;
   double leaf_failure_probability = 0.0;
@@ -44,11 +45,6 @@ struct FaultConfig {
   double decommission_probability = 0.0;
 
   std::vector<ScriptedFault> scripted;
-
-  [[nodiscard]] bool enabled() const {
-    return server_failure_probability > 0.0 ||
-           leaf_failure_probability > 0.0 || !scripted.empty();
-  }
 };
 
 enum class FaultEventKind : std::uint8_t {

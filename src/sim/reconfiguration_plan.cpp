@@ -1,7 +1,5 @@
 #include "sim/reconfiguration_plan.h"
 
-#include <sstream>
-
 #include "common/expect.h"
 
 namespace iaas {
@@ -22,27 +20,12 @@ std::size_t ReconfigurationPlan::migrations() const {
   return n;
 }
 
-std::size_t ReconfigurationPlan::stops() const {
-  std::size_t n = 0;
-  for (const auto& a : actions) {
-    n += a.kind == ActionKind::kStop ? 1 : 0;
-  }
-  return n;
-}
-
 double ReconfigurationPlan::migration_cost() const {
   double total = 0.0;
   for (const auto& a : actions) {
     total += a.cost;
   }
   return total;
-}
-
-std::string ReconfigurationPlan::summary() const {
-  std::ostringstream out;
-  out << boots() << " boots, " << migrations() << " migrations, " << stops()
-      << " stops, migration cost " << migration_cost();
-  return out.str();
 }
 
 ReconfigurationPlan make_plan(const Instance& instance, const Placement& from,

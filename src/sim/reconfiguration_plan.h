@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "model/instance.h"
@@ -31,10 +30,7 @@ struct ReconfigurationPlan {
 
   [[nodiscard]] std::size_t boots() const;
   [[nodiscard]] std::size_t migrations() const;
-  [[nodiscard]] std::size_t stops() const;
   [[nodiscard]] double migration_cost() const;
-
-  [[nodiscard]] std::string summary() const;
 };
 
 // Diff `from` -> `to` for the VMs of `instance` (both placements sized

@@ -22,8 +22,6 @@ struct RetryPolicy {
   std::size_t max_attempts = 0;
   std::size_t backoff_base_windows = 1;
   std::size_t backoff_cap_windows = 8;
-
-  [[nodiscard]] bool enabled() const { return max_attempts > 1; }
 };
 
 struct RetryEntry {

@@ -8,6 +8,7 @@
 #include "algo/heuristics.h"
 #include "common/expect.h"
 #include "model/assignment_units.h"
+#include "model/fairness.h"
 
 namespace iaas {
 namespace {
@@ -340,8 +341,8 @@ std::vector<WindowMetrics> CloudSimulator::run(std::uint64_t seed) {
       // Fairness/welfare columns, scored on the full window instance (so
       // rejected VMs count against their consumer) before compaction.
       if (track_fairness) {
-        const FairnessReport fair = compute_fairness(
-            step.instance, step.result.placement, config_.fairness);
+        const FairnessReport fair =
+            compute_fairness(step.instance, step.result.placement);
         row.fairness.consumers = fair.consumers.size();
         row.fairness.strategic_consumers = fair.strategic_consumers;
         row.fairness.strategic_vms = fair.strategic_vms;

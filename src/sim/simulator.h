@@ -30,7 +30,6 @@
 #include "algo/allocator.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
-#include "model/fairness.h"
 #include "model/instance.h"
 #include "sim/fault_model.h"
 #include "sim/fleet.h"
@@ -89,9 +88,6 @@ struct SimConfig {
   // whose arrival would push the backlog past the cap is shed entirely
   // and counted in admission_dropped — load shedding, not deferral.
   std::size_t admission_queue_limit = 0;
-  // Fairness/energy metric knobs; only consulted when scenario.consumers
-  // > 0 (which turns the per-window fairness columns on).
-  FairnessConfig fairness;
   ScenarioConfig scenario;                 // infrastructure + request shape
 };
 

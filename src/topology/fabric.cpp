@@ -12,50 +12,11 @@ Fabric::Fabric(const FabricConfig& config) : config_(config) {
   IAAS_EXPECT(config.spines_per_dc > 0 && config.leaves_per_dc > 0 &&
                   config.servers_per_leaf > 0,
               "fabric tiers must be non-empty");
+  // A NaN speed fails the compare too.
+  IAAS_EXPECT(config.core_spine_gbps > 0.0 && config.spine_leaf_gbps > 0.0 &&
+                  config.leaf_server_gbps > 0.0,
+              "fabric link speeds must be positive");
   server_count_ = config.datacenters * servers_per_datacenter();
-
-  // Core switches first, then per datacenter: spines, leaves, servers.
-  for (std::uint32_t c = 0; c < config.cores; ++c) {
-    nodes_.push_back({NodeKind::kCore, kNoDatacenter, c});
-  }
-  server_node_ids_.reserve(server_count_);
-
-  for (std::uint32_t dc = 0; dc < config.datacenters; ++dc) {
-    std::vector<std::uint32_t> spine_ids;
-    spine_ids.reserve(config.spines_per_dc);
-    for (std::uint32_t s = 0; s < config.spines_per_dc; ++s) {
-      spine_ids.push_back(static_cast<std::uint32_t>(nodes_.size()));
-      nodes_.push_back({NodeKind::kSpine, dc, s});
-      // Every spine uplinks to every core.
-      for (std::uint32_t c = 0; c < config.cores; ++c) {
-        links_.push_back({c, spine_ids.back(), config.core_spine_gbps});
-      }
-    }
-    for (std::uint32_t l = 0; l < config.leaves_per_dc; ++l) {
-      const auto leaf_id = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back({NodeKind::kLeaf, dc, l});
-      // Full Clos: every leaf connects to every spine in its DC.
-      for (std::uint32_t spine : spine_ids) {
-        links_.push_back({spine, leaf_id, config.spine_leaf_gbps});
-      }
-      for (std::uint32_t s = 0; s < config.servers_per_leaf; ++s) {
-        const auto server_id = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.push_back(
-            {NodeKind::kServer, dc,
-             l * config.servers_per_leaf + s});
-        links_.push_back({leaf_id, server_id, config.leaf_server_gbps});
-        server_node_ids_.push_back(server_id);
-      }
-    }
-  }
-  // Leaf-major server index table backing the servers_on_leaf spans.
-  // Global server ids are already leaf-major, so the table is the
-  // identity sequence — kept as an explicit table so the span contract
-  // survives any future reordering of the global layout.
-  leaf_servers_.resize(server_count_);
-  for (std::uint32_t j = 0; j < server_count_; ++j) {
-    leaf_servers_[j] = j;
-  }
 }
 
 std::uint32_t Fabric::datacenter_of_server(std::uint32_t server) const {
@@ -66,28 +27,6 @@ std::uint32_t Fabric::datacenter_of_server(std::uint32_t server) const {
 std::uint32_t Fabric::leaf_of_server(std::uint32_t server) const {
   IAAS_EXPECT(server < server_count_, "server index out of range");
   return (server % servers_per_datacenter()) / config_.servers_per_leaf;
-}
-
-std::span<const std::uint32_t> Fabric::servers_on_leaf(
-    std::uint32_t datacenter, std::uint32_t leaf) const {
-  IAAS_EXPECT(datacenter < config_.datacenters, "datacenter out of range");
-  IAAS_EXPECT(leaf < config_.leaves_per_dc, "leaf out of range");
-  const std::size_t base =
-      static_cast<std::size_t>(datacenter) * servers_per_datacenter() +
-      static_cast<std::size_t>(leaf) * config_.servers_per_leaf;
-  return {leaf_servers_.data() + base, config_.servers_per_leaf};
-}
-
-std::uint32_t Fabric::global_leaf_of_server(std::uint32_t server) const {
-  return datacenter_of_server(server) * config_.leaves_per_dc +
-         leaf_of_server(server);
-}
-
-std::span<const std::uint32_t> Fabric::servers_on_global_leaf(
-    std::uint32_t global_leaf) const {
-  IAAS_EXPECT(global_leaf < leaf_count(), "global leaf out of range");
-  return servers_on_leaf(global_leaf / config_.leaves_per_dc,
-                         global_leaf % config_.leaves_per_dc);
 }
 
 std::uint32_t Fabric::hop_distance(std::uint32_t server_a,
@@ -118,12 +57,6 @@ std::uint32_t Fabric::path_redundancy(std::uint32_t server_a,
     default:
       return std::min(config_.spines_per_dc, config_.cores);
   }
-}
-
-double Fabric::bisection_bandwidth_gbps(std::uint32_t datacenter) const {
-  IAAS_EXPECT(datacenter < config_.datacenters, "datacenter out of range");
-  return static_cast<double>(config_.spines_per_dc) *
-         static_cast<double>(config_.leaves_per_dc) * config_.spine_leaf_gbps;
 }
 
 double Fabric::path_bandwidth_gbps(std::uint32_t server_a,

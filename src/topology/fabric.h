@@ -6,31 +6,18 @@
 // core layer.  The allocator itself only needs server identities and their
 // datacenter membership, but the fabric provides the physical quantities
 // the cost and workload models draw on: hop distances (migration locality),
-// path redundancy (availability) and bisection bandwidth.
+// path redundancy (availability) and path bandwidth.  Servers are numbered
+// datacenter-major, then leaf-major, so every leaf, datacenter and shard
+// is one contiguous index range and no node or link table is kept.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <ranges>
 #include <string>
-#include <vector>
 
 #include "common/expect.h"
 
 namespace iaas {
-
-enum class NodeKind : std::uint8_t { kCore, kSpine, kLeaf, kServer };
-
-struct FabricNode {
-  NodeKind kind;
-  std::uint32_t datacenter;  // owning DC; cores use kNoDatacenter
-  std::uint32_t index_in_tier;
-};
-
-struct FabricLink {
-  std::uint32_t a;            // node id
-  std::uint32_t b;            // node id
-  double bandwidth_gbps;
-};
 
 struct FabricConfig {
   std::uint32_t datacenters = 1;
@@ -45,8 +32,7 @@ struct FabricConfig {
 
 class Fabric {
  public:
-  static constexpr std::uint32_t kNoDatacenter = 0xffffffffu;
-
+  // Refuses an empty tier and a link speed that is not positive.
   explicit Fabric(const FabricConfig& config);
 
   [[nodiscard]] const FabricConfig& config() const { return config_; }
@@ -62,23 +48,18 @@ class Fabric {
   [[nodiscard]] std::uint32_t datacenter_of_server(std::uint32_t server) const;
   [[nodiscard]] std::uint32_t leaf_of_server(std::uint32_t server) const;
 
-  // Global server indices hosted by a (datacenter, leaf) pair: a view
-  // into a leaf-major index table precomputed at construction — no
-  // allocation per call (hot in fault injection and shard slicing).
-  [[nodiscard]] std::span<const std::uint32_t> servers_on_leaf(
-      std::uint32_t datacenter, std::uint32_t leaf) const;
-
   // Leaves enumerated globally (datacenter-major, matching the global
   // server order), so correlated failure domains can be indexed with one
-  // integer: global leaf g hosts servers [g*servers_per_leaf,
-  // (g+1)*servers_per_leaf).
+  // integer: global leaf g hosts the server range [g*servers_per_leaf,
+  // (g+1)*servers_per_leaf), which servers_on_global_leaf returns.
   [[nodiscard]] std::uint32_t leaf_count() const {
     return config_.datacenters * config_.leaves_per_dc;
   }
-  [[nodiscard]] std::uint32_t global_leaf_of_server(
-      std::uint32_t server) const;
-  [[nodiscard]] std::span<const std::uint32_t> servers_on_global_leaf(
-      std::uint32_t global_leaf) const;
+  [[nodiscard]] auto servers_on_global_leaf(std::uint32_t global_leaf) const {
+    IAAS_EXPECT(global_leaf < leaf_count(), "global leaf out of range");
+    const std::uint32_t lo = global_leaf * config_.servers_per_leaf;
+    return std::views::iota(lo, lo + config_.servers_per_leaf);
+  }
 
   // Network hop count between two servers: 0 same server, 2 same leaf,
   // 4 same DC (leaf-spine-leaf), 6 across DCs (via core).
@@ -120,16 +101,9 @@ class Fabric {
   [[nodiscard]] std::uint32_t path_redundancy(std::uint32_t server_a,
                                               std::uint32_t server_b) const;
 
-  // Aggregate leaf-to-spine bandwidth of one datacenter (its bisection
-  // ceiling under full Clos wiring).
-  [[nodiscard]] double bisection_bandwidth_gbps(std::uint32_t datacenter) const;
-
   // Bottleneck link bandwidth along a shortest server-to-server path.
   [[nodiscard]] double path_bandwidth_gbps(std::uint32_t server_a,
                                            std::uint32_t server_b) const;
-
-  [[nodiscard]] const std::vector<FabricNode>& nodes() const { return nodes_; }
-  [[nodiscard]] const std::vector<FabricLink>& links() const { return links_; }
 
   // Human-readable one-line summary ("2 DC x (2 spine, 4 leaf, 32 srv)").
   [[nodiscard]] std::string summary() const;
@@ -137,13 +111,6 @@ class Fabric {
  private:
   FabricConfig config_;
   std::uint32_t server_count_;
-  std::vector<FabricNode> nodes_;
-  std::vector<FabricLink> links_;
-  std::vector<std::uint32_t> server_node_ids_;  // server index -> node id
-  // Global server ids in leaf-major order: global leaf g's servers are
-  // the contiguous run [g * servers_per_leaf, (g+1) * servers_per_leaf)
-  // of this table, which servers_on_leaf returns as a span.
-  std::vector<std::uint32_t> leaf_servers_;
 };
 
 }  // namespace iaas

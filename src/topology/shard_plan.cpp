@@ -56,25 +56,14 @@ ShardPlan::ShardPlan(const Fabric& fabric, std::uint32_t shard_count)
     }
   }
 
-  shard_of_leaf_.assign(leaves, 0);
-  for (std::uint32_t s = 0; s < slices_.size(); ++s) {
-    ShardSlice& slice = slices_[s];
+  for (ShardSlice& slice : slices_) {
     slice.server_begin = slice.leaf_begin * spl;
     slice.server_end = slice.leaf_end * spl;
     IAAS_EXPECT(slice.leaf_begin < slice.leaf_end, "empty shard slice");
-    for (std::uint32_t g = slice.leaf_begin; g < slice.leaf_end; ++g) {
-      shard_of_leaf_[g] = s;
-    }
   }
   IAAS_EXPECT(slices_.front().server_begin == 0 &&
                   slices_.back().server_end == fabric.server_count(),
               "shard slices must tile the server range");
-}
-
-std::uint32_t ShardPlan::shard_of_server(std::uint32_t server) const {
-  const std::uint32_t global_leaf = server / config_.servers_per_leaf;
-  IAAS_EXPECT(global_leaf < shard_of_leaf_.size(), "server out of range");
-  return shard_of_leaf_[global_leaf];
 }
 
 FabricConfig ShardPlan::slice_fabric(std::size_t s) const {
@@ -88,15 +77,6 @@ FabricConfig ShardPlan::slice_fabric(std::size_t s) const {
     cfg.leaves_per_dc = sl.leaf_end - sl.leaf_begin;
   }
   return cfg;
-}
-
-std::int32_t ShardPlan::first_multi_dc_shard() const {
-  for (std::uint32_t s = 0; s < slices_.size(); ++s) {
-    if (slices_[s].datacenter_count() > 1) {
-      return static_cast<std::int32_t>(s);
-    }
-  }
-  return -1;
 }
 
 }  // namespace iaas

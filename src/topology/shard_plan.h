@@ -68,37 +68,15 @@ class ShardPlan {
     return slices_;
   }
 
-  // Owning shard of a global server id (every server belongs to exactly
-  // one shard).
-  [[nodiscard]] std::uint32_t shard_of_server(std::uint32_t server) const;
-
-  // Local <-> global server id translation for shard s.
-  [[nodiscard]] std::uint32_t local_server(std::uint32_t s,
-                                           std::uint32_t global) const {
-    IAAS_EXPECT(shard_of_server(global) == s, "server not in shard");
-    return global - slices_[s].server_begin;
-  }
-  [[nodiscard]] std::uint32_t global_server(std::uint32_t s,
-                                            std::uint32_t local) const {
-    IAAS_EXPECT(local < slices_[s].server_count(), "local server range");
-    return slices_[s].server_begin + local;
-  }
-
   // The slice's own fabric shape: whole-DC slices keep the original
   // per-DC tier sizes over datacenter_count() DCs; partial-DC slices
   // collapse to one DC holding the slice's leaves.  Spine/core counts
   // and link speeds are inherited from the parent config.
   [[nodiscard]] FabricConfig slice_fabric(std::size_t s) const;
 
-  // Smallest shard index whose slice spans more than one datacenter, or
-  // -1 when every shard is single-DC (the shard_count > datacenters
-  // arm) — the preferred home for different-datacenters groups.
-  [[nodiscard]] std::int32_t first_multi_dc_shard() const;
-
  private:
   const FabricConfig config_;
   std::vector<ShardSlice> slices_;
-  std::vector<std::uint32_t> shard_of_leaf_;  // global leaf -> shard
 };
 
 }  // namespace iaas

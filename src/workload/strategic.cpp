@@ -148,12 +148,6 @@ std::vector<char> strategic_consumer_mask(const StrategicConfig& config,
   return mask;
 }
 
-bool is_strategic_consumer(const StrategicConfig& config,
-                           std::uint32_t consumers, std::uint32_t consumer) {
-  const std::vector<char> mask = strategic_consumer_mask(config, consumers);
-  return consumer < consumers && mask[consumer] != 0;
-}
-
 const StrategyProfile& strategy_profile_of(const StrategicConfig& config,
                                            std::uint32_t consumer) {
   return config.profiles[consumer % config.profiles.size()];

@@ -34,11 +34,6 @@ namespace iaas {
 [[nodiscard]] std::vector<char> strategic_consumer_mask(
     const StrategicConfig& config, std::uint32_t consumers);
 
-// Convenience probe over the mask (O(consumers) — test/debug use).
-[[nodiscard]] bool is_strategic_consumer(const StrategicConfig& config,
-                                         std::uint32_t consumers,
-                                         std::uint32_t consumer);
-
 // The profile consumer `c` plays (round-robin over config.profiles).
 // Precondition: config.profiles is non-empty.
 [[nodiscard]] const StrategyProfile& strategy_profile_of(

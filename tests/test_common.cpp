@@ -83,24 +83,13 @@ TEST(RunningStats, EmptyAndSingle) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(Stats, PercentileInterpolates) {
-  const std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 25.0);
-}
-
-TEST(Stats, MedianOddAndEven) {
-  const std::vector<double> odd = {3.0, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(median(odd), 2.0);
-  const std::vector<double> even = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(median(even), 2.5);
-}
-
-TEST(Stats, MeanAndStddevHelpers) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(v), 2.5);
-  EXPECT_NEAR(stddev(v), std::sqrt(5.0 / 3.0), 1e-12);
+TEST(RunningStats, StddevIsSampleStddev) {
+  RunningStats s;
+  for (const double v : {1.0, 2.0, 3.0, 4.0}) {
+    s.add(v);
+  }
+  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
+  EXPECT_NEAR(s.stddev(), std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

@@ -11,10 +11,10 @@
 #include "algo/round_robin.h"
 #include "broker/multicloud_sim.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "ea/operators.h"
 #include "model/infrastructure.h"
 #include "model/instance.h"
+#include "sim/fault_model.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
 #include "topology/fabric.h"
@@ -34,6 +34,19 @@ TEST(ContractsDeathTest, FabricRejectsEmptyTier) {
   FabricConfig fc;
   fc.servers_per_leaf = 0;
   EXPECT_DEATH({ Fabric fabric(fc); }, "non-empty");
+}
+
+TEST(ContractsDeathTest, FabricRejectsNonPositiveLinkSpeed) {
+  for (double FabricConfig::*speed :
+       {&FabricConfig::core_spine_gbps, &FabricConfig::spine_leaf_gbps,
+        &FabricConfig::leaf_server_gbps}) {
+    for (const double gbps :
+         {-10.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+      FabricConfig fc;
+      fc.*speed = gbps;
+      EXPECT_DEATH({ Fabric fabric(fc); }, "link speeds") << "gbps " << gbps;
+    }
+  }
 }
 
 TEST(ContractsDeathTest, FabricServerIndexOutOfRange) {
@@ -118,16 +131,6 @@ TEST(ContractsDeathTest, RngUniformIndexRejectsZero) {
   EXPECT_DEATH((void)rng.uniform_index(0), "n > 0");
 }
 
-TEST(ContractsDeathTest, PercentileRejectsEmptyRange) {
-  const std::vector<double> empty;
-  EXPECT_DEATH((void)percentile(empty, 0.5), "empty");
-}
-
-TEST(ContractsDeathTest, PercentileRejectsBadQuantile) {
-  const std::vector<double> v = {1.0};
-  EXPECT_DEATH((void)percentile(v, 1.5), "0,1");
-}
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -153,6 +156,21 @@ TEST(ContractsDeathTest, SimulatorRejectsBadChurnRates) {
         { CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>()); },
         "departure_probability")
         << "probability " << p;
+  }
+}
+
+TEST(ContractsDeathTest, FaultModelRejectsBadProbabilities) {
+  const Fabric fabric(FabricConfig{});
+  for (double FaultConfig::*field :
+       {&FaultConfig::server_failure_probability,
+        &FaultConfig::leaf_failure_probability,
+        &FaultConfig::decommission_probability}) {
+    for (const double p : {1.5, -0.1, kNaN}) {
+      FaultConfig cfg;
+      cfg.*field = p;
+      EXPECT_DEATH({ FaultModel model(cfg, fabric, 1); }, "probability")
+          << "probability " << p;
+    }
   }
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "model/constraint_checker.h"
-#include "model/objectives.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -22,13 +21,14 @@ using test::make_random_instance;
 // migration) over all complete feasible placements.
 double brute_force_optimum(const Instance& inst) {
   const ConstraintChecker checker(inst);
-  Evaluator evaluator(inst);
+  PlacementState state(inst);
   double best = std::numeric_limits<double>::infinity();
   Placement p(inst.n());
   std::function<void(std::size_t)> rec = [&](std::size_t k) {
     if (k == inst.n()) {
       if (checker.check(p).feasible()) {
-        const ObjectiveVector obj = evaluator.objectives(p);
+        state.rebuild(p);
+        const ObjectiveVector obj = state.objectives();
         best = std::min(best, obj.usage_cost + obj.migration_cost);
       }
       return;
@@ -80,8 +80,7 @@ TEST(CpSolver, MatchesBruteForceOptimumOnTinyInstances) {
     ASSERT_TRUE(stats.found_complete) << "instance " << i;
     EXPECT_TRUE(stats.proved_optimal) << "instance " << i;
 
-    Evaluator evaluator(inst);
-    const ObjectiveVector obj = evaluator.objectives(p);
+    const ObjectiveVector obj = test::objectives_of(inst, p);
     const double expected = brute_force_optimum(inst);
     EXPECT_NEAR(obj.usage_cost + obj.migration_cost, expected, 1e-6)
         << "instance " << i;
@@ -198,9 +197,8 @@ TEST_P(CpVsGreedy, OptimizedNeverWorseThanGreedy) {
   if (greedy.rejected_count() > 0) {
     return;  // greedy rejected; costs not comparable
   }
-  Evaluator evaluator(inst);
-  const ObjectiveVector a = evaluator.objectives(solved);
-  const ObjectiveVector b = evaluator.objectives(greedy);
+  const ObjectiveVector a = test::objectives_of(inst, solved);
+  const ObjectiveVector b = test::objectives_of(inst, greedy);
   EXPECT_LE(a.usage_cost + a.migration_cost,
             b.usage_cost + b.migration_cost + 1e-9);
 }

@@ -124,40 +124,35 @@ TEST(ComputeFairness, EmptyPlacementIsVacuouslyFair) {
 
 // --- energy model, closed form ---
 
-TEST(EnergyCost, IdleOnlyModelCountsPoweredServers) {
-  // idle_fraction 1 makes the load term vanish: energy is exactly
-  // watts_per_core * cpu_capacity per powered server.
+TEST(EnergyCost, PoweredOffServersDrawNothing) {
+  // A powered 10-CPU server at CPU load x draws 10 W per unit of CPU
+  // capacity times (0.4 + 0.6 * min(x, 1)); a server hosting no VM draws
+  // nothing.
   const Instance inst = two_consumer_instance();
-  FairnessConfig config;
-  config.energy.idle_fraction = 1.0;
-  config.energy.watts_per_core = 10.0;
 
-  Placement both(2);
+  Placement both(2);  // reported CPU loads 0.4 and 0.8
   both.assign(0, 0);
   both.assign(1, 1);
-  EXPECT_DOUBLE_EQ(compute_fairness(inst, both, config).energy_cost, 200.0);
+  EXPECT_DOUBLE_EQ(compute_fairness(inst, both).energy_cost,
+                   100.0 * (0.4 + 0.6 * 0.4) + 100.0 * (0.4 + 0.6 * 0.8));
 
-  Placement packed(2);  // both VMs on server 0: server 1 powers off
+  Placement packed(2);  // server 0 saturates at load 1.2, server 1 is off
   packed.assign(0, 0);
   packed.assign(1, 0);
-  EXPECT_DOUBLE_EQ(compute_fairness(inst, packed, config).energy_cost, 100.0);
+  EXPECT_DOUBLE_EQ(compute_fairness(inst, packed).energy_cost, 100.0);
 
-  EXPECT_DOUBLE_EQ(compute_fairness(inst, Placement(2), config).energy_cost,
-                   0.0);
+  EXPECT_DOUBLE_EQ(compute_fairness(inst, Placement(2)).energy_cost, 0.0);
 }
 
 TEST(EnergyCost, LoadTermRespondsToReportedDemand) {
-  // With idle_fraction < 1, a hotter server draws more; the draw is
-  // bounded by the all-idle floor and the full-load peak.
+  // A hotter server draws more; the draw is bounded by the all-idle
+  // floor and the full-load peak.
   const Instance inst = two_consumer_instance();
-  FairnessConfig config;
-  config.energy.idle_fraction = 0.4;
-  config.energy.watts_per_core = 10.0;
 
   Placement both(2);
   both.assign(0, 0);
   both.assign(1, 1);
-  const double energy = compute_fairness(inst, both, config).energy_cost;
+  const double energy = compute_fairness(inst, both).energy_cost;
   EXPECT_GT(energy, 2 * 10.0 * 10.0 * 0.4);  // above the idle floor
   EXPECT_LT(energy, 2 * 10.0 * 10.0);        // below dual full load
 }

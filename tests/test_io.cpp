@@ -1,6 +1,7 @@
 // JSON value/parser/writer and model (de)serialisation round-trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 
 #include "io/json.h"
@@ -49,12 +50,15 @@ TEST(Json, ObjectPreservesInsertionOrder) {
 }
 
 TEST(Json, DumpCompactAndPretty) {
+  EXPECT_EQ(Json::null().dump(), "null");
   Json j = Json::object();
   j["k"] = Json::array();
   j["k"].push_back(Json::number(1));
-  EXPECT_EQ(j.dump(), "{\"k\":[1]}");
+  j["k"].push_back(Json::null());
+  j["k"].push_back(Json::integer(std::int64_t{-42}));
+  EXPECT_EQ(j.dump(), "{\"k\":[1,null,-42]}");
   const std::string pretty = j.dump(2);
-  EXPECT_NE(pretty.find("\n  \"k\""), std::string::npos);
+  EXPECT_EQ(pretty, "{\n  \"k\": [\n    1,\n    null,\n    -42\n  ]\n}");
   EXPECT_EQ(Json::parse(pretty), j);
 }
 
@@ -158,6 +162,20 @@ TEST(Serialize, MalformedInstanceThrows) {
   j["previous"] = Json::array();  // wrong size (0 != 8)... empty arrays
   j["previous"].push_back(Json::number(0));
   EXPECT_THROW(instance_from_json(j), std::runtime_error);
+}
+
+TEST(Serialize, NonPositiveLinkSpeedThrows) {
+  const Instance inst = test::make_random_instance(13, 16, 8);
+  for (const char* field :
+       {"core_spine_gbps", "spine_leaf_gbps", "leaf_server_gbps"}) {
+    for (const double gbps : {-10.0, 0.0}) {
+      Json j = instance_to_json(inst);
+      j["fabric"][field] = Json::number(gbps);
+      EXPECT_THROW(static_cast<void>(instance_from_json(j)),
+                   std::runtime_error)
+          << field << " = " << gbps;
+    }
+  }
 }
 
 TEST(Serialize, ResultToJsonCarriesMetrics) {

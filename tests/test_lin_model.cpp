@@ -1,12 +1,11 @@
 // ILP formulation (Eqs. 4-21): structural checks and cross-validation of
-// the independent encoding against ConstraintChecker / Evaluator.
+// the independent encoding against ConstraintChecker / PlacementState.
 #include "lp/lin_model.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "model/constraint_checker.h"
-#include "model/objectives.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -75,7 +74,7 @@ TEST(LinModel, SameServerLinearisationMatchesChecker) {
   EXPECT_GT(model.violated_count(model.encode(apart)), 0u);
 }
 
-TEST(LinModel, ObjectiveMatchesEvaluatorLinearTerms) {
+TEST(LinModel, ObjectiveMatchesStateLinearTerms) {
   // Low loads -> zero downtime; ILP objective must equal usage+migration.
   Instance inst = make_instance(
       1, 3, {100.0, 100.0, 100.0},
@@ -83,13 +82,12 @@ TEST(LinModel, ObjectiveMatchesEvaluatorLinearTerms) {
   inst.previous.assign(0, 0);
   inst.previous.assign(1, 0);
   const LinModel model(inst);
-  Evaluator evaluator(inst);
 
   Placement p(3);
   p.assign(0, 0);  // stays
   p.assign(1, 2);  // migrates
   p.assign(2, 2);  // boots
-  const ObjectiveVector obj = evaluator.objectives(p);
+  const ObjectiveVector obj = test::objectives_of(inst, p);
   ASSERT_DOUBLE_EQ(obj.downtime_cost, 0.0);
   EXPECT_NEAR(model.objective_value(model.encode(p)),
               obj.usage_cost + obj.migration_cost, 1e-9);

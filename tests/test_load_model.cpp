@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "model/placement_state.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -121,16 +122,16 @@ TEST(ComputeLoads, ReusesBufferWithoutStaleData) {
   EXPECT_DOUBLE_EQ(loads(1, 0), 0.5);
 }
 
-TEST(ComputeQos, UsesPerServerKneeAndCeiling) {
+TEST(PlacementStateQos, UsesPerServerKneeAndCeiling) {
   Instance inst = make_instance(1, 1, {10.0, 10.0, 10.0},
                                 {{9.0, 1.0, 1.0}});
   Placement p(1);
   p.assign(0, 0);
-  Matrix<double> loads;
-  Matrix<double> qos;
-  compute_loads(inst, p, loads);
-  compute_qos(inst, loads, qos);
+  PlacementState state(inst);
+  state.rebuild(p);
+  const Matrix<double>& qos = state.qos();
   // Helper servers: knee 0.8, ceiling 0.95. CPU load 0.9 -> degraded.
+  EXPECT_DOUBLE_EQ(qos(0, 0), qos_at_load(0.9, 0.8, 0.95));
   EXPECT_LT(qos(0, 0), 0.95);
   // RAM/disk load 0.1 -> at ceiling.
   EXPECT_DOUBLE_EQ(qos(0, 1), 0.95);

@@ -1,10 +1,9 @@
 // Normalized metrics (the paper's future-work cost-per-request metric),
-// revenue model, utilization summaries, weighted objectives.
+// revenue model, utilization summaries.
 #include "algo/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include "algo/ideal_point.h"
 #include "algo/round_robin.h"
 #include "tests/test_util.h"
 
@@ -20,8 +19,7 @@ AllocationResult make_result(const Instance& inst, Placement p) {
   r.vm_count = inst.n();
   r.placement = std::move(p);
   r.rejected = r.placement.rejected_count();
-  Evaluator evaluator(inst);
-  r.objectives = evaluator.objectives(r.placement);
+  r.objectives = test::objectives_of(inst, r.placement);
   return r;
 }
 
@@ -108,24 +106,6 @@ TEST(Utilization, EmptyPlatform) {
   const UtilizationSummary u = compute_utilization(inst, Placement(1));
   EXPECT_EQ(u.used_servers, 0u);
   EXPECT_DOUBLE_EQ(u.mean_worst_load, 0.0);
-}
-
-TEST(WeightedObjectives, AggregateAppliesWeights) {
-  ObjectiveVector obj;
-  obj.usage_cost = 10.0;
-  obj.downtime_cost = 5.0;
-  obj.migration_cost = 2.0;
-  EXPECT_DOUBLE_EQ(weighted_aggregate(obj, {}), 17.0);  // defaults = 1
-  EXPECT_DOUBLE_EQ(weighted_aggregate(obj, {2.0, 0.0, 1.0}), 22.0);
-}
-
-TEST(WeightedIdealPoint, WeightsSteerTheChoice) {
-  std::vector<Individual> front(2);
-  front[0].objectives = {0.0, 1.0, 0.5};  // best on usage
-  front[1].objectives = {1.0, 0.0, 0.5};  // best on downtime
-  // Caring only about usage picks member 0; only downtime picks 1.
-  EXPECT_EQ(select_ideal_point(front, {1.0, 0.0, 0.0}), 0u);
-  EXPECT_EQ(select_ideal_point(front, {0.0, 1.0, 0.0}), 1u);
 }
 
 }  // namespace

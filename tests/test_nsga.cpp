@@ -22,16 +22,27 @@ NsgaConfig quick_config() {
 double mean_random_aggregate(const AllocationProblem& problem,
                              std::uint64_t seed) {
   Rng rng(seed);
-  Evaluator evaluator(problem.instance(), problem.options(),
-                      problem.tables());
+  PlacementState state(problem.instance(), problem.options(),
+                       StateTracking::kFull, problem.tables());
   double total = 0.0;
   const int samples = 50;
   std::vector<std::int32_t> genes(problem.gene_count());
   for (int i = 0; i < samples; ++i) {
     randomize_genes(genes, problem.max_gene(), rng);
-    total += evaluator.evaluate_genes(genes).objectives.aggregate();
+    state.rebuild(genes);
+    total += state.aggregate();
   }
   return total / samples;
+}
+
+// Sum of one counter column over a run's generation rows.
+std::size_t trace_total(const telemetry::RunTrace& trace,
+                        std::size_t telemetry::GenerationRow::*field) {
+  std::size_t sum = 0;
+  for (const telemetry::GenerationRow& row : trace.rows) {
+    sum += row.*field;
+  }
+  return sum;
 }
 
 double best_front_aggregate(const std::vector<Individual>& front) {
@@ -264,7 +275,8 @@ TEST(NsgaBase, CpRepairThreadCountInvariant) {
   const auto ra = a.run(91);
 #if IAAS_TELEMETRY
   // The repairs searched: their moves are the run's only delta moves.
-  EXPECT_GT(ra.trace.total(&telemetry::GenerationRow::delta_moves), 0u);
+  EXPECT_GT(trace_total(ra.trace, &telemetry::GenerationRow::delta_moves),
+            0u);
 #endif
 
   for (const std::size_t grain : {std::size_t{0}, std::size_t{7}}) {
@@ -329,8 +341,9 @@ TEST(NsgaBase, TraceCountersDeterministicAcrossThreadCounts) {
   EXPECT_EQ(ra.trace.seed, 91u);
 
   // Trace totals reconcile exactly with the engine's own tallies.
-  EXPECT_EQ(ra.trace.total(&GenerationRow::evaluations), ra.evaluations);
-  EXPECT_EQ(ra.trace.total(&GenerationRow::repair_invocations),
+  EXPECT_EQ(trace_total(ra.trace, &GenerationRow::evaluations),
+            ra.evaluations);
+  EXPECT_EQ(trace_total(ra.trace, &GenerationRow::repair_invocations),
             ra.repair_invocations);
 
   ASSERT_EQ(ra.trace.rows.size(), rb.trace.rows.size());
@@ -396,13 +409,13 @@ TEST(Nsga3, FusedRepairPathYieldsFeasibleFront) {
   for (const Individual& i : result.front) {
     EXPECT_EQ(i.violations, 0u);
   }
-  // Fused evaluations must agree with the rebuild facade on the final
-  // front members (the repaired genes re-evaluated from scratch).
-  Evaluator evaluator(inst);
+  // Fused evaluations must agree with a full rebuild on the final front
+  // members (the repaired genes re-evaluated from scratch).
+  PlacementState fresh(inst);
   for (const Individual& i : result.front) {
-    const Evaluation fresh = evaluator.evaluate_genes(i.genes);
-    EXPECT_EQ(fresh.violations.total(), i.violations);
-    const ObjArray objectives = fresh.objectives.as_array();
+    fresh.rebuild(i.genes);
+    EXPECT_EQ(fresh.total_violations(), i.violations);
+    const ObjArray objectives = fresh.objectives().as_array();
     for (std::size_t o = 0; o < ObjectiveVector::kCount; ++o) {
       EXPECT_NEAR(objectives[o], i.objectives[o], 1e-7);
     }

@@ -1,26 +1,27 @@
 // The three objective terms of Eq. 15 (usage/opex Eq. 22, downtime
-// Eq. 23, migration Eq. 26) and the Evaluator.
-#include "model/objectives.h"
+// Eq. 23, migration Eq. 26), scored by a full PlacementState rebuild.
+#include "model/objective_types.h"
 
 #include <gtest/gtest.h>
 
 #include "model/load_model.h"
+#include "model/placement_state.h"
 #include "tests/test_util.h"
 
 namespace iaas {
 namespace {
 
 using test::make_instance;
+using test::objectives_of;
 
 TEST(Objectives, UsageCostCountsOpexOncePerUsedServer) {
   // Two VMs on one server: opex charged once, usage twice.
   const Instance inst = make_instance(
       1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
-  Evaluator evaluator(inst);
   Placement p(2);
   p.assign(0, 0);
   p.assign(1, 0);
-  const ObjectiveVector obj = evaluator.objectives(p);
+  const ObjectiveVector obj = objectives_of(inst, p);
   // Helper defaults: opex 10, usage 1.
   EXPECT_DOUBLE_EQ(obj.usage_cost, 10.0 + 2.0 * 1.0);
 }
@@ -28,15 +29,14 @@ TEST(Objectives, UsageCostCountsOpexOncePerUsedServer) {
 TEST(Objectives, SpreadingCostsMoreOpex) {
   const Instance inst = make_instance(
       1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
-  Evaluator evaluator(inst);
   Placement consolidated(2);
   consolidated.assign(0, 0);
   consolidated.assign(1, 0);
   Placement spread(2);
   spread.assign(0, 0);
   spread.assign(1, 1);
-  EXPECT_LT(evaluator.objectives(consolidated).usage_cost,
-            evaluator.objectives(spread).usage_cost);
+  EXPECT_LT(objectives_of(inst, consolidated).usage_cost,
+            objectives_of(inst, spread).usage_cost);
 }
 
 TEST(Objectives, OpexPerVmModeMatchesLiteralEq22) {
@@ -44,34 +44,31 @@ TEST(Objectives, OpexPerVmModeMatchesLiteralEq22) {
       1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
   ObjectiveOptions options;
   options.opex_per_vm = true;
-  Evaluator evaluator(inst, options);
   Placement p(2);
   p.assign(0, 0);
   p.assign(1, 0);
-  const ObjectiveVector obj = evaluator.objectives(p);
+  const ObjectiveVector obj = objectives_of(inst, p, options);
   EXPECT_DOUBLE_EQ(obj.usage_cost, 2.0 * (10.0 + 1.0));
 }
 
 TEST(Objectives, NoDowntimeCostWhenQosMet) {
   const Instance inst =
       make_instance(1, 1, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
-  Evaluator evaluator(inst);
   Placement p(1);
   p.assign(0, 0);  // load 0.1 << knee 0.8 -> QoS 0.95 > guarantee 0.9
-  EXPECT_DOUBLE_EQ(evaluator.objectives(p).downtime_cost, 0.0);
+  EXPECT_DOUBLE_EQ(objectives_of(inst, p).downtime_cost, 0.0);
 }
 
 TEST(Objectives, DowntimeCostProportionalToShortfall) {
   // Load 0.95 > knee 0.8: QoS = 0.95 * exp((0.8-0.95)/0.2) < guarantee.
   const Instance inst =
       make_instance(1, 1, {10.0, 10.0, 10.0}, {{9.5, 9.5, 9.5}});
-  Evaluator evaluator(inst);
   Placement p(1);
   p.assign(0, 0);
   const double qos = qos_at_load(0.95, 0.8, 0.95);
   ASSERT_LT(qos, 0.9);
   const double expected = 10.0 * (1.0 - qos / 0.9);  // C^U_k = 10, C^Q = .9
-  EXPECT_NEAR(evaluator.objectives(p).downtime_cost, expected, 1e-12);
+  EXPECT_NEAR(objectives_of(inst, p).downtime_cost, expected, 1e-12);
 }
 
 TEST(Objectives, MigrationCostChargedOnlyForMoves) {
@@ -81,13 +78,12 @@ TEST(Objectives, MigrationCostChargedOnlyForMoves) {
   inst.previous.assign(0, 0);  // will stay
   inst.previous.assign(1, 1);  // will move to 2
   // VM 2 was not running: boot, no migration cost.
-  Evaluator evaluator(inst);
   Placement p(3);
   p.assign(0, 0);
   p.assign(1, 2);
   p.assign(2, 1);
   // Helper migration cost = 2.0 per VM; only VM 1 moved.
-  EXPECT_DOUBLE_EQ(evaluator.objectives(p).migration_cost, 2.0);
+  EXPECT_DOUBLE_EQ(objectives_of(inst, p).migration_cost, 2.0);
 }
 
 TEST(Objectives, TopologyWeightScalesMigrationByHops) {
@@ -98,23 +94,22 @@ TEST(Objectives, TopologyWeightScalesMigrationByHops) {
   inst.previous.assign(0, 0);
   ObjectiveOptions options;
   options.topology_migration_weight = true;
-  Evaluator evaluator(inst, options);
 
   Placement same_leaf(1);
   same_leaf.assign(0, 1);  // same DC, same leaf -> 2 hops
-  EXPECT_NEAR(evaluator.objectives(same_leaf).migration_cost,
+  EXPECT_NEAR(objectives_of(inst, same_leaf, options).migration_cost,
               2.0 * (2.0 / 6.0), 1e-12);
 
   Placement cross_dc(1);
   cross_dc.assign(0, 2);  // other DC -> 6 hops
-  EXPECT_NEAR(evaluator.objectives(cross_dc).migration_cost, 2.0, 1e-12);
+  EXPECT_NEAR(objectives_of(inst, cross_dc, options).migration_cost, 2.0,
+              1e-12);
 }
 
 TEST(Objectives, RejectedVmContributesNothing) {
   const Instance inst =
       make_instance(1, 1, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
-  Evaluator evaluator(inst);
-  const ObjectiveVector obj = evaluator.objectives(Placement(1));
+  const ObjectiveVector obj = objectives_of(inst, Placement(1));
   EXPECT_DOUBLE_EQ(obj.usage_cost, 0.0);
   EXPECT_DOUBLE_EQ(obj.downtime_cost, 0.0);
   EXPECT_DOUBLE_EQ(obj.migration_cost, 0.0);
@@ -133,26 +128,26 @@ TEST(Objectives, AggregateSumsEqualWeights) {
   EXPECT_DOUBLE_EQ(arr[2], 4.0);
 }
 
-TEST(Evaluator, EvaluateReturnsViolationsToo) {
+TEST(FullRebuild, ReportsViolationsToo) {
   const Instance inst = make_instance(
       1, 1, {10.0, 10.0, 10.0}, {{11.0, 1.0, 1.0}});
-  Evaluator evaluator(inst);
+  PlacementState state(inst);
   Placement p(1);
   p.assign(0, 0);
-  const Evaluation eval = evaluator.evaluate(p);
-  EXPECT_EQ(eval.violations.capacity_violations, 1u);
-  EXPECT_GT(eval.objectives.usage_cost, 0.0);
+  state.rebuild(p);
+  EXPECT_EQ(state.capacity_violations(), 1u);
+  EXPECT_GT(state.objectives().usage_cost, 0.0);
 }
 
-TEST(Evaluator, LastLoadsExposed) {
+TEST(FullRebuild, LoadsAndQosExposed) {
   const Instance inst =
       make_instance(1, 1, {10.0, 10.0, 10.0}, {{5.0, 5.0, 5.0}});
-  Evaluator evaluator(inst);
+  PlacementState state(inst);
   Placement p(1);
   p.assign(0, 0);
-  evaluator.evaluate(p);
-  EXPECT_DOUBLE_EQ(evaluator.last_loads()(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(evaluator.last_qos()(0, 0), 0.95);
+  state.rebuild(p);
+  EXPECT_DOUBLE_EQ(state.loads()(0, 0), 0.5);
+  EXPECT_DOUBLE_EQ(state.qos()(0, 0), 0.95);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Delta-evaluation engine (PlacementState): every accumulator must agree
-// with a from-scratch Evaluator::evaluate after any sequence of moves,
-// rejections, and reverts — the invariant DESIGN.md §7 promises.
+// with a from-scratch rebuild of a fresh state after any sequence of
+// moves, rejections, and reverts — the invariant DESIGN.md §7 promises.
 #include "model/placement_state.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "model/objectives.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -29,20 +28,25 @@ using test::make_random_instance;
 constexpr double kTol = 1e-9;
 
 // Asserts that the incremental state matches a full rebuild of the same
-// placement, objective term by term and violation count by count.
-void expect_matches_full(PlacementState& state, Evaluator& evaluator) {
-  const Evaluation full = evaluator.evaluate(state.placement());
+// placement in a fresh state, objective term by term and violation count
+// by count.
+void expect_matches_full(const PlacementState& state) {
+  PlacementState fresh(state.instance(), state.options(),
+                       StateTracking::kFull, state.tables());
+  fresh.rebuild(state.placement());
   const ObjectiveVector incremental = state.objectives();
-  EXPECT_NEAR(incremental.usage_cost, full.objectives.usage_cost, kTol);
-  EXPECT_NEAR(incremental.downtime_cost, full.objectives.downtime_cost, kTol);
-  EXPECT_NEAR(incremental.migration_cost, full.objectives.migration_cost,
-              kTol);
-  EXPECT_NEAR(state.aggregate(), full.objectives.aggregate(), kTol);
-  EXPECT_EQ(state.capacity_violations(), full.violations.capacity_violations);
-  EXPECT_EQ(state.relation_violations(), full.violations.relation_violations);
-  EXPECT_EQ(state.rejected_count(), full.violations.rejected_vms);
-  EXPECT_EQ(state.violation_report().overloaded_servers,
-            full.violations.overloaded_servers);
+  const ObjectiveVector full = fresh.objectives();
+  EXPECT_NEAR(incremental.usage_cost, full.usage_cost, kTol);
+  EXPECT_NEAR(incremental.downtime_cost, full.downtime_cost, kTol);
+  EXPECT_NEAR(incremental.migration_cost, full.migration_cost, kTol);
+  EXPECT_NEAR(state.aggregate(), full.aggregate(), kTol);
+  EXPECT_EQ(state.capacity_violations(), fresh.capacity_violations());
+  EXPECT_EQ(state.relation_violations(), fresh.relation_violations());
+  EXPECT_EQ(state.rejected_count(), fresh.rejected_count());
+  for (std::size_t j = 0; j < state.instance().m(); ++j) {
+    EXPECT_EQ(state.server_overloaded(j), fresh.server_overloaded(j))
+        << "server " << j;
+  }
 }
 
 Instance constrained_instance(std::uint64_t seed) {
@@ -67,20 +71,18 @@ std::vector<std::int32_t> random_genes(const Instance& inst, Rng& rng) {
 TEST(PlacementState, FreshStateIsEmptyAndConsistent) {
   const Instance inst = constrained_instance(1);
   PlacementState state(inst);
-  Evaluator evaluator(inst);
   EXPECT_EQ(state.rejected_count(), inst.n());
   EXPECT_DOUBLE_EQ(state.aggregate(), 0.0);
-  expect_matches_full(state, evaluator);
+  expect_matches_full(state);
 }
 
-TEST(PlacementState, RebuildMatchesEvaluator) {
+TEST(PlacementState, RebuildMatchesFreshState) {
   const Instance inst = constrained_instance(2);
   PlacementState state(inst);
-  Evaluator evaluator(inst);
   Rng rng(7);
   for (int round = 0; round < 10; ++round) {
     state.rebuild(random_genes(inst, rng));
-    expect_matches_full(state, evaluator);
+    expect_matches_full(state);
   }
 }
 
@@ -104,7 +106,7 @@ TEST(PlacementState, TryMoveLeavesStateUntouched) {
 TEST(PlacementState, TryMovePredictsFullEvaluation) {
   const Instance inst = constrained_instance(4);
   PlacementState state(inst);
-  Evaluator evaluator(inst);
+  PlacementState full(inst);
   Rng rng(13);
   state.rebuild(random_genes(inst, rng));
 
@@ -118,25 +120,24 @@ TEST(PlacementState, TryMovePredictsFullEvaluation) {
 
     Placement hypothetical = state.placement();
     hypothetical.assign(k, target);
-    const Evaluation full = evaluator.evaluate(hypothetical);
-    EXPECT_NEAR(delta.objectives.usage_cost, full.objectives.usage_cost,
+    full.rebuild(hypothetical);
+    EXPECT_NEAR(delta.objectives.usage_cost, full.objectives().usage_cost,
                 kTol);
     EXPECT_NEAR(delta.objectives.downtime_cost,
-                full.objectives.downtime_cost, kTol);
+                full.objectives().downtime_cost, kTol);
     EXPECT_NEAR(delta.objectives.migration_cost,
-                full.objectives.migration_cost, kTol);
-    EXPECT_NEAR(delta.aggregate_delta,
-                full.objectives.aggregate() - state.aggregate(), kTol);
+                full.objectives().migration_cost, kTol);
+    EXPECT_NEAR(delta.aggregate_delta, full.aggregate() - state.aggregate(),
+                kTol);
     EXPECT_EQ(static_cast<std::int32_t>(state.total_violations()) +
                   delta.violations_delta,
-              static_cast<std::int32_t>(full.violations.total()));
+              static_cast<std::int32_t>(full.total_violations()));
   }
 }
 
 TEST(PlacementState, ApplyMoveLandsOnTheScoredDelta) {
   const Instance inst = constrained_instance(5);
   PlacementState state(inst);
-  Evaluator evaluator(inst);
   Rng rng(17);
   state.rebuild(random_genes(inst, rng));
 
@@ -148,13 +149,12 @@ TEST(PlacementState, ApplyMoveLandsOnTheScoredDelta) {
   state.apply_move(k, target);
   EXPECT_EQ(state.placement().server_of(k), target);
   EXPECT_NEAR(state.aggregate(), delta.objectives.aggregate(), kTol);
-  expect_matches_full(state, evaluator);
+  expect_matches_full(state);
 }
 
 TEST(PlacementState, RevertRestoresEverything) {
   const Instance inst = constrained_instance(6);
   PlacementState state(inst);
-  Evaluator evaluator(inst);
   Rng rng(19);
   state.rebuild(random_genes(inst, rng));
   const Placement original = state.placement();
@@ -174,7 +174,7 @@ TEST(PlacementState, RevertRestoresEverything) {
   }
   EXPECT_EQ(state.placement(), original);
   EXPECT_NEAR(state.aggregate(), original_aggregate, kTol);
-  expect_matches_full(state, evaluator);
+  expect_matches_full(state);
 }
 
 TEST(PlacementState, RelationViolationsTrackMoves) {
@@ -384,13 +384,12 @@ TEST(PlacementState, SharedTablesMatchPrivateTables) {
   PlacementState shared_a(inst, {}, StateTracking::kFull, tables);
   PlacementState shared_b(inst, {}, StateTracking::kViolationsOnly, tables);
   PlacementState private_state(inst);
-  Evaluator evaluator(inst);
   Rng rng(37);
   const std::vector<std::int32_t> genes = random_genes(inst, rng);
   shared_a.rebuild(genes);
   shared_b.rebuild(genes);
   private_state.rebuild(genes);
-  expect_matches_full(shared_a, evaluator);
+  expect_matches_full(shared_a);
   EXPECT_NEAR(shared_a.aggregate(), private_state.aggregate(), kTol);
   EXPECT_EQ(shared_b.capacity_violations(),
             private_state.capacity_violations());
@@ -433,7 +432,6 @@ TEST_P(RebaseProperty, RebaseAgreesWithFullEvaluation) {
   const auto tables = std::make_shared<const StateTables>(inst);
   PlacementState state(inst, {}, StateTracking::kFull, tables);
   PlacementState lean(inst, {}, StateTracking::kViolationsOnly, tables);
-  Evaluator evaluator(inst, {}, tables);
   Rng rng(GetParam() * 104729 + 3);
 
   std::vector<std::int32_t> genes = random_genes(inst, rng);
@@ -477,7 +475,7 @@ TEST_P(RebaseProperty, RebaseAgreesWithFullEvaluation) {
     EXPECT_EQ(state.placement().genes(), genes);
     EXPECT_EQ(lean.placement(), state.placement());
     EXPECT_EQ(state.applied_moves(), 0u);  // rebase clears the undo log
-    expect_matches_full(state, evaluator);
+    expect_matches_full(state);
     EXPECT_EQ(lean.capacity_violations(), state.capacity_violations());
     EXPECT_EQ(lean.relation_violations(), state.relation_violations());
     EXPECT_EQ(lean.rejected_count(), state.rejected_count());
@@ -503,10 +501,9 @@ class PlacementStateProperty : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(PlacementStateProperty, DeltaAgreesWithFullAtEveryStep) {
   const Instance inst = constrained_instance(GetParam());
   PlacementState state(inst);
-  Evaluator evaluator(inst);
   Rng rng(GetParam() * 7919 + 1);
   state.rebuild(random_genes(inst, rng));
-  expect_matches_full(state, evaluator);
+  expect_matches_full(state);
 
   for (int step = 0; step < 300; ++step) {
     if (state.applied_moves() > 0 && rng.bernoulli(0.25)) {
@@ -526,7 +523,7 @@ TEST_P(PlacementStateProperty, DeltaAgreesWithFullAtEveryStep) {
       EXPECT_EQ(static_cast<std::int32_t>(state.total_violations()),
                 predicted);
     }
-    expect_matches_full(state, evaluator);
+    expect_matches_full(state);
     if (::testing::Test::HasFailure()) {
       FAIL() << "divergence at step " << step;
     }
@@ -894,12 +891,17 @@ void expect_same_as_reference(const PlacementState& state,
     EXPECT_TRUE(same_bits(state.loads(), ref.loads())) << where;
     EXPECT_TRUE(same_bits(state.qos(), ref.qos())) << where;
   }
-  const ViolationReport got = state.violation_report();
   const ViolationReport want = ref.report();
-  EXPECT_EQ(got.capacity_violations, want.capacity_violations) << where;
-  EXPECT_EQ(got.relation_violations, want.relation_violations) << where;
-  EXPECT_EQ(got.rejected_vms, want.rejected_vms) << where;
-  EXPECT_EQ(got.overloaded_servers, want.overloaded_servers) << where;
+  EXPECT_EQ(state.capacity_violations(), want.capacity_violations) << where;
+  EXPECT_EQ(state.relation_violations(), want.relation_violations) << where;
+  EXPECT_EQ(state.rejected_count(), want.rejected_vms) << where;
+  std::vector<std::uint32_t> overloaded;
+  for (std::size_t j = 0; j < state.instance().m(); ++j) {
+    if (state.server_overloaded(j)) {
+      overloaded.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  EXPECT_EQ(overloaded, want.overloaded_servers) << where;
   for (std::size_t j = 0; j < state.instance().m(); ++j) {
     const std::vector<std::uint32_t> members(state.vms_on(j).begin(),
                                              state.vms_on(j).end());

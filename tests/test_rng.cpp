@@ -108,16 +108,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_NE(v, shuffled);  // astronomically unlikely to be identity
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent(37);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    equal += parent.next_u64() == child.next_u64() ? 1 : 0;
-  }
-  EXPECT_LT(equal, 4);
-}
-
 TEST(Rng, ChildStreamDoesNotConsumeParent) {
   Rng untouched(47);
   Rng parent(47);

@@ -9,7 +9,6 @@
 
 #include "algo/sharded_allocator.h"
 #include "io/trace_json.h"
-#include "model/objectives.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
 #include "tests/trace_text.h"
@@ -53,15 +52,6 @@ TEST(ShardPlan, TilesEveryServerExactlyOnce) {
     }
     EXPECT_EQ(next_leaf, fabric.leaf_count());
     EXPECT_EQ(next_server, fabric.server_count());
-
-    // Ownership and the local<->global translation agree with the tiling.
-    for (std::uint32_t j = 0; j < fabric.server_count(); ++j) {
-      const std::uint32_t s = plan.shard_of_server(j);
-      const ShardSlice& slice = plan.slice(s);
-      ASSERT_GE(j, slice.server_begin);
-      ASSERT_LT(j, slice.server_end);
-      EXPECT_EQ(plan.global_server(s, plan.local_server(s, j)), j);
-    }
   }
 }
 
@@ -95,9 +85,10 @@ TEST(ShardPlan, WholeDatacenterArmKeepsDcSemantics) {
     EXPECT_EQ(sliced.datacenter_count(), dcs);
   }
   EXPECT_EQ(next_dc, 5u);
-  // Floor boundaries 0,1,3,5: shard 0 holds one DC, shard 1 is the
-  // first with two.
-  EXPECT_EQ(plan.first_multi_dc_shard(), 1);
+  // Floor boundaries 0,1,3,5: shard 0 holds one DC, shards 1 and 2 two.
+  EXPECT_EQ(plan.slice(0).datacenter_count(), 1u);
+  EXPECT_EQ(plan.slice(1).datacenter_count(), 2u);
+  EXPECT_EQ(plan.slice(2).datacenter_count(), 2u);
 }
 
 TEST(ShardPlan, OversubscribedArmSplitsWithinDatacenters) {
@@ -112,7 +103,6 @@ TEST(ShardPlan, OversubscribedArmSplitsWithinDatacenters) {
     EXPECT_EQ(cfg.datacenters, 1u);
     EXPECT_EQ(cfg.leaves_per_dc, slice.leaf_end - slice.leaf_begin);
   }
-  EXPECT_EQ(plan.first_multi_dc_shard(), -1);
 }
 
 TEST(ShardPlan, SingleShardCoversEverything) {
@@ -121,7 +111,7 @@ TEST(ShardPlan, SingleShardCoversEverything) {
   ASSERT_EQ(plan.shard_count(), 1u);
   EXPECT_EQ(plan.slice(0).server_count(), fabric.server_count());
   EXPECT_TRUE(plan.slice(0).whole_datacenters);
-  EXPECT_EQ(plan.first_multi_dc_shard(), 0);
+  EXPECT_EQ(plan.slice(0).datacenter_count(), 3u);
 }
 
 // --- ShardedAllocator ----------------------------------------------------
@@ -154,12 +144,11 @@ TEST(ShardedAllocator, FeasiblePlacementAndConsistentStats) {
   EXPECT_LE(result.shard.migrations, result.shard.rebalance_placements);
 
   // Sanitized + rebalanced: the deployed placement stays feasible.
-  Evaluator evaluator(inst);
-  const Evaluation check = evaluator.evaluate(result.placement);
-  EXPECT_EQ(check.violations.total(), 0u);
-  EXPECT_EQ(check.violations.rejected_vms, result.rejected);
-  EXPECT_DOUBLE_EQ(check.objectives.aggregate(),
-                   result.objectives.aggregate());
+  PlacementState check(inst);
+  check.rebuild(result.placement);
+  EXPECT_EQ(check.total_violations(), 0u);
+  EXPECT_EQ(check.rejected_count(), result.rejected);
+  EXPECT_DOUBLE_EQ(check.aggregate(), result.objectives.aggregate());
 }
 
 TEST(ShardedAllocator, RebalanceRecoversShardRejections) {
@@ -251,8 +240,9 @@ TEST(ShardedAllocator, RoutesDifferentDcGroupsToMultiDcShards) {
   ShardedAllocator allocator(lean_options(2, 1));
   const AllocationResult result = allocator.allocate(inst, 7);
   EXPECT_EQ(result.rejected, 0u);
-  Evaluator evaluator(inst);
-  EXPECT_EQ(evaluator.evaluate(result.placement).violations.total(), 0u);
+  PlacementState check(inst);
+  check.rebuild(result.placement);
+  EXPECT_EQ(check.total_violations(), 0u);
   const Fabric& fabric = inst.infra.fabric();
   for (const std::size_t k : {0u, 2u}) {
     const std::int32_t a = result.placement.server_of(k);

@@ -5,7 +5,6 @@
 
 #include "lp/cp_solver.h"
 #include "lp/lin_model.h"
-#include "model/objectives.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -75,18 +74,6 @@ TEST(Simplex, NegativeRhsNormalised) {
   EXPECT_NEAR(s.objective, 5.0, 1e-9);
 }
 
-TEST(Simplex, ConstantsFoldIntoRhs) {
-  // (x + 3) <= 7 -> x <= 4; minimise -x -> x = 4.
-  SimplexSolver lp(1);
-  lp.set_objective({0}, -1.0);
-  LinExpr e = expr({{0, 1.0}});
-  e.add_constant(3.0);
-  lp.add_constraint(e, Relation::kLessEqual, 7.0);
-  const LpSolution s = lp.solve();
-  ASSERT_EQ(s.status, LpStatus::kOptimal);
-  EXPECT_NEAR(s.values[0], 4.0, 1e-9);
-}
-
 TEST(Simplex, DegenerateProblemTerminates) {
   // Redundant constraints inducing degeneracy; Bland's rule must still
   // terminate at the optimum.
@@ -123,8 +110,7 @@ TEST_P(LpRelaxationBound, LowerBoundsIntegralOptimum) {
   CpStats stats;
   const Placement solved = solver.solve(&stats);
   ASSERT_TRUE(stats.found_complete);
-  Evaluator evaluator(inst);
-  const ObjectiveVector obj = evaluator.objectives(solved);
+  const ObjectiveVector obj = test::objectives_of(inst, solved);
   const double integral = obj.usage_cost + obj.migration_cost;
   EXPECT_LE(relax.objective, integral + 1e-6);
   // And the bound is meaningful (positive cost for non-empty demand).

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "model/constraint_checker.h"
-#include "model/objectives.h"
 #include "tabu/repair.h"
 #include "tabu/tabu_list.h"
 #include "tests/test_util.h"
@@ -318,16 +317,16 @@ TEST(TabuRepair, RepairStateAccumulatorsMatchFreshEvaluation) {
   Rng rng(5);
   repair.repair_state(state, rng);
 
-  Evaluator fresh(inst);
-  const Evaluation full = fresh.evaluate(state.placement());
+  PlacementState fresh(inst);
+  fresh.rebuild(state.placement());
   constexpr double kTol = 1e-7;
-  EXPECT_NEAR(state.objectives().usage_cost, full.objectives.usage_cost,
+  EXPECT_NEAR(state.objectives().usage_cost, fresh.objectives().usage_cost,
               kTol);
   EXPECT_NEAR(state.objectives().downtime_cost,
-              full.objectives.downtime_cost, kTol);
+              fresh.objectives().downtime_cost, kTol);
   EXPECT_NEAR(state.objectives().migration_cost,
-              full.objectives.migration_cost, kTol);
-  EXPECT_EQ(state.total_violations(), full.violations.total());
+              fresh.objectives().migration_cost, kTol);
+  EXPECT_EQ(state.total_violations(), fresh.total_violations());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ std::string temp_path(const std::string& name) {
 
 // A document covering every emitter branch: empty containers, nesting,
 // escapes, integral doubles, fractional doubles, negative zero, bools,
-// null, 64-bit integer lexemes.
+// unsigned 64-bit integer lexemes.
 Json tricky_document() {
   Json doc = Json::object();
   doc["empty_object"] = Json::object();
@@ -55,11 +55,9 @@ Json tricky_document() {
   doc["numbers"].push_back(Json::number(-0.0));   // signed zero
   doc["numbers"].push_back(Json::number(1e300));  // huge magnitude
   doc["numbers"].push_back(Json::integer(std::uint64_t{1} << 63));
-  doc["numbers"].push_back(Json::integer(std::int64_t{-42}));
   doc["flags"] = Json::array();
   doc["flags"].push_back(Json::boolean(true));
   doc["flags"].push_back(Json::boolean(false));
-  doc["flags"].push_back(Json::null());
   Json nested = Json::object();
   nested["inner"] = Json::array();
   nested["inner"].push_back(Json::string("x"));
@@ -85,13 +83,11 @@ void emit_tricky(JsonEmitter& e) {
   e.value(-0.0);
   e.value(1e300);
   e.value(std::uint64_t{1} << 63);
-  e.value(std::int64_t{-42});
   e.end_array();
   e.key("flags");
   e.begin_array();
   e.value(true);
   e.value(false);
-  e.value_null();
   e.end_array();
   e.key("nested");
   e.begin_object();

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "model/instance.h"
+#include "model/placement_state.h"
 #include "workload/generator.h"
 
 namespace iaas::test {
@@ -70,6 +71,15 @@ inline Instance make_random_instance(std::uint64_t seed,
   ScenarioConfig cfg = ScenarioConfig::paper_scale(servers);
   cfg.vms = vms;
   return ScenarioGenerator(cfg).generate(seed);
+}
+
+// Objectives of `placement` from a full PlacementState rebuild.
+inline ObjectiveVector objectives_of(const Instance& instance,
+                                     const Placement& placement,
+                                     ObjectiveOptions options = {}) {
+  PlacementState state(instance, options);
+  state.rebuild(placement);
+  return state.objectives();
 }
 
 }  // namespace iaas::test
