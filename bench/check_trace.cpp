@@ -1,10 +1,8 @@
 // Trace-file validator for the CTest smoke job: scans a directory (or
 // explicit file list) for the JSON files the benches emit, parses each
-// with the library's own Json parser, and checks the shape:
-//
-//   run trace      {label, seed, columns, rows} with every row an array
-//                  of numbers as long as `columns`
-//   registry dump  {counters, phase_seconds} with numeric values
+// with the library's own Json parser, and checks every run trace's
+// shape: {label, seed, columns, rows} with every row an array of
+// numbers as long as `columns`.  Other JSON files are skipped.
 //
 // Exits non-zero on any parse/shape failure, or when no run trace was
 // found at all (an empty directory must not pass as "validated").
@@ -63,23 +61,8 @@ bool check_trace_object(const Json& doc, const std::string& path) {
   return true;
 }
 
-bool check_registry_object(const Json& doc, const std::string& path) {
-  for (const char* key : {"counters", "phase_seconds"}) {
-    if (!doc.contains(key)) {
-      std::fprintf(stderr, "%s: missing \"%s\"\n", path.c_str(), key);
-      return false;
-    }
-    for (const auto& [name, value] : doc.at(key).items()) {
-      (void)name;
-      (void)value.as_number();
-    }
-  }
-  std::printf("ok registry %s\n", path.c_str());
-  return true;
-}
-
-// Returns 1 if the file validated as a run trace, 0 for other valid
-// telemetry JSON; throws/flags on malformed content.
+// Returns 1 if the file validated as a run trace, 0 for other JSON;
+// flags malformed content.
 int check_file(const std::string& path, bool& failed) {
   std::ifstream in(path);
   if (!in.is_open()) {
@@ -95,11 +78,7 @@ int check_file(const std::string& path, bool& failed) {
       failed = !check_trace_object(doc, path) || failed;
       return 1;
     }
-    if (doc.contains("counters")) {
-      failed = !check_registry_object(doc, path) || failed;
-      return 0;
-    }
-    std::printf("skip        %s (not a telemetry file)\n", path.c_str());
+    std::printf("skip        %s (not a run trace)\n", path.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
     failed = true;

@@ -5,8 +5,6 @@
 // Also the telemetry showcase: every EA run collects a per-generation
 // RunTrace; run 0 of each algorithm is written to
 //   <csv_dir>/trace_<algorithm>.{json,csv}
-// and the process-wide counter/phase registry snapshot lands in
-//   <csv_dir>/telemetry_registry.json
 // (IAAS_BENCH_FAST shrinks the scenario to 16 servers so the CTest
 // trace smoke stays cheap).
 #include <cctype>
@@ -110,12 +108,5 @@ int main() {
               servers, 2 * servers, runs);
   table.print();
   std::printf("CSV: %s/grand_comparison.csv\n", csv_dir().c_str());
-
-  // What the whole process did, in one object (counters are fed by every
-  // EA task merge + standalone tabu run; phase times by the scoped
-  // timers in the engine and simulator).
-  const std::string registry_path = csv_dir() + "/telemetry_registry.json";
-  write_registry_json(telemetry::Registry::global(), registry_path);
-  std::printf("registry snapshot: %s\n", registry_path.c_str());
   return 0;
 }

@@ -12,9 +12,9 @@
 //       be byte-identical to the input file, (b) for sim traces the
 //       deterministic fingerprint to survive the binary round trip, and
 //       (c) the binary to equal a committed twin <stem>.trc beside the
-//       input, if there is one.  Non-trace JSON (bench roll-ups,
-//       registry snapshots) is skipped; finding zero traces is a
-//       failure (an empty directory must not pass as "validated").  This
+//       input, if there is one.  Non-trace JSON (bench roll-ups) is
+//       skipped; finding zero traces is a failure (an empty directory
+//       must not pass as "validated").  This
 //       is the ctest step between trace_emit_* and trace_validate, and
 //       the check on the golden fixtures in tests/data/traces.
 #include <cstdio>

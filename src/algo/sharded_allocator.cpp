@@ -9,7 +9,6 @@
 
 #include "common/expect.h"
 #include "common/rng.h"
-#include "common/telemetry.h"
 #include "model/assignment_units.h"
 #include "model/placement_state.h"
 
@@ -268,31 +267,20 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
     pending_front_.clear();
   }
 
-  // Concurrent runs: telemetry is captured per task and re-emitted on
-  // the caller thread in shard order, so counter totals stay
-  // deterministic at any thread count.
+  // Concurrent runs: each writes only its own result slot, and its
+  // counters land in its own trace rows.
   std::vector<AllocationResult> shard_result(shards);
-  std::vector<telemetry::CounterBlock> blocks(shards);
   const auto run_shard = [&](std::size_t s) {
     if (!sliced[s].has_value()) {
       return;
     }
-    telemetry::ScopedSink sink(blocks[s]);
     shard_result[s] = backends_[s]->allocate(*sliced[s], shard_seed[s]);
   };
   if (outer_pool_ != nullptr) {
-    outer_pool_->parallel_for(0, shards, run_shard, 1);
+    outer_pool_->parallel_for(0, shards, run_shard);
   } else {
     for (std::size_t s = 0; s < shards; ++s) {
       run_shard(s);
-    }
-  }
-  for (const telemetry::CounterBlock& block : blocks) {
-    for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-      if (block.values[i] != 0) {
-        telemetry::count(static_cast<telemetry::Counter>(i),
-                         block.values[i]);
-      }
     }
   }
 
@@ -339,10 +327,6 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
   }
   merged.shard.max_shard_vms = max_vms;
   merged.shard.min_shard_vms = shards == 0 ? 0 : min_vms;
-  if (merged.shard.pre_rejections > 0) {
-    telemetry::count(telemetry::Counter::kShardPreRejections,
-                     merged.shard.pre_rejections);
-  }
 
   if (merged.rejected > 0) {
     // Incremental delta engine over the sanitized global placement: the
@@ -410,13 +394,6 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
     }
     merged.shard.rebalance_placements = placed.size();
     merged.shard.migrations = migrations;
-    if (!placed.empty()) {
-      telemetry::count(telemetry::Counter::kShardRebalancePlacements,
-                       placed.size());
-    }
-    if (migrations > 0) {
-      telemetry::count(telemetry::Counter::kShardMigrations, migrations);
-    }
     merged.placement = state.placement();
     merged.objectives = state.objectives();
     merged.rejected = merged.placement.rejected_count();

@@ -27,9 +27,9 @@
 // order, every backend run is bit-deterministic at any inner thread
 // count (the PR-7 contract), and merging + rebalance are serial — so the
 // global result is bit-identical for a fixed shard count at ANY thread
-// count.  Telemetry from shard tasks is captured in per-task
-// CounterBlocks and re-emitted on the caller thread in shard order,
-// keeping counter traces deterministic too.
+// count.  Each shard's counters land in its backend's per-generation
+// trace rows, which the merged trace concatenates in shard order, so the
+// counter columns are deterministic too.
 #pragma once
 
 #include <cstdint>

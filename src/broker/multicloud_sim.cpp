@@ -62,7 +62,6 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
   metrics.reserve(config_.windows);
 
   for (std::size_t w = 0; w < config_.windows; ++w) {
-    WindowScope scope;
     WindowMetrics row;
     row.window = w;
     row.providers.resize(providers);
@@ -72,16 +71,13 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
     // pause, dark cloud or not.
     (void)market.advance(w);
     row.offline_providers = providers - market.online_count();
-    std::size_t fault_events = 0;
     for (std::size_t p = 0; p < providers; ++p) {
       CloudProvider& provider = market.provider(p);
       ProviderWindowMetrics& prow = row.providers[p];
       prow.provider = static_cast<std::uint32_t>(p);
       prow.online = provider.online();
       prow.price_multiplier = provider.price_multiplier(w);
-      const std::vector<FaultEvent> events = provider.faults().advance(w);
-      fault_events += events.size();
-      for (const FaultEvent& e : events) {
+      for (const FaultEvent& e : provider.faults().advance(w)) {
         if (e.kind == FaultEventKind::kRepair) {
           ++row.repaired_servers;
         }
@@ -309,7 +305,10 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       row.running += prow.running;
     }
     row.retry_queue_depth = retries.size();
-    scope.close(std::move(row), fault_events, metrics, window_sink_);
+    metrics.push_back(std::move(row));
+    if (window_sink_) {
+      window_sink_(metrics.back());
+    }
   }
   return metrics;
 }

@@ -4,6 +4,9 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
+
+#include "common/expect.h"
 
 namespace iaas {
 
@@ -26,7 +29,9 @@ class Deadline {
   // Unlimited deadline.
   Deadline() : limited_(false) {}
 
+  // A NaN budget aborts: converting it to a clock duration is undefined.
   static Deadline after_seconds(double seconds) {
+    IAAS_EXPECT(!std::isnan(seconds), "deadline seconds must not be NaN");
     Deadline d;
     d.limited_ = true;
     d.end_ = clock::now() + std::chrono::duration_cast<clock::duration>(

@@ -1,6 +1,6 @@
 // Cross-layer telemetry & run-trace subsystem (DESIGN.md §9).
 //
-// Three pieces, all deliberately tiny:
+// Two pieces, both deliberately tiny:
 //
 //   * a fixed set of named **counters** (enum-indexed — no hashing on the
 //     hot path).  Increments go through a thread-local `CounterBlock*`
@@ -8,24 +8,21 @@
 //     increment is a single load + branch (the null-sink fast path), and
 //     with `IAAS_TELEMETRY` defined to 0 every call compiles away
 //     entirely.  Per-thread accumulation means no atomics and no
-//     ordering dependence: a parallel driver gives each task its own
-//     block and merges them serially, so tallies are bit-identical for
-//     any thread count.
-//   * a process-wide **Registry** of counter totals and per-phase wall
-//     times, fed by explicit `flush_counters` / scoped phase timers at
-//     coarse granularity (per allocation, per simulation window).
+//     ordering dependence: the EA gives each task its own block and
+//     folds them serially into its trace rows, so tallies are
+//     bit-identical for any thread count.
 //   * a structured **RunTrace**: one row per EA generation recording
 //     what the search actually did — evaluations, delta moves vs full
 //     rebuilds, repair outcomes, tabu move counts, front size, best
 //     objective vector, and phase wall times — described once by its
 //     field list (common/fields), with a CSV emitter here (reusing
-//     common/csv) and JSON/binary codecs in io.
+//     common/csv) and JSON/binary codecs in io.  Every counter is one
+//     of its columns; a run is explained by its own rows.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,43 +34,22 @@
 
 namespace iaas::telemetry {
 
-// Hot-path counters.  Kept to one small fixed enum so a CounterBlock is
-// a plain array and merging is a handful of adds.
+// Hot-path counters, each read into one GenerationRow column
+// (NsgaBase::absorb_stats).  Kept to one small fixed enum so a
+// CounterBlock is a plain array.
 enum class Counter : std::size_t {
-  kEvaluations,              // objective evaluations (any path)
   kStateRebuilds,            // full PlacementState rebuilds
   kDeltaMoves,               // incremental apply_move updates
   kStateRebases,             // gene-diff rebase repositions (not rebuilds)
-  kRepairInvocations,        // repair walks entered
   kRepairedIndividuals,      // entered infeasible, left feasible
   kUnrepairableIndividuals,  // left with violations after all passes
   kTabuMovesTried,           // candidate relocations examined
   kTabuMovesAccepted,        // relocations actually applied
-  // Simulator failure/degradation lifecycle (flushed once per window).
-  kSimFaultEvents,           // failure/repair/decommission events
-  kSimEvictions,             // running VMs forced off the platform
-  kSimRetries,               // queued VMs re-entering a later window
-  kSimPermanentRejections,   // retry budget exhausted, VM dropped
-  kSimDegradedWindows,       // windows served by the fallback chain
-  // Sharded allocator (cross-shard rebalance + admission control).
-  kShardPreRejections,       // VMs every shard rejected before rebalance
-  kShardRebalancePlacements, // rejected VMs the global rebalance placed
-  kShardMigrations,          // cross-shard improvement moves applied
-  kSimAdmissionDeferrals,    // arrival units pushed to a later window
-  kSimAdmissionDrops,        // arrival units shed at the queue cap
-  // Streaming trace I/O (flushed by SimTraceWriter/BinaryTraceWriter at
-  // finish(), directly to the global registry — emission happens outside
-  // the sim loop, so no thread-local sink is installed).
-  kTraceWindowsStreamed,     // window records flushed incrementally
-  kTraceBytesStreamed,       // bytes handed to the trace sink
-  kTracePeakBufferBytes,     // high-water mark of the reusable buffer
   kCount,
 };
 
 inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(Counter::kCount);
-
-const char* counter_name(Counter c);
 
 struct CounterBlock {
   std::array<std::uint64_t, kCounterCount> values{};
@@ -84,60 +60,6 @@ struct CounterBlock {
   std::uint64_t operator[](Counter c) const {
     return values[static_cast<std::size_t>(c)];
   }
-  void merge(const CounterBlock& other) {
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      values[i] += other.values[i];
-    }
-  }
-  void reset() { values.fill(0); }
-  [[nodiscard]] bool empty() const {
-    for (std::uint64_t v : values) {
-      if (v != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-// Coarse phases for the registry's wall-time totals.
-enum class Phase : std::size_t {
-  kTournament,
-  kVariation,
-  kRepair,
-  kEvaluate,
-  kSelection,
-  kAllocate,          // one Allocator::allocate call
-  kFallbackAllocate,  // greedy fallback after a deadline/allocator failure
-  kSimWindow,         // one simulator window
-  kCount,
-};
-
-inline constexpr std::size_t kPhaseCount =
-    static_cast<std::size_t>(Phase::kCount);
-
-const char* phase_name(Phase p);
-
-// Process-wide aggregate.  Everything is explicit-push (flush_counters /
-// add_phase_seconds), so the mutex is only ever taken at coarse
-// granularity, never per increment.
-class Registry {
- public:
-  static Registry& global();
-
-  void flush_counters(const CounterBlock& block);
-  void add_phase_seconds(Phase p, double seconds);
-
-  [[nodiscard]] CounterBlock counters() const;
-  [[nodiscard]] std::array<double, kPhaseCount> phase_seconds() const;
-  // Only tests call it: it isolates the process-wide registry between
-  // tests.
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  CounterBlock counters_;
-  std::array<double, kPhaseCount> seconds_{};
 };
 
 #if IAAS_TELEMETRY
@@ -147,9 +69,8 @@ class Registry {
 void count(Counter c, std::uint64_t n = 1);
 
 // Installs `block` as the calling thread's counter sink for the scope;
-// restores the previous sink on exit (sinks nest).  The block is NOT
-// flushed to the Registry automatically — the owner decides when its
-// per-task tallies become globally visible.
+// restores the previous sink on exit (sinks nest).  The owner reads the
+// block when the scope ends.
 class ScopedSink {
  public:
   explicit ScopedSink(CounterBlock& block);
@@ -195,25 +116,6 @@ class ScopedTimer {
 
  private:
   double* target_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// Adds the scope's wall time to the global registry's phase total.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(Phase phase)
-      : phase_(phase), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedPhaseTimer() {
-    Registry::global().add_phase_seconds(
-        phase_, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count());
-  }
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  Phase phase_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -43,20 +43,15 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 
 void ThreadPool::parallel_for_slots(
     std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t grain) {
+    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) {
     return;
   }
   const std::size_t total = end - begin;
-  // ~4 chunks per worker balances load without flooding the queue; an
-  // explicit grain wins when it asks for fatter chunks (tiny per-index
-  // bodies) — it never shrinks a chunk below the automatic size.
+  // ~4 chunks per worker balances load without flooding the queue.
   const std::size_t chunks =
       std::max<std::size_t>(1, std::min(total, workers_.size() * 4));
-  const std::size_t chunk_size =
-      std::max(std::max<std::size_t>(grain, 1),
-               (total + chunks - 1) / chunks);
+  const std::size_t chunk_size = (total + chunks - 1) / chunks;
 
   std::atomic<std::size_t> next{begin};
   std::atomic<std::size_t> next_slot{0};
@@ -113,10 +108,9 @@ void ThreadPool::parallel_for_slots(
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  parallel_for_slots(
-      begin, end, [&fn](std::size_t, std::size_t i) { fn(i); }, grain);
+                              const std::function<void(std::size_t)>& fn) {
+  parallel_for_slots(begin, end,
+                     [&fn](std::size_t, std::size_t i) { fn(i); });
 }
 
 ThreadPool& ThreadPool::shared() {

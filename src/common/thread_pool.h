@@ -7,9 +7,8 @@
 // per index: a chunk is claimed with a single atomic fetch-add and run to
 // completion by one participant, so tiny per-index bodies (a few
 // microseconds of offspring variation) amortize the queue round-trip.
-// The chunk size is `max(grain, total / (4 * workers))` — callers whose
-// per-index work is very small raise `grain` to force fewer, fatter
-// chunks.
+// The chunk size is `ceil(total / min(total, 4 * workers))`: ~4 chunks
+// per worker.
 //
 // The slot-aware variant additionally hands every participating thread a
 // stable *slot index* in [0, size()): a participant drains chunks
@@ -44,23 +43,21 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   // Run fn(i) for i in [begin, end) across the pool, blocking until all
-  // iterations finish.  Iterations are chunked to limit queue traffic;
-  // `grain` is the minimum chunk size (0 = automatic, ~4 chunks per
-  // worker).  Exceptions from fn propagate to the caller (first one wins)
-  // and chunks not yet claimed when it was thrown are abandoned.
+  // iterations finish.  Iterations are chunked to limit queue traffic
+  // (~4 chunks per worker).  Exceptions from fn propagate to the caller
+  // (first one wins) and chunks not yet claimed when it was thrown are
+  // abandoned.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 0);
+                    const std::function<void(std::size_t)>& fn);
 
   // Slot-aware variant: fn(slot, i) where `slot` identifies the
   // participating thread (0 <= slot < size()).  Each slot is claimed by
   // exactly one participant for the whole call and a participant runs its
   // chunks serially, so fn may freely mutate caller state indexed by
-  // slot.  Same chunking, grain, and exception semantics as above.
+  // slot.  Same chunking and exception semantics as above.
   void parallel_for_slots(
       std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t)>& fn,
-      std::size_t grain = 0);
+      const std::function<void(std::size_t, std::size_t)>& fn);
 
   // Process-wide shared pool for callers that do not manage their own.
   static ThreadPool& shared();

@@ -42,18 +42,6 @@ void stamp_population_summary(const Population& population,
   }
 }
 
-// Per-generation push of the traced phase times into the global registry
-// (only meaningful when tracing — the timers are disabled otherwise).
-void flush_row_phases(const telemetry::GenerationRow& row) {
-  using telemetry::Phase;
-  auto& registry = telemetry::Registry::global();
-  registry.add_phase_seconds(Phase::kTournament, row.seconds_tournament);
-  registry.add_phase_seconds(Phase::kVariation, row.seconds_variation);
-  registry.add_phase_seconds(Phase::kRepair, row.seconds_repair);
-  registry.add_phase_seconds(Phase::kEvaluate, row.seconds_evaluate);
-  registry.add_phase_seconds(Phase::kSelection, row.seconds_selection);
-}
-
 }  // namespace
 
 NsgaBase::NsgaBase(const AllocationProblem& problem, NsgaConfig config,
@@ -64,6 +52,9 @@ NsgaBase::NsgaBase(const AllocationProblem& problem, NsgaConfig config,
       state_repair_(std::move(state_repair)) {
   IAAS_EXPECT(config_.population_size >= 4,
               "population too small for tournament + crossover");
+  // A NaN budget fails the compare too (it would silently mean none).
+  IAAS_EXPECT(config_.time_limit_seconds >= 0.0,
+              "time_limit_seconds must be non-negative (0 = unlimited)");
   if (config_.constraint_mode == ConstraintMode::kRepair) {
     IAAS_EXPECT(static_cast<bool>(repair_),
                 "kRepair mode requires a repair function");
@@ -203,7 +194,6 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
     ind.objectives = state.objectives().as_array();
     ind.violations = state.total_violations();
     ind.evaluated = true;
-    telemetry::count(telemetry::Counter::kEvaluations);
   } else {
     if (do_repair) {
       telemetry::ScopedTimer timer(tracing ? &stats.seconds_repair
@@ -214,7 +204,6 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
                                          : nullptr);
     IAAS_EXPECT(ind.genes.size() == problem_->gene_count(),
                 "individual gene count mismatch");
-    telemetry::count(telemetry::Counter::kEvaluations);
     PlacementState& state = *arena.state;
     state.rebuild(ind.genes);
     ind.objectives = state.objectives().as_array();
@@ -296,7 +285,7 @@ void NsgaBase::run_tasks(ThreadPool* pool, std::size_t count,
       fn(0, i);
     }
   } else {
-    pool->parallel_for_slots(0, count, fn, config_.task_grain);
+    pool->parallel_for_slots(0, count, fn);
   }
 }
 
@@ -372,7 +361,7 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   // Parallel phase: in repair mode initial individuals are repaired too,
   // so the search starts from the feasible region; evaluation rides in
   // the same task.  Each task's telemetry lands in its own counter
-  // block; the serial merge below keeps the tallies (and the trace row)
+  // block; the serial fold below keeps the tallies (and the trace row)
   // deterministic at any thread count.
   telemetry::GenerationRow init_row;
   {
@@ -383,14 +372,11 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
       Rng task_rng = init_base.child_stream(i);
       repair_evaluate(population[i], task_rng, stats[i], arenas_[slot]);
     });
-    telemetry::CounterBlock task_counters;
     for (const TaskStats& s : stats) {
       result.repair_invocations += s.repairs;
       result.evaluations += s.evaluations;
       absorb_stats(init_row, s);
-      task_counters.merge(s.counters);
     }
-    telemetry::Registry::global().flush_counters(task_counters);
   }
 
   // Rank the initial population so the first tournament has information.
@@ -406,7 +392,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   if (tracing) {
     stamp_population_summary(population, init_row);
     init_row.generation = 0;
-    flush_row_phases(init_row);
     result.trace.rows.push_back(init_row);
   }
 
@@ -453,14 +438,11 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
       variation_task(population, pm_table, tasks[p], &offspring[2 * p],
                      child_b, arenas_[slot]);
     });
-    telemetry::CounterBlock task_counters;
     for (const MatingTask& task : tasks) {
       result.repair_invocations += task.stats.repairs;
       result.evaluations += task.stats.evaluations;
       absorb_stats(row, task.stats);
-      task_counters.merge(task.stats.counters);
     }
-    telemetry::Registry::global().flush_counters(task_counters);
 
     Population merged;
     merged.reserve(population.size() + offspring.size());
@@ -479,7 +461,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     ++result.generations;
     if (tracing) {
       stamp_population_summary(population, row);
-      flush_row_phases(row);
       result.trace.rows.push_back(row);
     }
   }

@@ -17,7 +17,7 @@
 // own offspring slots, its own RNG stream, and its slot's arena — and
 // every cross-individual state reuse (the second child's gene-diff
 // rebase) stays within one task — results are bit-identical for a given
-// seed regardless of config.threads or config.task_grain.
+// seed regardless of config.threads.
 //
 // The ConstraintMode selects how strict constraints are honoured — the
 // four methods the paper enumerates (ignore/exclude/penalty/repair).
@@ -111,8 +111,9 @@ class NsgaBase {
   // Per-task tallies, accumulated into Result on the serial side so the
   // totals are deterministic (no atomics, no ordering dependence).  The
   // counter block is the task's telemetry sink (installed around the
-  // task body); the seconds fields are only written when collect_trace
-  // is on (null-target timers otherwise).
+  // task body) and is folded into the generation's trace row; the
+  // seconds fields are only written when collect_trace is on
+  // (null-target timers otherwise).
   struct TaskStats {
     std::size_t repairs = 0;
     std::size_t evaluations = 0;
@@ -166,15 +167,13 @@ class NsgaBase {
 
   // Folds one task's tallies into a trace row (serial side only).
   // row.repair_invocations mirrors Result::repair_invocations (every
-  // repair call), not the kRepairInvocations counter (walks that saw
-  // violations) — the repaired/unrepairable columns carry the latter's
-  // outcome split.
+  // repair call); the repaired/unrepairable columns split the walks that
+  // saw violations by outcome.
   static void absorb_stats(telemetry::GenerationRow& row,
                            const TaskStats& stats);
 
   // Runs fn(slot, i) for i in 0..count serially (slot 0) or over the
-  // pool (parallel_for_slots with config_.task_grain); `slot` indexes
-  // arenas_.
+  // pool (parallel_for_slots); `slot` indexes arenas_.
   void run_tasks(ThreadPool* pool, std::size_t count,
                  const std::function<void(std::size_t, std::size_t)>& fn);
 

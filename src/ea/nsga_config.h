@@ -64,15 +64,10 @@ struct NsgaConfig {
   // 1 = strictly serial, otherwise a dedicated pool of that many threads.
   std::size_t threads = 1;
 
-  // Minimum number of mating-pair (and initial-individual) tasks one
-  // thread claims per chunk of the parallel phases (ThreadPool grain).
-  // 0 = automatic (~4 chunks per worker).  Purely a scheduling knob:
-  // results are bit-identical for any value.
-  std::size_t task_grain = 0;
-
-  // Soft wall-clock budget for one run (seconds; 0 = unlimited).  Checked
-  // at generation boundaries: the engine finishes the generation in
-  // flight, then stops and reports the best front found so far
+  // Soft wall-clock budget for one run (seconds; 0 = unlimited; NaN or
+  // negative aborts at construction).  Checked at generation
+  // boundaries: the engine finishes the generation in flight, then
+  // stops and reports the best front found so far
   // (Result::hit_time_limit).  This is the anytime property the
   // simulator's graceful-degradation chain relies on; enabling it makes
   // the *generation count* timing-dependent, so determinism tests keep

@@ -184,13 +184,6 @@ const Json& Json::at(const std::string& key) const {
   fail("keyed access on non-object");
 }
 
-const std::vector<std::pair<std::string, Json>>& Json::items() const {
-  if (const Object* o = std::get_if<Object>(&value_)) {
-    return *o;
-  }
-  fail("items() on non-object");
-}
-
 bool operator==(const Json& a, const Json& b) {
   if (a.type() != b.type()) {
     return false;

@@ -87,8 +87,6 @@ class Json {
   Json& operator[](const std::string& key);  // insert-or-access
   [[nodiscard]] bool contains(const std::string& key) const;
   [[nodiscard]] const Json& at(const std::string& key) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, Json>>& items()
-      const;
 
   // Serialise. indent < 0 -> compact single line; otherwise pretty-print
   // with that many spaces per level.

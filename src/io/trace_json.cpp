@@ -244,29 +244,6 @@ void emit_window_metrics(JsonEmitter& emitter, const WindowMetrics& row) {
   JsonOut(emitter).object(row);
 }
 
-void emit_registry(JsonEmitter& e, const telemetry::Registry& registry) {
-  e.begin_object();
-  e.key("counters");
-  e.begin_object();
-  const telemetry::CounterBlock block = registry.counters();
-  for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-    const auto c = static_cast<telemetry::Counter>(i);
-    e.key(telemetry::counter_name(c));
-    e.value(block[c]);
-  }
-  e.end_object();
-  e.key("phase_seconds");
-  e.begin_object();
-  const auto seconds = registry.phase_seconds();
-  for (std::size_t i = 0; i < telemetry::kPhaseCount; ++i) {
-    const auto p = static_cast<telemetry::Phase>(i);
-    e.key(telemetry::phase_name(p));
-    e.value(seconds[i]);
-  }
-  e.end_object();
-  e.end_object();
-}
-
 telemetry::RunTrace trace_from_json(const Json& json) {
   telemetry::RunTrace trace;
   JsonIn in(json);
@@ -283,11 +260,6 @@ std::vector<WindowMetrics> sim_trace_from_json(const Json& json) {
 void write_trace_json(const telemetry::RunTrace& trace,
                       const std::string& path) {
   write_json_file(path, [&](JsonEmitter& e) { emit_run_trace(e, trace); });
-}
-
-void write_registry_json(const telemetry::Registry& registry,
-                         const std::string& path) {
-  write_json_file(path, [&](JsonEmitter& e) { emit_registry(e, registry); });
 }
 
 }  // namespace iaas

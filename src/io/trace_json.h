@@ -19,9 +19,6 @@ namespace iaas {
 
 void emit_run_trace(JsonEmitter& emitter, const telemetry::RunTrace& trace);
 void emit_window_metrics(JsonEmitter& emitter, const WindowMetrics& row);
-// Snapshot of a registry:
-// {"counters": {name: n, ...}, "phase_seconds": {name: s, ...}}.
-void emit_registry(JsonEmitter& emitter, const telemetry::Registry& registry);
 
 // Inverses of the emitters.  Shape errors (missing keys, short rows,
 // unknown columns or enum names, integers overflowing their field)
@@ -35,7 +32,5 @@ std::vector<WindowMetrics> sim_trace_from_json(const Json& json);
 // on an unopenable path or a failed write, like common/csv.
 void write_trace_json(const telemetry::RunTrace& trace,
                       const std::string& path);
-void write_registry_json(const telemetry::Registry& registry,
-                         const std::string& path);
 
 }  // namespace iaas

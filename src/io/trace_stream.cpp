@@ -87,18 +87,6 @@ void TraceWriter::finish() {
   }
   drain();
   sink_.close();
-  // Emission happens outside the sim loop (no thread-local sink), so the
-  // counters go straight to the global registry.  PeakBuffer merges
-  // additively like every counter: with one writer per run it reads as
-  // the high-water mark; with several it bounds their sum.
-  telemetry::CounterBlock block;
-  block[telemetry::Counter::kTraceWindowsStreamed] =
-      static_cast<std::uint64_t>(windows_);
-  block[telemetry::Counter::kTraceBytesStreamed] =
-      static_cast<std::uint64_t>(sink_.bytes_written());
-  block[telemetry::Counter::kTracePeakBufferBytes] =
-      static_cast<std::uint64_t>(peak_);
-  telemetry::Registry::global().flush_counters(block);
 }
 
 void TraceWriter::drain() {

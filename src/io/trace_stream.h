@@ -4,8 +4,8 @@
 // one window of trace text in memory instead of the whole horizon.  One
 // TraceWriter serves both formats: SimTraceWriter writes the JSON
 // document {"windows": [...]}, BinaryTraceWriter (io/trace_binary) the
-// binary one.  Their throughput counters land in
-// telemetry::Registry::global() at finish().
+// binary one.  Each writer reports what it wrote through its own
+// accessors (windows, bytes, peak buffer).
 #pragma once
 
 #include <cstddef>
@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "io/emit.h"
 #include "io/trace_json.h"
 #include "sim/simulator.h"
@@ -45,8 +44,7 @@ class JsonFileSink {
 };
 
 // append() encodes one window and drains it to disk; finish() closes the
-// document (the JSON form ends with a newline) and flushes the trace-IO
-// telemetry counters.
+// document (the JSON form ends with a newline).
 class TraceWriter {
  public:
   enum class Format : std::uint8_t { kJson, kBinary };

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "common/telemetry.h"
 
 namespace iaas {
 namespace {
@@ -160,7 +159,6 @@ FleetSolve solve_fleet(Fleet& fleet, const Infrastructure& infra,
   Stopwatch timer;
   bool primary_failed = false;
   try {
-    telemetry::ScopedPhaseTimer phase(telemetry::Phase::kAllocate);
     step.result = primary.allocate(step.instance, seed);
   } catch (const std::exception&) {
     // The primary blew up mid-window (the paper's algorithms share an
@@ -176,7 +174,6 @@ FleetSolve solve_fleet(Fleet& fleet, const Infrastructure& infra,
       policy.hard_factor > 0.0 &&
       primary_seconds > policy.deadline_seconds * policy.hard_factor;
   if (primary_failed || hard_overrun) {
-    telemetry::ScopedPhaseTimer phase(telemetry::Phase::kFallbackAllocate);
     step.result = fallback.allocate(step.instance, seed);
     step.degrade = DegradeLevel::kFallback;
   } else if (step.result.deadline_hit) {

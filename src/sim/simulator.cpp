@@ -155,31 +155,6 @@ std::uint64_t deterministic_fingerprint(
   return fp.h;
 }
 
-void WindowScope::close(
-    WindowMetrics row, std::size_t fault_events,
-    std::vector<WindowMetrics>& metrics,
-    const std::function<void(const WindowMetrics&)>& observer) {
-  telemetry::count(telemetry::Counter::kSimFaultEvents, fault_events);
-  telemetry::count(telemetry::Counter::kSimRetries, row.retried);
-  telemetry::count(telemetry::Counter::kSimEvictions, row.evicted);
-  telemetry::count(telemetry::Counter::kSimPermanentRejections,
-                   row.permanently_rejected);
-  if (row.degrade != DegradeLevel::kNone) {
-    telemetry::count(telemetry::Counter::kSimDegradedWindows);
-  }
-  telemetry::count(telemetry::Counter::kSimAdmissionDeferrals,
-                   row.admission_deferred);
-  telemetry::count(telemetry::Counter::kSimAdmissionDrops,
-                   row.admission_dropped);
-  metrics.push_back(std::move(row));
-  if (observer) {
-    observer(metrics.back());
-  }
-  if (!counters_.empty()) {
-    telemetry::Registry::global().flush_counters(counters_);
-  }
-}
-
 CloudSimulator::CloudSimulator(SimConfig config,
                                std::unique_ptr<Allocator> allocator,
                                std::unique_ptr<Allocator> fallback)
@@ -195,6 +170,12 @@ CloudSimulator::CloudSimulator(SimConfig config,
   IAAS_EXPECT(config_.departure_probability >= 0.0 &&
                   config_.departure_probability <= 1.0,
               "departure_probability must lie in [0, 1]");
+  // 0 means no deadline; a NaN fails the compares too, where it would
+  // silently mean the same.
+  IAAS_EXPECT(config_.allocator_deadline_seconds >= 0.0,
+              "allocator_deadline_seconds must be non-negative");
+  IAAS_EXPECT(config_.deadline_hard_factor >= 0.0,
+              "deadline_hard_factor must be non-negative");
 }
 
 std::vector<WindowMetrics> CloudSimulator::run(std::uint64_t seed) {
@@ -234,7 +215,6 @@ std::vector<WindowMetrics> CloudSimulator::run(std::uint64_t seed) {
   metrics.reserve(config_.windows);
 
   for (std::size_t w = 0; w < config_.windows; ++w) {
-    WindowScope scope;
     WindowMetrics row;
     row.window = w;
 
@@ -382,8 +362,10 @@ std::vector<WindowMetrics> CloudSimulator::run(std::uint64_t seed) {
         ++row.vms_on_down_servers;
       }
     }
-    const std::size_t fault_events = row.fault_events.size();
-    scope.close(std::move(row), fault_events, metrics, window_sink_);
+    metrics.push_back(std::move(row));
+    if (window_sink_) {
+      window_sink_(metrics.back());
+    }
   }
   return metrics;
 }

@@ -55,15 +55,17 @@ struct SimConfig {
   // Bounded retry queue for rejected/evicted VMs (max_attempts 0 keeps
   // the legacy drop-on-reject behaviour).
   RetryPolicy retry;
-  // Per-window allocator budget (seconds; 0 = unlimited).  Passed to the
-  // allocator via set_time_budget so anytime algorithms self-truncate;
-  // such windows are reported degraded (kBestEffort).  NOTE: enabling it
-  // makes window outcomes wall-clock-dependent — determinism tests keep
-  // it 0 or force it below any real solve time.
+  // Per-window allocator budget (seconds; 0 = unlimited; the constructor
+  // refuses a negative or NaN one).  Passed to the allocator via
+  // set_time_budget so anytime algorithms self-truncate; such windows
+  // are reported degraded (kBestEffort).  NOTE: enabling it makes window
+  // outcomes wall-clock-dependent — determinism tests keep it 0 or force
+  // it below any real solve time.
   double allocator_deadline_seconds = 0.0;
-  // Hard ceiling as a multiple of the deadline (0 = never): when one
-  // allocate call exceeds deadline * hard factor, its (stale) result is
-  // discarded and the greedy fallback serves the window (kFallback).
+  // Hard ceiling as a multiple of the deadline (0 = never; negative or
+  // NaN refused): when one allocate call exceeds deadline * hard factor,
+  // its (stale) result is discarded and the greedy fallback serves the
+  // window (kFallback).
   double deadline_hard_factor = 0.0;
   // Explicit per-window arrival counts (e.g. a recorded or hand-written
   // load curve).  When non-empty it overrides the Poisson arrivals;
@@ -305,25 +307,6 @@ SimSummary summarize(const std::vector<WindowMetrics>& metrics);
 // contract.
 std::uint64_t deterministic_fingerprint(
     const std::vector<WindowMetrics>& metrics);
-
-// The telemetry scope of one window, either simulator's: everything
-// counted during the window lands in its counter block, and the window
-// is a kSimWindow span.  close() counts the finished row's simulator
-// events, appends it to `metrics`, shows it to `observer` and flushes
-// the block to the global registry.
-class WindowScope {
- public:
-  WindowScope() : sink_(counters_), span_(telemetry::Phase::kSimWindow) {}
-
-  void close(WindowMetrics row, std::size_t fault_events,
-             std::vector<WindowMetrics>& metrics,
-             const std::function<void(const WindowMetrics&)>& observer);
-
- private:
-  telemetry::CounterBlock counters_;
-  telemetry::ScopedSink sink_;
-  telemetry::ScopedPhaseTimer span_;
-};
 
 class CloudSimulator {
  public:

@@ -303,7 +303,6 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
   if (state.total_violations() == 0) {
     return 0;
   }
-  telemetry::count(telemetry::Counter::kRepairInvocations);
   const std::size_t moves_before = state.applied_moves();
   TabuList tabu(options_.tabu_tenure);
 

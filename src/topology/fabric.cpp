@@ -10,7 +10,7 @@ namespace iaas {
 Fabric::Fabric(const FabricConfig& config) : config_(config) {
   IAAS_EXPECT(config.datacenters > 0, "fabric needs at least one datacenter");
   IAAS_EXPECT(config.spines_per_dc > 0 && config.leaves_per_dc > 0 &&
-                  config.servers_per_leaf > 0,
+                  config.servers_per_leaf > 0 && config.cores > 0,
               "fabric tiers must be non-empty");
   // A NaN speed fails the compare too.
   IAAS_EXPECT(config.core_spine_gbps > 0.0 && config.spine_leaf_gbps > 0.0 &&

@@ -3,8 +3,8 @@
 // shocks), the provider outage lifecycle, assignment units and their
 // split into standalone request sets, broker routing, the cross-cloud
 // redirect budget (a decommissioned home provider's orphans must be
-// permanently rejected, not circulate forever), registry telemetry of
-// brokered windows, warm-start front hand-off, per-provider metric
+// permanently rejected, not circulate forever), the lifecycle columns
+// of brokered windows, warm-start front hand-off, per-provider metric
 // columns in the deterministic fingerprint, and bit-identical brokered
 // replays across thread counts.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "broker/market.h"
 #include "broker/multicloud_sim.h"
 #include "common/rng.h"
-#include "common/telemetry.h"
 #include "io/trace_json.h"
 #include "model/assignment_units.h"
 #include "sim/retry_queue.h"
@@ -440,11 +439,10 @@ TEST(MultiCloudSim, DecommissionedHomeOrphansArePermanentlyRejected) {
   }
 }
 
-#if IAAS_TELEMETRY
-// A brokered run meters its lifecycle into the registry as the
-// single-cloud loop does (its windows used to count nothing).
-TEST(MultiCloudSim, TelemetryCountersMeterTheLifecycle) {
-  telemetry::Registry::global().reset();
+// A brokered run's rows meter its lifecycle: the outage's evictions, the
+// retries they cause and the permanent rejections add up in summarize,
+// and the scripted server fault shows in the fault columns.
+TEST(MultiCloudSim, RowsMeterTheLifecycle) {
   MultiCloudSimConfig cfg = tiny_sim_config();
   ProviderOutageScript outage;
   outage.window = 2;
@@ -454,22 +452,36 @@ TEST(MultiCloudSim, TelemetryCountersMeterTheLifecycle) {
   cfg.market.providers[1].faults.scripted = {{1, /*leaf_level=*/true, 0,
                                               /*mttr_windows=*/1, false}};
   MultiCloudSimulator sim(cfg);
-  const SimSummary summary = summarize(sim.run(23));
-  ASSERT_GT(summary.evicted, 0u);
+  const std::vector<WindowMetrics> metrics = sim.run(23);
+  ASSERT_EQ(metrics.size(), cfg.windows);
+  const SimSummary summary = summarize(metrics);
 
-  const telemetry::CounterBlock counters =
-      telemetry::Registry::global().counters();
-  EXPECT_GT(counters[telemetry::Counter::kSimEvictions], 0u);
-  EXPECT_EQ(counters[telemetry::Counter::kSimEvictions], summary.evicted);
-  EXPECT_EQ(counters[telemetry::Counter::kSimRetries], summary.retried);
-  EXPECT_EQ(counters[telemetry::Counter::kSimPermanentRejections],
-            summary.permanently_rejected);
-  EXPECT_GT(counters[telemetry::Counter::kSimFaultEvents], 0u);
-  const auto seconds = telemetry::Registry::global().phase_seconds();
-  EXPECT_GT(seconds[static_cast<std::size_t>(telemetry::Phase::kSimWindow)],
-            0.0);
+  std::size_t evicted = 0;
+  std::size_t retried = 0;
+  std::size_t permanent = 0;
+  std::size_t beta_evicted = 0;
+  for (const WindowMetrics& row : metrics) {
+    evicted += row.evicted;
+    retried += row.retried;
+    permanent += row.permanently_rejected;
+    beta_evicted += row.providers[1].evicted;
+  }
+  EXPECT_GT(summary.evicted, 0u);
+  EXPECT_EQ(summary.evicted, evicted);
+  // The outage evicts beta's whole slice; nothing else evicts.
+  EXPECT_EQ(beta_evicted, evicted);
+  EXPECT_EQ(metrics[outage.window].evicted, evicted);
+  // The evicted VMs come back through the broker's retry queue.
+  EXPECT_GT(summary.retried, 0u);
+  EXPECT_EQ(summary.retried, retried);
+  EXPECT_EQ(summary.permanently_rejected, permanent);
+
+  // The leaf fault takes beta's rack down in window 1 and repairs it
+  // one window later.
+  EXPECT_GT(metrics[1].providers[1].failed_servers, 0u);
+  EXPECT_EQ(metrics[1].failed_servers, metrics[1].providers[1].failed_servers);
+  EXPECT_GT(metrics[2].repaired_servers, 0u);
 }
-#endif  // IAAS_TELEMETRY
 
 // The brokered window loop takes its arrivals from the same rule as the
 // single-cloud one: a schedule shorter than the horizon wraps, and its

@@ -11,6 +11,8 @@
 #include "algo/round_robin.h"
 #include "broker/multicloud_sim.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
+#include "ea/nsga3.h"
 #include "ea/operators.h"
 #include "model/infrastructure.h"
 #include "model/instance.h"
@@ -47,6 +49,15 @@ TEST(ContractsDeathTest, FabricRejectsNonPositiveLinkSpeed) {
       EXPECT_DEATH({ Fabric fabric(fc); }, "link speeds") << "gbps " << gbps;
     }
   }
+}
+
+TEST(ContractsDeathTest, FabricRejectsZeroCores) {
+  // With no core switch, servers in different datacenters have no path
+  // between them, yet the fabric would report one at 10 Gb/s.
+  FabricConfig fc;
+  fc.datacenters = 2;
+  fc.cores = 0;
+  EXPECT_DEATH({ Fabric fabric(fc); }, "non-empty");
 }
 
 TEST(ContractsDeathTest, FabricServerIndexOutOfRange) {
@@ -157,6 +168,43 @@ TEST(ContractsDeathTest, SimulatorRejectsBadChurnRates) {
         "departure_probability")
         << "probability " << p;
   }
+}
+
+// 0 means "no deadline".  A negative or NaN one fails `x > 0.0` as 0
+// does, so unless the constructor refuses it, it silently means the same.
+TEST(ContractsDeathTest, SimulatorRejectsBadDeadlines) {
+  for (const double seconds : {-1.0, kNaN}) {
+    SimConfig cfg;
+    cfg.allocator_deadline_seconds = seconds;
+    EXPECT_DEATH(
+        { CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>()); },
+        "allocator_deadline_seconds")
+        << "seconds " << seconds;
+  }
+  for (const double factor : {-1.0, kNaN}) {
+    SimConfig cfg;
+    cfg.deadline_hard_factor = factor;
+    EXPECT_DEATH(
+        { CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>()); },
+        "deadline_hard_factor")
+        << "factor " << factor;
+  }
+}
+
+TEST(ContractsDeathTest, NsgaRejectsBadTimeLimit) {
+  const Instance inst = test::make_random_instance(1);
+  const AllocationProblem problem(inst);
+  for (const double seconds : {-1.0, kNaN}) {
+    NsgaConfig cfg;
+    cfg.time_limit_seconds = seconds;
+    EXPECT_DEATH({ Nsga3 engine(problem, cfg); }, "time_limit_seconds")
+        << "seconds " << seconds;
+  }
+}
+
+TEST(ContractsDeathTest, DeadlineRejectsNaN) {
+  // Converting NaN to a clock duration is undefined behaviour.
+  EXPECT_DEATH((void)Deadline::after_seconds(kNaN), "NaN");
 }
 
 TEST(ContractsDeathTest, FaultModelRejectsBadProbabilities) {

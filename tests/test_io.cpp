@@ -45,8 +45,7 @@ TEST(Json, ObjectPreservesInsertionOrder) {
   Json j = Json::object();
   j["z"] = Json::number(1);
   j["a"] = Json::number(2);
-  EXPECT_EQ(j.items()[0].first, "z");
-  EXPECT_EQ(j.items()[1].first, "a");
+  EXPECT_EQ(j.dump(), R"({"z":1,"a":2})");
 }
 
 TEST(Json, DumpCompactAndPretty) {

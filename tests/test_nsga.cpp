@@ -226,13 +226,12 @@ TEST(NsgaBase, ThreadCountInvariantInAllConstraintModes) {
     Nsga3 a(problem, serial, repair_fn, state_fn);
     const auto ra = a.run(91);
 
-    // The batch granularity is a pure scheduling knob: any thread count
-    // crossed with any task_grain must reproduce the serial run exactly.
-    for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{7}, std::size_t{64}}) {
+    // 2, 3 and 8 threads claim the 20 initial tasks 3, 2 and 1 at a
+    // time (~4 chunks per worker) and run on 2, 3 and 8 arenas; every
+    // such schedule must reproduce the serial run exactly.
+    for (const std::size_t threads : {2u, 3u, 8u}) {
       NsgaConfig parallel = serial;
-      parallel.threads = 8;
-      parallel.task_grain = grain;
+      parallel.threads = threads;
 
       Nsga3 b(problem, parallel, repair_fn, state_fn);
       const auto rb = b.run(91);
@@ -279,10 +278,9 @@ TEST(NsgaBase, CpRepairThreadCountInvariant) {
             0u);
 #endif
 
-  for (const std::size_t grain : {std::size_t{0}, std::size_t{7}}) {
+  for (const std::size_t threads : {2u, 3u, 8u}) {
     NsgaConfig parallel = serial;
-    parallel.threads = 8;
-    parallel.task_grain = grain;
+    parallel.threads = threads;
     Nsga3 b(problem, parallel, repair_fn);
     const auto rb = b.run(91);
 

@@ -287,6 +287,49 @@ TEST(ShardedSimulator, FingerprintBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(deterministic_fingerprint(sharded_sim_run(1, 4)), serial);
 }
 
+// The kCounter columns of every allocator-trace row, in window, row and
+// field-list order (the fingerprint skips them).
+std::vector<std::size_t> counter_columns(
+    const std::vector<WindowMetrics>& metrics) {
+  struct Collect {
+    std::vector<std::size_t> values;
+    void leaf(const char*, std::size_t v, fields::Tag tag) {
+      if (tag == fields::Tag::kCounter) {
+        values.push_back(v);
+      }
+    }
+    void leaf(const char*, double, fields::Tag) {}
+  } collect;
+  for (const WindowMetrics& w : metrics) {
+    for (const telemetry::GenerationRow& row : w.allocator_trace.rows) {
+      visit_fields(row, collect);
+    }
+  }
+  return collect.values;
+}
+
+TEST(ShardedSimulator, CounterColumnsIdenticalAcrossThreadCounts) {
+  // The four shard runs count into their own per-task blocks, run
+  // concurrently on the outer pool at 4 threads; every row's tallies
+  // must still be the serial run's.
+  const std::vector<WindowMetrics> serial_run = sharded_sim_run(1, 3);
+  const std::vector<std::size_t> serial = counter_columns(serial_run);
+  ASSERT_FALSE(serial.empty());
+#if IAAS_TELEMETRY
+  // The sinks saw the shard runs' work (zero with telemetry compiled
+  // out).
+  std::size_t rebuilds = 0;
+  for (const WindowMetrics& w : serial_run) {
+    for (const telemetry::GenerationRow& row : w.allocator_trace.rows) {
+      rebuilds += row.full_rebuilds;
+    }
+  }
+  EXPECT_GT(rebuilds, 0u);
+#endif
+  EXPECT_EQ(counter_columns(sharded_sim_run(2, 3)), serial);
+  EXPECT_EQ(counter_columns(sharded_sim_run(4, 3)), serial);
+}
+
 TEST(ShardedSimulator, ShardAndAdmissionColumnsRoundTripThroughJson) {
   const std::vector<WindowMetrics> metrics = sharded_sim_run(2, 3);
   // The horizon must actually exercise the new columns.

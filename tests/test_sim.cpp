@@ -12,7 +12,6 @@
 #include "algo/heuristics.h"
 #include "algo/nsga_allocators.h"
 #include "algo/round_robin.h"
-#include "common/telemetry.h"
 #include "sim/reconfiguration_plan.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
@@ -964,34 +963,6 @@ TEST(CloudSimulator, OversizedUnitAtQueueHeadStillMakesProgress) {
   // larger than the nominal budget.
   EXPECT_TRUE(oversized_admitted);
 }
-
-#if IAAS_TELEMETRY
-TEST(CloudSimulator, TelemetryCountersMeterTheLifecycle) {
-  telemetry::Registry::global().reset();
-  SimConfig cfg;
-  cfg.windows = 8;
-  cfg.arrivals_per_window_mean = 15.0;
-  cfg.scenario = ScenarioConfig::paper_scale(16);
-  cfg.faults.scripted = {{1, true, 0, 2, false}};
-  cfg.retry.max_attempts = 3;
-  CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>());
-  const SimSummary summary = summarize(sim.run(67));
-
-  const telemetry::CounterBlock counters =
-      telemetry::Registry::global().counters();
-  EXPECT_EQ(counters[telemetry::Counter::kSimFaultEvents],
-            summary.fault_events);
-  EXPECT_EQ(counters[telemetry::Counter::kSimEvictions], summary.evicted);
-  EXPECT_EQ(counters[telemetry::Counter::kSimRetries], summary.retried);
-  EXPECT_EQ(counters[telemetry::Counter::kSimPermanentRejections],
-            summary.permanently_rejected);
-  EXPECT_EQ(counters[telemetry::Counter::kSimDegradedWindows],
-            summary.degraded_windows);
-  const auto seconds = telemetry::Registry::global().phase_seconds();
-  EXPECT_GT(seconds[static_cast<std::size_t>(telemetry::Phase::kSimWindow)],
-            0.0);
-}
-#endif  // IAAS_TELEMETRY
 
 }  // namespace
 }  // namespace iaas

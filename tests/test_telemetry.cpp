@@ -1,6 +1,6 @@
 // Telemetry subsystem (common/telemetry + io/trace_json): counter sinks,
-// registry aggregation, run-trace emitters, and the CsvWriter failure
-// contract the trace CSVs rely on.
+// run-trace emitters, and the CsvWriter failure contract the trace CSVs
+// rely on.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,81 +20,36 @@ namespace {
 using telemetry::Counter;
 using telemetry::CounterBlock;
 using telemetry::GenerationRow;
-using telemetry::Phase;
 using telemetry::RunTrace;
 using telemetry::ScopedSink;
 using telemetry::ScopedTimer;
 
-TEST(CounterBlock, MergeResetEmpty) {
-  CounterBlock a;
-  EXPECT_TRUE(a.empty());
-  a[Counter::kEvaluations] = 3;
-  a[Counter::kDeltaMoves] = 7;
-  EXPECT_FALSE(a.empty());
-
-  CounterBlock b;
-  b[Counter::kEvaluations] = 2;
-  b[Counter::kTabuMovesTried] = 5;
-  a.merge(b);
-  EXPECT_EQ(a[Counter::kEvaluations], 5u);
-  EXPECT_EQ(a[Counter::kDeltaMoves], 7u);
-  EXPECT_EQ(a[Counter::kTabuMovesTried], 5u);
-
-  a.reset();
-  EXPECT_TRUE(a.empty());
-}
-
-TEST(CounterNames, AllDistinctAndNamed) {
-  for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-    EXPECT_STRNE(telemetry::counter_name(static_cast<Counter>(i)),
-                 "unknown");
-  }
-  for (std::size_t i = 0; i < telemetry::kPhaseCount; ++i) {
-    EXPECT_STRNE(telemetry::phase_name(static_cast<Phase>(i)), "unknown");
-  }
-}
-
 #if IAAS_TELEMETRY
 
 TEST(ScopedSink, CapturesAndRestores) {
-  telemetry::count(Counter::kEvaluations);  // no sink: dropped, no crash
+  telemetry::count(Counter::kStateRebuilds);  // no sink: dropped, no crash
 
   CounterBlock outer;
   CounterBlock inner;
   {
     ScopedSink sink(outer);
-    telemetry::count(Counter::kEvaluations);
+    telemetry::count(Counter::kStateRebuilds);
     {
       ScopedSink nested(inner);
-      telemetry::count(Counter::kEvaluations, 4);
+      telemetry::count(Counter::kStateRebuilds, 4);
     }
     // Nested sink restored: this lands in `outer` again.
     telemetry::count(Counter::kDeltaMoves, 2);
   }
   // Both sinks removed: this lands in neither block.
-  telemetry::count(Counter::kEvaluations, 8);
-  EXPECT_EQ(inner[Counter::kEvaluations], 4u);
+  telemetry::count(Counter::kStateRebuilds, 8);
+  EXPECT_EQ(inner[Counter::kStateRebuilds], 4u);
   EXPECT_EQ(inner[Counter::kDeltaMoves], 0u);
-  EXPECT_EQ(outer[Counter::kEvaluations], 1u);
+  EXPECT_EQ(outer[Counter::kStateRebuilds], 1u);
   EXPECT_EQ(outer[Counter::kDeltaMoves], 2u);
 }
 
 #endif  // IAAS_TELEMETRY
-
-TEST(Registry, FlushAndReset) {
-  telemetry::Registry registry;
-  CounterBlock block;
-  block[Counter::kRepairInvocations] = 9;
-  registry.flush_counters(block);
-  registry.flush_counters(block);
-  registry.add_phase_seconds(Phase::kRepair, 0.5);
-  EXPECT_EQ(registry.counters()[Counter::kRepairInvocations], 18u);
-  EXPECT_DOUBLE_EQ(
-      registry.phase_seconds()[static_cast<std::size_t>(Phase::kRepair)],
-      0.5);
-  registry.reset();
-  EXPECT_TRUE(registry.counters().empty());
-}
 
 TEST(ScopedTimer, NullTargetIsDisabled) {
   double elapsed = 0.0;
@@ -176,20 +131,6 @@ TEST(TraceJson, FileEmitterParses) {
   const Json doc = Json::parse(buffer.str());
   EXPECT_EQ(doc.at("rows").size(), 2u);
   std::filesystem::remove(path);
-}
-
-TEST(TraceJson, RegistrySnapshot) {
-  telemetry::Registry registry;
-  CounterBlock block;
-  block[Counter::kTabuMovesAccepted] = 3;
-  registry.flush_counters(block);
-  registry.add_phase_seconds(Phase::kAllocate, 1.25);
-  std::string text;
-  JsonEmitter emitter(text);
-  emit_registry(emitter, registry);
-  const Json doc = Json::parse(text);
-  EXPECT_EQ(doc.at("counters").at("tabu_moves_accepted").as_number(), 3.0);
-  EXPECT_EQ(doc.at("phase_seconds").at("allocate").as_number(), 1.25);
 }
 
 using TelemetryDeathTest = ::testing::Test;

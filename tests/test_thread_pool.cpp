@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -189,62 +188,6 @@ TEST(ThreadPool, SlotsAreExclusivePerParticipant) {
   });
   EXPECT_FALSE(conflict.load());
   EXPECT_LE(owner_of_slot.size(), pool.size());
-}
-
-TEST(ThreadPool, GrainProducesAlignedContiguousChunks) {
-  // With an explicit grain, chunks are contiguous blocks of that size
-  // aligned to the range start; every block must be drained by exactly
-  // one slot.
-  ThreadPool pool(2);
-  constexpr std::size_t kGrain = 5;
-  constexpr std::size_t kTotal = 20;
-  std::array<std::atomic<int>, kTotal> slot_of;
-  for (auto& s : slot_of) {
-    s = -1;
-  }
-  pool.parallel_for_slots(
-      0, kTotal,
-      [&](std::size_t slot, std::size_t i) {
-        slot_of[i] = static_cast<int>(slot);
-      },
-      kGrain);
-  for (std::size_t block = 0; block < kTotal; block += kGrain) {
-    for (std::size_t i = block; i < block + kGrain; ++i) {
-      ASSERT_NE(slot_of[i].load(), -1);
-      EXPECT_EQ(slot_of[i].load(), slot_of[block].load())
-          << "index " << i << " left its block's chunk";
-    }
-  }
-}
-
-TEST(ThreadPool, GrainCoveringWholeRangeRunsSequentially) {
-  // grain >= total collapses the dispatch to one chunk: a single
-  // participant visits every index in order (no locking needed below).
-  ThreadPool pool(4);
-  std::vector<std::size_t> order;
-  pool.parallel_for(
-      0, 32, [&](std::size_t i) { order.push_back(i); }, 32);
-  std::vector<std::size_t> expected(32);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, GrainedParallelForStillPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(
-                   0, 100,
-                   [](std::size_t i) {
-                     if (i == 63) {
-                       throw std::logic_error("bad index");
-                     }
-                   },
-                   /*grain=*/8),
-               std::logic_error);
-  // And the pool stays usable afterwards, grain or not.
-  std::atomic<std::size_t> sum{0};
-  pool.parallel_for(
-      0, 10, [&](std::size_t i) { sum += i; }, 4);
-  EXPECT_EQ(sum.load(), 45u);
 }
 
 TEST(ThreadPool, ManySmallParallelForCalls) {
