@@ -75,10 +75,11 @@ void ShardedAllocator::prepare(const Instance& instance) {
   inner_threads_ = std::max<std::size_t>(1, total / shards);
   const std::size_t concurrent = std::min(shards, total);
   if (concurrent > 1) {
-    // parallel_for's caller participates, so the pool itself only needs
-    // concurrent - 1 workers to reach the shard-level budget.
-    if (outer_pool_ == nullptr || outer_pool_->size() != concurrent - 1) {
-      outer_pool_ = std::make_unique<ThreadPool>(concurrent - 1);
+    // parallel_for engages size() participants, the caller and size() - 1
+    // of the pool's workers, so `concurrent` shards run at once on a pool
+    // of `concurrent` workers.
+    if (outer_pool_ == nullptr || outer_pool_->size() != concurrent) {
+      outer_pool_ = std::make_unique<ThreadPool>(concurrent);
     }
   } else {
     outer_pool_.reset();

@@ -3,6 +3,7 @@
 // (the paper requires responses "in a very short timeframe (<2mn)").
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -30,12 +31,21 @@ class Deadline {
   Deadline() : limited_(false) {}
 
   // A NaN budget aborts: converting it to a clock duration is undefined.
+  // So is converting a budget the duration cannot hold, or adding it to
+  // now: one of half the clock's range (about 146 years) or more, +inf
+  // included, is unlimited.  A negative budget has already expired.
   static Deadline after_seconds(double seconds) {
     IAAS_EXPECT(!std::isnan(seconds), "deadline seconds must not be NaN");
+    constexpr double kUnlimitedSeconds =
+        std::chrono::duration<double>(clock::duration::max()).count() / 2;
+    if (seconds >= kUnlimitedSeconds) {
+      return Deadline();
+    }
     Deadline d;
     d.limited_ = true;
-    d.end_ = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                std::chrono::duration<double>(seconds));
+    d.end_ = clock::now() +
+             std::chrono::duration_cast<clock::duration>(
+                 std::chrono::duration<double>(std::max(seconds, 0.0)));
     return d;
   }
 

@@ -7,8 +7,12 @@
 #include <vector>
 
 #include "ea/individual.h"
+#include "ea/nsga_config.h"
 
 namespace iaas {
+
+// ConstraintMode::kPenalty: added to every objective per violation.
+inline constexpr double kPenaltyWeight = 1000.0;
 
 // Partitions `population` indices into fronts F_0, F_1, ...; sets each
 // individual's `rank` to its front number.  `dominates(a, b)` is the
@@ -66,8 +70,52 @@ std::vector<std::vector<std::size_t>> nondominated_sort(
   return fronts;
 }
 
+// Fronts in one flat array: front f is order[offsets[f], offsets[f + 1]).
+// Cleared and refilled by each sort, so its storage is reused.
+struct Fronts {
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> offsets;  // size() + 1 entries, or none
+
+  [[nodiscard]] std::size_t size() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  [[nodiscard]] std::span<const std::size_t> operator[](std::size_t f) const {
+    return std::span<const std::size_t>(order).subspan(
+        offsets[f], offsets[f + 1] - offsets[f]);
+  }
+};
+
+// Scratch of keyed_nondominated_sort, grown to the largest population it
+// has seen: the engine keeps one across generations, so a sort allocates
+// nothing once the first has run.
+struct SortScratch {
+  std::vector<double> keys;               // per key, one padded column
+  std::vector<std::uint64_t> infeasible;  // bit i: member i violates
+  std::vector<std::uint64_t> dominated;   // row p: the members p dominates
+  std::vector<std::uint32_t> domination_count;
+  Fronts fronts;
+};
+
+#if defined(__SSE2__)
+// The sort above under the dominance `mode` implies, with the same fronts,
+// front order and ranks as the template given that mode's comparator.
+// Each member's keys are built once: its objectives (plus
+// kPenaltyWeight * violations in kPenalty mode) and, in kExclude and
+// kRepair mode, its violation count, under Deb's rule
+// `va < vb || (va == 0 && vb == 0 && pareto(a, b))`.  Each row of the bit
+// matrix is then filled in full, two candidates per SSE2 compare and 16
+// per packed block, with no branch per pair; the same compares give the
+// row of members that dominate p, whose popcount is p's domination count.
+// As in the template, members on a dominance cycle (possible only through
+// NaN objectives) join no front and keep their rank.  Returns
+// scratch.fronts.
+const Fronts& keyed_nondominated_sort(std::span<Individual> population,
+                                      ConstraintMode mode,
+                                      SortScratch& scratch);
+#endif
+
 // Crowding distance (NSGA-II) over one front; writes Individual::crowding.
 void assign_crowding_distance(std::span<Individual> population,
-                              const std::vector<std::size_t>& front);
+                              std::span<const std::size_t> front);
 
 }  // namespace iaas

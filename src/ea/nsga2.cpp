@@ -9,10 +9,11 @@ void Nsga2::environmental_selection(Population& merged, Population& next,
   if (config().constraint_mode == ConstraintMode::kExclude) {
     apply_exclusion(merged);
   }
-  const auto fronts = sort_fronts(merged);
+  const Fronts& fronts = sort_fronts(merged);
   next.clear();
   next.reserve(config().population_size);
-  for (const auto& front : fronts) {
+  for (std::size_t f = 0; f < fronts.size(); ++f) {
+    const std::span<const std::size_t> front = fronts[f];
     assign_crowding_distance(merged, front);
     if (next.size() + front.size() <= config().population_size) {
       for (std::size_t idx : front) {
@@ -24,7 +25,7 @@ void Nsga2::environmental_selection(Population& merged, Population& next,
       continue;
     }
     // Partial front: keep the most spread-out individuals.
-    std::vector<std::size_t> order(front);
+    std::vector<std::size_t> order(front.begin(), front.end());
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return merged[a].crowding > merged[b].crowding;

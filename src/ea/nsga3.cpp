@@ -10,7 +10,12 @@ namespace iaas {
 Nsga3::Nsga3(const AllocationProblem& problem, NsgaConfig config,
              RepairFn repair, StateRepairFn state_repair)
     : NsgaBase(problem, config, std::move(repair), std::move(state_repair)),
-      reference_points_(das_dennis_points(config.reference_divisions)) {}
+      reference_points_(das_dennis_points(config.reference_divisions)) {
+  reference_norm2_.reserve(reference_points_.size());
+  for (const ObjArray& point : reference_points_) {
+    reference_norm2_.push_back(squared_norm(point));
+  }
+}
 
 void Nsga3::environmental_selection(Population& merged, Population& next,
                                     Rng& rng) {
@@ -18,88 +23,85 @@ void Nsga3::environmental_selection(Population& merged, Population& next,
     apply_exclusion(merged);
   }
   const std::size_t target = config().population_size;
-  const auto fronts = sort_fronts(merged);
+  const Fronts& fronts = sort_fronts(merged);
 
+  // Whole fronts while they fit; front `cut`, if any, straddles the target.
+  std::size_t cut = 0;
+  while (cut < fronts.size() && fronts.offsets[cut + 1] <= target) {
+    ++cut;
+  }
+  const std::span<const std::size_t> order(fronts.order);
+  const std::span<const std::size_t> selected =
+      order.first(fronts.offsets[cut]);
   next.clear();
   next.reserve(target);
-  std::vector<std::size_t> selected;   // indices into merged
-  std::vector<std::size_t> last_front;
-  for (const auto& front : fronts) {
-    if (selected.size() + front.size() <= target) {
-      selected.insert(selected.end(), front.begin(), front.end());
-      if (selected.size() == target) {
-        break;
-      }
-    } else {
-      last_front = front;
-      break;
+  // Moves a survivor into `next`, stamped with its association when
+  // `stamp` (the niche tournament reads it).
+  const auto keep = [&](std::size_t idx, bool stamp) {
+    if (stamp) {
+      merged[idx].ref_index =
+          static_cast<std::uint32_t>(associations_[idx].ref);
+      merged[idx].ref_distance = associations_[idx].distance;
     }
-  }
+    next.push_back(std::move(merged[idx]));
+  };
 
-  if (selected.size() == target || last_front.empty()) {
-    for (std::size_t idx : selected) {
-      next.push_back(std::move(merged[idx]));
+  if (selected.size() == target || cut == fronts.size()) {
+    const bool stamp = config().niche_tournament && !selected.empty();
+    if (stamp) {
+      associate(merged, selected);
     }
-    if (config().niche_tournament) {
-      associate_population(next);
+    for (std::size_t idx : selected) {
+      keep(idx, stamp);
     }
     return;
   }
 
-  // Niching over S_t = selected + last front.
-  std::vector<std::size_t> st(selected);
-  st.insert(st.end(), last_front.begin(), last_front.end());
-
-  Normalizer normalizer;
-  normalizer.fit(merged, st);
-
-  // Associate every member of S_t with its closest reference line.
-  struct Association {
-    std::size_t ref = 0;
-    double distance = 0.0;
-  };
-  std::vector<Association> assoc(merged.size());
-  for (std::size_t idx : st) {
-    const ObjArray norm = normalizer.normalize(merged[idx].objectives);
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t best_ref = 0;
-    for (std::size_t r = 0; r < reference_points_.size(); ++r) {
-      const double d = perpendicular_distance(norm, reference_points_[r]);
-      if (d < best) {
-        best = d;
-        best_ref = r;
-      }
-    }
-    assoc[idx] = {best_ref, best};
-  }
+  // Niching over S_t = the whole fronts + the last front.
+  const std::span<const std::size_t> last_front = fronts[cut];
+  associate(merged, order.first(fronts.offsets[cut + 1]));
 
   // Niche counts from the already-selected fronts.
-  std::vector<std::size_t> niche_count(reference_points_.size(), 0);
+  const std::size_t refs = reference_points_.size();
+  niche_count_.assign(refs, 0);
   for (std::size_t idx : selected) {
-    ++niche_count[assoc[idx].ref];
+    ++niche_count_[associations_[idx].ref];
   }
 
-  // Candidates in the last front grouped per reference point.
-  std::vector<std::vector<std::size_t>> candidates(reference_points_.size());
+  // Candidates in the last front grouped per reference point, each
+  // bucket in front order.
+  bucket_start_.assign(refs + 1, 0);
   for (std::size_t idx : last_front) {
-    candidates[assoc[idx].ref].push_back(idx);
+    ++bucket_start_[associations_[idx].ref + 1];
+  }
+  for (std::size_t r = 0; r < refs; ++r) {
+    bucket_start_[r + 1] += bucket_start_[r];
+  }
+  bucket_size_.assign(refs, 0);
+  buckets_.resize(last_front.size());
+  for (std::size_t idx : last_front) {
+    const std::size_t r = associations_[idx].ref;
+    buckets_[bucket_start_[r] + bucket_size_[r]++] = idx;
   }
 
-  while (selected.size() < target) {
+  for (std::size_t idx : selected) {
+    keep(idx, true);
+  }
+  while (next.size() < target) {
     // Reference point with the smallest niche count among those that
     // still have candidates (random tie-break).
-    std::size_t best_ref = reference_points_.size();
+    std::size_t best_ref = refs;
     std::size_t best_count = std::numeric_limits<std::size_t>::max();
     std::size_t ties = 0;
-    for (std::size_t r = 0; r < reference_points_.size(); ++r) {
-      if (candidates[r].empty()) {
+    for (std::size_t r = 0; r < refs; ++r) {
+      if (bucket_size_[r] == 0) {
         continue;
       }
-      if (niche_count[r] < best_count) {
-        best_count = niche_count[r];
+      if (niche_count_[r] < best_count) {
+        best_count = niche_count_[r];
         best_ref = r;
         ties = 1;
-      } else if (niche_count[r] == best_count) {
+      } else if (niche_count_[r] == best_count) {
         // Reservoir-style random tie-break among equally starved niches.
         ++ties;
         if (rng.uniform_index(ties) == 0) {
@@ -107,58 +109,50 @@ void Nsga3::environmental_selection(Population& merged, Population& next,
         }
       }
     }
-    IAAS_EXPECT(best_ref < reference_points_.size(),
+    IAAS_EXPECT(best_ref < refs,
                 "niching ran out of candidates before filling population");
 
-    auto& bucket = candidates[best_ref];
+    std::size_t* bucket = buckets_.data() + bucket_start_[best_ref];
+    std::size_t& size = bucket_size_[best_ref];
     std::size_t pick_pos;
-    if (niche_count[best_ref] == 0) {
+    if (niche_count_[best_ref] == 0) {
       // Empty niche: take the member closest to the reference line.
       pick_pos = 0;
-      for (std::size_t i = 1; i < bucket.size(); ++i) {
-        if (assoc[bucket[i]].distance < assoc[bucket[pick_pos]].distance) {
+      for (std::size_t i = 1; i < size; ++i) {
+        if (associations_[bucket[i]].distance <
+            associations_[bucket[pick_pos]].distance) {
           pick_pos = i;
         }
       }
     } else {
-      pick_pos = rng.uniform_index(bucket.size());
+      pick_pos = rng.uniform_index(size);
     }
-    selected.push_back(bucket[pick_pos]);
-    bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(pick_pos));
-    ++niche_count[best_ref];
-  }
-
-  for (std::size_t idx : selected) {
-    // Persist the association for the niche tournament.
-    merged[idx].ref_index = static_cast<std::uint32_t>(assoc[idx].ref);
-    merged[idx].ref_distance = assoc[idx].distance;
-    next.push_back(std::move(merged[idx]));
+    keep(bucket[pick_pos], true);
+    // Close the gap in place, so the bucket keeps its front order.
+    std::copy(bucket + pick_pos + 1, bucket + size, bucket + pick_pos);
+    --size;
+    ++niche_count_[best_ref];
   }
 }
 
-void Nsga3::associate_population(Population& next) const {
-  if (next.empty()) {
-    return;
-  }
-  std::vector<std::size_t> members(next.size());
-  for (std::size_t i = 0; i < next.size(); ++i) {
-    members[i] = i;
-  }
+void Nsga3::associate(const Population& merged,
+                      std::span<const std::size_t> members) {
   Normalizer normalizer;
-  normalizer.fit(next, members);
-  for (Individual& ind : next) {
-    const ObjArray norm = normalizer.normalize(ind.objectives);
+  normalizer.fit(merged, members);
+  associations_.resize(merged.size());
+  for (std::size_t idx : members) {
+    const ObjArray norm = normalizer.normalize(merged[idx].objectives);
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_ref = 0;
     for (std::size_t r = 0; r < reference_points_.size(); ++r) {
-      const double d = perpendicular_distance(norm, reference_points_[r]);
+      const double d = perpendicular_distance(norm, reference_points_[r],
+                                              reference_norm2_[r]);
       if (d < best) {
         best = d;
         best_ref = r;
       }
     }
-    ind.ref_index = static_cast<std::uint32_t>(best_ref);
-    ind.ref_distance = best;
+    associations_[idx] = {best_ref, best};
   }
 }
 

@@ -3,6 +3,7 @@
 // plus reference-point niching with adaptive normalisation.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ea/nsga_base.h"
@@ -29,11 +30,27 @@ class Nsga3 : public NsgaBase {
                                Rng& rng) override;
 
  private:
-  // Stamp ref_index / ref_distance on every member of `next` so the
-  // niche tournament has current associations.
-  void associate_population(Population& next) const;
+  struct Association {
+    std::size_t ref = 0;
+    double distance = 0.0;
+  };
+
+  // Normalises over `members` (indices into `merged`) and records each
+  // one's closest reference line in associations_.
+  void associate(const Population& merged,
+                 std::span<const std::size_t> members);
 
   std::vector<ObjArray> reference_points_;
+  std::vector<double> reference_norm2_;  // squared_norm of each point
+
+  // Niching scratch, sized on first use and reused by every selection.
+  std::vector<Association> associations_;  // by index into merged
+  std::vector<std::size_t> niche_count_;   // by reference point
+  // The last front's candidates, grouped by reference point in front
+  // order: bucket r is buckets_[bucket_start_[r], + bucket_size_[r]).
+  std::vector<std::size_t> buckets_;
+  std::vector<std::size_t> bucket_start_;
+  std::vector<std::size_t> bucket_size_;
 };
 
 }  // namespace iaas

@@ -14,9 +14,6 @@
 namespace iaas {
 namespace {
 
-// ConstraintMode::kPenalty: added to every objective per violation.
-constexpr double kPenaltyWeight = 1000.0;
-
 // Front size + best (min-aggregate) objective vector of the survivors;
 // called right after environmental_selection stamps ranks.
 void stamp_population_summary(const Population& population,
@@ -74,13 +71,21 @@ ThreadPool* NsgaBase::evaluation_pool() {
   return &ThreadPool::shared();
 }
 
-std::vector<std::vector<std::size_t>> NsgaBase::sort_fronts(
-    std::span<Individual> population) const {
+const Fronts& NsgaBase::sort_fronts(std::span<Individual> population) {
+#if defined(__SSE2__)
+  return keyed_nondominated_sort(population, config_.constraint_mode,
+                                 sort_scratch_);
+#else
+  std::vector<std::vector<std::size_t>> fronts;
   switch (config_.constraint_mode) {
     case ConstraintMode::kIgnore:
+      fronts = nondominated_sort(
+          population, [](const Individual& a, const Individual& b) {
+            return dominates(a, b);
+          });
       break;
     case ConstraintMode::kPenalty:
-      return nondominated_sort(
+      fronts = nondominated_sort(
           population, [](const Individual& a, const Individual& b) {
             // Penalise stack copies of the objective arrays only — the
             // gene vectors play no role in dominance.
@@ -93,17 +98,24 @@ std::vector<std::vector<std::size_t>> NsgaBase::sort_fronts(
             return dominates(std::span<const double>(pa),
                              std::span<const double>(pb));
           });
+      break;
     case ConstraintMode::kExclude:
     case ConstraintMode::kRepair:
-      return nondominated_sort(
+      fronts = nondominated_sort(
           population, [](const Individual& a, const Individual& b) {
             return constrained_dominates(a, b);
           });
+      break;
   }
-  return nondominated_sort(population,
-                           [](const Individual& a, const Individual& b) {
-                             return dominates(a, b);
-                           });
+  Fronts& flat = sort_scratch_.fronts;
+  flat.order.clear();
+  flat.offsets.assign(1, 0);
+  for (const std::vector<std::size_t>& front : fronts) {
+    flat.order.insert(flat.order.end(), front.begin(), front.end());
+    flat.offsets.push_back(flat.order.size());
+  }
+  return flat;
+#endif
 }
 
 void NsgaBase::apply_exclusion(Population& merged) const {
@@ -248,9 +260,8 @@ void NsgaBase::variation_task(const Population& parents, const PmTable& pm,
   // A dropped second child (odd population size) skips variation and
   // repair entirely; the task stream is private, so skipping consumes no
   // draws any other task depends on.
-  std::vector<std::int32_t> discard;
   std::vector<std::int32_t>& second_genes =
-      child_b != nullptr ? child_b->genes : discard;
+      child_b != nullptr ? child_b->genes : arena.genes_discard;
   {
     telemetry::ScopedTimer timer(tracing ? &task.stats.seconds_variation
                                          : nullptr);
@@ -277,9 +288,8 @@ void NsgaBase::variation_task(const Population& parents, const PmTable& pm,
   }
 }
 
-void NsgaBase::run_tasks(ThreadPool* pool, std::size_t count,
-                         const std::function<void(std::size_t, std::size_t)>&
-                             fn) {
+template <class Fn>
+void NsgaBase::run_tasks(ThreadPool* pool, std::size_t count, const Fn& fn) {
   if (pool == nullptr || count < 2) {
     for (std::size_t i = 0; i < count; ++i) {
       fn(0, i);
@@ -395,6 +405,16 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     result.trace.rows.push_back(init_row);
   }
 
+  // Generation buffers, reused by every generation: the tasks, the
+  // offspring (each with a loser's gene buffer, below), the merged
+  // population and the survivors, which are `population` itself.
+  const std::size_t pair_count = (config_.population_size + 1) / 2;
+  std::vector<MatingTask> tasks;
+  tasks.reserve(pair_count);
+  Population offspring(config_.population_size);
+  Population merged;
+  merged.reserve(2 * config_.population_size);
+
   while (result.evaluations < config_.max_evaluations) {
     // Anytime exit: over budget, surrender with the best front so far
     // (the generation in flight always completes — partial generations
@@ -404,15 +424,13 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
       result.hit_time_limit = true;
       break;
     }
-    const std::size_t pair_count = (config_.population_size + 1) / 2;
     telemetry::GenerationRow row;
     row.generation = result.generations + 1;
 
     // Phase 1 (serial): tournament draws consume the main stream in a
     // fixed order regardless of thread count; each pair gets its own
     // counter-derived child stream for everything downstream.
-    std::vector<MatingTask> tasks;
-    tasks.reserve(pair_count);
+    tasks.clear();
     {
       telemetry::ScopedTimer timer(tracing ? &row.seconds_tournament
                                            : nullptr);
@@ -429,7 +447,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     // Phase 2 (parallel): each pair's crossover, mutation, repair, and
     // evaluation run as one fused task writing only offspring slots
     // 2p / 2p+1 — deterministic for any thread count.
-    Population offspring(config_.population_size);
     run_tasks(pool, pair_count, [&](std::size_t slot, std::size_t p) {
       telemetry::ScopedSink sink(tasks[p].stats.counters);
       Individual* child_b = 2 * p + 1 < offspring.size()
@@ -444,8 +461,7 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
       absorb_stats(row, task.stats);
     }
 
-    Population merged;
-    merged.reserve(population.size() + offspring.size());
+    merged.clear();
     std::move(population.begin(), population.end(),
               std::back_inserter(merged));
     std::move(offspring.begin(), offspring.end(),
@@ -454,9 +470,24 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     {
       telemetry::ScopedTimer timer(tracing ? &row.seconds_selection
                                            : nullptr);
-      Population next;
-      environmental_selection(merged, next, rng);
-      population = std::move(next);
+      population.clear();
+      environmental_selection(merged, population, rng);
+    }
+    // The survivors were moved out of `merged`; the losers still hold
+    // their genes.  Their buffers become the next offspring's (variation
+    // overwrites every gene), and every other field starts as in a new
+    // Individual.
+    std::size_t donor = 0;
+    for (Individual& child : offspring) {
+      while (donor < merged.size() && merged[donor].genes.empty()) {
+        ++donor;
+      }
+      std::vector<std::int32_t> genes;
+      if (donor < merged.size()) {
+        genes = std::move(merged[donor++].genes);
+      }
+      child = Individual{};
+      child.genes = std::move(genes);
     }
     ++result.generations;
     if (tracing) {
@@ -468,8 +499,8 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   // Final front: rank-0 members under the engine's dominance.  The sort
   // only stamps ranks, so it can run on the population in place; only the
   // front members themselves are copied out.
-  const auto fronts = sort_fronts(population);
-  IAAS_EXPECT(!fronts.empty(), "population cannot be empty");
+  const Fronts& fronts = sort_fronts(population);
+  IAAS_EXPECT(fronts.size() > 0, "population cannot be empty");
   result.front.reserve(fronts[0].size());
   for (std::size_t idx : fronts[0]) {
     result.front.push_back(population[idx]);

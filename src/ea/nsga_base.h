@@ -96,10 +96,10 @@ class NsgaBase {
   virtual const Individual& tournament(const Population& population,
                                        Rng& rng);
 
-  // nondominated_sort under the dominance relation the constraint mode
-  // implies (plain, penalised or Deb's constrained dominance).
-  [[nodiscard]] std::vector<std::vector<std::size_t>> sort_fronts(
-      std::span<Individual> population) const;
+  // The non-dominated sort under the dominance relation the constraint
+  // mode implies (plain, penalised or Deb's constrained dominance).  The
+  // fronts live in the engine's scratch until the next call.
+  const Fronts& sort_fronts(std::span<Individual> population);
 
   // kExclude (paper method 1): drop infeasible individuals; if fewer
   // feasible than population_size remain, keep the least-violating.
@@ -141,6 +141,8 @@ class NsgaBase {
     std::optional<PlacementState> state;
     std::vector<std::int32_t> genes_a;  // parent-repair scratch
     std::vector<std::int32_t> genes_b;
+    std::vector<std::int32_t> genes_discard;  // an odd population's
+                                              // dropped second child
   };
 
   // One fused task: (lazily copied + repaired) parents, SBX + PM, repair
@@ -173,9 +175,10 @@ class NsgaBase {
                            const TaskStats& stats);
 
   // Runs fn(slot, i) for i in 0..count serially (slot 0) or over the
-  // pool (parallel_for_slots); `slot` indexes arenas_.
-  void run_tasks(ThreadPool* pool, std::size_t count,
-                 const std::function<void(std::size_t, std::size_t)>& fn);
+  // pool (parallel_for_slots); `slot` indexes arenas_.  A template, so
+  // the serial path calls fn without wrapping it in a std::function.
+  template <class Fn>
+  void run_tasks(ThreadPool* pool, std::size_t count, const Fn& fn);
 
   ThreadPool* evaluation_pool();
 
@@ -186,6 +189,7 @@ class NsgaBase {
   std::unique_ptr<ThreadPool> owned_pool_;
   // Per-slot arenas, populated for the duration of one run().
   std::vector<Arena> arenas_;
+  SortScratch sort_scratch_;  // backs sort_fronts' result
 };
 
 }  // namespace iaas

@@ -74,11 +74,18 @@ std::vector<ObjArray> das_dennis_points(std::size_t divisions) {
   return out;
 }
 
-double perpendicular_distance(const ObjArray& p, const ObjArray& dir) {
-  double dir_norm2 = 0.0;
+double squared_norm(const ObjArray& dir) {
+  double norm2 = 0.0;
+  for (std::size_t i = 0; i < kObjectives; ++i) {
+    norm2 += dir[i] * dir[i];
+  }
+  return norm2;
+}
+
+double perpendicular_distance(const ObjArray& p, const ObjArray& dir,
+                              double dir_norm2) {
   double dot = 0.0;
   for (std::size_t i = 0; i < kObjectives; ++i) {
-    dir_norm2 += dir[i] * dir[i];
     dot += p[i] * dir[i];
   }
   if (dir_norm2 <= 0.0) {
@@ -94,7 +101,7 @@ double perpendicular_distance(const ObjArray& p, const ObjArray& dir) {
 }
 
 void Normalizer::fit(std::span<const Individual> population,
-                     const std::vector<std::size_t>& members) {
+                     std::span<const std::size_t> members) {
   IAAS_EXPECT(!members.empty(), "normalizer needs at least one member");
 
   for (std::size_t i = 0; i < kObjectives; ++i) {

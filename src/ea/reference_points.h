@@ -19,9 +19,15 @@ using ObjArray = std::array<double, kObjectives>;
 // (C(divisions + M - 1, M - 1) of them for M objectives).
 std::vector<ObjArray> das_dennis_points(std::size_t divisions);
 
+// |dir|^2, summed in axis order.  NSGA-III computes it once per reference
+// direction.
+double squared_norm(const ObjArray& dir);
+
 // Perpendicular distance from point `p` to the ray through the origin in
-// direction `dir` (both in normalised objective space).
-double perpendicular_distance(const ObjArray& p, const ObjArray& dir);
+// direction `dir` (both in normalised objective space); `dir_norm2` is
+// squared_norm(dir).
+double perpendicular_distance(const ObjArray& p, const ObjArray& dir,
+                              double dir_norm2);
 
 // NSGA-III adaptive normalisation: translate by the ideal point, find the
 // extreme points via the achievement scalarising function, intersect the
@@ -31,7 +37,7 @@ class Normalizer {
  public:
   // `members` indexes into `population`; statistics use exactly those.
   void fit(std::span<const Individual> population,
-           const std::vector<std::size_t>& members);
+           std::span<const std::size_t> members);
 
   [[nodiscard]] ObjArray normalize(const ObjArray& objectives) const;
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/csv.h"
@@ -162,6 +163,23 @@ TEST(Deadline, ExpiresInPastImmediately) {
 TEST(Deadline, FutureDeadlineNotExpired) {
   const Deadline d = Deadline::after_seconds(60.0);
   EXPECT_FALSE(d.expired());
+}
+
+TEST(Deadline, BudgetsPastTheClockRangeNeverExpire) {
+  // Converting these to nanoseconds would overflow the clock's duration.
+  for (const double seconds :
+       {std::numeric_limits<double>::infinity(), 1e300, 9.3e9}) {
+    const Deadline d = Deadline::after_seconds(seconds);
+    EXPECT_FALSE(d.limited()) << seconds;
+    EXPECT_FALSE(d.expired()) << seconds;
+  }
+  const Deadline year = Deadline::after_seconds(3.2e7);
+  EXPECT_TRUE(year.limited());
+  EXPECT_FALSE(year.expired());
+  EXPECT_TRUE(Deadline::after_seconds(-1e300).expired());
+  EXPECT_TRUE(
+      Deadline::after_seconds(-std::numeric_limits<double>::infinity())
+          .expired());
 }
 
 }  // namespace

@@ -169,6 +169,18 @@ TEST(CpSolver, HonoursBacktrackBudget) {
   EXPECT_LE(stats.backtracks, 10u + 1u);
 }
 
+TEST(CpSolver, InfiniteTimeLimitSpendsTheBacktrackBudget) {
+  CpSolverOptions options;
+  options.time_limit_seconds = std::numeric_limits<double>::infinity();
+  options.max_backtracks = 10;
+  const Instance inst = make_random_instance(5, 8, 16);
+  CpSolver solver(inst, options);
+  CpStats stats;
+  solver.solve(&stats);
+  EXPECT_FALSE(stats.timed_out);
+  EXPECT_EQ(stats.backtracks, 10u);
+}
+
 TEST(CpSolver, HonoursDeadline) {
   CpSolverOptions options;
   options.time_limit_seconds = 0.0;  // already expired

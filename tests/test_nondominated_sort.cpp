@@ -179,18 +179,20 @@ std::vector<std::vector<std::size_t>> reference_sort(
   return fronts;
 }
 
-// Objectives drawn from a handful of levels (ties and exact duplicates),
-// with the odd NaN, and violation counts in 0..3 (infeasible members).
-Population random_population(Rng& rng, std::size_t n) {
+// Objectives drawn from a handful of levels (ties, exact duplicates and
+// both signed zeros), with the odd NaN, and violation counts in 0..3
+// (infeasible members) for about `infeasible` of the members.
+Population random_population(Rng& rng, std::size_t n, double infeasible) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   Population pop(n);
   for (Individual& member : pop) {
     for (double& v : member.objectives) {
-      v = rng.bernoulli(0.03)
-              ? kNaN
-              : static_cast<double>(rng.uniform_int(0, 4));
+      const std::int64_t level = rng.uniform_int(-1, 4);
+      v = rng.bernoulli(0.03) ? kNaN
+          : level < 0         ? -0.0
+                              : static_cast<double>(level);
     }
-    member.violations = rng.bernoulli(0.4)
+    member.violations = rng.bernoulli(infeasible)
                             ? static_cast<std::uint32_t>(rng.uniform_int(1, 3))
                             : 0u;
   }
@@ -201,6 +203,20 @@ Population random_population(Rng& rng, std::size_t n) {
   return pop;
 }
 
+#if defined(__SSE2__)
+std::vector<std::vector<std::size_t>> nested(const Fronts& fronts) {
+  std::vector<std::vector<std::size_t>> out;
+  for (std::size_t f = 0; f < fronts.size(); ++f) {
+    out.emplace_back(fronts[f].begin(), fronts[f].end());
+  }
+  return out;
+}
+#endif
+
+// The template and the keyed kernel against Deb's list-based sort: same
+// fronts, same order within each front, same ranks.  Sizes straddle the
+// kernel's padding (its key columns are padded to a multiple of 16) and
+// its 64-bit row words; one scratch serves every call, as in the engine.
 TEST(NondominatedSort, MatchesDebReferenceUnderEveryDominance) {
   const auto penalised = [](const Individual& a, const Individual& b) {
     std::array<double, ObjectiveVector::kCount> pa = a.objectives;
@@ -212,22 +228,42 @@ TEST(NondominatedSort, MatchesDebReferenceUnderEveryDominance) {
     return dominates(std::span<const double>(pa),
                      std::span<const double>(pb));
   };
-  const auto check = [](Population pop, const auto& dom) {
+  SortScratch scratch;
+  const auto check = [&](const Population& pop, const auto& dom,
+                         ConstraintMode mode) {
     Population expected_pop = pop;
     const auto expected = reference_sort(expected_pop, dom);
-    const auto fronts = nondominated_sort(pop, dom);
-    ASSERT_EQ(fronts, expected);
+    Population template_pop = pop;
+    ASSERT_EQ(nondominated_sort(template_pop, dom), expected);
     for (std::size_t i = 0; i < pop.size(); ++i) {
-      ASSERT_EQ(pop[i].rank, expected_pop[i].rank) << "member " << i;
+      ASSERT_EQ(template_pop[i].rank, expected_pop[i].rank) << "member " << i;
     }
+#if defined(__SSE2__)
+    Population keyed_pop = pop;
+    ASSERT_EQ(nested(keyed_nondominated_sort(keyed_pop, mode, scratch)),
+              expected);
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      ASSERT_EQ(keyed_pop[i].rank, expected_pop[i].rank) << "member " << i;
+    }
+#else
+    (void)mode;
+#endif
   };
   Rng rng(21);
-  for (std::size_t n : {0u, 1u, 2u, 5u, 48u, 63u, 64u, 65u, 130u}) {
+  for (std::size_t n :
+       {0u, 1u, 2u, 5u, 47u, 48u, 63u, 64u, 65u, 130u, 200u}) {
     for (int round = 0; round < 20; ++round) {
-      const Population pop = random_population(rng, n);
-      check(pop, kPlain);
-      check(pop, penalised);
-      check(pop, kConstrained);
+      Population pop = random_population(rng, n, 0.4);
+      // Untouched ranks must stay as they were, as in the reference.
+      for (Individual& member : pop) {
+        member.rank = 99;
+      }
+      check(pop, kPlain, ConstraintMode::kIgnore);
+      check(pop, penalised, ConstraintMode::kPenalty);
+      check(pop, kConstrained, ConstraintMode::kExclude);
+      check(pop, kConstrained, ConstraintMode::kRepair);
+      check(random_population(rng, n, 0.0), kConstrained,
+            ConstraintMode::kRepair);
     }
   }
 }

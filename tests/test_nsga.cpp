@@ -2,6 +2,15 @@
 // repair hooks, improvement over random, parallel evaluation.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "algo/cp_repair.h"
 #include "ea/nsga2.h"
 #include "ea/nsga3.h"
@@ -445,6 +454,350 @@ TEST(Nsga3, NicheTournamentStillImprovesOverRandom) {
   const auto result = engine.run(37);
   EXPECT_LT(best_front_aggregate(result.front),
             mean_random_aggregate(problem, 97));
+}
+
+// ---- Environmental selection against the list-based reference ------
+//
+// The engines sort into flat, reused fronts and niche from flat buckets.
+// The reference below is the selection as first written: the template
+// sort with each mode's comparator, nested fronts, one vector per niche.
+// Both must keep the same survivors in the same order, with the same
+// ranks, associations and crowding, and leave the RNG at the same draw.
+
+class Nsga2Probe : public Nsga2 {
+ public:
+  using Nsga2::Nsga2;
+  using Nsga2::environmental_selection;
+  using NsgaBase::apply_exclusion;
+};
+
+class Nsga3Probe : public Nsga3 {
+ public:
+  using Nsga3::Nsga3;
+  using Nsga3::environmental_selection;
+  using NsgaBase::apply_exclusion;
+};
+
+std::vector<std::vector<std::size_t>> reference_fronts(
+    std::span<Individual> population, ConstraintMode mode) {
+  switch (mode) {
+    case ConstraintMode::kIgnore:
+      break;
+    case ConstraintMode::kPenalty:
+      return nondominated_sort(
+          population, [](const Individual& a, const Individual& b) {
+            std::array<double, ObjectiveVector::kCount> pa = a.objectives;
+            std::array<double, ObjectiveVector::kCount> pb = b.objectives;
+            for (std::size_t i = 0; i < pa.size(); ++i) {
+              pa[i] += 1000.0 * a.violations;
+              pb[i] += 1000.0 * b.violations;
+            }
+            return dominates(std::span<const double>(pa),
+                             std::span<const double>(pb));
+          });
+    case ConstraintMode::kExclude:
+    case ConstraintMode::kRepair:
+      return nondominated_sort(population, constrained_dominates);
+  }
+  return nondominated_sort(population,
+                           [](const Individual& a, const Individual& b) {
+                             return dominates(a, b);
+                           });
+}
+
+void reference_nsga2_selection(Nsga2Probe& engine, Population& merged,
+                               Population& next) {
+  const NsgaConfig& config = engine.config();
+  if (config.constraint_mode == ConstraintMode::kExclude) {
+    engine.apply_exclusion(merged);
+  }
+  const auto fronts = reference_fronts(merged, config.constraint_mode);
+  next.clear();
+  for (const auto& front : fronts) {
+    assign_crowding_distance(merged, front);
+    if (next.size() + front.size() <= config.population_size) {
+      for (std::size_t idx : front) {
+        next.push_back(std::move(merged[idx]));
+      }
+      if (next.size() == config.population_size) {
+        break;
+      }
+      continue;
+    }
+    std::vector<std::size_t> order(front);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return merged[a].crowding > merged[b].crowding;
+                     });
+    for (std::size_t i = 0; next.size() < config.population_size; ++i) {
+      next.push_back(std::move(merged[order[i]]));
+    }
+    break;
+  }
+}
+
+double reference_distance(const ObjArray& p, const ObjArray& dir) {
+  double dir_norm2 = 0.0;
+  double dot = 0.0;
+  for (std::size_t i = 0; i < kObjectives; ++i) {
+    dir_norm2 += dir[i] * dir[i];
+    dot += p[i] * dir[i];
+  }
+  if (dir_norm2 <= 0.0) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double t = dot / dir_norm2;
+  double dist2 = 0.0;
+  for (std::size_t i = 0; i < kObjectives; ++i) {
+    const double d = p[i] - t * dir[i];
+    dist2 += d * d;
+  }
+  return std::sqrt(dist2);
+}
+
+std::pair<std::size_t, double> reference_closest(
+    const std::vector<ObjArray>& refs, const ObjArray& norm) {
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t best_ref = 0;
+  for (std::size_t r = 0; r < refs.size(); ++r) {
+    const double d = reference_distance(norm, refs[r]);
+    if (d < best) {
+      best = d;
+      best_ref = r;
+    }
+  }
+  return {best_ref, best};
+}
+
+void reference_nsga3_selection(Nsga3Probe& engine, Population& merged,
+                               Population& next, Rng& rng) {
+  const NsgaConfig& config = engine.config();
+  const std::vector<ObjArray>& refs = engine.reference_points();
+  if (config.constraint_mode == ConstraintMode::kExclude) {
+    engine.apply_exclusion(merged);
+  }
+  const std::size_t target = config.population_size;
+  const auto fronts = reference_fronts(merged, config.constraint_mode);
+  next.clear();
+  std::vector<std::size_t> selected;
+  std::vector<std::size_t> last_front;
+  for (const auto& front : fronts) {
+    if (selected.size() + front.size() <= target) {
+      selected.insert(selected.end(), front.begin(), front.end());
+      if (selected.size() == target) {
+        break;
+      }
+    } else {
+      last_front = front;
+      break;
+    }
+  }
+  if (selected.size() == target || last_front.empty()) {
+    for (std::size_t idx : selected) {
+      next.push_back(std::move(merged[idx]));
+    }
+    if (config.niche_tournament && !next.empty()) {
+      std::vector<std::size_t> members(next.size());
+      std::iota(members.begin(), members.end(), std::size_t{0});
+      Normalizer normalizer;
+      normalizer.fit(next, members);
+      for (Individual& ind : next) {
+        const auto [ref, distance] =
+            reference_closest(refs, normalizer.normalize(ind.objectives));
+        ind.ref_index = static_cast<std::uint32_t>(ref);
+        ind.ref_distance = distance;
+      }
+    }
+    return;
+  }
+  std::vector<std::size_t> st(selected);
+  st.insert(st.end(), last_front.begin(), last_front.end());
+  Normalizer normalizer;
+  normalizer.fit(merged, st);
+  std::vector<std::pair<std::size_t, double>> assoc(merged.size());
+  for (std::size_t idx : st) {
+    assoc[idx] =
+        reference_closest(refs, normalizer.normalize(merged[idx].objectives));
+  }
+  std::vector<std::size_t> niche_count(refs.size(), 0);
+  for (std::size_t idx : selected) {
+    ++niche_count[assoc[idx].first];
+  }
+  std::vector<std::vector<std::size_t>> candidates(refs.size());
+  for (std::size_t idx : last_front) {
+    candidates[assoc[idx].first].push_back(idx);
+  }
+  while (selected.size() < target) {
+    std::size_t best_ref = refs.size();
+    std::size_t best_count = std::numeric_limits<std::size_t>::max();
+    std::size_t ties = 0;
+    for (std::size_t r = 0; r < refs.size(); ++r) {
+      if (candidates[r].empty()) {
+        continue;
+      }
+      if (niche_count[r] < best_count) {
+        best_count = niche_count[r];
+        best_ref = r;
+        ties = 1;
+      } else if (niche_count[r] == best_count) {
+        ++ties;
+        if (rng.uniform_index(ties) == 0) {
+          best_ref = r;
+        }
+      }
+    }
+    ASSERT_LT(best_ref, refs.size());
+    auto& bucket = candidates[best_ref];
+    std::size_t pick_pos = 0;
+    if (niche_count[best_ref] == 0) {
+      for (std::size_t i = 1; i < bucket.size(); ++i) {
+        if (assoc[bucket[i]].second < assoc[bucket[pick_pos]].second) {
+          pick_pos = i;
+        }
+      }
+    } else {
+      pick_pos = rng.uniform_index(bucket.size());
+    }
+    selected.push_back(bucket[pick_pos]);
+    bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(pick_pos));
+    ++niche_count[best_ref];
+  }
+  for (std::size_t idx : selected) {
+    merged[idx].ref_index = static_cast<std::uint32_t>(assoc[idx].first);
+    merged[idx].ref_distance = assoc[idx].second;
+    next.push_back(std::move(merged[idx]));
+  }
+}
+
+// A merged population of 2 * `half` members, each tagged by its one gene.
+// `straddle` draws objectives from a few levels with ties and duplicates,
+// so a front usually straddles the cut; otherwise the first `half` lie on
+// the simplex (mutually non-dominated) and the rest sit behind them, so
+// front 0 fills the survivors exactly.
+Population merged_population(Rng& rng, std::size_t half, bool straddle) {
+  Population merged(2 * half);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    Individual& member = merged[i];
+    member.genes = {static_cast<std::int32_t>(i)};
+    member.evaluated = true;
+    member.rank = 77;
+    member.crowding = -1.0;
+    member.ref_index = static_cast<std::uint32_t>(1000 + i);
+    member.ref_distance = -2.0;
+    if (straddle) {
+      for (double& v : member.objectives) {
+        v = rng.bernoulli(0.3) ? static_cast<double>(rng.uniform_int(0, 6))
+                               : rng.next_double() * 6.0;
+      }
+      member.violations =
+          rng.bernoulli(0.3) ? static_cast<std::uint32_t>(rng.uniform_int(1, 4))
+                             : 0u;
+    } else {
+      const double a = rng.next_double();
+      const double b = rng.next_double() * (1.0 - a);
+      const double shift = i < half ? 0.0 : 1.0 + rng.next_double();
+      member.objectives = {a + shift, b + shift, 1.0 - a - b + shift};
+      member.violations =
+          i < half ? 0u : static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+    }
+  }
+  for (std::size_t i = 0; straddle && i + 1 < merged.size(); i += 9) {
+    merged[i + 1].objectives = merged[i].objectives;
+    merged[i + 1].violations = merged[i].violations;
+  }
+  return merged;
+}
+
+void expect_same_survivors(const Population& got, const Population& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].genes, want[i].genes) << "survivor " << i;
+    EXPECT_EQ(got[i].rank, want[i].rank) << "survivor " << i;
+    EXPECT_EQ(got[i].ref_index, want[i].ref_index) << "survivor " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].ref_distance),
+              std::bit_cast<std::uint64_t>(want[i].ref_distance))
+        << "survivor " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].crowding),
+              std::bit_cast<std::uint64_t>(want[i].crowding))
+        << "survivor " << i;
+  }
+}
+
+constexpr ConstraintMode kAllModes[] = {
+    ConstraintMode::kIgnore, ConstraintMode::kExclude,
+    ConstraintMode::kPenalty, ConstraintMode::kRepair};
+
+TEST(Nsga3, SelectionMatchesListBasedReference) {
+  const Instance inst = test::make_random_instance(3, 8, 16);
+  const AllocationProblem problem(inst);
+  const TabuRepair repair(inst);
+  const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
+                                       Rng& rng) {
+    repair.repair(genes, rng);
+  };
+  Rng draw(41);
+  for (const ConstraintMode mode : kAllModes) {
+    for (const bool niche_tournament : {false, true}) {
+      for (const std::size_t half : {24u, 100u}) {
+        NsgaConfig cfg;
+        cfg.population_size = half;
+        cfg.reference_divisions = half == 24 ? 4 : 12;
+        cfg.constraint_mode = mode;
+        cfg.niche_tournament = niche_tournament;
+        // One engine for every round, so its scratch carries over.
+        Nsga3Probe engine(problem, cfg, repair_fn);
+        Nsga3Probe reference(problem, cfg, repair_fn);
+        for (int round = 0; round < 12; ++round) {
+          const Population merged =
+              merged_population(draw, half, round % 4 != 0);
+          Population got_merged = merged;
+          Population want_merged = merged;
+          Population got;
+          Population want;
+          Rng got_rng(static_cast<std::uint64_t>(round));
+          Rng want_rng(static_cast<std::uint64_t>(round));
+          engine.environmental_selection(got_merged, got, got_rng);
+          reference_nsga3_selection(reference, want_merged, want, want_rng);
+          expect_same_survivors(got, want);
+          EXPECT_EQ(got_rng.next_u64(), want_rng.next_u64());
+        }
+      }
+    }
+  }
+}
+
+TEST(Nsga2, SelectionMatchesListBasedReference) {
+  const Instance inst = test::make_random_instance(3, 8, 16);
+  const AllocationProblem problem(inst);
+  const TabuRepair repair(inst);
+  const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
+                                       Rng& rng) {
+    repair.repair(genes, rng);
+  };
+  Rng draw(43);
+  for (const ConstraintMode mode : kAllModes) {
+    for (const std::size_t half : {24u, 100u}) {
+      NsgaConfig cfg;
+      cfg.population_size = half;
+      cfg.constraint_mode = mode;
+      Nsga2Probe engine(problem, cfg, repair_fn);
+      Nsga2Probe reference(problem, cfg, repair_fn);
+      for (int round = 0; round < 12; ++round) {
+        const Population merged =
+            merged_population(draw, half, round % 4 != 0);
+        Population got_merged = merged;
+        Population want_merged = merged;
+        Population got;
+        Population want;
+        Rng got_rng(static_cast<std::uint64_t>(round));
+        engine.environmental_selection(got_merged, got, got_rng);
+        reference_nsga2_selection(reference, want_merged, want);
+        expect_same_survivors(got, want);
+        EXPECT_EQ(got_rng.next_u64(),
+                  Rng(static_cast<std::uint64_t>(round)).next_u64());
+      }
+    }
+  }
 }
 
 TEST(AllocationProblem, WarmStartGenesMirrorPrevious) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace iaas {
 namespace {
@@ -60,22 +61,30 @@ TEST(DasDennis, ContainsCornersAndIsUnique) {
   }
 }
 
+double distance(const ObjArray& p, const ObjArray& dir) {
+  return perpendicular_distance(p, dir, squared_norm(dir));
+}
+
 TEST(PerpendicularDistance, PointOnRayIsZero) {
   const ObjArray dir = {1.0, 1.0, 1.0};
-  EXPECT_NEAR(perpendicular_distance({2.0, 2.0, 2.0}, dir), 0.0, 1e-12);
+  EXPECT_NEAR(distance({2.0, 2.0, 2.0}, dir), 0.0, 1e-12);
 }
 
 TEST(PerpendicularDistance, KnownValue) {
   // Distance from (1,0,0) to the ray along (0,1,0) is 1.
-  EXPECT_NEAR(perpendicular_distance({1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}), 1.0,
-              1e-12);
+  EXPECT_NEAR(distance({1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}), 1.0, 1e-12);
 }
 
 TEST(PerpendicularDistance, ScaleInvariantInDirection) {
   const ObjArray p = {1.0, 2.0, 3.0};
-  const double d1 = perpendicular_distance(p, {1.0, 1.0, 0.0});
-  const double d2 = perpendicular_distance(p, {10.0, 10.0, 0.0});
+  const double d1 = distance(p, {1.0, 1.0, 0.0});
+  const double d2 = distance(p, {10.0, 10.0, 0.0});
   EXPECT_NEAR(d1, d2, 1e-12);
+}
+
+TEST(PerpendicularDistance, ZeroDirectionIsInfinitelyFar) {
+  EXPECT_EQ(distance({1.0, 2.0, 3.0}, {0.0, 0.0, 0.0}),
+            std::numeric_limits<double>::infinity());
 }
 
 Individual ind(double a, double b, double c) {
@@ -87,7 +96,7 @@ Individual ind(double a, double b, double c) {
 TEST(Normalizer, IdealIsComponentwiseMin) {
   Population pop = {ind(1, 5, 9), ind(2, 4, 8), ind(3, 3, 7)};
   Normalizer norm;
-  norm.fit(pop, {0, 1, 2});
+  norm.fit(pop, std::vector<std::size_t>{0, 1, 2});
   EXPECT_DOUBLE_EQ(norm.ideal()[0], 1.0);
   EXPECT_DOUBLE_EQ(norm.ideal()[1], 3.0);
   EXPECT_DOUBLE_EQ(norm.ideal()[2], 7.0);
@@ -97,7 +106,7 @@ TEST(Normalizer, AxisAlignedFrontNormalisesToUnit) {
   // Extremes exactly on translated axes: intercepts = extreme values.
   Population pop = {ind(10, 0, 0), ind(0, 20, 0), ind(0, 0, 40)};
   Normalizer norm;
-  norm.fit(pop, {0, 1, 2});
+  norm.fit(pop, std::vector<std::size_t>{0, 1, 2});
   EXPECT_NEAR(norm.intercepts()[0], 10.0, 1e-9);
   EXPECT_NEAR(norm.intercepts()[1], 20.0, 1e-9);
   EXPECT_NEAR(norm.intercepts()[2], 40.0, 1e-9);
@@ -112,7 +121,7 @@ TEST(Normalizer, DegenerateFrontFallsBackToMaxSpread) {
   // zero/NaN intercepts.
   Population pop = {ind(5, 5, 5), ind(5, 5, 5)};
   Normalizer norm;
-  norm.fit(pop, {0, 1});
+  norm.fit(pop, std::vector<std::size_t>{0, 1});
   for (double i : norm.intercepts()) {
     EXPECT_TRUE(std::isfinite(i));
     EXPECT_GT(i, 0.0);
@@ -127,7 +136,7 @@ TEST(Normalizer, MembersSubsetOnly) {
   // Statistics must come from the indexed members, not the whole vector.
   Population pop = {ind(100, 100, 100), ind(1, 2, 3), ind(4, 5, 6)};
   Normalizer norm;
-  norm.fit(pop, {1, 2});
+  norm.fit(pop, std::vector<std::size_t>{1, 2});
   EXPECT_DOUBLE_EQ(norm.ideal()[0], 1.0);
   EXPECT_DOUBLE_EQ(norm.ideal()[1], 2.0);
   EXPECT_DOUBLE_EQ(norm.ideal()[2], 3.0);

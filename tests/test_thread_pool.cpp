@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <new>
@@ -188,6 +189,30 @@ TEST(ThreadPool, SlotsAreExclusivePerParticipant) {
   });
   EXPECT_FALSE(conflict.load());
   EXPECT_LE(owner_of_slot.size(), pool.size());
+}
+
+TEST(ThreadPool, SlotsRunSizeBodiesAtOnce) {
+  // A pool of s workers engages s participants (the caller and s - 1
+  // workers), so s bodies that each wait for all s to arrive finish.
+  // Callers size their pools by this, e.g. one worker per concurrent
+  // shard.  A missing participant shows as a timeout, not a hang.
+  for (const std::size_t size : {1u, 2u, 3u, 4u}) {
+    ThreadPool pool(size);
+    std::mutex mu;
+    std::condition_variable all_in;
+    std::size_t arrived = 0;
+    std::atomic<std::size_t> timed_out{0};
+    pool.parallel_for_slots(0, size, [&](std::size_t, std::size_t) {
+      std::unique_lock lock(mu);
+      ++arrived;
+      all_in.notify_all();
+      if (!all_in.wait_for(lock, std::chrono::seconds(20),
+                           [&] { return arrived == size; })) {
+        ++timed_out;
+      }
+    });
+    EXPECT_EQ(timed_out.load(), 0u) << "pool of " << size;
+  }
 }
 
 TEST(ThreadPool, ManySmallParallelForCalls) {
