@@ -81,8 +81,7 @@ int main() {
       const double seconds = timer.elapsed_seconds();
       const std::size_t pick = select_ideal_point(ea_result.front);
       const AllocationResult r = Allocator::finalize(
-          inst, v.name, Placement(ea_result.front[pick].genes), seconds, 0,
-          {});
+          inst, v.name, Placement(ea_result.front[pick].genes), seconds, 0);
       time_s.add(seconds);
       viols.add(static_cast<double>(r.raw_violations.total()));
       rej.add(r.rejection_rate());

@@ -172,12 +172,12 @@ void print_nsga_settings(const NsgaConfig& config) {
   table.add_row({"populationSize", std::to_string(config.population_size)});
   table.add_row({"Number of evaluations",
                  std::to_string(config.max_evaluations)});
-  table.add_row({"sbx.rate", TextTable::num(config.sbx_rate, 2)});
+  table.add_row({"sbx.rate", TextTable::num(kSbxRate, 2)});
   table.add_row({"sbx.distributionIndex",
-                 TextTable::num(config.sbx_distribution_index, 2)});
-  table.add_row({"pm.rate", TextTable::num(config.pm_rate, 2)});
+                 TextTable::num(kSbxDistributionIndex, 2)});
+  table.add_row({"pm.rate", TextTable::num(kPmRate, 2)});
   table.add_row({"pm.distributionIndex",
-                 TextTable::num(config.pm_distribution_index, 2)});
+                 TextTable::num(kPmDistributionIndex, 2)});
   std::printf("NSGA-II/III settings (paper Table III):\n");
   table.print();
 }

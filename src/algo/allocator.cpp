@@ -137,8 +137,7 @@ Placement sanitize_placement(const Instance& instance, const Placement& raw) {
 AllocationResult Allocator::finalize(const Instance& instance,
                                      std::string algorithm, Placement raw,
                                      double wall_seconds,
-                                     std::size_t evaluations,
-                                     const ObjectiveOptions& options) {
+                                     std::size_t evaluations) {
   AllocationResult result;
   result.algorithm = std::move(algorithm);
   result.vm_count = instance.n();
@@ -152,7 +151,7 @@ AllocationResult Allocator::finalize(const Instance& instance,
   result.placement = sanitize_placement(instance, result.raw_placement);
   result.rejected = result.placement.rejected_count();
 
-  PlacementState state(instance, options);
+  PlacementState state(instance);
   state.rebuild(result.placement);
   result.objectives = state.objectives();
   return result;

@@ -119,8 +119,7 @@ class Allocator {
   static AllocationResult finalize(const Instance& instance,
                                    std::string algorithm, Placement raw,
                                    double wall_seconds,
-                                   std::size_t evaluations,
-                                   const ObjectiveOptions& options);
+                                   std::size_t evaluations);
 };
 
 // Rejects every VM participating in a violated constraint so the result

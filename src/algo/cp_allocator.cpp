@@ -10,7 +10,7 @@ AllocationResult CpAllocator::allocate(const Instance& instance,
   Placement placement =
       CpSolver(instance, solver_options_).solve(&last_stats_);
   return finalize(instance, name(), std::move(placement),
-                  timer.elapsed_seconds(), 0, objective_options_);
+                  timer.elapsed_seconds(), 0);
 }
 
 }  // namespace iaas

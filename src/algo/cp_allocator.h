@@ -10,10 +10,8 @@ namespace iaas {
 
 class CpAllocator : public Allocator {
  public:
-  explicit CpAllocator(CpSolverOptions solver_options = {},
-                       ObjectiveOptions objective_options = {})
-      : solver_options_(solver_options),
-        objective_options_(objective_options) {}
+  explicit CpAllocator(CpSolverOptions solver_options = {})
+      : solver_options_(solver_options) {}
 
   [[nodiscard]] std::string name() const override {
     return "ConstraintProgramming";
@@ -26,7 +24,6 @@ class CpAllocator : public Allocator {
 
  private:
   CpSolverOptions solver_options_;
-  ObjectiveOptions objective_options_;
   CpStats last_stats_;
 };
 

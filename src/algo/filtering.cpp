@@ -47,7 +47,7 @@ AllocationResult FilteringAllocator::allocate(const Instance& instance,
   }
 
   return finalize(instance, name(), state.placement(),
-                  timer.elapsed_seconds(), 0, options_);
+                  timer.elapsed_seconds(), 0);
 }
 
 }  // namespace iaas

@@ -17,16 +17,10 @@ namespace iaas {
 
 class FilteringAllocator : public Allocator {
  public:
-  explicit FilteringAllocator(ObjectiveOptions options = {})
-      : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "Filtering"; }
 
   AllocationResult allocate(const Instance& instance,
                             std::uint64_t seed) override;
-
- private:
-  ObjectiveOptions options_;
 };
 
 }  // namespace iaas

@@ -31,7 +31,7 @@ AllocationResult FirstFitDecreasingAllocator::allocate(
     }
   }
   return finalize(instance, name(), state.placement(),
-                  timer.elapsed_seconds(), 0, options_);
+                  timer.elapsed_seconds(), 0);
 }
 
 AllocationResult BestFitAllocator::allocate(const Instance& instance,
@@ -65,7 +65,7 @@ AllocationResult BestFitAllocator::allocate(const Instance& instance,
     }
   }
   return finalize(instance, name(), state.placement(),
-                  timer.elapsed_seconds(), 0, options_);
+                  timer.elapsed_seconds(), 0);
 }
 
 }  // namespace iaas

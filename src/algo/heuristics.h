@@ -15,18 +15,12 @@ namespace iaas {
 // each takes the lowest-indexed server where the allocation is valid.
 class FirstFitDecreasingAllocator : public Allocator {
  public:
-  explicit FirstFitDecreasingAllocator(ObjectiveOptions options = {})
-      : options_(options) {}
-
   [[nodiscard]] std::string name() const override {
     return "FirstFitDecreasing";
   }
 
   AllocationResult allocate(const Instance& instance,
                             std::uint64_t seed) override;
-
- private:
-  ObjectiveOptions options_;
 };
 
 // Best-Fit: each VM (in request order) goes to the valid server whose
@@ -34,16 +28,10 @@ class FirstFitDecreasingAllocator : public Allocator {
 // consolidation pressure among the one-pass heuristics.
 class BestFitAllocator : public Allocator {
  public:
-  explicit BestFitAllocator(ObjectiveOptions options = {})
-      : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "BestFit"; }
 
   AllocationResult allocate(const Instance& instance,
                             std::uint64_t seed) override;
-
- private:
-  ObjectiveOptions options_;
 };
 
 }  // namespace iaas

@@ -17,9 +17,8 @@ namespace {
 // the warm-start hand-off.
 template <typename Engine>
 AllocationResult run_engine(const Instance& instance, std::uint64_t seed,
-                            const std::string& algo_name,
-                            const EaAllocatorOptions& options,
-                            Engine& engine, bool export_front,
+                            const std::string& algo_name, Engine& engine,
+                            bool export_front,
                             const RepairFn& final_repair = nullptr) {
   Stopwatch timer;
   typename Engine::Result ea_result = engine.run(seed);
@@ -35,7 +34,7 @@ AllocationResult run_engine(const Instance& instance, std::uint64_t seed,
 
   AllocationResult result = Allocator::finalize(
       instance, algo_name, Placement(std::move(genes)),
-      timer.elapsed_seconds(), ea_result.evaluations, options.objectives);
+      timer.elapsed_seconds(), ea_result.evaluations);
   result.deadline_hit = ea_result.hit_time_limit;
   if (!ea_result.trace.empty()) {
     result.trace = std::move(ea_result.trace);
@@ -68,9 +67,9 @@ Nsga2Allocator::Nsga2Allocator(EaAllocatorOptions options)
 
 AllocationResult Nsga2Allocator::allocate(const Instance& instance,
                                           std::uint64_t seed) {
-  AllocationProblem problem(instance, options_.objectives);
+  AllocationProblem problem(instance);
   Nsga2 engine(problem, unmodified(options_.nsga));
-  return run_engine(instance, seed, name(), options_, engine, export_front_);
+  return run_engine(instance, seed, name(), engine, export_front_);
 }
 
 Nsga3Allocator::Nsga3Allocator(EaAllocatorOptions options)
@@ -78,9 +77,9 @@ Nsga3Allocator::Nsga3Allocator(EaAllocatorOptions options)
 
 AllocationResult Nsga3Allocator::allocate(const Instance& instance,
                                           std::uint64_t seed) {
-  AllocationProblem problem(instance, options_.objectives);
+  AllocationProblem problem(instance);
   Nsga3 engine(problem, unmodified(options_.nsga));
-  return run_engine(instance, seed, name(), options_, engine, export_front_);
+  return run_engine(instance, seed, name(), engine, export_front_);
 }
 
 // Backtrack budgets of the constraint-solver repair: per in-loop
@@ -94,7 +93,7 @@ Nsga3CpAllocator::Nsga3CpAllocator(EaAllocatorOptions options)
 
 AllocationResult Nsga3CpAllocator::allocate(const Instance& instance,
                                             std::uint64_t seed) {
-  AllocationProblem problem(instance, options_.objectives);
+  AllocationProblem problem(instance);
   CpRepair repair(instance, kCpRepairBacktracks);
   const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
                                        Rng& rng) {
@@ -109,8 +108,8 @@ AllocationResult Nsga3CpAllocator::allocate(const Instance& instance,
                                             Rng& rng) {
     final_repair.repair(genes, rng);
   };
-  return run_engine(instance, seed, name(), options_, engine,
-                    export_front_, final_fn);
+  return run_engine(instance, seed, name(), engine, export_front_,
+                    final_fn);
 }
 
 Nsga3TabuAllocator::Nsga3TabuAllocator(EaAllocatorOptions options)
@@ -118,7 +117,7 @@ Nsga3TabuAllocator::Nsga3TabuAllocator(EaAllocatorOptions options)
 
 AllocationResult Nsga3TabuAllocator::allocate(const Instance& instance,
                                               std::uint64_t seed) {
-  AllocationProblem problem(instance, options_.objectives);
+  AllocationProblem problem(instance);
   // One SoA flattening serves the whole hybrid: the engine's per-slot
   // states and the repairer's per-call states.
   TabuRepair repair(instance, {}, problem.tables());
@@ -133,8 +132,8 @@ AllocationResult Nsga3TabuAllocator::allocate(const Instance& instance,
     repair.repair_state(state, rng);
   };
   Nsga3 engine(problem, with_repair(options_.nsga), repair_fn, state_fn);
-  return run_engine(instance, seed, name(), options_, engine,
-                    export_front_, repair_fn);
+  return run_engine(instance, seed, name(), engine, export_front_,
+                    repair_fn);
 }
 
 }  // namespace iaas

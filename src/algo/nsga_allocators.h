@@ -14,13 +14,11 @@
 
 #include "algo/allocator.h"
 #include "ea/nsga_config.h"
-#include "model/objective_types.h"
 
 namespace iaas {
 
 struct EaAllocatorOptions {
   NsgaConfig nsga;  // Table III defaults
-  ObjectiveOptions objectives;
 };
 
 // Shared state/plumbing of the EA family: the options block, the anytime

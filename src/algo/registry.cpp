@@ -52,28 +52,25 @@ std::string algorithm_name(AlgorithmId id) {
 
 std::unique_ptr<Allocator> make_allocator(AlgorithmId id,
                                           const SuiteOptions& options) {
-  EaAllocatorOptions ea = options.ea;
-  ea.objectives = options.objectives;
   switch (id) {
     case AlgorithmId::kRoundRobin:
-      return std::make_unique<RoundRobinAllocator>(options.objectives);
+      return std::make_unique<RoundRobinAllocator>();
     case AlgorithmId::kConstraintProgramming:
-      return std::make_unique<CpAllocator>(options.cp, options.objectives);
+      return std::make_unique<CpAllocator>(options.cp);
     case AlgorithmId::kNsga2:
-      return std::make_unique<Nsga2Allocator>(ea);
+      return std::make_unique<Nsga2Allocator>(options.ea);
     case AlgorithmId::kNsga3:
-      return std::make_unique<Nsga3Allocator>(ea);
+      return std::make_unique<Nsga3Allocator>(options.ea);
     case AlgorithmId::kNsga3Cp:
-      return std::make_unique<Nsga3CpAllocator>(ea);
+      return std::make_unique<Nsga3CpAllocator>(options.ea);
     case AlgorithmId::kNsga3Tabu:
-      return std::make_unique<Nsga3TabuAllocator>(ea);
+      return std::make_unique<Nsga3TabuAllocator>(options.ea);
     case AlgorithmId::kFiltering:
-      return std::make_unique<FilteringAllocator>(options.objectives);
+      return std::make_unique<FilteringAllocator>();
     case AlgorithmId::kFirstFitDecreasing:
-      return std::make_unique<FirstFitDecreasingAllocator>(
-          options.objectives);
+      return std::make_unique<FirstFitDecreasingAllocator>();
     case AlgorithmId::kBestFit:
-      return std::make_unique<BestFitAllocator>(options.objectives);
+      return std::make_unique<BestFitAllocator>();
   }
   IAAS_EXPECT(false, "unknown algorithm id");
   return nullptr;

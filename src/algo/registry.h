@@ -37,7 +37,6 @@ std::string algorithm_name(AlgorithmId id);
 struct SuiteOptions {
   EaAllocatorOptions ea;   // shared by all four EA variants
   CpSolverOptions cp;      // constraint-programming baseline
-  ObjectiveOptions objectives;
 };
 
 std::unique_ptr<Allocator> make_allocator(AlgorithmId id,

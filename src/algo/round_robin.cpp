@@ -45,7 +45,7 @@ AllocationResult RoundRobinAllocator::allocate(const Instance& instance,
   }
 
   return finalize(instance, name(), state.placement(),
-                  timer.elapsed_seconds(), 0, options_);
+                  timer.elapsed_seconds(), 0);
 }
 
 }  // namespace iaas

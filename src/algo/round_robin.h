@@ -17,16 +17,10 @@ namespace iaas {
 
 class RoundRobinAllocator : public Allocator {
  public:
-  explicit RoundRobinAllocator(ObjectiveOptions options = {})
-      : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "RoundRobin"; }
 
   AllocationResult allocate(const Instance& instance,
                             std::uint64_t seed) override;
-
- private:
-  ObjectiveOptions options_;
 };
 
 }  // namespace iaas

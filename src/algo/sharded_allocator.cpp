@@ -16,6 +16,9 @@ namespace iaas {
 
 namespace {
 
+// Every shard runs the paper's hybrid.
+constexpr AlgorithmId kBackend = AlgorithmId::kNsga3Tabu;
+
 // Cross-shard rebalance budgets (stage 3): re-admissions of VMs every
 // shard rejected, and migrations pulling rebalance orphans home, each of
 // which must improve the aggregate objective by more than
@@ -37,7 +40,7 @@ ShardedAllocator::ShardedAllocator(ShardedAllocatorOptions options)
 ShardedAllocator::~ShardedAllocator() = default;
 
 std::string ShardedAllocator::name() const {
-  return "Sharded[" + algorithm_name(options_.backend) + "]";
+  return "Sharded[" + algorithm_name(kBackend) + "]";
 }
 
 void ShardedAllocator::set_time_budget(double seconds) {
@@ -93,7 +96,7 @@ void ShardedAllocator::prepare(const Instance& instance) {
     if (backend == nullptr) {
       SuiteOptions suite = options_.suite;
       suite.ea.nsga.threads = inner_threads_;
-      backend = make_allocator(options_.backend, suite);
+      backend = make_allocator(kBackend, suite);
       if (time_budget_seconds_ > 0.0) {
         backend->set_time_budget(time_budget_seconds_);
       }
@@ -308,7 +311,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
           .count();
   AllocationResult merged =
       Allocator::finalize(instance, name(), std::move(merged_raw), wall,
-                          evaluations, options_.suite.objectives);
+                          evaluations);
   merged.deadline_hit = deadline_hit;
   merged.trace.label = name();
   merged.trace.seed = seed;
@@ -333,8 +336,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
     // Incremental delta engine over the sanitized global placement: the
     // state starts feasible, and only moves that keep violations_delta
     // <= 0 are ever committed, so it stays feasible.
-    PlacementState state(instance, options_.suite.objectives,
-                         StateTracking::kFull);
+    PlacementState state(instance);
     state.rebuild(merged.placement);
     std::vector<std::uint32_t> placed;
     for (std::size_t k = 0; k < n; ++k) {

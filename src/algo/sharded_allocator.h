@@ -1,7 +1,9 @@
 // ShardedAllocator: partitions one allocation instance along a
-// ShardPlan, runs a persistent warm-started EA backend per shard
-// concurrently, and stitches the per-shard answers back into one global
-// AllocationResult (DESIGN.md §12).
+// ShardPlan, runs a persistent warm-started NSGA-III+Tabu backend per
+// shard concurrently (built through algo/registry and kept per shard, so
+// each keeps its warm-start front across windows), and stitches the
+// per-shard answers back into one global AllocationResult (DESIGN.md
+// §12).
 //
 // Pipeline per allocate() call:
 //   1. Route every union-find assignment unit (model/assignment_units)
@@ -46,9 +48,7 @@ struct ShardedAllocatorOptions {
   // Number of shards; 0 = one shard per datacenter.  Clamped to the
   // fabric's leaf count by ShardPlan.
   std::uint32_t shard_count = 0;
-  // Per-shard backend, built through algo/registry (persistent per
-  // shard, so EA backends keep their warm-start fronts across windows).
-  AlgorithmId backend = AlgorithmId::kNsga3Tabu;
+  // Options of every shard's NSGA-III+Tabu backend.
   SuiteOptions suite;
   // Total thread budget split across the concurrent shard runs
   // (0 = hardware_concurrency).  Each run gets max(1, threads / shards)

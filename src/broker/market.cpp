@@ -45,8 +45,6 @@ std::vector<std::string> validate_market(const CloudMarketConfig& config) {
   }
 
   std::unordered_set<std::string> ids;
-  const std::size_t attributes =
-      config.providers.front().scenario.attribute_count;
   for (std::size_t p = 0; p < config.providers.size(); ++p) {
     const ProviderConfig& provider = config.providers[p];
     const std::string where = "provider[" + std::to_string(p) + "]";
@@ -81,10 +79,6 @@ std::vector<std::string> validate_market(const CloudMarketConfig& config) {
     }
     if (provider.scenario.total_servers == 0) {
       add(where + " has no servers");
-    }
-    if (provider.scenario.attribute_count != attributes) {
-      add(where + " attribute_count differs from provider[0] — all "
-                  "clouds must price the same resource vector");
     }
   }
   for (const ProviderOutageScript& outage : config.outages) {

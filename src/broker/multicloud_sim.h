@@ -53,9 +53,8 @@ struct MultiCloudSimConfig {
   CloudMarketConfig market;
   BrokerConfig broker;
   RetryPolicy retry;
-  // Shape of the consumer request batches (attribute_count must match
-  // the providers'; server-side fields are ignored — each provider's
-  // own scenario shapes its infrastructure).
+  // Shape of the consumer request batches (server-side fields are
+  // ignored — each provider's own scenario shapes its infrastructure).
   ScenarioConfig request_shape;
   // Persist each provider's final EA front across windows and feed it
   // back as seeds for that provider's next solve (satellite of the

@@ -29,10 +29,12 @@
 
 namespace iaas::fields {
 
-// What a leaf records; only kDeterministic leaves are fingerprinted.
+// What a leaf records; only kDeterministic leaves are fingerprinted.  A
+// kCounter leaf records the search's effort, not its outcome, so it
+// stays out too; CI's perfbench job pins the counters separately.
 enum class Tag : std::uint8_t {
-  kDeterministic,  // the run's history: equal across threads and builds
-  kCounter,        // telemetry counter: zero with IAAS_TELEMETRY=OFF
+  kDeterministic,  // the run's history: equal across threads and replays
+  kCounter,        // telemetry counter: the search's effort
   kWallClock,      // timing: differs between replays
   kLabel,          // names the run (label, seed), not part of its history
 };

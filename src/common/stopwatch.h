@@ -52,7 +52,6 @@ class Deadline {
   [[nodiscard]] bool expired() const {
     return limited_ && clock::now() >= end_;
   }
-  [[nodiscard]] bool limited() const { return limited_; }
 
  private:
   using clock = std::chrono::steady_clock;

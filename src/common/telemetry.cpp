@@ -6,8 +6,6 @@
 
 namespace iaas::telemetry {
 
-#if IAAS_TELEMETRY
-
 namespace {
 thread_local CounterBlock* t_sink = nullptr;
 }  // namespace
@@ -23,8 +21,6 @@ ScopedSink::ScopedSink(CounterBlock& block) : previous_(t_sink) {
 }
 
 ScopedSink::~ScopedSink() { t_sink = previous_; }
-
-#endif  // IAAS_TELEMETRY
 
 namespace {
 

@@ -5,12 +5,11 @@
 //   * a fixed set of named **counters** (enum-indexed — no hashing on the
 //     hot path).  Increments go through a thread-local `CounterBlock*`
 //     sink installed with `ScopedSink`; with no sink installed the
-//     increment is a single load + branch (the null-sink fast path), and
-//     with `IAAS_TELEMETRY` defined to 0 every call compiles away
-//     entirely.  Per-thread accumulation means no atomics and no
-//     ordering dependence: the EA gives each task its own block and
-//     folds them serially into its trace rows, so tallies are
-//     bit-identical for any thread count.
+//     increment is a single load + branch (the null-sink fast path).
+//     Per-thread accumulation means no atomics and no ordering
+//     dependence: the EA gives each task its own block and folds them
+//     serially into its trace rows, so tallies are bit-identical for
+//     any thread count.
 //   * a structured **RunTrace**: one row per EA generation recording
 //     what the search actually did — evaluations, delta moves vs full
 //     rebuilds, repair outcomes, tabu move counts, front size, best
@@ -27,10 +26,6 @@
 #include <vector>
 
 #include "common/fields.h"
-
-#ifndef IAAS_TELEMETRY
-#define IAAS_TELEMETRY 1
-#endif
 
 namespace iaas::telemetry {
 
@@ -62,8 +57,6 @@ struct CounterBlock {
   }
 };
 
-#if IAAS_TELEMETRY
-
 // Increment counter `c` on the calling thread's installed sink; dropped
 // when no sink is installed.
 void count(Counter c, std::uint64_t n = 1);
@@ -81,19 +74,6 @@ class ScopedSink {
  private:
   CounterBlock* previous_;
 };
-
-#else  // IAAS_TELEMETRY == 0: everything compiles away.
-
-inline void count(Counter, std::uint64_t = 1) {}
-
-class ScopedSink {
- public:
-  explicit ScopedSink(CounterBlock&) {}
-  ScopedSink(const ScopedSink&) = delete;
-  ScopedSink& operator=(const ScopedSink&) = delete;
-};
-
-#endif  // IAAS_TELEMETRY
 
 // Adds the scope's wall time to `*target` on destruction; a null target
 // disables the clock calls entirely (how tracing-off runs skip the

@@ -182,6 +182,7 @@ const Fronts& keyed_nondominated_sort(std::span<Individual> population,
   Fronts& fronts = scratch.fronts;
   fronts.order.clear();
   fronts.order.reserve(n);
+  fronts.offsets.reserve(n + 1);  // at most n fronts
   fronts.offsets.assign(1, 0);
   for (std::size_t p = 0; p < n; ++p) {
     if (count[p] == 0) {
@@ -214,7 +215,8 @@ const Fronts& keyed_nondominated_sort(std::span<Individual> population,
 #endif
 
 void assign_crowding_distance(std::span<Individual> population,
-                              std::span<const std::size_t> front) {
+                              std::span<const std::size_t> front,
+                              std::vector<std::size_t>& order) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (std::size_t i : front) {
     population[i].crowding = 0.0;
@@ -226,7 +228,7 @@ void assign_crowding_distance(std::span<Individual> population,
     return;
   }
   const std::size_t objectives = population[front[0]].objectives.size();
-  std::vector<std::size_t> order(front.begin(), front.end());
+  order.assign(front.begin(), front.end());
   for (std::size_t obj = 0; obj < objectives; ++obj) {
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return population[a].objectives[obj] < population[b].objectives[obj];

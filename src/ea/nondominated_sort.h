@@ -115,7 +115,9 @@ const Fronts& keyed_nondominated_sort(std::span<Individual> population,
 #endif
 
 // Crowding distance (NSGA-II) over one front; writes Individual::crowding.
+// `order` is scratch, reused across calls so a warm one allocates nothing.
 void assign_crowding_distance(std::span<Individual> population,
-                              std::span<const std::size_t> front);
+                              std::span<const std::size_t> front,
+                              std::vector<std::size_t>& order);
 
 }  // namespace iaas

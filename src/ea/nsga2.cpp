@@ -1,20 +1,22 @@
 #include "ea/nsga2.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace iaas {
 
-void Nsga2::environmental_selection(Population& merged, Population& next,
+void Nsga2::environmental_selection(Population& population, Population& next,
                                     Rng& /*rng*/) {
-  if (config().constraint_mode == ConstraintMode::kExclude) {
-    apply_exclusion(merged);
-  }
+  const std::span<Individual> merged =
+      config().constraint_mode == ConstraintMode::kExclude
+          ? apply_exclusion(population)
+          : std::span<Individual>(population);
   const Fronts& fronts = sort_fronts(merged);
   next.clear();
   next.reserve(config().population_size);
   for (std::size_t f = 0; f < fronts.size(); ++f) {
     const std::span<const std::size_t> front = fronts[f];
-    assign_crowding_distance(merged, front);
+    assign_crowding_distance(merged, front, order_);
     if (next.size() + front.size() <= config().population_size) {
       for (std::size_t idx : front) {
         next.push_back(std::move(merged[idx]));
@@ -24,14 +26,20 @@ void Nsga2::environmental_selection(Population& merged, Population& next,
       }
       continue;
     }
-    // Partial front: keep the most spread-out individuals.
-    std::vector<std::size_t> order(front.begin(), front.end());
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return merged[a].crowding > merged[b].crowding;
-                     });
+    // Partial front: keep the most spread-out individuals, ties in front
+    // order.  That is std::stable_sort's order; sorting positions with
+    // the position as tie-break finds it without the stable sort's
+    // buffer.  Crowding is never NaN (objectives are finite), so the
+    // comparison is a strict total order.
+    order_.resize(front.size());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      const double ca = merged[front[a]].crowding;
+      const double cb = merged[front[b]].crowding;
+      return ca > cb || (ca == cb && a < b);
+    });
     for (std::size_t i = 0; next.size() < config().population_size; ++i) {
-      next.push_back(std::move(merged[order[i]]));
+      next.push_back(std::move(merged[front[order_[i]]]));
     }
     break;
   }

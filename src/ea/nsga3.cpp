@@ -11,17 +11,19 @@ Nsga3::Nsga3(const AllocationProblem& problem, NsgaConfig config,
              RepairFn repair, StateRepairFn state_repair)
     : NsgaBase(problem, config, std::move(repair), std::move(state_repair)),
       reference_points_(das_dennis_points(config.reference_divisions)) {
+  buckets_.reserve(2 * config.population_size);  // the last front's bound
   reference_norm2_.reserve(reference_points_.size());
   for (const ObjArray& point : reference_points_) {
     reference_norm2_.push_back(squared_norm(point));
   }
 }
 
-void Nsga3::environmental_selection(Population& merged, Population& next,
+void Nsga3::environmental_selection(Population& population, Population& next,
                                     Rng& rng) {
-  if (config().constraint_mode == ConstraintMode::kExclude) {
-    apply_exclusion(merged);
-  }
+  const std::span<Individual> merged =
+      config().constraint_mode == ConstraintMode::kExclude
+          ? apply_exclusion(population)
+          : std::span<Individual>(population);
   const std::size_t target = config().population_size;
   const Fronts& fronts = sort_fronts(merged);
 
@@ -135,7 +137,7 @@ void Nsga3::environmental_selection(Population& merged, Population& next,
   }
 }
 
-void Nsga3::associate(const Population& merged,
+void Nsga3::associate(std::span<const Individual> merged,
                       std::span<const std::size_t> members) {
   Normalizer normalizer;
   normalizer.fit(merged, members);

@@ -37,7 +37,7 @@ class Nsga3 : public NsgaBase {
 
   // Normalises over `members` (indices into `merged`) and records each
   // one's closest reference line in associations_.
-  void associate(const Population& merged,
+  void associate(std::span<const Individual> merged,
                  std::span<const std::size_t> members);
 
   std::vector<ObjArray> reference_points_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -59,6 +60,8 @@ NsgaBase::NsgaBase(const AllocationProblem& problem, NsgaConfig config,
   if (config_.threads > 1) {
     owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
   }
+  // Selection sees at most the merged parents and offspring.
+  order_.reserve(2 * config_.population_size);
 }
 
 ThreadPool* NsgaBase::evaluation_pool() {
@@ -118,20 +121,39 @@ const Fronts& NsgaBase::sort_fronts(std::span<Individual> population) {
 #endif
 }
 
-void NsgaBase::apply_exclusion(Population& merged) const {
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Individual& a, const Individual& b) {
-                     return a.violations < b.violations;
-                   });
-  const auto feasible_end = std::find_if(
-      merged.begin(), merged.end(),
-      [](const Individual& ind) { return ind.violations > 0; });
-  const auto feasible =
-      static_cast<std::size_t>(feasible_end - merged.begin());
-  const std::size_t keep = std::max(feasible, config_.population_size);
-  if (keep < merged.size()) {
-    merged.resize(keep);
+std::span<Individual> NsgaBase::apply_exclusion(Population& merged) {
+  // std::stable_sort's order by violations, found on indices (with the
+  // index as tie-break) so that no buffer of individuals is allocated,
+  // then applied in place one cycle at a time.
+  order_.resize(merged.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(),
+            [&merged](std::size_t a, std::size_t b) {
+              const std::uint32_t va = merged[a].violations;
+              const std::uint32_t vb = merged[b].violations;
+              return va < vb || (va == vb && a < b);
+            });
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    if (order_[i] == i) {
+      continue;
+    }
+    Individual held = std::move(merged[i]);
+    std::size_t j = i;
+    for (std::size_t from = order_[j]; from != i; from = order_[j]) {
+      merged[j] = std::move(merged[from]);
+      order_[j] = j;
+      j = from;
+    }
+    merged[j] = std::move(held);
+    order_[j] = j;
   }
+  const auto feasible = static_cast<std::size_t>(
+      std::find_if(merged.begin(), merged.end(),
+                   [](const Individual& ind) { return ind.violations > 0; }) -
+      merged.begin());
+  const std::size_t keep =
+      std::min(merged.size(), std::max(feasible, config_.population_size));
+  return std::span<Individual>(merged).first(keep);
 }
 
 const Individual& NsgaBase::tournament(const Population& population,
@@ -228,7 +250,7 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
 void NsgaBase::variation_task(const Population& parents, const PmTable& pm,
                               MatingTask& task, Individual* child_a,
                               Individual* child_b, Arena& arena) {
-  const SbxParams sbx{config_.sbx_rate, config_.sbx_distribution_index, 0.5};
+  const SbxParams sbx;  // Table III
   const std::int32_t max_gene = problem_->max_gene();
   Rng& rng = task.rng;
 
@@ -312,8 +334,9 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   const std::size_t slot_count = pool != nullptr ? pool->size() : 1;
   arenas_ = std::vector<Arena>(slot_count);
   for (Arena& arena : arenas_) {
-    arena.state.emplace(problem_->instance(), problem_->options(),
-                        StateTracking::kFull, problem_->tables());
+    arena.state.emplace(PlacementState(problem_->instance(), {},
+                                       StateTracking::kFull,
+                                       problem_->tables()));
   }
 
   Result result;
@@ -321,8 +344,7 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   result.trace.seed = seed;
 
   const std::int32_t max_gene = problem_->max_gene();
-  const PmTable pm_table(max_gene, PmParams{config_.pm_rate,
-                                            config_.pm_distribution_index});
+  const PmTable pm_table(max_gene, PmParams{});  // Table III
 
   // Initial population.  Serial phase: every main-stream draw (gene
   // randomisation, warm start) happens here in a fixed order.

@@ -103,9 +103,16 @@ class NsgaBase {
 
   // kExclude (paper method 1): drop infeasible individuals; if fewer
   // feasible than population_size remain, keep the least-violating.
-  void apply_exclusion(Population& merged) const;
+  // Orders `merged` by violation count, ties in their order, and returns
+  // the kept prefix.  The excluded members stay behind it with their
+  // gene buffers, which the next generation's offspring take over.
+  std::span<Individual> apply_exclusion(Population& merged);
 
   const AllocationProblem& problem() const { return *problem_; }
+
+  // Index scratch of apply_exclusion and of NSGA-II's crowding and
+  // truncation, reused by every selection.
+  std::vector<std::size_t> order_;
 
  private:
   // Per-task tallies, accumulated into Result on the serial side so the

@@ -1,6 +1,9 @@
-// NSGA-II / NSGA-III settings.  Defaults reproduce the paper's Table III:
+// NSGA-II / NSGA-III settings.  The paper runs every EA under Table III:
 //   populationSize 100, 10000 evaluations, SBX rate .70 / DI 15,
 //   PM rate .20 / DI 15.
+// The variation operators' four values are constants; the population
+// size and the evaluation budget are NsgaConfig defaults, which the
+// scaled-down benches and the steady-state simulator shrink.
 #pragma once
 
 #include <cstddef>
@@ -8,6 +11,12 @@
 #include <vector>
 
 namespace iaas {
+
+// Table III's variation operators.
+inline constexpr double kSbxRate = 0.70;
+inline constexpr double kSbxDistributionIndex = 15.0;
+inline constexpr double kPmRate = 0.20;  // per-gene probability
+inline constexpr double kPmDistributionIndex = 15.0;
 
 // The paper's four ways of making an EA respect strict constraints
 // (§III): it adopted repair (method 2) and found exclusion (method 1)
@@ -23,10 +32,6 @@ enum class ConstraintMode : std::uint8_t {
 struct NsgaConfig {
   std::size_t population_size = 100;     // Table III
   std::size_t max_evaluations = 10000;   // Table III
-  double sbx_rate = 0.70;                // Table III
-  double sbx_distribution_index = 15.0;  // Table III
-  double pm_rate = 0.20;                 // Table III (per-gene probability)
-  double pm_distribution_index = 15.0;   // Table III
 
   ConstraintMode constraint_mode = ConstraintMode::kIgnore;
 

@@ -8,18 +8,20 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ea/nsga_config.h"
 
 namespace iaas {
 
+// Table III's values by default; tests vary them to probe the operators.
 struct SbxParams {
-  double rate = 0.70;                // per-pair crossover probability
-  double distribution_index = 15.0;  // eta_c
-  double per_gene_swap = 0.5;        // standard per-variable participation
+  double rate = kSbxRate;  // per-pair crossover probability
+  double distribution_index = kSbxDistributionIndex;  // eta_c
+  double per_gene_swap = 0.5;  // standard per-variable participation
 };
 
 struct PmParams {
-  double rate = 0.20;                // per-gene mutation probability
-  double distribution_index = 15.0;  // eta_m
+  double rate = kPmRate;  // per-gene mutation probability
+  double distribution_index = kPmDistributionIndex;  // eta_m
 };
 
 // std::lround's rounding (halves away from zero), inline and exact for

@@ -4,10 +4,8 @@
 
 namespace iaas {
 
-AllocationProblem::AllocationProblem(const Instance& instance,
-                                     ObjectiveOptions options)
+AllocationProblem::AllocationProblem(const Instance& instance)
     : instance_(&instance),
-      options_(options),
       tables_(std::make_shared<const StateTables>(instance)) {}
 
 std::vector<std::int32_t> AllocationProblem::warm_start_genes(

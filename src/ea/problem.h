@@ -1,6 +1,6 @@
-// EA-facing adapter of the allocation model: the instance, its objective
-// options and shared SoA tables (what each engine arena builds its
-// PlacementState over), and the warm-start genes.
+// EA-facing adapter of the allocation model: the instance, its shared
+// SoA tables (what each engine arena builds its PlacementState over), and
+// the warm-start genes.
 #pragma once
 
 #include <memory>
@@ -8,22 +8,19 @@
 
 #include "common/rng.h"
 #include "model/instance.h"
-#include "model/objective_types.h"
 #include "model/placement_state.h"
 
 namespace iaas {
 
 class AllocationProblem {
  public:
-  explicit AllocationProblem(const Instance& instance,
-                             ObjectiveOptions options = {});
+  explicit AllocationProblem(const Instance& instance);
 
   [[nodiscard]] std::size_t gene_count() const { return instance_->n(); }
   [[nodiscard]] std::int32_t max_gene() const {
     return static_cast<std::int32_t>(instance_->m()) - 1;
   }
   [[nodiscard]] const Instance& instance() const { return *instance_; }
-  [[nodiscard]] const ObjectiveOptions& options() const { return options_; }
 
   // Shared immutable SoA tables (model/placement_state.h); every arena
   // state and caller-built repair state of this problem reuses them.
@@ -39,7 +36,6 @@ class AllocationProblem {
 
  private:
   const Instance* instance_;
-  ObjectiveOptions options_;
   std::shared_ptr<const StateTables> tables_;
 };
 

@@ -518,58 +518,41 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
   }
   const std::span<const double> demand = tables_->demand.row(k);
 
+  // One path for both tracking modes: the overload counts read only used_
+  // and the effective capacities, which either mode keeps current.
   double usage_delta = 0.0;
   double downtime_delta = 0.0;
-  double migration_delta = 0.0;
   std::int32_t capacity_delta = 0;
-
+  if (from >= 0) {
+    const auto a = static_cast<std::size_t>(from);
+    const std::span<const double> used = used_.row(a);
+    for (std::size_t l = 0; l < h; ++l) {
+      scratch_row_[l] = used[l] - demand[l];
+    }
+    const ServerEdit edit = edit_server(a, k, /*joining=*/false, scratch_row_);
+    usage_delta += edit.usage - usage_acc(a);
+    downtime_delta += edit.downtime - downtime_acc(a);
+    capacity_delta += static_cast<std::int32_t>(edit.overloads) -
+                      static_cast<std::int32_t>(overload_count_[a]);
+  }
+  if (target >= 0) {
+    const auto b = static_cast<std::size_t>(target);
+    const std::span<const double> used = used_.row(b);
+    for (std::size_t l = 0; l < h; ++l) {
+      scratch_row_[l] = used[l] + demand[l];
+    }
+    const ServerEdit edit = edit_server(b, k, /*joining=*/true, scratch_row_);
+    usage_delta += edit.usage - usage_acc(b);
+    downtime_delta += edit.downtime - downtime_acc(b);
+    capacity_delta += static_cast<std::int32_t>(edit.overloads) -
+                      static_cast<std::int32_t>(overload_count_[b]);
+  }
+  double migration_delta = migration_of(k, target) - migration_of(k, from);
   if (tracking_ == StateTracking::kViolationsOnly) {
-    // Overload-count deltas only; the objective fields stay unspecified.
-    for (const std::int32_t side : {from, target}) {
-      if (side < 0) {
-        continue;
-      }
-      const auto j = static_cast<std::size_t>(side);
-      const std::span<const double> used = used_.row(j);
-      const std::span<const double> ecap =
-          tables_->effective_capacity.row(j);
-      const double sign = side == from ? -1.0 : 1.0;
-      std::uint32_t overloads = 0;
-      for (std::size_t l = 0; l < h; ++l) {
-        overloads +=
-            used[l] + sign * demand[l] > ecap[l] + kCapacityEps ? 1u : 0u;
-      }
-      capacity_delta += static_cast<std::int32_t>(overloads) -
-                        static_cast<std::int32_t>(overload_count_[j]);
-    }
-  } else {
-    if (from >= 0) {
-      const auto a = static_cast<std::size_t>(from);
-      const std::span<const double> used = used_.row(a);
-      for (std::size_t l = 0; l < h; ++l) {
-        scratch_row_[l] = used[l] - demand[l];
-      }
-      const ServerEdit edit =
-          edit_server(a, k, /*joining=*/false, scratch_row_);
-      usage_delta += edit.usage - usage_acc(a);
-      downtime_delta += edit.downtime - downtime_acc(a);
-      capacity_delta += static_cast<std::int32_t>(edit.overloads) -
-                        static_cast<std::int32_t>(overload_count_[a]);
-    }
-    if (target >= 0) {
-      const auto b = static_cast<std::size_t>(target);
-      const std::span<const double> used = used_.row(b);
-      for (std::size_t l = 0; l < h; ++l) {
-        scratch_row_[l] = used[l] + demand[l];
-      }
-      const ServerEdit edit =
-          edit_server(b, k, /*joining=*/true, scratch_row_);
-      usage_delta += edit.usage - usage_acc(b);
-      downtime_delta += edit.downtime - downtime_acc(b);
-      capacity_delta += static_cast<std::int32_t>(edit.overloads) -
-                        static_cast<std::int32_t>(overload_count_[b]);
-    }
-    migration_delta = migration_of(k, target) - migration_of(k, from);
+    // No cost accumulator is kept: the objective fields report no change.
+    usage_delta = 0.0;
+    downtime_delta = 0.0;
+    migration_delta = 0.0;
   }
 
   std::int32_t relation_delta = 0;

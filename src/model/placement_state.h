@@ -118,12 +118,15 @@ struct StateTables {
 };
 
 // What a PlacementState keeps current.  kViolationsOnly maintains just the
-// demand accumulators and violation counters — the repair operators need
-// nothing else, and skipping the per-move QoS/downtime/usage refresh (an
-// exp() per attribute per affected server) keeps repair as cheap as the
-// capacity-only bookkeeping it replaced.  In that mode loads(), qos(),
-// objectives(), aggregate() and the objective fields of try_move results
-// are unspecified (and the loads/qos matrices are not even allocated).
+// demand accumulators and violation counters — the placers need nothing
+// else, and skipping the QoS/downtime/usage refresh on every rebuild and
+// committed move (an exp() per attribute per affected server) keeps them
+// as cheap as the capacity-only bookkeeping it replaced.  In that mode
+// loads(), qos(), objectives(), aggregate() and the objective fields of
+// try_move results are unspecified (and the loads/qos matrices are not
+// even allocated).  try_move scores both modes on one path, so its
+// violations_delta is exact in either; only tests ask it of a
+// violations-only state.
 enum class StateTracking { kFull, kViolationsOnly };
 
 // Outcome of scoring one candidate relocation.

@@ -299,12 +299,12 @@ SimSummary summarize(const std::vector<WindowMetrics>& metrics);
 // Order-sensitive FNV-1a digest of every leaf the field lists tag
 // kDeterministic: all counts, objective/migration-cost bit patterns,
 // fault events, degrade levels, and the allocator trace's generation,
-// evaluations, front size and best objectives.  Wall times
-// (solve_seconds, the trace's seconds columns), the trace's
-// telemetry-counter columns (zero in IAAS_TELEMETRY=OFF builds) and its
-// label and seed are excluded, so the digest must match across thread
-// counts AND across telemetry build modes — the simulator determinism
-// contract.
+// evaluations, front size and best objectives.  Excluded: wall times
+// (solve_seconds, the trace's seconds columns), which differ between
+// replays; the trace's telemetry-counter columns, which record the
+// search's effort rather than its outcome (CI's perfbench job pins them
+// separately); and the trace's label and seed.  The digest must match
+// across thread counts — the simulator determinism contract.
 std::uint64_t deterministic_fingerprint(
     const std::vector<WindowMetrics>& metrics);
 

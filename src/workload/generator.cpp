@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/expect.h"
 #include "common/rng.h"
@@ -37,6 +38,44 @@ const std::vector<VmFlavorParams>& default_vm_flavors() {
 
 namespace {
 
+// The generator's distribution parameters (DESIGN.md §4).  Every record
+// carries the canonical cpu / ram / disk attributes.
+constexpr std::size_t kAttributes = 3;
+
+// Virtual-to-physical factor F_jl (Eq. 3): fraction of raw capacity
+// usable by consumer resources after virtualisation overhead.
+constexpr double kFactorMin = 0.85;
+constexpr double kFactorMax = 0.95;
+
+// QoS knee L^M_jl and ceiling Q^M_jl (Eq. 8).
+constexpr double kMaxLoadMin = 0.70;
+constexpr double kMaxLoadMax = 0.90;
+constexpr double kMaxQosMin = 0.95;
+constexpr double kMaxQosMax = 0.99;
+
+// Multiplicative capacity noise around the class base value.
+constexpr double kCapacityJitter = 0.10;
+
+// QoS guarantee C^Q_k requested by consumers.
+constexpr double kQosGuaranteeMin = 0.80;
+constexpr double kQosGuaranteeMax = 0.94;
+
+// SLA penalty C^U_k and migration cost M_k ranges.
+constexpr double kDowntimeCostMin = 5.0;
+constexpr double kDowntimeCostMax = 50.0;
+constexpr double kMigrationCostMin = 1.0;
+constexpr double kMigrationCostMax = 10.0;
+
+// Members per relationship group.
+constexpr std::uint32_t kGroupSizeMin = 2;
+constexpr std::uint32_t kGroupSizeMax = 4;
+
+// Relative frequencies of the four relationship kinds (Eqs. 9-12).
+constexpr double kWeightSameDatacenter = 0.30;
+constexpr double kWeightSameServer = 0.20;
+constexpr double kWeightDifferentServers = 0.35;
+constexpr double kWeightDifferentDatacenters = 0.15;
+
 // Weighted index draw over a set of {.., weight} records.
 template <typename T>
 std::size_t draw_weighted(const std::vector<T>& items, Rng& rng) {
@@ -60,21 +99,10 @@ double jittered(double base, double jitter, Rng& rng) {
 
 }  // namespace
 
-ScenarioGenerator::ScenarioGenerator(
-    ScenarioConfig config, std::vector<ServerClassParams> server_classes,
-    std::vector<VmFlavorParams> vm_flavors)
-    : config_(config),
-      server_classes_(std::move(server_classes)),
-      vm_flavors_(std::move(vm_flavors)) {
+ScenarioGenerator::ScenarioGenerator(ScenarioConfig config)
+    : config_(std::move(config)) {
   IAAS_EXPECT(config_.datacenters > 0, "need at least one datacenter");
   IAAS_EXPECT(config_.total_servers > 0, "need at least one server");
-  IAAS_EXPECT(config_.attribute_count >= 3,
-              "canonical cpu/ram/disk attributes are required");
-  IAAS_EXPECT(!server_classes_.empty() && !vm_flavors_.empty(),
-              "need server classes and VM flavors");
-  IAAS_EXPECT(config_.group_size_min >= 2 &&
-                  config_.group_size_max >= config_.group_size_min,
-              "relationship groups need at least two members");
   const std::vector<std::string> findings = validate_scenario(config_);
   for (const std::string& finding : findings) {
     IAAS_EXPECT(false, finding.c_str());
@@ -100,27 +128,24 @@ Infrastructure ScenarioGenerator::generate_infrastructure(
   const FabricConfig fc = fabric_config();
   const Fabric fabric(fc);
   const std::size_t m = fabric.server_count();
-  const std::size_t h = config_.attribute_count;
+  const std::vector<ServerClassParams>& classes = default_server_classes();
 
   std::vector<Server> servers(m);
   for (std::size_t j = 0; j < m; ++j) {
     Server& s = servers[j];
     s.datacenter = fabric.datacenter_of_server(static_cast<std::uint32_t>(j));
-    const ServerClassParams& cls =
-        server_classes_[draw_weighted(server_classes_, rng)];
-    s.capacity.resize(h);
-    s.factor.resize(h);
-    s.max_load.resize(h);
-    s.max_qos.resize(h);
-    const std::array<double, 3> base = {cls.cpu_cores, cls.ram_gb,
-                                        cls.disk_gb};
-    for (std::size_t l = 0; l < h; ++l) {
-      const double b = l < 3 ? base[l] : base[0] * 4.0;  // extra attrs scale
-      s.capacity[l] = jittered(b, config_.capacity_jitter, rng);
-      s.factor[l] = rng.uniform_real(config_.factor_min, config_.factor_max);
-      s.max_load[l] =
-          rng.uniform_real(config_.max_load_min, config_.max_load_max);
-      s.max_qos[l] = rng.uniform_real(config_.max_qos_min, config_.max_qos_max);
+    const ServerClassParams& cls = classes[draw_weighted(classes, rng)];
+    s.capacity.resize(kAttributes);
+    s.factor.resize(kAttributes);
+    s.max_load.resize(kAttributes);
+    s.max_qos.resize(kAttributes);
+    const std::array<double, kAttributes> base = {cls.cpu_cores, cls.ram_gb,
+                                                  cls.disk_gb};
+    for (std::size_t l = 0; l < kAttributes; ++l) {
+      s.capacity[l] = jittered(base[l], kCapacityJitter, rng);
+      s.factor[l] = rng.uniform_real(kFactorMin, kFactorMax);
+      s.max_load[l] = rng.uniform_real(kMaxLoadMin, kMaxLoadMax);
+      s.max_qos[l] = rng.uniform_real(kMaxQosMin, kMaxQosMax);
     }
     s.opex = jittered(cls.opex, 0.15, rng);
     s.usage_cost = jittered(cls.usage_cost, 0.15, rng);
@@ -132,7 +157,8 @@ RequestSet ScenarioGenerator::generate_requests(const Infrastructure& infra,
                                                 std::uint32_t count,
                                                 std::uint64_t seed) const {
   Rng rng(seed ^ 0x72657173ULL);
-  const std::size_t h = config_.attribute_count;
+  const std::size_t h = kAttributes;
+  const std::vector<VmFlavorParams>& flavors = default_vm_flavors();
 
   RequestSet requests;
   requests.vms.resize(count);
@@ -145,20 +171,16 @@ RequestSet ScenarioGenerator::generate_requests(const Infrastructure& infra,
     }
   }
   for (VmRequest& vm : requests.vms) {
-    const VmFlavorParams& flavor = vm_flavors_[draw_weighted(vm_flavors_, rng)];
+    const VmFlavorParams& flavor = flavors[draw_weighted(flavors, rng)];
     vm.demand.resize(h);
-    const std::array<double, 3> base = {flavor.cpu_cores, flavor.ram_gb,
-                                        flavor.disk_gb};
+    const std::array<double, kAttributes> base = {
+        flavor.cpu_cores, flavor.ram_gb, flavor.disk_gb};
     for (std::size_t l = 0; l < h; ++l) {
-      const double b = l < 3 ? base[l] : base[0];
-      vm.demand[l] = jittered(b, 0.05, rng);
+      vm.demand[l] = jittered(base[l], 0.05, rng);
     }
-    vm.qos_guarantee =
-        rng.uniform_real(config_.qos_guarantee_min, config_.qos_guarantee_max);
-    vm.downtime_cost =
-        rng.uniform_real(config_.downtime_cost_min, config_.downtime_cost_max);
-    vm.migration_cost = rng.uniform_real(config_.migration_cost_min,
-                                         config_.migration_cost_max);
+    vm.qos_guarantee = rng.uniform_real(kQosGuaranteeMin, kQosGuaranteeMax);
+    vm.downtime_cost = rng.uniform_real(kDowntimeCostMin, kDowntimeCostMax);
+    vm.migration_cost = rng.uniform_real(kMigrationCostMin, kMigrationCostMax);
   }
 
   // Relationship groups (each VM in at most one group).
@@ -184,18 +206,17 @@ RequestSet ScenarioGenerator::generate_requests(const Infrastructure& infra,
     double weight;
   };
   const std::vector<KindWeight> kind_weights = {
-      {RelationKind::kSameDatacenter, config_.weight_same_datacenter},
-      {RelationKind::kSameServer, config_.weight_same_server},
-      {RelationKind::kDifferentServers, config_.weight_different_servers},
-      {RelationKind::kDifferentDatacenters,
-       config_.weight_different_datacenters},
+      {RelationKind::kSameDatacenter, kWeightSameDatacenter},
+      {RelationKind::kSameServer, kWeightSameServer},
+      {RelationKind::kDifferentServers, kWeightDifferentServers},
+      {RelationKind::kDifferentDatacenters, kWeightDifferentDatacenters},
   };
 
-  while (cursor + config_.group_size_min <= constrained) {
-    const auto want = static_cast<std::uint32_t>(rng.uniform_int(
-        config_.group_size_min, config_.group_size_max));
+  while (cursor + kGroupSizeMin <= constrained) {
+    const auto want = static_cast<std::uint32_t>(
+        rng.uniform_int(kGroupSizeMin, kGroupSizeMax));
     const std::size_t size = std::min<std::size_t>(want, constrained - cursor);
-    if (size < config_.group_size_min) {
+    if (size < kGroupSizeMin) {
       break;
     }
     PlacementConstraint c;

@@ -15,17 +15,14 @@
 
 namespace iaas {
 
-// Default server classes / VM flavors used when the caller does not
-// override them (documented "cloud provider practices" stand-ins).
+// The server classes and VM flavors every scenario draws from
+// (documented "cloud provider practices" stand-ins).
 const std::vector<ServerClassParams>& default_server_classes();
 const std::vector<VmFlavorParams>& default_vm_flavors();
 
 class ScenarioGenerator {
  public:
-  explicit ScenarioGenerator(
-      ScenarioConfig config,
-      std::vector<ServerClassParams> server_classes = default_server_classes(),
-      std::vector<VmFlavorParams> vm_flavors = default_vm_flavors());
+  explicit ScenarioGenerator(ScenarioConfig config);
 
   // Full instance (infrastructure + requests + optional previous
   // placement per config.preplaced_fraction).
@@ -50,8 +47,6 @@ class ScenarioGenerator {
 
  private:
   ScenarioConfig config_;
-  std::vector<ServerClassParams> server_classes_;
-  std::vector<VmFlavorParams> vm_flavors_;
 };
 
 }  // namespace iaas

@@ -4,8 +4,11 @@
 // requests and infrastructures] with parameter configurations that
 // reflect typical infrastructures sizes and cloud provider practices"
 // (sizes up to 800 servers / 1600 VMs, managed as OpenStack-style blocks).
-// No dataset was published, so every distribution parameter is explicit
-// here and all draws flow from one seed (DESIGN.md §4).
+// No dataset was published, so every distribution parameter is an
+// explicit constant of the generator (workload/generator.cpp), and all
+// draws flow from one seed (DESIGN.md §4).  What stays settable here is
+// the scenario's shape: fleet and batch sizes, how many VMs are grouped
+// or already running, and the consumer mix.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +58,14 @@ struct StrategyProfile {
 // honest path.
 struct StrategicConfig {
   // Fraction of consumers that behave strategically, in [0, 1].
-  // Membership is decided by hashing (consumer id, strategy_seed), so
-  // the strategic set is stable across windows and request batches.
+  // Membership is decided by hashing the consumer id, so the strategic
+  // set is stable across windows and request batches.
   double strategic_fraction = 0.0;
 
   // Profiles assigned round-robin over strategic consumers
   // (profiles[c % profiles.size()]).  Must be non-empty whenever
   // strategic_fraction > 0.
   std::vector<StrategyProfile> profiles;
-
-  // Salt for the per-consumer RNG streams; independent from the batch
-  // seed so honest draws never shift.
-  std::uint64_t strategy_seed = 0x5354524154ULL;
 
   bool enabled() const { return strategic_fraction > 0.0; }
 };
@@ -80,46 +79,14 @@ struct ScenarioConfig {
   std::uint32_t datacenters = 2;
   std::uint32_t total_servers = 64;   // rounded up to full leaves
   std::uint32_t servers_per_leaf = 8;
-  std::uint32_t attribute_count = 3;  // cpu / ram / disk
-
-  // Virtual-to-physical factor F_jl (Eq. 3): fraction of raw capacity
-  // usable by consumer resources after virtualisation overhead.
-  double factor_min = 0.85;
-  double factor_max = 0.95;
-
-  // QoS knee L^M_jl and ceiling Q^M_jl (Eq. 8).
-  double max_load_min = 0.70;
-  double max_load_max = 0.90;
-  double max_qos_min = 0.95;
-  double max_qos_max = 0.99;
-
-  // Multiplicative capacity noise around the class base value.
-  double capacity_jitter = 0.10;
 
   // --- requests ---
   std::uint32_t vms = 128;
-
-  // QoS guarantee C^Q_k requested by consumers.
-  double qos_guarantee_min = 0.80;
-  double qos_guarantee_max = 0.94;
-
-  // SLA penalty C^U_k and migration cost M_k ranges.
-  double downtime_cost_min = 5.0;
-  double downtime_cost_max = 50.0;
-  double migration_cost_min = 1.0;
-  double migration_cost_max = 10.0;
 
   // --- affinity / anti-affinity groups ---
   // Fraction of VMs that participate in a relationship group; each VM
   // joins at most one group (prevents contradictory combinations).
   double constrained_fraction = 0.30;
-  std::uint32_t group_size_min = 2;
-  std::uint32_t group_size_max = 4;
-  // Relative frequencies of the four relationship kinds (Eqs. 9-12).
-  double weight_same_datacenter = 0.30;
-  double weight_same_server = 0.20;
-  double weight_different_servers = 0.35;
-  double weight_different_datacenters = 0.15;
 
   // --- consumers ---
   // Number of distinct consumers (tenants).  VM k of a batch belongs to

@@ -11,14 +11,16 @@ namespace iaas {
 namespace {
 
 constexpr std::uint64_t kStrategySalt = 0x73747261746567ULL;  // "strateg"
+// Keys the strategic set and, with the salt, every consumer stream;
+// independent of the batch seed, so honest draws never shift.
+constexpr std::uint64_t kStrategySeed = 0x5354524154ULL;  // "STRAT"
 
 // Seed for one consumer's private stream within one request batch.
-// Keyed on the batch seed (so bursts re-roll each window), the
-// strategy_seed salt, and the consumer id via child_stream (counter
-// derivation — independent streams, nothing consumed from any parent).
-Rng consumer_stream(const StrategicConfig& config, std::uint64_t batch_seed,
-                    std::uint32_t consumer) {
-  const Rng base(batch_seed ^ kStrategySalt ^ config.strategy_seed);
+// Keyed on the batch seed (so bursts re-roll each window), the strategy
+// salts, and the consumer id via child_stream (counter derivation —
+// independent streams, nothing consumed from any parent).
+Rng consumer_stream(std::uint64_t batch_seed, std::uint32_t consumer) {
+  const Rng base(batch_seed ^ kStrategySalt ^ kStrategySeed);
   return base.child_stream(consumer);
 }
 
@@ -60,27 +62,11 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
   if (config.total_servers == 0) {
     add("total_servers must be positive");
   }
-  if (config.attribute_count < 3) {
-    add("attribute_count must cover cpu/ram/disk");
-  }
-  if (!(config.factor_min > 0.0 && config.factor_min <= config.factor_max &&
-        config.factor_max <= 1.0)) {
-    add("factor range must satisfy 0 < min <= max <= 1");
-  }
-  if (!(config.qos_guarantee_min > 0.0 &&
-        config.qos_guarantee_min <= config.qos_guarantee_max &&
-        config.qos_guarantee_max < 1.0)) {
-    add("qos_guarantee range must satisfy 0 < min <= max < 1");
-  }
   if (config.constrained_fraction < 0.0 || config.constrained_fraction > 1.0) {
     add("constrained_fraction must lie in [0, 1]");
   }
   if (config.preplaced_fraction < 0.0 || config.preplaced_fraction > 1.0) {
     add("preplaced_fraction must lie in [0, 1]");
-  }
-  if (config.group_size_min < 2 ||
-      config.group_size_max < config.group_size_min) {
-    add("relationship groups need at least two members");
   }
 
   const StrategicConfig& strategic = config.strategic;
@@ -137,7 +123,7 @@ std::vector<char> strategic_consumer_mask(const StrategicConfig& config,
   std::vector<std::pair<double, std::uint32_t>> ranked;
   ranked.reserve(consumers);
   for (std::uint32_t c = 0; c < consumers; ++c) {
-    Rng probe(config.strategy_seed * 0x9E3779B97F4A7C15ULL +
+    Rng probe(kStrategySeed * 0x9E3779B97F4A7C15ULL +
               static_cast<std::uint64_t>(c));
     ranked.emplace_back(probe.next_double(), c);
   }
@@ -185,7 +171,7 @@ void apply_strategies(RequestSet& requests, const Infrastructure& infra,
       continue;
     }
     const StrategyProfile& profile = strategy_profile_of(strategic, c);
-    Rng rng = consumer_stream(strategic, batch_seed, c);
+    Rng rng = consumer_stream(batch_seed, c);
 
     // Burst timing: the whole batch of this consumer spikes together.
     const bool burst = rng.bernoulli(profile.burst_probability);

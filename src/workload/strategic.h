@@ -2,7 +2,7 @@
 // subset of consumers misreport their workload (Karma/Ginseng-style
 // greedy users).  The pass never consumes draws from the honest
 // generator stream — each strategic consumer gets its own counter-keyed
-// RNG stream derived from (batch seed, strategy_seed, consumer id) — so
+// RNG stream derived from (batch seed, consumer id) — so
 // strategic_fraction == 0 reproduces the honest output byte for byte,
 // and the strategic set is identical at any thread count.
 #pragma once
@@ -17,8 +17,8 @@
 
 namespace iaas {
 
-// Full fail-loud screen of a ScenarioConfig (base distribution ranges
-// plus the consumer/strategic block), mirroring validate_market: every
+// Full fail-loud screen of a ScenarioConfig (sizes and fractions plus
+// the consumer/strategic block), mirroring validate_market: every
 // problem is reported as a human-readable finding; an empty vector
 // means the config is usable.  ScenarioGenerator aborts on the first
 // finding via IAAS_EXPECT.
@@ -26,11 +26,11 @@ namespace iaas {
     const ScenarioConfig& config);
 
 // The strategic set over `consumers` tenants: the ceil(fraction * N)
-// consumers whose (strategy_seed, id) hash ranks smallest.  Rank-based
-// rather than per-consumer coin flips, so any fraction > 0 marks at
-// least one consumer, the count is exact, and raising the fraction only
-// ever *adds* members (nested sets).  Pure hash — stable across
-// windows, batches, and thread counts; no stream consumption.
+// consumers whose id hash ranks smallest.  Rank-based rather than
+// per-consumer coin flips, so any fraction > 0 marks at least one
+// consumer, the count is exact, and raising the fraction only ever
+// *adds* members (nested sets).  Pure hash — stable across windows,
+// batches, and thread counts; no stream consumption.
 [[nodiscard]] std::vector<char> strategic_consumer_mask(
     const StrategicConfig& config, std::uint32_t consumers);
 

@@ -266,9 +266,8 @@ TEST(ContractsDeathTest, FinalizeRejectsUnknownServer) {
       test::make_instance(1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
   Placement raw(1);
   raw.assign(0, 77);
-  EXPECT_DEATH(
-      (void)Allocator::finalize(inst, "x", raw, 0.0, 0, ObjectiveOptions{}),
-      "unknown server");
+  EXPECT_DEATH((void)Allocator::finalize(inst, "x", raw, 0.0, 0),
+               "unknown server");
 }
 
 }  // namespace

@@ -271,7 +271,8 @@ TEST(NondominatedSort, MatchesDebReferenceUnderEveryDominance) {
 TEST(Crowding, BoundariesAreInfinite) {
   Population pop = {ind(1, 9, 5), ind(2, 8, 5), ind(3, 7, 5), ind(4, 6, 5)};
   std::vector<std::size_t> front = {0, 1, 2, 3};
-  assign_crowding_distance(pop, front);
+  std::vector<std::size_t> order;
+  assign_crowding_distance(pop, front, order);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(pop[0].crowding, kInf);
   EXPECT_EQ(pop[3].crowding, kInf);
@@ -282,7 +283,8 @@ TEST(Crowding, BoundariesAreInfinite) {
 TEST(Crowding, TinyFrontsAllInfinite) {
   Population pop = {ind(1, 1, 1), ind(2, 2, 2)};
   std::vector<std::size_t> front = {0, 1};
-  assign_crowding_distance(pop, front);
+  std::vector<std::size_t> order;
+  assign_crowding_distance(pop, front, order);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(pop[0].crowding, kInf);
   EXPECT_EQ(pop[1].crowding, kInf);
@@ -293,7 +295,8 @@ TEST(Crowding, IsolatedPointGetsLargerDistance) {
   Population pop = {ind(0, 0, 0), ind(1, 1, 1), ind(5, 5, 5),
                     ind(9, 9, 9), ind(10, 10, 10)};
   std::vector<std::size_t> front = {0, 1, 2, 3, 4};
-  assign_crowding_distance(pop, front);
+  std::vector<std::size_t> order;
+  assign_crowding_distance(pop, front, order);
   // Middle point (index 2) spans a wide gap; its crowding beats its
   // immediate neighbours'.
   EXPECT_GT(pop[2].crowding, pop[1].crowding);
@@ -305,7 +308,8 @@ TEST(Crowding, DegenerateAxisIgnored) {
   // boundaries.
   Population pop = {ind(1, 1, 1), ind(1, 1, 1), ind(1, 1, 1)};
   std::vector<std::size_t> front = {0, 1, 2};
-  assign_crowding_distance(pop, front);
+  std::vector<std::size_t> order;
+  assign_crowding_distance(pop, front, order);
   EXPECT_EQ(pop[1].crowding, 0.0);
 }
 

@@ -2,6 +2,7 @@
 // repair hooks, improvement over random, parallel evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -31,8 +32,8 @@ NsgaConfig quick_config() {
 double mean_random_aggregate(const AllocationProblem& problem,
                              std::uint64_t seed) {
   Rng rng(seed);
-  PlacementState state(problem.instance(), problem.options(),
-                       StateTracking::kFull, problem.tables());
+  PlacementState state(problem.instance(), {}, StateTracking::kFull,
+                       problem.tables());
   double total = 0.0;
   const int samples = 50;
   std::vector<std::int32_t> genes(problem.gene_count());
@@ -281,11 +282,9 @@ TEST(NsgaBase, CpRepairThreadCountInvariant) {
   serial.collect_trace = true;
   Nsga3 a(problem, serial, repair_fn);
   const auto ra = a.run(91);
-#if IAAS_TELEMETRY
   // The repairs searched: their moves are the run's only delta moves.
   EXPECT_GT(trace_total(ra.trace, &telemetry::GenerationRow::delta_moves),
             0u);
-#endif
 
   for (const std::size_t threads : {2u, 3u, 8u}) {
     NsgaConfig parallel = serial;
@@ -362,7 +361,6 @@ TEST(NsgaBase, TraceCountersDeterministicAcrossThreadCounts) {
     EXPECT_EQ(x.repair_invocations, y.repair_invocations);
     EXPECT_EQ(x.front_size, y.front_size);
     EXPECT_EQ(x.best_objectives, y.best_objectives);
-#if IAAS_TELEMETRY
     EXPECT_EQ(x.full_rebuilds, y.full_rebuilds);
     EXPECT_EQ(x.delta_moves, y.delta_moves);
     EXPECT_EQ(x.rebases, y.rebases);
@@ -376,7 +374,6 @@ TEST(NsgaBase, TraceCountersDeterministicAcrossThreadCounts) {
     if (x.evaluations > 0) {
       EXPECT_GT(x.full_rebuilds, 0u);
     }
-#endif
   }
 
   // Tracing must not perturb the search itself.
@@ -468,15 +465,27 @@ class Nsga2Probe : public Nsga2 {
  public:
   using Nsga2::Nsga2;
   using Nsga2::environmental_selection;
-  using NsgaBase::apply_exclusion;
 };
 
 class Nsga3Probe : public Nsga3 {
  public:
   using Nsga3::Nsga3;
   using Nsga3::environmental_selection;
-  using NsgaBase::apply_exclusion;
 };
+
+// kExclude: a stable sort by violation count, then the infeasible tail
+// past max(feasible, population_size) is dropped.
+void reference_exclusion(Population& merged, std::size_t population_size) {
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const Individual& a, const Individual& b) {
+                     return a.violations < b.violations;
+                   });
+  const auto feasible = static_cast<std::size_t>(
+      std::find_if(merged.begin(), merged.end(),
+                   [](const Individual& ind) { return ind.violations > 0; }) -
+      merged.begin());
+  merged.resize(std::min(merged.size(), std::max(feasible, population_size)));
+}
 
 std::vector<std::vector<std::size_t>> reference_fronts(
     std::span<Individual> population, ConstraintMode mode) {
@@ -509,12 +518,13 @@ void reference_nsga2_selection(Nsga2Probe& engine, Population& merged,
                                Population& next) {
   const NsgaConfig& config = engine.config();
   if (config.constraint_mode == ConstraintMode::kExclude) {
-    engine.apply_exclusion(merged);
+    reference_exclusion(merged, config.population_size);
   }
   const auto fronts = reference_fronts(merged, config.constraint_mode);
   next.clear();
+  std::vector<std::size_t> scratch;
   for (const auto& front : fronts) {
-    assign_crowding_distance(merged, front);
+    assign_crowding_distance(merged, front, scratch);
     if (next.size() + front.size() <= config.population_size) {
       for (std::size_t idx : front) {
         next.push_back(std::move(merged[idx]));
@@ -574,7 +584,7 @@ void reference_nsga3_selection(Nsga3Probe& engine, Population& merged,
   const NsgaConfig& config = engine.config();
   const std::vector<ObjArray>& refs = engine.reference_points();
   if (config.constraint_mode == ConstraintMode::kExclude) {
-    engine.apply_exclusion(merged);
+    reference_exclusion(merged, config.population_size);
   }
   const std::size_t target = config.population_size;
   const auto fronts = reference_fronts(merged, config.constraint_mode);

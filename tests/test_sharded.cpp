@@ -315,9 +315,7 @@ TEST(ShardedSimulator, CounterColumnsIdenticalAcrossThreadCounts) {
   const std::vector<WindowMetrics> serial_run = sharded_sim_run(1, 3);
   const std::vector<std::size_t> serial = counter_columns(serial_run);
   ASSERT_FALSE(serial.empty());
-#if IAAS_TELEMETRY
-  // The sinks saw the shard runs' work (zero with telemetry compiled
-  // out).
+  // The sinks saw the shard runs' work.
   std::size_t rebuilds = 0;
   for (const WindowMetrics& w : serial_run) {
     for (const telemetry::GenerationRow& row : w.allocator_trace.rows) {
@@ -325,7 +323,6 @@ TEST(ShardedSimulator, CounterColumnsIdenticalAcrossThreadCounts) {
     }
   }
   EXPECT_GT(rebuilds, 0u);
-#endif
   EXPECT_EQ(counter_columns(sharded_sim_run(2, 3)), serial);
   EXPECT_EQ(counter_columns(sharded_sim_run(4, 3)), serial);
 }

@@ -620,8 +620,9 @@ TEST(Fleet, RandomisedAppendDepartCompactKeepVectorsIndexParallel) {
 
 // --- determinism battery ---
 
-std::uint64_t battery_fingerprint(std::size_t threads, std::uint64_t seed,
-                                  bool warm_front = false) {
+std::vector<WindowMetrics> battery_run(std::size_t threads,
+                                       std::uint64_t seed,
+                                       bool warm_front = false) {
   SimConfig cfg;
   cfg.warm_start_front = warm_front;
   cfg.windows = 4;
@@ -641,7 +642,43 @@ std::uint64_t battery_fingerprint(std::size_t threads, std::uint64_t seed,
   options.nsga.collect_trace = true;
   options.nsga.threads = threads;
   CloudSimulator sim(cfg, std::make_unique<Nsga3TabuAllocator>(options));
-  return deterministic_fingerprint(sim.run(seed));
+  return sim.run(seed);
+}
+
+std::uint64_t battery_fingerprint(std::size_t threads, std::uint64_t seed,
+                                  bool warm_front = false) {
+  return deterministic_fingerprint(battery_run(threads, seed, warm_front));
+}
+
+TEST(SimDeterminism, FingerprintFollowsOnlyDeterministicColumns) {
+  // Counters record the search's effort and seconds the host's speed;
+  // neither is part of the history the fingerprint pins, which every
+  // deterministic column is.
+  const std::vector<WindowMetrics> history = battery_run(1, 5);
+  const auto traced =
+      std::find_if(history.begin(), history.end(), [](const WindowMetrics& w) {
+        return !w.allocator_trace.rows.empty();
+      });
+  ASSERT_NE(traced, history.end());
+  const auto w = static_cast<std::size_t>(traced - history.begin());
+  const std::uint64_t base = deterministic_fingerprint(history);
+  const auto bumped = [&](const auto& bump) {
+    std::vector<WindowMetrics> copy = history;
+    bump(copy[w], copy[w].allocator_trace.rows.back());
+    return deterministic_fingerprint(copy);
+  };
+  using Row = telemetry::GenerationRow;
+  EXPECT_EQ(bumped([](WindowMetrics&, Row& r) { ++r.full_rebuilds; }), base);
+  EXPECT_EQ(bumped([](WindowMetrics&, Row& r) { ++r.tabu_moves_tried; }),
+            base);
+  EXPECT_EQ(bumped([](WindowMetrics&, Row& r) { r.seconds_repair += 1.0; }),
+            base);
+  EXPECT_EQ(bumped([](WindowMetrics& m, Row&) { m.solve_seconds += 1.0; }),
+            base);
+  EXPECT_NE(bumped([](WindowMetrics&, Row& r) { ++r.evaluations; }), base);
+  EXPECT_NE(
+      bumped([](WindowMetrics&, Row& r) { r.best_objectives[0] += 1.0; }),
+      base);
 }
 
 TEST(SimDeterminism, FingerprintBitIdenticalAcrossThreadCounts) {
@@ -933,8 +970,8 @@ TEST(CloudSimulator, AdmissionQueueCapShedsWholeUnits) {
 }
 
 TEST(CloudSimulator, OversizedUnitAtQueueHeadStillMakesProgress) {
-  // Every arrival joins a 5-6 VM constraint group while the per-window
-  // budget is 3: each unit is bigger than the whole budget.  The head
+  // Every arrival joins a 2-4 VM constraint group while the per-window
+  // budget is 1: each unit is bigger than the whole budget.  The head
   // unit must be admitted alone (whole units never split), so the queue
   // keeps draining instead of deadlocking.
   SimConfig cfg;
@@ -942,10 +979,8 @@ TEST(CloudSimulator, OversizedUnitAtQueueHeadStillMakesProgress) {
   cfg.departure_probability = 0.2;
   cfg.scenario = ScenarioConfig::paper_scale(16);
   cfg.scenario.constrained_fraction = 1.0;
-  cfg.scenario.group_size_min = 5;
-  cfg.scenario.group_size_max = 6;
   cfg.arrival_schedule = {6};
-  cfg.max_admissions_per_window = 3;
+  cfg.max_admissions_per_window = 1;
   CloudSimulator sim(cfg, std::make_unique<RoundRobinAllocator>());
   const auto metrics = sim.run(31);
 

@@ -24,8 +24,6 @@ using telemetry::RunTrace;
 using telemetry::ScopedSink;
 using telemetry::ScopedTimer;
 
-#if IAAS_TELEMETRY
-
 TEST(ScopedSink, CapturesAndRestores) {
   telemetry::count(Counter::kStateRebuilds);  // no sink: dropped, no crash
 
@@ -48,8 +46,6 @@ TEST(ScopedSink, CapturesAndRestores) {
   EXPECT_EQ(outer[Counter::kStateRebuilds], 1u);
   EXPECT_EQ(outer[Counter::kDeltaMoves], 2u);
 }
-
-#endif  // IAAS_TELEMETRY
 
 TEST(ScopedTimer, NullTargetIsDisabled) {
   double elapsed = 0.0;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "model/constraint_checker.h"
 #include "workload/strategic.h"
 
@@ -239,9 +242,8 @@ TEST(StrategicGenerator, FractionZeroMatchesHonestGenerator) {
 }
 
 TEST(StrategicGenerator, DisabledProfilesLeaveNoFingerprints) {
-  // At fraction 0 the profile contents and strategy seed must be inert.
+  // At fraction 0 the profile contents must be inert.
   ScenarioConfig loud = strategic_config(0.0);
-  loud.strategic.strategy_seed ^= 0xABCDEFULL;
   loud.strategic.profiles[0].inflation_max = 50.0;
   const Instance a = ScenarioGenerator(strategic_config(0.0)).generate(13);
   const Instance b = ScenarioGenerator(loud).generate(13);
@@ -317,6 +319,120 @@ TEST(StrategicGenerator, ConsumerTagsCoverTheConfiguredRange) {
   for (std::size_t c = 0; c < per_consumer.size(); ++c) {
     EXPECT_GT(per_consumer[c], 0u) << "consumer " << c;
   }
+}
+
+// --- generator digest ---
+//
+// The generator's distribution parameters are constants, so one digest
+// per config pins every value it draws: FNV-1a over each double's bit
+// pattern and each integer of the generated records.  The pinned values
+// were taken when the parameters were still ScenarioConfig fields, so a
+// change that moves a draw, a sum order or a constant fails here.
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const std::vector<double>& row) {
+    add(static_cast<std::uint64_t>(row.size()));
+    for (double v : row) {
+      add(v);
+    }
+  }
+};
+
+void digest_requests(Fnv& f, const RequestSet& requests) {
+  f.add(static_cast<std::uint64_t>(requests.vms.size()));
+  for (const VmRequest& vm : requests.vms) {
+    f.add(vm.demand);
+    f.add(vm.qos_guarantee);
+    f.add(vm.downtime_cost);
+    f.add(vm.migration_cost);
+    f.add(static_cast<std::uint64_t>(vm.consumer));
+    f.add(vm.true_demand);
+  }
+  f.add(static_cast<std::uint64_t>(requests.constraints.size()));
+  for (const PlacementConstraint& c : requests.constraints) {
+    f.add(static_cast<std::uint64_t>(c.kind));
+    f.add(static_cast<std::uint64_t>(c.vms.size()));
+    for (std::uint32_t k : c.vms) {
+      f.add(static_cast<std::uint64_t>(k));
+    }
+  }
+}
+
+void digest_infrastructure(Fnv& f, const Infrastructure& infra) {
+  f.add(static_cast<std::uint64_t>(infra.server_count()));
+  for (std::size_t j = 0; j < infra.server_count(); ++j) {
+    const Server& s = infra.server(j);
+    f.add(s.capacity);
+    f.add(s.factor);
+    f.add(s.max_load);
+    f.add(s.max_qos);
+    f.add(s.opex);
+    f.add(s.usage_cost);
+    f.add(static_cast<std::uint64_t>(s.datacenter));
+  }
+}
+
+std::uint64_t instance_digest(const ScenarioConfig& cfg, std::uint64_t seed) {
+  const Instance inst = ScenarioGenerator(cfg).generate(seed);
+  Fnv f;
+  digest_infrastructure(f, inst.infra);
+  digest_requests(f, inst.requests);
+  for (std::int32_t g : inst.previous.genes()) {
+    f.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(g)));
+  }
+  return f.h;
+}
+
+ScenarioConfig tenants(ScenarioConfig cfg) {
+  cfg.consumers = 16;
+  cfg.strategic.strategic_fraction = 0.25;
+  cfg.strategic.profiles = default_strategy_profiles();
+  return cfg;
+}
+
+TEST(ScenarioGenerator, DigestIsPinned) {
+  const ScenarioConfig small = ScenarioConfig::paper_scale(16);
+  const ScenarioConfig large = ScenarioConfig::paper_scale(64, 4);
+  ScenarioConfig dense = small;
+  dense.constrained_fraction = 1.0;
+  ScenarioConfig preplaced = large;
+  preplaced.preplaced_fraction = 0.5;
+  ScenarioConfig everything = tenants(large);
+  everything.constrained_fraction = 1.0;
+  everything.preplaced_fraction = 0.5;
+  const struct {
+    const char* name;
+    ScenarioConfig config;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } cases[] = {
+      {"small", small, 3, 0xc3c842fcf577a24cull},
+      {"large", large, 5, 0x4db14a1d0fc9d77eull},
+      {"dense", dense, 7, 0xe5c8a45db1c29586ull},
+      {"preplaced", preplaced, 11, 0xc0fac3a9cda8d175ull},
+      {"tenants", tenants(small), 13, 0xde75aa6f607f4875ull},
+      {"everything", everything, 17, 0xcc97233fed0d17a3ull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(instance_digest(c.config, c.seed), c.digest)
+        << c.name << ": 0x" << std::hex << instance_digest(c.config, c.seed);
+  }
+
+  // One request batch against a fixed infrastructure, as the window
+  // simulator draws them.
+  const ScenarioGenerator gen(tenants(small));
+  const Infrastructure infra = gen.generate_infrastructure(19);
+  Fnv f;
+  digest_requests(f, gen.generate_requests(infra, 40, 23));
+  EXPECT_EQ(f.h, 0x1550db1ef62d8b69ull) << "batch: 0x" << std::hex << f.h;
 }
 
 }  // namespace
