@@ -41,10 +41,6 @@ class EaAllocatorBase : public Allocator {
     return true;
   }
 
-  [[nodiscard]] const EaAllocatorOptions& options() const {
-    return options_;
-  }
-
  protected:
   EaAllocatorOptions options_;
   // Once armed (first seed_next_run call, possibly with an empty front),

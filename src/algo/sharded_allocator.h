@@ -75,12 +75,6 @@ class ShardedAllocator : public Allocator {
   // handing each backend its local share, and arms global front export.
   bool seed_next_run(std::vector<std::vector<std::int32_t>> front) override;
 
-  [[nodiscard]] const ShardedAllocatorOptions& options() const {
-    return options_;
-  }
-  // The plan of the last allocate() call (null before the first).
-  [[nodiscard]] const ShardPlan* plan() const { return plan_.get(); }
-
  private:
   // (Re)builds plan_/backends_/outer_pool_ for this instance's fabric;
   // backends persist while the shard layout is unchanged.

@@ -67,8 +67,6 @@ class BrokerAllocator {
   // one instance per provider, kept across calls).
   Allocator& backend(std::size_t provider);
 
-  [[nodiscard]] const BrokerConfig& config() const { return config_; }
-
   // Summed per-attribute demand of a unit's VMs (what route() checks and
   // the caller then adds to the unit's projected load, as one sum).
   static std::vector<double> demand_of(const std::vector<VmRequest>& vms);

@@ -88,10 +88,6 @@ struct CloudMarketConfig {
   std::vector<ProviderConfig> providers;
   // Scripted provider-granularity outages (workload/market_events).
   std::vector<ProviderOutageScript> outages;
-
-  [[nodiscard]] std::size_t provider_count() const {
-    return providers.size();
-  }
 };
 
 // Fail-loud validation findings (empty = clean): empty provider list,
@@ -124,8 +120,6 @@ class CloudProvider {
   CloudProvider(ProviderConfig config, Infrastructure infrastructure,
                 std::uint64_t fault_seed);
 
-  [[nodiscard]] const std::string& id() const { return config_.id; }
-  [[nodiscard]] const ProviderConfig& config() const { return config_; }
   [[nodiscard]] const Infrastructure& infrastructure() const {
     return infrastructure_;
   }
@@ -185,8 +179,6 @@ class CloudMarket {
   // Cheapest effective multiplier among online providers this window
   // (+infinity when the whole market is dark).
   [[nodiscard]] double cheapest_multiplier(std::size_t window) const;
-
-  [[nodiscard]] const CloudMarketConfig& config() const { return config_; }
 
  private:
   bool take_down(std::uint32_t p, std::size_t window, std::size_t duration,

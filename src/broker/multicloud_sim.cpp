@@ -279,6 +279,7 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
         row.fallback_algorithm = fallback.name();
       }
       row.solve_seconds += step.seconds;
+      row.displaced_vms += step.displaced;
       prow.migrations = step.plan.migrations();
       prow.migration_cost = step.plan.migration_cost();
       prow.rejected = step.result.rejected;
@@ -303,6 +304,14 @@ std::vector<WindowMetrics> MultiCloudSimulator::run(std::uint64_t seed) {
       row.permanently_rejected += settled.permanently_rejected;
       prow.running = fleet[p].size();
       row.running += prow.running;
+      // The degradation contract, as in CloudSimulator: nothing may be
+      // left hosted on one of this cloud's dead servers.
+      for (std::size_t k = 0; k < fleet[p].size(); ++k) {
+        if (provider.faults().is_down(static_cast<std::uint32_t>(
+                fleet[p].placement.server_of(k)))) {
+          ++row.vms_on_down_servers;
+        }
+      }
     }
     row.retry_queue_depth = retries.size();
     metrics.push_back(std::move(row));

@@ -76,10 +76,6 @@ class MultiCloudSimulator {
     window_sink_ = std::move(sink);
   }
 
-  [[nodiscard]] const MultiCloudSimConfig& config() const {
-    return config_;
-  }
-
  private:
   MultiCloudSimConfig config_;
   std::function<void(const WindowMetrics&)> window_sink_;

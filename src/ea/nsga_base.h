@@ -108,8 +108,6 @@ class NsgaBase {
   // gene buffers, which the next generation's offspring take over.
   std::span<Individual> apply_exclusion(Population& merged);
 
-  const AllocationProblem& problem() const { return *problem_; }
-
   // Index scratch of apply_exclusion and of NSGA-II's crowding and
   // truncation, reused by every selection.
   std::vector<std::size_t> order_;

@@ -64,7 +64,6 @@ class Json {
   }
 
   [[nodiscard]] Type type() const;
-  [[nodiscard]] bool is_null() const { return type() == Type::kNull; }
 
   // Typed accessors; wrong-type access throws std::runtime_error.
   [[nodiscard]] bool as_bool() const;

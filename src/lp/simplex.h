@@ -49,8 +49,6 @@ class SimplexSolver {
 
   LpSolution solve(std::size_t max_iterations = 0) const;  // 0 = auto
 
-  [[nodiscard]] std::size_t variable_count() const { return variables_; }
-
  private:
   struct Row {
     std::vector<LinTerm> terms;

@@ -76,15 +76,10 @@ ViolationReport ConstraintChecker::check(const Placement& placement) const {
 
   for (std::size_t j = 0; j < inst.m(); ++j) {
     const Server& server = inst.infra.server(j);
-    bool overloaded = false;
     for (std::size_t l = 0; l < h; ++l) {
       if (used(j, l) > server.effective_capacity(l) + kCapacityEps) {
         ++report.capacity_violations;
-        overloaded = true;
       }
-    }
-    if (overloaded) {
-      report.overloaded_servers.push_back(static_cast<std::uint32_t>(j));
     }
   }
 

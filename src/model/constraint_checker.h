@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "model/instance.h"
 #include "model/placement.h"
@@ -31,7 +30,6 @@ struct ViolationReport {
   std::uint32_t capacity_violations = 0;   // # exceeded (server, attribute)
   std::uint32_t relation_violations = 0;   // # violated constraint groups
   std::uint32_t rejected_vms = 0;          // # unassigned requests
-  std::vector<std::uint32_t> overloaded_servers;  // sorted, unique
 
   // Total violated constraints, the Fig. 10 quantity. Rejection is not a
   // violation (a rejected request simply was not served).
@@ -46,10 +44,11 @@ class ConstraintChecker {
   explicit ConstraintChecker(const Instance& instance)
       : instance_(&instance) {}
 
-  // Full report, including the list of overloaded servers (the tabu repair
-  // operator's exceedingDetection, paper Fig. 5 line 2).  Sums the demand
-  // from scratch, so it is the reference the incremental PlacementState
-  // is tested against.  Every assigned server must exist.
+  // Violation counts of `placement`.  Sums the demand from scratch, so it
+  // is the reference the incremental PlacementState is tested against and
+  // the audit perfbench runs on every allocation; the tabu repair's
+  // exceedingDetection (paper Fig. 5 line 2) reads the state's overload
+  // flags instead.  Every assigned server must exist.
   [[nodiscard]] ViolationReport check(const Placement& placement) const;
 
   // True when the relationship constraint `c` holds under `placement`

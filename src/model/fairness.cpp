@@ -4,7 +4,7 @@
 #include <cstddef>
 
 #include "common/expect.h"
-#include "model/placement_state.h"
+#include "model/load_model.h"
 
 namespace iaas {
 namespace {
@@ -29,25 +29,28 @@ double dominant_size(const std::vector<double>& demand,
 constexpr double kIdleFraction = 0.4;
 constexpr double kWattsPerCore = 10.0;
 
-// Energy draw of the placement `state` (tracking kFull) is positioned
-// at; servers hosting no VM are off and draw nothing.
-double energy_cost(const Instance& instance, const PlacementState& state) {
+// Energy draw of `placement`; servers hosting no VM are off and draw
+// nothing.  The CPU load is Eq. 25 from compute_loads: demand summed by
+// ascending VM from 0, then divided by the capacity.
+double energy_cost(const Instance& instance, const Placement& placement) {
   const std::size_t m = instance.m();
   if (instance.h() == 0) {
     return 0.0;
   }
   std::vector<std::uint32_t> hosted(m, 0);
-  for (std::int32_t gene : state.placement().genes()) {
+  for (std::int32_t gene : placement.genes()) {
     if (gene != Placement::kRejected) {
       ++hosted[static_cast<std::size_t>(gene)];
     }
   }
+  Matrix<double> loads;
+  compute_loads(instance, placement, loads);
   double watts = 0.0;
   for (std::size_t j = 0; j < m; ++j) {
     if (hosted[j] == 0) {
       continue;  // server is powered off
     }
-    const double cpu_load = std::min(1.0, state.loads()(j, 0));
+    const double cpu_load = std::min(1.0, loads(j, 0));
     watts += kWattsPerCore * instance.infra.server(j).capacity[0] *
              (kIdleFraction + (1.0 - kIdleFraction) * cpu_load);
   }
@@ -159,9 +162,7 @@ FairnessReport compute_fairness(const Instance& instance,
   report.utilization_efficiency =
       served_reported > 0.0 ? served_actual / served_reported : 1.0;
 
-  PlacementState state(instance);
-  state.rebuild(placement);
-  report.energy_cost = energy_cost(instance, state);
+  report.energy_cost = energy_cost(instance, placement);
   return report;
 }
 

@@ -58,8 +58,8 @@ struct FairnessReport {
   double energy_cost = 0.0;
 };
 
-// Scores `placement` against `instance`.  Rebuilds one PlacementState
-// internally for the energy term — call once per window, not per move.
+// Scores `placement` against `instance`.  Sums the fleet's loads from
+// scratch for the energy term — call once per window, not per move.
 [[nodiscard]] FairnessReport compute_fairness(const Instance& instance,
                                               const Placement& placement);
 

@@ -106,8 +106,7 @@ PlacementState::PlacementState(const Instance& instance,
       server_epoch_(instance.m(), 0),
       constraint_epoch_(instance.requests.constraints.size(), 0) {
   if (tracking_ == StateTracking::kFull) {
-    loads_ = Matrix<double>(instance.m(), instance.h());
-    qos_ = Matrix<double>(instance.m(), instance.h());
+    qos_scratch_ = Matrix<double>(instance.m(), instance.h());
   }
   rebuild_from_placement();
 }
@@ -150,10 +149,8 @@ void PlacementState::rebuild_from_placement() {
   std::uint32_t* prev = vm_prev_.data();
   std::uint32_t* tail = server_tail_.data();
   std::uint32_t* count = server_count_.data();
-  std::size_t rejected = 0;
   for (std::size_t k = 0; k < n; ++k, demand += h) {
     if (genes[k] < 0) {
-      ++rejected;
       continue;
     }
     const auto j = static_cast<std::size_t>(genes[k]);
@@ -171,7 +168,6 @@ void PlacementState::rebuild_from_placement() {
   for (std::size_t j = 0; j < m; ++j) {
     next[tail[j]] = kNoVm;  // an empty server's head slot included
   }
-  rejected_count_ = rejected;
 
   // Migration pass over the previous-host table, ascending k.
   double migration = 0.0;
@@ -183,9 +179,13 @@ void PlacementState::rebuild_from_placement() {
   total_migration_ = migration;
 
   // Fleet pass over the flat m×h matrices, with the totals in locals:
-  // loads and QoS cell by cell, then each server's worst QoS, overloads,
-  // usage and downtime, summed in server order from 0 as refresh_server
-  // would.
+  // QoS cell by cell, then each server's worst QoS, overloads, usage and
+  // downtime, summed in server order from 0 as refresh_server would.
+  // This is score_server's arithmetic spelled out over the whole fleet,
+  // the QoS cell by cell into a scratch: routing the rebuild through
+  // score_server, one server at a time, made BM_RebuildLiveSet about 5%
+  // slower (2.00-2.15 us against 1.88-1.96 us) and BM_Rebuild/256 about
+  // 7% (micro_delta_eval, Release, 4-vCPU x86-64, interleaved runs).
   double usage_total = 0.0;
   double downtime_total = 0.0;
   std::uint32_t overload_total = 0;
@@ -204,13 +204,15 @@ void PlacementState::rebuild_from_placement() {
     const double* cap = t.capacity.flat().data();
     const double* knee = t.knee.flat().data();
     const double* max_qos = t.max_qos.flat().data();
-    double* loads = loads_.flat().data();
-    double* qos = qos_.flat().data();
+    double* qos = qos_scratch_.flat().data();
+    // Loads first, in a loop of their own the compiler vectorises, then
+    // Eq. 24 over them in place: fusing the two loops made perfbench's
+    // sharded alloc_cpu_ms_p50 about 1.7% slower.
     for (std::size_t i = 0; i < cells; ++i) {
-      loads[i] = used[i] / cap[i];
+      qos[i] = used[i] / cap[i];
     }
     for (std::size_t i = 0; i < cells; ++i) {
-      qos[i] = qos_at_knee(loads[i], knee[i], max_qos[i]);
+      qos[i] = qos_at_knee(qos[i], knee[i], max_qos[i]);
     }
     for (std::size_t j = 0; j < m; ++j, used += h, ecap += h, qos += h) {
       double worst_qos = 1.0;
@@ -288,15 +290,11 @@ std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
     if (from >= 0) {
       detach_vm(k, static_cast<std::size_t>(from));
       touch_server(static_cast<std::uint32_t>(from));
-    } else {
-      --rejected_count_;
     }
     placement_.assign(k, to);
     if (to >= 0) {
       attach_vm(k, static_cast<std::size_t>(to));
       touch_server(static_cast<std::uint32_t>(to));
-    } else {
-      ++rejected_count_;
     }
     for (std::uint32_t c : tables_->constraints_of(k)) {
       touch_constraint(c);
@@ -433,74 +431,45 @@ double PlacementState::downtime_on(std::size_t j, double worst_qos,
   return downtime;
 }
 
-void PlacementState::refresh_server(std::size_t j) {
-  if (tracking_ == StateTracking::kViolationsOnly) {
-    const std::span<const double> used = used_.row(j);
-    const std::span<const double> ecap = tables_->effective_capacity.row(j);
-    std::uint32_t overloads = 0;
-    for (std::size_t l = 0; l < used.size(); ++l) {
-      overloads += used[l] > ecap[l] + kCapacityEps ? 1u : 0u;
-    }
-    capacity_violations_ =
-        capacity_violations_ - overload_count_[j] + overloads;
-    overload_count_[j] = overloads;
-    return;
-  }
-
+// Inline: refresh_server and both ends of try_move take their own copy.
+// As one out-of-line call, BM_ApplyRevert/256 ran about 5% slower.
+inline PlacementState::ServerScore PlacementState::score_server(
+    std::size_t j, std::span<const double> used_row, std::size_t count,
+    std::uint32_t joining, std::uint32_t leaving) const {
   // Contiguous row spans; every per-attribute quantity of server j sits in
   // one cache-line run per table.
   const StateTables& t = *tables_;
-  const std::span<const double> used = used_.row(j);
-  const std::span<const double> cap = t.capacity.row(j);
   const std::span<const double> ecap = t.effective_capacity.row(j);
+  ServerScore score;
+  for (std::size_t l = 0; l < used_row.size(); ++l) {
+    score.overloads += used_row[l] > ecap[l] + kCapacityEps ? 1u : 0u;
+  }
+  if (tracking_ == StateTracking::kViolationsOnly) {
+    return score;
+  }
+  const std::span<const double> cap = t.capacity.row(j);
   const std::span<const double> knee = t.knee.row(j);
   const std::span<const double> max_qos = t.max_qos.row(j);
-  const std::span<double> loads = loads_.row(j);
-  const std::span<double> qos = qos_.row(j);
   double worst_qos = 1.0;
-  std::uint32_t overloads = 0;
-  for (std::size_t l = 0; l < used.size(); ++l) {
-    loads[l] = used[l] / cap[l];
-    qos[l] = qos_at_knee(loads[l], knee[l], max_qos[l]);
-    worst_qos = std::min(worst_qos, qos[l]);
-    overloads += used[l] > ecap[l] + kCapacityEps ? 1u : 0u;
+  for (std::size_t l = 0; l < used_row.size(); ++l) {
+    worst_qos = std::min(
+        worst_qos, qos_at_knee(used_row[l] / cap[l], knee[l], max_qos[l]));
   }
-  const double downtime = downtime_on(j, worst_qos);
-  const double usage = usage_of(j, server_count_[j]);
-
-  total_usage_ += usage - usage_acc(j);
-  total_downtime_ += downtime - downtime_acc(j);
-  capacity_violations_ =
-      capacity_violations_ - overload_count_[j] + overloads;
-  usage_acc(j) = usage;
-  downtime_acc(j) = downtime;
-  overload_count_[j] = overloads;
+  score.downtime = downtime_on(j, worst_qos, joining, leaving);
+  score.usage = usage_of(j, count);
+  return score;
 }
 
-PlacementState::ServerEdit PlacementState::edit_server(
-    std::size_t j, std::size_t k, bool joining,
-    std::span<const double> row) const {
-  const StateTables& t = *tables_;
-  const std::size_t h = instance_->h();
-  const std::span<const double> cap = t.capacity.row(j);
-  const std::span<const double> ecap = t.effective_capacity.row(j);
-  const std::span<const double> knee = t.knee.row(j);
-  const std::span<const double> max_qos = t.max_qos.row(j);
-
-  ServerEdit edit;
-  double worst_qos = 1.0;
-  for (std::size_t l = 0; l < h; ++l) {
-    const double load = row[l] / cap[l];
-    worst_qos = std::min(worst_qos, qos_at_knee(load, knee[l], max_qos[l]));
-    edit.overloads += row[l] > ecap[l] + kCapacityEps ? 1u : 0u;
-  }
-
-  const auto vm = static_cast<std::uint32_t>(k);
-  edit.downtime = downtime_on(j, worst_qos, joining ? vm : kNoVm,
-                              joining ? kNoVm : vm);
-  const std::size_t count = server_count_[j];
-  edit.usage = usage_of(j, joining ? count + 1 : count - 1);
-  return edit;
+void PlacementState::refresh_server(std::size_t j) {
+  const ServerScore score =
+      score_server(j, used_.row(j), server_count_[j], kNoVm, kNoVm);
+  total_usage_ += score.usage - usage_acc(j);
+  total_downtime_ += score.downtime - downtime_acc(j);
+  capacity_violations_ =
+      capacity_violations_ - overload_count_[j] + score.overloads;
+  usage_acc(j) = score.usage;
+  downtime_acc(j) = score.downtime;
+  overload_count_[j] = score.overloads;
 }
 
 ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
@@ -517,23 +486,28 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
     return delta;
   }
   const std::span<const double> demand = tables_->demand.row(k);
+  const auto vm = static_cast<std::uint32_t>(k);
 
   // One path for both tracking modes: the overload counts read only used_
-  // and the effective capacities, which either mode keeps current.
+  // and the effective capacities, which either mode keeps current, and a
+  // violations-only state scores (and stores) zero cost terms.
   double usage_delta = 0.0;
   double downtime_delta = 0.0;
   std::int32_t capacity_delta = 0;
+  const auto add_delta = [&](std::size_t j, const ServerScore& score) {
+    usage_delta += score.usage - usage_acc(j);
+    downtime_delta += score.downtime - downtime_acc(j);
+    capacity_delta += static_cast<std::int32_t>(score.overloads) -
+                      static_cast<std::int32_t>(overload_count_[j]);
+  };
   if (from >= 0) {
     const auto a = static_cast<std::size_t>(from);
     const std::span<const double> used = used_.row(a);
     for (std::size_t l = 0; l < h; ++l) {
       scratch_row_[l] = used[l] - demand[l];
     }
-    const ServerEdit edit = edit_server(a, k, /*joining=*/false, scratch_row_);
-    usage_delta += edit.usage - usage_acc(a);
-    downtime_delta += edit.downtime - downtime_acc(a);
-    capacity_delta += static_cast<std::int32_t>(edit.overloads) -
-                      static_cast<std::int32_t>(overload_count_[a]);
+    add_delta(a, score_server(a, scratch_row_, server_count_[a] - 1, kNoVm,
+                              vm));
   }
   if (target >= 0) {
     const auto b = static_cast<std::size_t>(target);
@@ -541,19 +515,13 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
     for (std::size_t l = 0; l < h; ++l) {
       scratch_row_[l] = used[l] + demand[l];
     }
-    const ServerEdit edit = edit_server(b, k, /*joining=*/true, scratch_row_);
-    usage_delta += edit.usage - usage_acc(b);
-    downtime_delta += edit.downtime - downtime_acc(b);
-    capacity_delta += static_cast<std::int32_t>(edit.overloads) -
-                      static_cast<std::int32_t>(overload_count_[b]);
+    add_delta(b, score_server(b, scratch_row_, server_count_[b] + 1, vm,
+                              kNoVm));
   }
-  double migration_delta = migration_of(k, target) - migration_of(k, from);
-  if (tracking_ == StateTracking::kViolationsOnly) {
-    // No cost accumulator is kept: the objective fields report no change.
-    usage_delta = 0.0;
-    downtime_delta = 0.0;
-    migration_delta = 0.0;
-  }
+  const double migration_delta =
+      tracking_ == StateTracking::kFull
+          ? migration_of(k, target) - migration_of(k, from)
+          : 0.0;
 
   std::int32_t relation_delta = 0;
   const std::span<const std::uint32_t> mentions = tables_->constraints_of(k);
@@ -589,14 +557,10 @@ void PlacementState::do_move(std::size_t k, std::int32_t target) {
 
   if (from >= 0) {
     detach_vm(k, static_cast<std::size_t>(from));
-  } else {
-    --rejected_count_;
   }
   placement_.assign(k, target);
   if (target >= 0) {
     attach_vm(k, static_cast<std::size_t>(target));
-  } else {
-    ++rejected_count_;
   }
 
   if (from >= 0) {

@@ -2,9 +2,11 @@
 //
 // A PlacementState owns one placement plus every accumulator needed to
 // produce its objectives (Eqs. 22-26) and violation counts (Eqs. 16-21):
-// per-server allocated demand, normalised loads and QoS, per-server usage
-// and downtime cost terms, the per-server VM membership lists, the
-// per-constraint satisfied flags, and the three objective totals.
+// per-server allocated demand, per-server usage and downtime cost terms
+// and overload counts, the per-server VM membership lists, the
+// per-constraint satisfied flags, and the three objective totals.  Loads
+// and QoS (Eqs. 24-25) are not kept: every server term is scored from its
+// used row on demand.
 // Invariants (see DESIGN.md §7): after construction, rebase() or any
 // apply_move/revert, all accumulators equal what a full rebuild() of the
 // same placement produces, and the violation counts equal
@@ -32,23 +34,24 @@
 // list over plain arrays (tail/next/prev, with each server's head in a
 // slot of next) with O(1) attach/detach and no per-server heap vectors,
 // and the per-server cost accumulators are striped into one contiguous
-// buffer, so the per-attribute hot loops in refresh_server/edit_server
-// run over contiguous row spans.
+// buffer.  One private score_server scores a server's terms from a used
+// row over contiguous row spans: refresh_server stores its result for a
+// committed move, and try_move scores both ends of a candidate with it.
 //
 // The full rebuild, once per offspring in the EA, is three flat passes
 // and the relation checks: a VM pass (link each VM at its server's tail,
 // add its demand row), a migration pass over the previous-host table,
-// and a fleet pass over the m×h matrices (loads, QoS, overloads, worst
-// QoS, usage and downtime, totals in locals).  Every sum runs in one
-// fixed order — used rows by ascending VM from 0, usage and downtime by
-// ascending server from 0, migration by ascending VM, loads as used /
-// capacity — the order of a refresh_server call per server, so a rebuild
-// equals that loop bit for bit (the RebuildDifferential test keeps it as
-// the reference) and every pinned history holds.  The downtime walk over
-// a server's members runs only when its worst QoS is below the
-// instance's highest guarantee: at or above it every Eq. 23 penalty is
-// exactly 0.0, so the skipped sum is 0.0 too (a NaN guarantee disables
-// the skip).
+// and a fleet pass over the m×h matrices (QoS cell by cell, then per
+// server the worst QoS, overloads, usage and downtime, totals in
+// locals).  Every sum runs in one fixed order — used rows by ascending
+// VM from 0, usage and downtime by ascending server from 0, migration by
+// ascending VM, loads as used / capacity — the order of a refresh_server
+// call per server, so a rebuild equals that loop bit for bit (the
+// RebuildDifferential test keeps it as the reference) and every pinned
+// history holds.  The downtime walk over a server's members runs only
+// when its worst QoS is below the instance's highest guarantee: at or
+// above it every Eq. 23 penalty is exactly 0.0, so the skipped sum is
+// 0.0 too (a NaN guarantee disables the skip).
 //
 // The invariant also powers the fused repair-as-evaluation pipeline
 // (DESIGN.md §8): TabuRepair::repair_state walks a full-tracking state
@@ -119,14 +122,13 @@ struct StateTables {
 
 // What a PlacementState keeps current.  kViolationsOnly maintains just the
 // demand accumulators and violation counters — the placers need nothing
-// else, and skipping the QoS/downtime/usage refresh on every rebuild and
-// committed move (an exp() per attribute per affected server) keeps them
-// as cheap as the capacity-only bookkeeping it replaced.  In that mode
-// loads(), qos(), objectives(), aggregate() and the objective fields of
-// try_move results are unspecified (and the loads/qos matrices are not
-// even allocated).  try_move scores both modes on one path, so its
-// violations_delta is exact in either; only tests ask it of a
-// violations-only state.
+// else, and skipping the QoS/downtime/usage scoring on every rebuild,
+// committed move and scored candidate (an exp() per attribute per
+// affected server) keeps them as cheap as the capacity-only bookkeeping
+// it replaced.  In that mode objectives(), aggregate() and the objective
+// fields of try_move results are unspecified.  try_move scores both
+// modes on one path, so its violations_delta is exact in either; only
+// tests ask it of a violations-only state.
 enum class StateTracking { kFull, kViolationsOnly };
 
 // Outcome of scoring one candidate relocation.
@@ -198,7 +200,6 @@ class PlacementState {
   [[nodiscard]] std::uint32_t total_violations() const {
     return capacity_violations_ + relation_violations_;
   }
-  [[nodiscard]] std::size_t rejected_count() const { return rejected_count_; }
   [[nodiscard]] bool server_overloaded(std::size_t j) const {
     return overload_count_[j] > 0;
   }
@@ -219,8 +220,6 @@ class PlacementState {
   // Allocated demand per (server, attribute) — the accumulator the
   // placers and is_valid_allocation read.
   [[nodiscard]] const Matrix<double>& used() const { return used_; }
-  [[nodiscard]] const Matrix<double>& loads() const { return loads_; }
-  [[nodiscard]] const Matrix<double>& qos() const { return qos_; }
 
   // Forward iteration over the VMs hosted on one server (the intrusive
   // list; order is maintenance order, deterministic for a fixed operation
@@ -279,24 +278,33 @@ class PlacementState {
 
   [[nodiscard]] const Instance& instance() const { return *instance_; }
   [[nodiscard]] const ObjectiveOptions& options() const { return options_; }
-  [[nodiscard]] StateTracking tracking() const { return tracking_; }
   [[nodiscard]] const std::shared_ptr<const StateTables>& tables() const {
     return tables_;
   }
 
  private:
-  struct ServerEdit {
-    double usage = 0.0;         // new per-server usage term
-    double downtime = 0.0;      // new per-server downtime term
-    std::uint32_t overloads = 0;  // new exceeded-attribute count
+  // One server's terms: Eq. 22 usage and Eq. 23 downtime (both 0 under
+  // kViolationsOnly) and its count of exceeded attributes (Eq. 16).
+  struct ServerScore {
+    double usage = 0.0;
+    double downtime = 0.0;
+    std::uint32_t overloads = 0;
   };
 
   // The full rebuild: a VM pass (membership and used rows), a migration
-  // pass and a fleet pass (loads, QoS, overloads, usage and downtime),
-  // then the relation constraints.
+  // pass and a fleet pass (QoS, overloads, usage and downtime), then the
+  // relation constraints.
   void rebuild_from_placement();
-  // Recomputes loads/qos rows, overload count, usage and downtime terms of
-  // server j from used_ and the membership list, updating the totals.
+  // Scores server j as if its used row were `used_row` and it hosted
+  // `count` VMs: its current members, with VM `joining` added to and VM
+  // `leaving` left out of the downtime walk (kNoVm for neither).
+  [[nodiscard]] ServerScore score_server(std::size_t j,
+                                         std::span<const double> used_row,
+                                         std::size_t count,
+                                         std::uint32_t joining,
+                                         std::uint32_t leaving) const;
+  // Stores server j's score from used_ and its membership list, updating
+  // the totals.
   void refresh_server(std::size_t j);
   // Eq. 23 downtime of server j's members at `worst_qos`, with VM
   // `joining` added first and VM `leaving` left out (kNoVm for neither);
@@ -307,20 +315,14 @@ class PlacementState {
   // Commits a move into every accumulator (no undo bookkeeping).
   void do_move(std::size_t k, std::int32_t target);
 
-  // Membership + demand edits (list unlink/link, used_ row update,
-  // rejected count); placement_ itself is the caller's job.
+  // Membership + demand edits (list unlink/link, used_ row update);
+  // placement_ itself is the caller's job.
   void detach_vm(std::size_t k, std::size_t j);
   void attach_vm(std::size_t k, std::size_t j);
 
   // Epoch-deduplicated scratch marks for rebase().
   void touch_server(std::uint32_t j);
   void touch_constraint(std::uint32_t c);
-
-  // Hypothetical per-server terms after VM k joins/leaves server j; the
-  // used row with k's demand applied with `sign` is read from `row`.
-  [[nodiscard]] ServerEdit edit_server(std::size_t j, std::size_t k,
-                                       bool joining,
-                                       std::span<const double> row) const;
 
   [[nodiscard]] double usage_of(std::size_t j, std::size_t vm_count) const;
   [[nodiscard]] double migration_of(std::size_t k, std::int32_t server) const;
@@ -350,9 +352,10 @@ class PlacementState {
   std::shared_ptr<const StateTables> tables_;
 
   Placement placement_;
-  Matrix<double> used_;   // raw allocated demand per (server, attribute)
-  Matrix<double> loads_;  // used / capacity (Eq. 25); kFull only
-  Matrix<double> qos_;    // Eq. 24 of loads_; kFull only
+  Matrix<double> used_;  // raw allocated demand per (server, attribute)
+  // The rebuild's per-cell Eq. 24 of used / capacity (kFull only): a
+  // scratch, stale after any other call.
+  Matrix<double> qos_scratch_;
 
   // Intrusive per-server membership: flat tail/next/prev arrays, O(1)
   // attach/detach, zero allocation on any path after construction.  Slot
@@ -377,7 +380,6 @@ class PlacementState {
   std::vector<std::uint8_t> relation_ok_;  // per-constraint satisfied flag
   std::uint32_t capacity_violations_ = 0;
   std::uint32_t relation_violations_ = 0;
-  std::size_t rejected_count_ = 0;
 
   struct Move {
     std::size_t vm = 0;

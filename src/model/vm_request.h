@@ -28,8 +28,6 @@ struct VmRequest {
   // this — only the fairness metrics layer does.
   std::vector<double> true_demand;
 
-  [[nodiscard]] std::size_t attribute_count() const { return demand.size(); }
-
   // What the VM actually needs: true_demand if the consumer lied,
   // otherwise the reported demand.
   [[nodiscard]] const std::vector<double>& actual_demand() const {

@@ -93,9 +93,6 @@ class FaultModel {
   [[nodiscard]] bool is_down(std::uint32_t server) const;
   [[nodiscard]] std::size_t down_count() const;
   [[nodiscard]] std::size_t decommissioned_count() const;
-  [[nodiscard]] std::size_t server_count() const { return state_.size(); }
-
-  [[nodiscard]] const FaultConfig& config() const { return config_; }
 
  private:
   // Marks `server` down until `window + mttr` (or forever), recording the

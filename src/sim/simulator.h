@@ -329,8 +329,6 @@ class CloudSimulator {
     window_sink_ = std::move(sink);
   }
 
-  [[nodiscard]] const SimConfig& config() const { return config_; }
-
  private:
   SimConfig config_;
   std::unique_ptr<Allocator> allocator_;

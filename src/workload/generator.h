@@ -43,8 +43,6 @@ class ScenarioGenerator {
   // full leaves; callers can read the exact m before generating).
   [[nodiscard]] FabricConfig fabric_config() const;
 
-  [[nodiscard]] const ScenarioConfig& config() const { return config_; }
-
  private:
   ScenarioConfig config_;
 };

@@ -30,7 +30,6 @@ struct SpotPriceSeries {
                ? 1.0
                : multipliers[window % multipliers.size()];
   }
-  [[nodiscard]] bool flat() const { return multipliers.empty(); }
 };
 
 // One scripted price shock: the provider's usage bill is multiplied by

@@ -483,6 +483,32 @@ TEST(MultiCloudSim, RowsMeterTheLifecycle) {
   EXPECT_GT(metrics[2].repaired_servers, 0u);
 }
 
+// A rack fault under hosted VMs: every VM beta hosted going into the
+// window is displaced, and the round leaves none of them on a dead
+// server, as in a single-cloud run.
+TEST(MultiCloudSim, RackFaultDisplacesHostedVms) {
+  MultiCloudSimConfig cfg = tiny_sim_config();
+  cfg.departure_probability = 0.0;
+  // Both of beta's racks go down in window 2, for one window.
+  cfg.market.providers[1].faults.scripted = {
+      {2, /*leaf_level=*/true, 0, /*mttr_windows=*/1, false},
+      {2, /*leaf_level=*/true, 1, /*mttr_windows=*/1, false}};
+  MultiCloudSimulator sim(cfg);
+  const std::vector<WindowMetrics> metrics = sim.run(23);
+  ASSERT_EQ(metrics.size(), cfg.windows);
+
+  ASSERT_GT(metrics[1].providers[1].running, 0u);
+  EXPECT_EQ(metrics[2].providers[1].failed_servers, 16u);
+  EXPECT_GT(metrics[2].displaced_vms, 0u);
+  EXPECT_EQ(metrics[2].displaced_vms, metrics[1].providers[1].running);
+  for (const WindowMetrics& row : metrics) {
+    EXPECT_EQ(row.vms_on_down_servers, 0u) << "window " << row.window;
+    if (row.window != 2) {
+      EXPECT_EQ(row.displaced_vms, 0u) << "window " << row.window;
+    }
+  }
+}
+
 // The brokered window loop takes its arrivals from the same rule as the
 // single-cloud one: a schedule shorter than the horizon wraps, and its
 // zero entry leaves the window empty.

@@ -1,5 +1,5 @@
 // Constraint verification (Eqs. 16-21) and the Fig. 5/6 helpers
-// (exceedingDetection via overloaded_servers, isValidAllocation).
+// (exceedingDetection via the state's overload flags, isValidAllocation).
 #include "model/constraint_checker.h"
 
 #include <gtest/gtest.h>
@@ -38,8 +38,11 @@ TEST(ConstraintChecker, CapacityViolationCountsPerAttribute) {
   const ViolationReport report = checker.check(p);
   EXPECT_EQ(report.capacity_violations, 1u);
   EXPECT_EQ(report.relation_violations, 0u);
-  EXPECT_EQ(report.overloaded_servers, (std::vector<std::uint32_t>{0}));
   EXPECT_FALSE(report.feasible());
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  state.rebuild(p);
+  EXPECT_TRUE(state.server_overloaded(0));
+  EXPECT_FALSE(state.server_overloaded(1));
 }
 
 TEST(ConstraintChecker, MultiAttributeOverloadCountsEach) {
@@ -50,7 +53,10 @@ TEST(ConstraintChecker, MultiAttributeOverloadCountsEach) {
   p.assign(0, 0);
   const ViolationReport report = checker.check(p);
   EXPECT_EQ(report.capacity_violations, 2u);  // cpu and ram
-  EXPECT_EQ(report.overloaded_servers.size(), 1u);
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  state.rebuild(p);
+  EXPECT_EQ(state.capacity_violations(), 2u);
+  EXPECT_TRUE(state.server_overloaded(0));
 }
 
 TEST(ConstraintChecker, SameServerRelation) {

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "algo/nsga_allocators.h"
 #include "algo/round_robin.h"
+#include "common/rng.h"
 #include "model/placement_state.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
@@ -155,6 +159,55 @@ TEST(EnergyCost, LoadTermRespondsToReportedDemand) {
   const double energy = compute_fairness(inst, both).energy_cost;
   EXPECT_GT(energy, 2 * 10.0 * 10.0 * 0.4);  // above the idle floor
   EXPECT_LT(energy, 2 * 10.0 * 10.0);        // below dual full load
+}
+
+// The energy term reads its CPU loads from compute_loads.  A full-tracking
+// state's used rows sum the same demands in the same order (ascending VM
+// from 0), so the same formula over used / capacity gives the same
+// double, clipped loads included.
+TEST(EnergyCost, MatchesPlacementStateLoadsBitForBit) {
+  std::size_t clipped = 0;
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    ScenarioConfig cfg = ScenarioConfig::paper_scale(16);
+    cfg.vms = 48;
+    cfg.consumers = 6;
+    cfg.strategic.strategic_fraction = 0.5;
+    cfg.strategic.profiles = default_strategy_profiles();
+    const Instance inst = ScenarioGenerator(cfg).generate(seed);
+    Rng rng(seed);
+    for (int round = 0; round < 8; ++round) {
+      // Uniform over the fleet, then packed onto a quarter of it so that
+      // some CPU loads pass 1; about 10% rejected either way.
+      const std::size_t servers =
+          round % 2 == 0 ? inst.m() : std::max<std::size_t>(1, inst.m() / 4);
+      Placement placement(inst.n());
+      for (std::size_t k = 0; k < inst.n(); ++k) {
+        if (!rng.bernoulli(0.1)) {
+          placement.assign(
+              k, static_cast<std::int32_t>(rng.uniform_index(servers)));
+        }
+      }
+      PlacementState state(inst);
+      state.rebuild(placement);
+      double watts = 0.0;
+      for (std::size_t j = 0; j < inst.m(); ++j) {
+        if (state.vm_count_on(j) == 0) {
+          continue;
+        }
+        const double cpu_capacity = inst.infra.server(j).capacity[0];
+        const double load = state.used()(j, 0) / cpu_capacity;
+        clipped += load > 1.0 ? 1 : 0;
+        watts += 10.0 * cpu_capacity *
+                 (0.4 + (1.0 - 0.4) * std::min(1.0, load));
+      }
+      const double energy = compute_fairness(inst, placement).energy_cost;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(energy),
+                std::bit_cast<std::uint64_t>(watts))
+          << "seed " << seed << " round " << round << ": " << energy
+          << " vs " << watts;
+    }
+  }
+  EXPECT_GT(clipped, 0u);
 }
 
 // --- relabeling invariance ---

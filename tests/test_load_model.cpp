@@ -122,20 +122,48 @@ TEST(ComputeLoads, ReusesBufferWithoutStaleData) {
   EXPECT_DOUBLE_EQ(loads(1, 0), 0.5);
 }
 
-TEST(PlacementStateQos, UsesPerServerKneeAndCeiling) {
-  Instance inst = make_instance(1, 1, {10.0, 10.0, 10.0},
-                                {{9.0, 1.0, 1.0}});
-  Placement p(1);
-  p.assign(0, 0);
+// Eq. 23 charges a VM C^U * (1 - q / C^Q) when its server's worst QoS q
+// is below its guarantee C^Q, so a state's downtime term reads q back.
+// Downtime of VM k alone on `server`:
+double downtime_alone(const Instance& inst, std::size_t k,
+                      std::int32_t server) {
+  Placement p(inst.n());
+  p.assign(k, server);
   PlacementState state(inst);
   state.rebuild(p);
-  const Matrix<double>& qos = state.qos();
-  // Helper servers: knee 0.8, ceiling 0.95. CPU load 0.9 -> degraded.
-  EXPECT_DOUBLE_EQ(qos(0, 0), qos_at_load(0.9, 0.8, 0.95));
-  EXPECT_LT(qos(0, 0), 0.95);
-  // RAM/disk load 0.1 -> at ceiling.
-  EXPECT_DOUBLE_EQ(qos(0, 1), 0.95);
-  EXPECT_DOUBLE_EQ(qos(0, 2), 0.95);
+  return state.objectives().downtime_cost;
+}
+
+TEST(PlacementStateQos, UsesPerServerKneeAndCeiling) {
+  // Server 0 has the helper's knee 0.8 and ceiling 0.95, server 1 knee
+  // 0.5 and ceiling 0.97.  Every VM's downtime cost is 10.
+  FabricConfig fc;
+  fc.datacenters = 1;
+  fc.leaves_per_dc = 1;
+  fc.servers_per_leaf = 2;
+  fc.spines_per_dc = 2;
+  fc.cores = 2;
+  std::vector<Server> servers = {
+      test::make_server(0, {10.0, 10.0, 10.0}),
+      test::make_server(0, {10.0, 10.0, 10.0}, 10.0, 1.0, 1.0, 0.5, 0.97)};
+  RequestSet requests;
+  requests.vms = {test::make_vm({9.0, 1.0, 1.0}, 0.9),
+                  test::make_vm({6.0, 1.0, 1.0}, 0.9),
+                  test::make_vm({1.0, 1.0, 1.0}, 0.99)};
+  const Instance inst(Infrastructure(fc, std::move(servers)),
+                      std::move(requests));
+
+  // CPU load 0.9 is past server 0's knee: degraded below the guarantee.
+  EXPECT_DOUBLE_EQ(downtime_alone(inst, 0, 0),
+                   10.0 * (1.0 - qos_at_load(0.9, 0.8, 0.95) / 0.9));
+  // CPU load 0.6 is below server 0's knee but past server 1's.
+  EXPECT_DOUBLE_EQ(downtime_alone(inst, 1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(downtime_alone(inst, 1, 1),
+                   10.0 * (1.0 - qos_at_load(0.6, 0.5, 0.97) / 0.9));
+  // Load 0.1 everywhere: every attribute sits at its server's ceiling,
+  // which a 0.99 guarantee misses.
+  EXPECT_DOUBLE_EQ(downtime_alone(inst, 2, 0), 10.0 * (1.0 - 0.95 / 0.99));
+  EXPECT_DOUBLE_EQ(downtime_alone(inst, 2, 1), 10.0 * (1.0 - 0.97 / 0.99));
 }
 
 }  // namespace

@@ -139,15 +139,24 @@ TEST(FullRebuild, ReportsViolationsToo) {
   EXPECT_GT(state.objectives().usage_cost, 0.0);
 }
 
-TEST(FullRebuild, LoadsAndQosExposed) {
-  const Instance inst =
-      make_instance(1, 1, {10.0, 10.0, 10.0}, {{5.0, 5.0, 5.0}});
+TEST(FullRebuild, LoadsAndQosReachTheDowntimeTerm) {
+  // Guarantees of 0.99 sit above the helper server's QoS ceiling 0.95, so
+  // Eq. 23 charges each hosted VM 10 * (1 - q / 0.99) for the worst QoS q.
+  Instance inst = make_instance(1, 1, {10.0, 10.0, 10.0},
+                                {{5.0, 5.0, 5.0}, {4.0, 4.0, 4.0}});
+  for (VmRequest& vm : inst.requests.vms) {
+    vm.qos_guarantee = 0.99;
+  }
   PlacementState state(inst);
-  Placement p(1);
+  Placement p(2);
   p.assign(0, 0);
-  state.rebuild(p);
-  EXPECT_DOUBLE_EQ(state.loads()(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(state.qos()(0, 0), 0.95);
+  state.rebuild(p);  // load 0.5, below the knee 0.8: QoS at the ceiling
+  EXPECT_DOUBLE_EQ(state.objectives().downtime_cost,
+                   10.0 * (1.0 - 0.95 / 0.99));
+  p.assign(1, 0);
+  state.rebuild(p);  // load 0.9: QoS decays past the knee (Eq. 24)
+  EXPECT_DOUBLE_EQ(state.objectives().downtime_cost,
+                   2.0 * 10.0 * (1.0 - qos_at_load(0.9, 0.8, 0.95) / 0.99));
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(ShardedAllocator, FeasiblePlacementAndConsistentStats) {
   PlacementState check(inst);
   check.rebuild(result.placement);
   EXPECT_EQ(check.total_violations(), 0u);
-  EXPECT_EQ(check.rejected_count(), result.rejected);
+  EXPECT_EQ(check.placement().rejected_count(), result.rejected);
   EXPECT_DOUBLE_EQ(check.aggregate(), result.objectives.aggregate());
 }
 

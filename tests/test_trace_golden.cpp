@@ -51,7 +51,7 @@ constexpr Pin kSimFixtures[] = {
     {"admission", 0xd0f9aaf5c155f8ddULL},
     {"sharded_strategic", 0x165bc277016f8276ULL},
     {"brokered", 0xee2c9ef850fc95ecULL},
-    {"market", 0x264129c2a6656e0aULL},
+    {"market", 0xcb779462e5a90760ULL},
     {"cp", 0xc0f1c71f53638922ULL},
     {"nsga3_cp", 0xba0b73b777bcaf4eULL},
 };
