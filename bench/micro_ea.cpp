@@ -49,6 +49,34 @@ void BM_PolynomialMutation(benchmark::State& state) {
 }
 BENCHMARK(BM_PolynomialMutation)->Arg(128)->Arg(1600);
 
+// One pair as NsgaBase::variation_task varies it (SBX, then PM on each
+// child) on parents that agree on 60% of their genes: a strategic
+// window's 245 genes over 128 servers, and Fig. 8's 1,600 over 800.
+void BM_Variation(benchmark::State& state) {
+  const auto genes = static_cast<std::size_t>(state.range(0));
+  const auto max_gene = static_cast<std::int32_t>(state.range(1));
+  Rng rng(7);
+  std::vector<std::int32_t> pa(genes), pb(genes), ca, cb;
+  randomize_genes(pa, max_gene, rng);
+  randomize_genes(pb, max_gene, rng);
+  for (std::size_t g = 0; g < genes; ++g) {
+    if (rng.bernoulli(0.6)) {
+      pb[g] = pa[g];
+    }
+  }
+  const SbxParams sbx;  // Table III
+  const PmTable table(max_gene, PmParams{});
+  for (auto _ : state) {
+    sbx_crossover(pa, pb, ca, cb, max_gene, sbx, rng);
+    polynomial_mutation(ca, table, rng);
+    polynomial_mutation(cb, table, rng);
+    benchmark::DoNotOptimize(ca.data());
+    benchmark::DoNotOptimize(cb.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Variation)->Args({245, 127})->Args({1600, 799});
+
 // A merged population as the steady-state EA sees it after repair:
 // objectives spread over a few fronts, one member in ten infeasible.
 Population merged_population(std::size_t members, Rng& rng) {
@@ -78,9 +106,8 @@ void BM_NondominatedSort(benchmark::State& state) {
 }
 BENCHMARK(BM_NondominatedSort)->Arg(48)->Arg(200);
 
-#if defined(__SSE2__)
-// The keyed SSE2 kernel the engines run, on the same populations, with
-// its scratch reused across calls as in a run.
+// The keyed kernel the engines run, on the same populations, with its
+// scratch reused across calls as in a run.
 void BM_KeyedNondominatedSort(benchmark::State& state) {
   Rng rng(3);
   Population pop =
@@ -94,7 +121,6 @@ void BM_KeyedNondominatedSort(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyedNondominatedSort)->Arg(48)->Arg(200);
-#endif
 
 // Exposes NSGA-III's environmental selection.
 class Nsga3Selection : public Nsga3 {

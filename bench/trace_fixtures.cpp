@@ -1,8 +1,15 @@
 // Writes the golden trace fixtures checked by tests/test_trace_golden.cpp
 // and the trace_golden_roundtrip ctest, or replays them:
 //
-//   trace_fixtures <dir>      (the committed set lives in tests/data/traces)
+//   trace_fixtures <dir> [fixture ...]
 //   trace_fixtures --check <dir>
+//
+// The committed set lives in tests/data/traces.  Writing regenerates the
+// named fixtures (a sim fixture's name, or run_trace), or every one when
+// none is named.  The sim fixtures record wall-clock solve times, so
+// rewriting a fixture whose history did not move still changes its bytes:
+// re-pin only the fixtures that moved, and all of them only for a format
+// change.
 //
 // --check rebuilds every sim fixture in memory and exits 1 unless each
 // one's deterministic_fingerprint equals that of the committed
@@ -23,9 +30,11 @@
 // The fixtures pin the trace formats: regenerate them only when a change
 // alters the bytes on purpose, and then bump kBinaryTraceVersion if the
 // binary layout moved and update the fingerprints pinned in the test.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -367,16 +376,39 @@ int check(const std::string& dir) {
 
 }  // namespace
 
+constexpr const char* kRunTrace = "run_trace";
+
 int main(int argc, char** argv) {
   if (argc == 3 && std::string(argv[1]) == "--check") {
     return check(argv[2]);
   }
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: trace_fixtures [--check] <dir>\n");
+  if (argc < 2 || std::string(argv[1]).starts_with("--")) {
+    std::fprintf(stderr,
+                 "usage: trace_fixtures <dir> [fixture ...]\n"
+                 "       trace_fixtures --check <dir>\n");
     return 2;
   }
   const std::string dir = argv[1];
+  const std::vector<std::string> named(argv + 2, argv + argc);
+  for (const std::string& name : named) {
+    const bool known =
+        name == kRunTrace ||
+        std::any_of(std::begin(kSimFixtures), std::end(kSimFixtures),
+                    [&](const SimFixture& f) { return name == f.name; });
+    if (!known) {
+      std::fprintf(stderr, "trace_fixtures: no fixture named %s\n",
+                   name.c_str());
+      return 2;
+    }
+  }
+  const auto wanted = [&](const std::string& name) {
+    return named.empty() ||
+           std::find(named.begin(), named.end(), name) != named.end();
+  };
   for (const SimFixture& fixture : kSimFixtures) {
+    if (!wanted(fixture.name)) {
+      continue;
+    }
     const std::vector<WindowMetrics> rows = fixture.build();
     const std::string stem = dir + "/" + fixture.name;
     write_sim_trace_json(rows, stem + ".json");
@@ -386,7 +418,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     deterministic_fingerprint(rows)));
   }
-  write_trace_json(huge_seed_trace(), dir + "/run_trace.json");
-  write_binary_run_trace(huge_seed_trace(), dir + "/run_trace.trc");
+  if (wanted(kRunTrace)) {
+    write_trace_json(huge_seed_trace(), dir + "/run_trace.json");
+    write_binary_run_trace(huge_seed_trace(), dir + "/run_trace.trc");
+  }
   return 0;
 }

@@ -50,10 +50,14 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  // Uniform integer in [lo, hi] inclusive. Debiased via rejection.
+  // Uniform integer in [lo, hi] inclusive. Debiased via rejection.  The
+  // span and the offset are unsigned, so a span past 2^63 - 1 wraps
+  // instead of overflowing; over any narrower span the draws are the ones
+  // signed arithmetic gave.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     IAAS_EXPECT(lo <= hi, "uniform_int requires lo <= hi");
-    const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+    const std::uint64_t range =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
     if (range == 0) {  // full 64-bit range
       return static_cast<std::int64_t>(next_u64());
     }
@@ -64,7 +68,8 @@ class Rng {
     while (v >= limit) {
       v = next_u64();
     }
-    return lo + static_cast<std::int64_t>(v % range);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     v % range);
   }
 
   // Uniform index in [0, n).

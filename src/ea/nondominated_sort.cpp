@@ -8,21 +8,28 @@
 #endif
 
 namespace iaas {
-
-#if defined(__SSE2__)
 namespace {
 
 constexpr std::size_t kObjectiveKeys = ObjectiveVector::kCount;
 static_assert(kObjectiveKeys == 3, "the row scan compares three objectives");
 
-// Candidates per block: eight SSE2 steps of two, packed into 16 bits.
+// Candidates per block, packed into 16 bits: eight SSE2 steps of two.
 constexpr std::size_t kBlock = 16;
 
-// Key columns (objectives, then violations) and one member's keys,
-// broadcast to both lanes.
-using Columns = const double* const (&)[kObjectiveKeys + 1];
-using Mine = const __m128d (&)[kObjectiveKeys + 1];
+#if defined(__SSE2__)
+// One key of the member a row belongs to, broadcast to both lanes.
+using Key = __m128d;
+inline Key broadcast(double key) { return _mm_set1_pd(key); }
+#else
+using Key = double;
+inline Key broadcast(double key) { return key; }
+#endif
 
+// Key columns (objectives, then violations) and one member's keys.
+using Columns = const double* const (&)[kObjectiveKeys + 1];
+using Mine = const Key (&)[kObjectiveKeys + 1];
+
+#if defined(__SSE2__)
 // Candidates q and q + 1 against p: a lane of `lower` / `higher` is all
 // ones when the candidate's key is lower / higher than p's.  With
 // `kPareto` the three objective keys are compared and a lane is set when
@@ -90,6 +97,30 @@ inline void compare_block(Columns columns, Mine mine, std::size_t q,
   lower = pack16(lower0, lower1, lower2, lower3);
   higher = pack16(higher0, higher1, higher2, higher3);
 }
+#else
+// Without SSE2: the same 16 bits, one candidate at a time.
+template <bool kPareto>
+inline void compare_block(Columns columns, Mine mine, std::size_t q,
+                          std::uint64_t& lower, std::uint64_t& higher) {
+  lower = 0;
+  higher = 0;
+  for (std::size_t i = q; i < q + kBlock; ++i) {
+    bool below;
+    bool above;
+    if constexpr (kPareto) {
+      below = (columns[0][i] < mine[0]) | (columns[1][i] < mine[1]) |
+              (columns[2][i] < mine[2]);
+      above = (columns[0][i] > mine[0]) | (columns[1][i] > mine[1]) |
+              (columns[2][i] > mine[2]);
+    } else {
+      below = columns[kObjectiveKeys][i] < mine[kObjectiveKeys];
+      above = columns[kObjectiveKeys][i] > mine[kObjectiveKeys];
+    }
+    lower |= std::uint64_t{below} << (i - q);
+    higher |= std::uint64_t{above} << (i - q);
+  }
+}
+#endif
 
 // Fills row p of `dominated` (the members p dominates) for every p, and
 // counts the members that dominate p.  `keys` holds one column per
@@ -107,9 +138,9 @@ void fill_rows(std::size_t n, std::size_t padded, const double* keys,
   const double* const columns[kObjectiveKeys + 1] = {
       keys, keys + padded, keys + 2 * padded, keys + 3 * padded};
   for (std::size_t p = 0; p < n; ++p) {
-    const __m128d mine[kObjectiveKeys + 1] = {
-        _mm_set1_pd(columns[0][p]), _mm_set1_pd(columns[1][p]),
-        _mm_set1_pd(columns[2][p]), _mm_set1_pd(columns[3][p])};
+    const Key mine[kObjectiveKeys + 1] = {
+        broadcast(columns[0][p]), broadcast(columns[1][p]),
+        broadcast(columns[2][p]), broadcast(columns[3][p])};
     const bool by_violations =
         infeasible != nullptr && ((infeasible[p / 64] >> (p % 64)) & 1) != 0;
     std::uint32_t dominated_by = 0;
@@ -212,7 +243,6 @@ const Fronts& keyed_nondominated_sort(std::span<Individual> population,
   }
   return fronts;
 }
-#endif
 
 void assign_crowding_distance(std::span<Individual> population,
                               std::span<const std::size_t> front,

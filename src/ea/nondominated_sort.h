@@ -96,15 +96,15 @@ struct SortScratch {
   Fronts fronts;
 };
 
-#if defined(__SSE2__)
 // The sort above under the dominance `mode` implies, with the same fronts,
 // front order and ranks as the template given that mode's comparator.
 // Each member's keys are built once: its objectives (plus
 // kPenaltyWeight * violations in kPenalty mode) and, in kExclude and
 // kRepair mode, its violation count, under Deb's rule
 // `va < vb || (va == 0 && vb == 0 && pareto(a, b))`.  Each row of the bit
-// matrix is then filled in full, two candidates per SSE2 compare and 16
-// per packed block, with no branch per pair; the same compares give the
+// matrix is then filled in full, two candidates per SSE2 compare (one at
+// a time where __SSE2__ is undefined) and 16 per packed block, with no
+// branch per pair; the same compares give the
 // row of members that dominate p, whose popcount is p's domination count.
 // As in the template, members on a dominance cycle (possible only through
 // NaN objectives) join no front and keep their rank.  Returns
@@ -112,7 +112,6 @@ struct SortScratch {
 const Fronts& keyed_nondominated_sort(std::span<Individual> population,
                                       ConstraintMode mode,
                                       SortScratch& scratch);
-#endif
 
 // Crowding distance (NSGA-II) over one front; writes Individual::crowding.
 // `order` is scratch, reused across calls so a warm one allocates nothing.

@@ -1,7 +1,6 @@
 #include "ea/nsga_base.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -75,50 +74,8 @@ ThreadPool* NsgaBase::evaluation_pool() {
 }
 
 const Fronts& NsgaBase::sort_fronts(std::span<Individual> population) {
-#if defined(__SSE2__)
   return keyed_nondominated_sort(population, config_.constraint_mode,
                                  sort_scratch_);
-#else
-  std::vector<std::vector<std::size_t>> fronts;
-  switch (config_.constraint_mode) {
-    case ConstraintMode::kIgnore:
-      fronts = nondominated_sort(
-          population, [](const Individual& a, const Individual& b) {
-            return dominates(a, b);
-          });
-      break;
-    case ConstraintMode::kPenalty:
-      fronts = nondominated_sort(
-          population, [](const Individual& a, const Individual& b) {
-            // Penalise stack copies of the objective arrays only — the
-            // gene vectors play no role in dominance.
-            std::array<double, ObjectiveVector::kCount> pa = a.objectives;
-            std::array<double, ObjectiveVector::kCount> pb = b.objectives;
-            for (std::size_t i = 0; i < pa.size(); ++i) {
-              pa[i] += kPenaltyWeight * a.violations;
-              pb[i] += kPenaltyWeight * b.violations;
-            }
-            return dominates(std::span<const double>(pa),
-                             std::span<const double>(pb));
-          });
-      break;
-    case ConstraintMode::kExclude:
-    case ConstraintMode::kRepair:
-      fronts = nondominated_sort(
-          population, [](const Individual& a, const Individual& b) {
-            return constrained_dominates(a, b);
-          });
-      break;
-  }
-  Fronts& flat = sort_scratch_.fronts;
-  flat.order.clear();
-  flat.offsets.assign(1, 0);
-  for (const std::vector<std::size_t>& front : fronts) {
-    flat.order.insert(flat.order.end(), front.begin(), front.end());
-    flat.offsets.push_back(flat.order.size());
-  }
-  return flat;
-#endif
 }
 
 std::span<Individual> NsgaBase::apply_exclusion(Population& merged) {

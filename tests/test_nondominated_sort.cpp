@@ -203,7 +203,6 @@ Population random_population(Rng& rng, std::size_t n, double infeasible) {
   return pop;
 }
 
-#if defined(__SSE2__)
 std::vector<std::vector<std::size_t>> nested(const Fronts& fronts) {
   std::vector<std::vector<std::size_t>> out;
   for (std::size_t f = 0; f < fronts.size(); ++f) {
@@ -211,7 +210,6 @@ std::vector<std::vector<std::size_t>> nested(const Fronts& fronts) {
   }
   return out;
 }
-#endif
 
 // The template and the keyed kernel against Deb's list-based sort: same
 // fronts, same order within each front, same ranks.  Sizes straddle the
@@ -238,16 +236,12 @@ TEST(NondominatedSort, MatchesDebReferenceUnderEveryDominance) {
     for (std::size_t i = 0; i < pop.size(); ++i) {
       ASSERT_EQ(template_pop[i].rank, expected_pop[i].rank) << "member " << i;
     }
-#if defined(__SSE2__)
     Population keyed_pop = pop;
     ASSERT_EQ(nested(keyed_nondominated_sort(keyed_pop, mode, scratch)),
               expected);
     for (std::size_t i = 0; i < pop.size(); ++i) {
       ASSERT_EQ(keyed_pop[i].rank, expected_pop[i].rank) << "member " << i;
     }
-#else
-    (void)mode;
-#endif
   };
   Rng rng(21);
   for (std::size_t n :

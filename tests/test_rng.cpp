@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace iaas {
@@ -69,6 +71,36 @@ TEST(Rng, UniformIntCoversRange) {
   for (int c : counts) {
     EXPECT_GT(c, 800);  // each bucket near 1000
     EXPECT_LT(c, 1200);
+  }
+}
+
+TEST(Rng, UniformIntWideRanges) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // The full 64-bit range takes one raw draw as it is.
+  Rng rng(19);
+  Rng raw(19);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.uniform_int(kMin, kMax),
+              static_cast<std::int64_t>(raw.next_u64()));
+  }
+  // Spans past 2^63 - 1 stay within bounds and reach both halves.
+  const std::pair<std::int64_t, std::int64_t> spans[] = {
+      {kMin, 0}, {-1, kMax}, {kMin + 1, kMax}, {kMin, kMax - 1}};
+  for (const auto& [lo, hi] : spans) {
+    const std::uint64_t half =
+        (static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo)) / 2;
+    int lower_half = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const std::int64_t v = rng.uniform_int(lo, hi);
+      ASSERT_GE(v, lo);
+      ASSERT_LE(v, hi);
+      const std::uint64_t offset =
+          static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(lo);
+      lower_half += offset <= half ? 1 : 0;
+    }
+    EXPECT_GT(lower_half, 400) << lo << " " << hi;
+    EXPECT_LT(lower_half, 600) << lo << " " << hi;
   }
 }
 
