@@ -65,11 +65,11 @@ int main() {
       NsgaConfig cfg;  // Table III defaults
       cfg.threads = 0;
       cfg.constraint_mode = row.mode;
-      TabuRepair repair(inst);
+      const TabuRepair repair(inst, {}, problem.tables());
       RepairFn repair_fn;
       if (row.mode == ConstraintMode::kRepair) {
-        repair_fn = [&repair](std::vector<std::int32_t>& genes, Rng& rng) {
-          repair.repair(genes, rng);
+        repair_fn = [&repair](PlacementState& state, Rng& rng) {
+          repair.repair_state(state, rng);
         };
       }
       Nsga3 engine(problem, cfg, repair_fn);

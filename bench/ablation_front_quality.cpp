@@ -89,11 +89,11 @@ int main() {
       if (v.repair) {
         cfg.constraint_mode = ConstraintMode::kRepair;
       }
-      TabuRepair repair(inst);
+      const TabuRepair repair(inst, {}, problem.tables());
       RepairFn repair_fn;
       if (v.repair) {
-        repair_fn = [&repair](std::vector<std::int32_t>& genes, Rng& rng) {
-          repair.repair(genes, rng);
+        repair_fn = [&repair](PlacementState& state, Rng& rng) {
+          repair.repair_state(state, rng);
         };
       }
       Stopwatch timer;

@@ -180,17 +180,12 @@ int main() {
           const Instance inst = big_generator.generate(7000 + run);
           const AllocationProblem problem(inst);
           const TabuRepair repair(inst, {}, problem.tables());
-          const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& g,
-                                               Rng& rng) {
-            repair.repair(g, rng);
-          };
-          const StateRepairFn state_fn = [&repair](PlacementState& state,
-                                                   Rng& rng) {
-            repair.repair_state(state, rng);
-          };
           NsgaConfig cfg = nsga;
           cfg.threads = threads;
-          Nsga3 engine(problem, cfg, repair_fn, state_fn);
+          Nsga3 engine(problem, cfg, [&repair](PlacementState& state,
+                                               Rng& rng) {
+            repair.repair_state(state, rng);
+          });
           Stopwatch timer;
           const auto result = engine.run(run + 1);
           time_s.add(timer.elapsed_seconds());

@@ -71,11 +71,10 @@ int main() {
       cfg.repair_offspring = v.repair_offspring;
       TabuRepairOptions repair_options;
       repair_options.tabu_tenure = v.tenure;
-      TabuRepair repair(inst, repair_options);
-      Nsga3 engine(problem, cfg,
-                   [&repair](std::vector<std::int32_t>& genes, Rng& rng) {
-                     repair.repair(genes, rng);
-                   });
+      const TabuRepair repair(inst, repair_options, problem.tables());
+      Nsga3 engine(problem, cfg, [&repair](PlacementState& state, Rng& rng) {
+        repair.repair_state(state, rng);
+      });
       Stopwatch timer;
       const auto ea_result = engine.run(run + 1);
       const double seconds = timer.elapsed_seconds();

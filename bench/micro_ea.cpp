@@ -140,8 +140,7 @@ void BM_Nsga3Selection(benchmark::State& state) {
   config.population_size = static_cast<std::size_t>(state.range(0)) / 2;
   config.reference_divisions = 4;
   config.constraint_mode = ConstraintMode::kRepair;
-  Nsga3Selection engine(problem, config,
-                        [](std::vector<std::int32_t>&, Rng&) {});
+  Nsga3Selection engine(problem, config, [](PlacementState&, Rng&) {});
   Rng rng(6);
   const Population merged =
       merged_population(static_cast<std::size_t>(state.range(0)), rng);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/expect.h"
-#include "model/constraint_checker.h"
 #include "model/vm_order.h"
 
 namespace iaas {
@@ -52,13 +51,21 @@ bool CpRepair::dfs(PlacementState& state,
 
 std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes,
                                Rng& rng) const {
-  const Instance& inst = *instance_;
-  IAAS_EXPECT(genes.size() == inst.n(), "gene count mismatch with instance");
-
-  PlacementState state(inst, {}, StateTracking::kViolationsOnly, tables_);
+  IAAS_EXPECT(genes.size() == instance_->n(),
+              "gene count mismatch with instance");
+  PlacementState state(*instance_, {}, StateTracking::kViolationsOnly,
+                       tables_);
   state.rebuild(genes);
-  const std::uint32_t violations = state.total_violations();
-  if (violations == 0) {
+  const std::uint32_t remaining = repair_state(state, rng);
+  genes = state.placement().genes();
+  return remaining;
+}
+
+std::uint32_t CpRepair::repair_state(PlacementState& state, Rng& rng) const {
+  const Instance& inst = *instance_;
+  IAAS_EXPECT(&state.instance() == instance_,
+              "state built against a different instance");
+  if (state.total_violations() == 0) {
     return 0;
   }
 
@@ -84,6 +91,7 @@ std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes,
   // Unassign the offenders, then re-place them by backtracking search.
   // Order: shuffled for diversity, but same-server group members kept
   // adjacent.
+  std::vector<std::int32_t> genes = state.placement().genes();
   std::vector<std::uint32_t> order;
   std::vector<std::int32_t> kept = genes;
   for (std::size_t k = 0; k < inst.n(); ++k) {
@@ -100,16 +108,16 @@ std::uint32_t CpRepair::repair(std::vector<std::int32_t>& genes,
   state.rebuild(kept);
 
   std::uint64_t backtracks = 0;
-  if (!dfs(state, order, 0, backtracks)) {
-    // A failed search (budget spent or tree exhausted) has reverted every
-    // assignment on its way out: the genes still hold the original
-    // placement, whose violations were counted above.
-    return violations;
+  if (dfs(state, order, 0, backtracks)) {
+    genes = state.placement().genes();
   }
-  genes = state.placement().genes();
-  // Audited from scratch: the state summed the re-placed VMs in search
-  // order, not VM order.
-  return ConstraintChecker(inst).check(state.placement()).total();
+  // A failed search (budget spent or tree exhausted) has reverted every
+  // assignment on its way out, back to `kept`: the original genes come
+  // back.  Either way the closing rebuild sums every accumulator in VM
+  // order (the search summed the re-placed VMs in search order), so the
+  // violations it counts are ConstraintChecker's from-scratch audit.
+  state.rebuild(genes);
+  return state.total_violations();
 }
 
 }  // namespace iaas

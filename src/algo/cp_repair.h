@@ -29,6 +29,14 @@ class CpRepair {
   // tables.
   std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng) const;
 
+  // Same search on a caller-owned PlacementState already rebuilt to the
+  // placement under repair (any tracking mode).  The state closes with a
+  // rebuild of the repaired genes, or of the original genes when the
+  // search fails, so its accumulators are exactly those of a fresh
+  // rebuild: with full tracking they double as the evaluation of the
+  // result (DESIGN.md §8).  Draws and genes are those of repair().
+  std::uint32_t repair_state(PlacementState& state, Rng& rng) const;
+
  private:
   bool dfs(PlacementState& state, const std::vector<std::uint32_t>& order,
            std::size_t depth, std::uint64_t& backtracks) const;

@@ -8,8 +8,8 @@
 namespace iaas {
 
 Nsga3::Nsga3(const AllocationProblem& problem, NsgaConfig config,
-             RepairFn repair, StateRepairFn state_repair)
-    : NsgaBase(problem, config, std::move(repair), std::move(state_repair)),
+             RepairFn repair)
+    : NsgaBase(problem, config, std::move(repair)),
       reference_points_(das_dennis_points(config.reference_divisions)) {
   buckets_.reserve(2 * config.population_size);  // the last front's bound
   reference_norm2_.reserve(reference_points_.size());

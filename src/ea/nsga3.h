@@ -14,7 +14,7 @@ namespace iaas {
 class Nsga3 : public NsgaBase {
  public:
   Nsga3(const AllocationProblem& problem, NsgaConfig config,
-        RepairFn repair = nullptr, StateRepairFn state_repair = nullptr);
+        RepairFn repair = nullptr);
 
   [[nodiscard]] const std::vector<ObjArray>& reference_points() const {
     return reference_points_;
