@@ -7,8 +7,7 @@ namespace iaas {
 AllocationResult CpAllocator::allocate(const Instance& instance,
                                        std::uint64_t /*seed*/) {
   Stopwatch timer;
-  Placement placement =
-      CpSolver(instance, solver_options_).solve(&last_stats_);
+  Placement placement = CpSolver(instance, solver_options_).solve();
   return finalize(instance, name(), std::move(placement),
                   timer.elapsed_seconds(), 0);
 }

@@ -20,11 +20,8 @@ class CpAllocator : public Allocator {
   AllocationResult allocate(const Instance& instance,
                             std::uint64_t seed) override;
 
-  [[nodiscard]] const CpStats& last_stats() const { return last_stats_; }
-
  private:
   CpSolverOptions solver_options_;
-  CpStats last_stats_;
 };
 
 }  // namespace iaas

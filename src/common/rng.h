@@ -50,10 +50,9 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  // Uniform integer in [lo, hi] inclusive. Debiased via rejection.  The
-  // span and the offset are unsigned, so a span past 2^63 - 1 wraps
-  // instead of overflowing; over any narrower span the draws are the ones
-  // signed arithmetic gave.
+  // Uniform integer in [lo, hi] inclusive.  The span and the offset are
+  // unsigned, so a span past 2^63 - 1 wraps instead of overflowing; over
+  // any narrower span the draws are the ones signed arithmetic gave.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     IAAS_EXPECT(lo <= hi, "uniform_int requires lo <= hi");
     const std::uint64_t range =
@@ -61,22 +60,15 @@ class Rng {
     if (range == 0) {  // full 64-bit range
       return static_cast<std::int64_t>(next_u64());
     }
-    const std::uint64_t limit =
-        std::numeric_limits<std::uint64_t>::max() - \
-        std::numeric_limits<std::uint64_t>::max() % range;
-    std::uint64_t v = next_u64();
-    while (v >= limit) {
-      v = next_u64();
-    }
     return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                     v % range);
+                                     below(range));
   }
 
-  // Uniform index in [0, n).
+  // Uniform index in [0, n), for any n > 0 a size_t holds; the draws are
+  // uniform_int(0, n - 1)'s wherever that is defined.
   std::size_t uniform_index(std::size_t n) {
     IAAS_EXPECT(n > 0, "uniform_index requires n > 0");
-    return static_cast<std::size_t>(
-        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    return static_cast<std::size_t>(below(n));
   }
 
   // Uniform real in [lo, hi).
@@ -112,6 +104,19 @@ class Rng {
   }
 
  private:
+  // Uniform in [0, range) for range > 0, debiased via rejection: raw
+  // draws at or past the largest multiple of range are redrawn.
+  std::uint64_t below(std::uint64_t range) {
+    const std::uint64_t limit =
+        std::numeric_limits<std::uint64_t>::max() -
+        std::numeric_limits<std::uint64_t>::max() % range;
+    std::uint64_t v = next_u64();
+    while (v >= limit) {
+      v = next_u64();
+    }
+    return v % range;
+  }
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -19,7 +19,6 @@ struct Individual {
   // evaluation; constrained modes add the violation count.
   std::array<double, ObjectiveVector::kCount> objectives{};
   std::uint32_t violations = 0;
-  bool evaluated = false;
 
   // Selection bookkeeping (owned by the NSGA engines).
   std::uint32_t rank = 0;

@@ -7,7 +7,7 @@
 // per-constraint satisfied flags, and the three objective totals.  Loads
 // and QoS (Eqs. 24-25) are not kept: every server term is scored from its
 // used row on demand.
-// Invariants (see DESIGN.md §7): after construction, rebase() or any
+// Invariants (see DESIGN.md §7): after construction, a rebase or any
 // apply_move/revert, all accumulators equal what a full rebuild() of the
 // same placement produces, and the violation counts equal
 // ConstraintChecker::check's from-scratch audit.
@@ -54,18 +54,15 @@
 // 0.0 too (a NaN guarantee disables the skip).
 //
 // The invariant also powers the fused repair-as-evaluation pipeline
-// (DESIGN.md §8): TabuRepair::repair_state walks a full-tracking state
-// positioned at an offspring's genes, and the NSGA engine reads the
-// objectives and violation counts straight out of the accumulators
-// afterwards — the repair's own bookkeeping IS the evaluation, no
-// post-repair rebuild.  rebase() repositions a state with a gene-diff
-// (touching only the servers and constraints the diff affects) when the
-// new placement is close to the current one.  The engine offers it each
-// pair's second child, but PM's per-gene rate of 0.20 makes siblings
-// differ in over a third of their genes, past the n/4 fallback, so
-// nearly every offspring is still a full rebuild: perfbench counts
-// 0.0125 rebases against 961 rebuilds per strategic window, 7.97
-// against 3,832 per sharded window.
+// (DESIGN.md §8): the NSGA engine rebuilds a full-tracking state from
+// each individual's genes, its one repair hook (TabuRepair::repair_state,
+// or CpRepair::repair_state, which closes with a rebuild) repairs the
+// state in place, and the engine reads the objectives and violation
+// counts straight out of the accumulators afterwards — the repair's own
+// bookkeeping IS the evaluation, no post-repair rebuild.  A rebase
+// repositions a state with a gene-diff (touching only the servers and
+// constraints the diff affects); no allocator calls it, and outside the
+// micro benches and tests only perfbench's layer probe reaches it.
 #pragma once
 
 #include <cstdint>
@@ -320,7 +317,7 @@ class PlacementState {
   void detach_vm(std::size_t k, std::size_t j);
   void attach_vm(std::size_t k, std::size_t j);
 
-  // Epoch-deduplicated scratch marks for rebase().
+  // Epoch-deduplicated scratch marks for rebase.
   void touch_server(std::uint32_t j);
   void touch_constraint(std::uint32_t c);
 
@@ -389,7 +386,7 @@ class PlacementState {
 
   std::vector<double> scratch_row_;  // h-sized hypothetical used row
 
-  // rebase() scratch: epoch-stamped dedup marks + touched lists, reused
+  // The rebase scratch: epoch-stamped dedup marks + touched lists, reused
   // across calls (no allocation once warmed).
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> server_epoch_;      // m

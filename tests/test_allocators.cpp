@@ -2,6 +2,10 @@
 // registry.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "algo/cp_allocator.h"
 #include "algo/cp_repair.h"
 #include "algo/ideal_point.h"
@@ -77,7 +81,6 @@ TEST(CpAllocatorSmoke, OptimalOnEasyInstance) {
   const AllocationResult result = cp.allocate(inst, 1);
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_TRUE(result.raw_violations.feasible());
-  EXPECT_TRUE(cp.last_stats().found_complete);
 }
 
 TEST(IdealPoint, PicksClosestToOrigin) {
@@ -103,36 +106,99 @@ TEST(IdealPoint, SingleMemberFront) {
   EXPECT_EQ(select_ideal_point(front), 0u);
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// A repaired state must be exactly a fresh rebuild of its placement:
+// every used cell, flag and counter, and under full tracking every
+// objective, bit for bit.
+void expect_fresh_rebuild(const PlacementState& state,
+                          StateTracking tracking) {
+  const Instance& inst = state.instance();
+  PlacementState fresh(inst, {}, tracking);
+  fresh.rebuild(state.placement().genes());
+  EXPECT_EQ(state.applied_moves(), 0u);
+  EXPECT_EQ(state.capacity_violations(), fresh.capacity_violations());
+  EXPECT_EQ(state.relation_violations(), fresh.relation_violations());
+  for (std::size_t j = 0; j < inst.m(); ++j) {
+    EXPECT_EQ(state.server_overloaded(j), fresh.server_overloaded(j));
+    for (std::size_t l = 0; l < inst.h(); ++l) {
+      EXPECT_TRUE(same_bits(state.used()(j, l), fresh.used()(j, l)))
+          << "server " << j << " attribute " << l;
+    }
+  }
+  for (std::size_t c = 0; c < inst.requests.constraints.size(); ++c) {
+    EXPECT_EQ(state.relation_satisfied(c), fresh.relation_satisfied(c));
+  }
+  if (tracking == StateTracking::kFull) {
+    const auto got = state.objectives().as_array();
+    const auto want = fresh.objectives().as_array();
+    for (std::size_t o = 0; o < got.size(); ++o) {
+      EXPECT_TRUE(same_bits(got[o], want[o])) << "objective " << o;
+    }
+  }
+}
+
+struct CpRepairOutcome {
+  std::vector<std::int32_t> genes;
+  std::uint32_t remaining = 0;
+};
+
+// Repairs `genes` through CpRepair's genes entry and through its state
+// entry in both tracking modes, from the same seed.  Every run must give
+// the same genes, return value and next RNG draw, and leave its state a
+// fresh rebuild of the result; the genes entry's outcome is returned.
+CpRepairOutcome cp_repair_every_entry(const Instance& inst,
+                                      const std::vector<std::int32_t>& genes,
+                                      std::uint64_t seed) {
+  const CpRepair repair(inst);
+  CpRepairOutcome out{genes, 0};
+  Rng rng(seed);
+  out.remaining = repair.repair(out.genes, rng);
+  const std::uint64_t next_draw = rng.next_u64();
+  for (const StateTracking tracking :
+       {StateTracking::kFull, StateTracking::kViolationsOnly}) {
+    SCOPED_TRACE(tracking == StateTracking::kFull ? "full" : "violations");
+    PlacementState state(inst, {}, tracking);
+    state.rebuild(genes);
+    Rng state_rng(seed);
+    EXPECT_EQ(repair.repair_state(state, state_rng), out.remaining);
+    EXPECT_EQ(state_rng.next_u64(), next_draw);
+    EXPECT_EQ(state.placement().genes(), out.genes);
+    EXPECT_EQ(state.total_violations(), out.remaining);
+    expect_fresh_rebuild(state, tracking);
+  }
+  return out;
+}
+
 TEST(CpRepairOperator, RestoresFeasibility) {
   const Instance inst = make_instance(
       1, 2, {10.0, 10.0, 10.0}, {{8.0, 2.0, 2.0}, {8.0, 2.0, 2.0}});
-  CpRepair repair(inst);
-  Rng rng(1);
-  std::vector<std::int32_t> genes = {0, 0};
-  EXPECT_EQ(repair.repair(genes, rng), 0u);
-  EXPECT_TRUE(ConstraintChecker(inst).check(Placement(genes)).feasible());
+  const CpRepairOutcome out = cp_repair_every_entry(inst, {0, 0}, 1);
+  EXPECT_EQ(out.remaining, 0u);
+  EXPECT_TRUE(ConstraintChecker(inst).check(Placement(out.genes)).feasible());
 }
 
 TEST(CpRepairOperator, FeasibleInputIsNoop) {
   const Instance inst = make_instance(
       1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
-  CpRepair repair(inst);
-  Rng rng(2);
-  std::vector<std::int32_t> genes = {0, 1};
-  const auto original = genes;
-  EXPECT_EQ(repair.repair(genes, rng), 0u);
-  EXPECT_EQ(genes, original);
+  const std::vector<std::int32_t> original = {0, 1};
+  const CpRepairOutcome out = cp_repair_every_entry(inst, original, 2);
+  EXPECT_EQ(out.remaining, 0u);
+  EXPECT_EQ(out.genes, original);
 }
 
 TEST(CpRepairOperator, KeepsGenesFullyAssignedOnFailure) {
-  // Impossible demand: repair cannot succeed but must not leave holes.
+  // Impossible demand: repair cannot succeed but must not leave holes,
+  // and a failed search leaves every entry at the original placement.
   const Instance inst = make_instance(
       1, 1, {10.0, 10.0, 10.0}, {{8.0, 8.0, 8.0}, {8.0, 8.0, 8.0}});
-  CpRepair repair(inst);
-  Rng rng(3);
-  std::vector<std::int32_t> genes = {0, 0};
-  EXPECT_GT(repair.repair(genes, rng), 0u);
-  for (std::int32_t g : genes) {
+  const std::vector<std::int32_t> original = {0, 0};
+  const CpRepairOutcome out = cp_repair_every_entry(inst, original, 3);
+  EXPECT_GT(out.remaining, 0u);
+  EXPECT_EQ(out.genes, original);
+  for (std::int32_t g : out.genes) {
     EXPECT_GE(g, 0);
   }
 }

@@ -111,6 +111,46 @@ TEST(Rng, UniformIndexBounds) {
   }
 }
 
+TEST(Rng, UniformIndexDrawsAsUniformInt) {
+  // Below 2^63 an index is uniform_int(0, n - 1), draw for draw.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  Rng index(23);
+  Rng integer(23);
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{13},
+        std::uint64_t{1} << 32, kTop / 3 * 2, kTop - 1}) {
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_EQ(index.uniform_index(n),
+                static_cast<std::uint64_t>(integer.uniform_int(
+                    0, static_cast<std::int64_t>(n - 1))))
+          << n;
+    }
+  }
+}
+
+TEST(Rng, UniformIndexPast2To63) {
+  // n = 2^63 and 2^63 + 5 both keep the first raw draw below n as it is
+  // (every larger draw lies past the largest multiple of n), and reach
+  // both halves of [0, n).
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  for (const std::uint64_t n : {kTop, kTop + 5}) {
+    Rng rng(29);
+    Rng raw(29);
+    int lower_half = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t v = rng.uniform_index(n);
+      std::uint64_t expected = raw.next_u64();
+      while (expected >= n) {
+        expected = raw.next_u64();
+      }
+      ASSERT_EQ(v, expected) << n;
+      lower_half += v < n / 2 ? 1 : 0;
+    }
+    EXPECT_GT(lower_half, 400) << n;
+    EXPECT_LT(lower_half, 600) << n;
+  }
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(23);
   int hits = 0;
