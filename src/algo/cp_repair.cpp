@@ -1,16 +1,19 @@
 #include "algo/cp_repair.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/expect.h"
 #include "model/vm_order.h"
 
 namespace iaas {
 
-CpRepair::CpRepair(const Instance& instance, std::uint64_t max_backtracks)
+CpRepair::CpRepair(const Instance& instance, std::uint64_t max_backtracks,
+                   std::shared_ptr<const StateTables> tables)
     : instance_(&instance),
       max_backtracks_(max_backtracks),
-      tables_(std::make_shared<const StateTables>(instance)) {}
+      tables_(tables ? std::move(tables)
+                     : std::make_shared<const StateTables>(instance)) {}
 
 bool CpRepair::dfs(PlacementState& state,
                    const std::vector<std::uint32_t>& order,

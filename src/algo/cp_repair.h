@@ -18,9 +18,13 @@ namespace iaas {
 
 class CpRepair {
  public:
-  // `max_backtracks` bounds each repair() call's search.
+  // `max_backtracks` bounds each repair() call's search.  `tables` shares
+  // the instance's immutable SoA flattening with the states repair()
+  // builds (and with anything else built against the same instance); when
+  // null the repairer builds its own.
   explicit CpRepair(const Instance& instance,
-                    std::uint64_t max_backtracks = 500);
+                    std::uint64_t max_backtracks = 500,
+                    std::shared_ptr<const StateTables> tables = nullptr);
 
   // Repairs genes in place; returns remaining violations (0 when the
   // mini-solve succeeded).  When the search fails, the genes are left

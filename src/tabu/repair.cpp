@@ -1,6 +1,7 @@
 #include "tabu/repair.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/expect.h"
 #include "common/telemetry.h"
@@ -47,7 +48,7 @@ bool TabuRepair::relocate_group(PlacementState& state,
   const Instance& inst = *instance_;
   const Placement& placement = state.placement();
   const auto t = static_cast<std::size_t>(target);
-  const Server& server = inst.infra.server(t);
+  const std::span<const double> overload = tables_->overload_threshold.row(t);
 
   // Capacity check for the members not already on the target.
   for (std::size_t l = 0; l < inst.h(); ++l) {
@@ -60,8 +61,7 @@ bool TabuRepair::relocate_group(PlacementState& state,
     if (incoming == 0.0) {
       continue;
     }
-    if (state.used()(t, l) + incoming >
-        server.effective_capacity(l) + kCapacityEps) {
+    if (state.used()(t, l) + incoming > overload[l]) {
       return false;
     }
   }
