@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -309,9 +310,12 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  // One SoA flattening of the whole fleet serves the audit and the
+  // rebalance state below.
+  const auto tables = std::make_shared<const StateTables>(instance);
   AllocationResult merged =
       Allocator::finalize(instance, name(), std::move(merged_raw), wall,
-                          evaluations);
+                          evaluations, tables);
   merged.deadline_hit = deadline_hit;
   merged.trace.label = name();
   merged.trace.seed = seed;
@@ -336,7 +340,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
     // Incremental delta engine over the sanitized global placement: the
     // state starts feasible, and only moves that keep violations_delta
     // <= 0 are ever committed, so it stays feasible.
-    PlacementState state(instance);
+    PlacementState state(instance, {}, StateTracking::kFull, tables);
     state.rebuild(merged.placement);
     std::vector<std::uint32_t> placed;
     for (std::size_t k = 0; k < n; ++k) {
