@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 
 #include "common/csv.h"
 #include "common/stats.h"
@@ -180,6 +181,12 @@ void print_nsga_settings(const NsgaConfig& config) {
                  TextTable::num(kPmDistributionIndex, 2)});
   std::printf("NSGA-II/III settings (paper Table III):\n");
   table.print();
+}
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 }  // namespace iaas::bench

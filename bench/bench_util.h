@@ -72,6 +72,10 @@ void print_metric_table(const SweepResult& result, const std::string& title,
 
 std::string csv_dir();
 
+// CPU seconds the calling thread has run: times a serial (threads = 1)
+// run without the share of a shared host that other processes take.
+double thread_cpu_seconds();
+
 // Prints the paper's Table III parameter block for the given config.
 void print_nsga_settings(const NsgaConfig& config);
 

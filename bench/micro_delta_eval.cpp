@@ -165,25 +165,14 @@ void BM_RebuildLiveSet(benchmark::State& state) {
 }
 BENCHMARK(BM_RebuildLiveSet);
 
-// Full rebuild of what the engine rebuilds once per individual: a raw
-// offspring, before repair.  Each child is the SBX + PM (Table III) of
-// two parents, as variation_task varies a pair; each parent is the
-// previous placement with 40% of its carried genes (and every new VM's)
-// drawn at random, tabu-repaired as the EA's parents are.  The loop
-// cycles through kChildren distinct children, because the engine never
-// rebuilds one placement twice: which VMs moved and which servers are
-// empty or hot change from one rebuild to the next, and a loop over one
-// child trains the branch predictor on them (a `moved ? cost : 0.0`
-// migration select once cost ~1.5k TSC cycles of mispredictions per
-// rebuild in the engine and showed in no single-placement bench).  On a
-// strategic live set of 193 VMs the children average 29.5 empty servers
-// of 128, 6.5 of 384 cells past their knee and 94 VMs off their previous
-// host (the counters below), close to what the `strategic` workload's
-// rebuilds average (seed 1): 183 VMs, 37.6 empty servers, 5.45 hot cells
-// and 87 moved VMs.
-void BM_RebuildOffspring(benchmark::State& state) {
-  constexpr std::size_t kChildren = 64;
-  const Instance inst = live_set(193);
+// What the engine rebuilds once per individual: raw offspring, before
+// repair.  Each child is the SBX + PM (Table III) of two parents, as
+// variation_task varies a pair; each parent is the previous placement
+// with 40% of its carried genes (and every new VM's) drawn at random,
+// tabu-repaired as the EA's parents are.
+constexpr std::size_t kChildren = 64;
+
+std::vector<Placement> offspring(const Instance& inst) {
   const TabuRepair repair(inst);
   const auto max_gene = static_cast<std::int32_t>(inst.m()) - 1;
   const PmTable pm(max_gene, PmParams{});
@@ -208,6 +197,23 @@ void BM_RebuildOffspring(benchmark::State& state) {
     polynomial_mutation(child, pm, rng);
     children.emplace_back(child);
   }
+  return children;
+}
+
+// Full rebuild of a raw offspring.  The loop cycles through kChildren
+// distinct children, because the engine never rebuilds one placement
+// twice: which VMs moved and which servers are empty or hot change from
+// one rebuild to the next, and a loop over one child trains the branch
+// predictor on them (a `moved ? cost : 0.0` migration select once cost
+// ~1.5k TSC cycles of mispredictions per rebuild in the engine and showed
+// in no single-placement bench).  On a strategic live set of 193 VMs the
+// children average 29.5 empty servers of 128, 6.5 of 384 cells past their
+// knee and 94 VMs off their previous host (the counters below), close to
+// what the `strategic` workload's rebuilds average (seed 1): 183 VMs,
+// 37.6 empty servers, 5.45 hot cells and 87 moved VMs.
+void BM_RebuildOffspring(benchmark::State& state) {
+  const Instance inst = live_set(193);
+  const std::vector<Placement> children = offspring(inst);
 
   PlacementState delta_state(inst);
   Matrix<double> loads;
@@ -247,6 +253,43 @@ void BM_RebuildOffspring(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RebuildOffspring);
+
+// The engine's offspring path, rebuild then tabu walk: a full-tracking
+// state rebuilt from each raw child in turn, then repaired in place by
+// TabuRepair::repair_state.  It cycles through the same kChildren
+// distinct children as BM_RebuildOffspring, so no one walk trains the
+// branch predictor; subtract that bench's time for the walk alone.  Its
+// counters print, per child, the violations the walk starts from and the
+// moves it applies.
+void BM_RepairOffspring(benchmark::State& state) {
+  const Instance inst = live_set(193);
+  const std::vector<Placement> children = offspring(inst);
+  const TabuRepair repair(inst);
+
+  PlacementState delta_state(inst);
+  Rng rng(5);
+  std::size_t violations = 0;
+  std::size_t moves = 0;
+  for (const Placement& p : children) {
+    delta_state.rebuild(p);
+    violations += delta_state.total_violations();
+    repair.repair_state(delta_state, rng);
+    moves += delta_state.applied_moves();
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    delta_state.rebuild(children[next]);
+    benchmark::DoNotOptimize(repair.repair_state(delta_state, rng));
+    next = next + 1 == kChildren ? 0 : next + 1;
+  }
+  const auto per_child = [](std::size_t total) {
+    return static_cast<double>(total) / static_cast<double>(kChildren);
+  };
+  state.counters["violations"] = per_child(violations);
+  state.counters["moves"] = per_child(moves);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RepairOffspring);
 
 // Gene-diff rebase: repositioning a live state onto a sibling's genes
 // (the offspring pipeline's second-child path).  Ping-pongs between two

@@ -1,6 +1,7 @@
 #include "algo/cp_repair.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/expect.h"
@@ -13,35 +14,44 @@ CpRepair::CpRepair(const Instance& instance, std::uint64_t max_backtracks,
     : instance_(&instance),
       max_backtracks_(max_backtracks),
       tables_(tables ? std::move(tables)
-                     : std::make_shared<const StateTables>(instance)) {}
+                     : std::make_shared<const StateTables>(instance)),
+      usage_order_(instance.m()) {
+  std::iota(usage_order_.begin(), usage_order_.end(), 0u);
+  std::stable_sort(usage_order_.begin(), usage_order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return instance.infra.server(a).usage_cost <
+                            instance.infra.server(b).usage_cost;
+                   });
+}
 
 bool CpRepair::dfs(PlacementState& state,
                    const std::vector<std::uint32_t>& order,
-                   std::size_t depth, std::uint64_t& backtracks) const {
+                   std::size_t depth, std::uint64_t& backtracks,
+                   std::vector<std::uint32_t>& candidates) const {
   if (depth == order.size()) {
     return true;
   }
-  const Instance& inst = *instance_;
   const std::uint32_t k = order[depth];
 
   // Value order: cheapest usage cost first (static — the mini-solve has
-  // no branch-and-bound, it only restores feasibility).
-  std::vector<std::uint32_t> servers;
-  servers.reserve(inst.m());
-  for (std::size_t j = 0; j < inst.m(); ++j) {
-    if (state.is_valid_allocation(k, j)) {
-      servers.push_back(static_cast<std::uint32_t>(j));
+  // no branch-and-bound, it only restores feasibility), over the servers
+  // k's relations leave open.  Every candidate is checked before any is
+  // tried: a tried move reverts its server's used row to within an ulp,
+  // not bit for bit.
+  const ServerRange open = state.open_servers(k);
+  const std::size_t base = candidates.size();
+  if (!open.empty()) {
+    for (std::uint32_t j : usage_order_) {
+      if (open.contains(j) && state.is_valid_allocation(k, j)) {
+        candidates.push_back(j);
+      }
     }
   }
-  std::stable_sort(servers.begin(), servers.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return inst.infra.server(a).usage_cost <
-                            inst.infra.server(b).usage_cost;
-                   });
+  const std::size_t end = candidates.size();
 
-  for (std::uint32_t j : servers) {
-    state.apply_move(k, static_cast<std::int32_t>(j));
-    if (dfs(state, order, depth + 1, backtracks)) {
+  for (std::size_t i = base; i < end; ++i) {
+    state.apply_move(k, static_cast<std::int32_t>(candidates[i]));
+    if (dfs(state, order, depth + 1, backtracks, candidates)) {
       return true;
     }
     state.revert();
@@ -49,6 +59,7 @@ bool CpRepair::dfs(PlacementState& state,
       return false;
     }
   }
+  candidates.resize(base);
   return false;
 }
 
@@ -75,11 +86,10 @@ std::uint32_t CpRepair::repair_state(PlacementState& state, Rng& rng) const {
   // The VMs involved in violations: every VM on an overloaded server and
   // every member of a violated relationship group.
   std::vector<char> bad(inst.n(), 0);
-  for (std::size_t j = 0; j < inst.m(); ++j) {
-    if (state.server_overloaded(j)) {
-      for (std::uint32_t k : state.vms_on(j)) {
-        bad[k] = 1;
-      }
+  for (std::size_t j = state.next_overloaded(0); j < inst.m();
+       j = state.next_overloaded(j + 1)) {
+    for (std::uint32_t k : state.vms_on(j)) {
+      bad[k] = 1;
     }
   }
   const auto& constraints = inst.requests.constraints;
@@ -111,7 +121,8 @@ std::uint32_t CpRepair::repair_state(PlacementState& state, Rng& rng) const {
   state.rebuild(kept);
 
   std::uint64_t backtracks = 0;
-  if (dfs(state, order, 0, backtracks)) {
+  std::vector<std::uint32_t> candidates;
+  if (dfs(state, order, 0, backtracks, candidates)) {
     genes = state.placement().genes();
   }
   // A failed search (budget spent or tree exhausted) has reverted every

@@ -42,12 +42,18 @@ class CpRepair {
   std::uint32_t repair_state(PlacementState& state, Rng& rng) const;
 
  private:
+  // `candidates` is a stack: each depth appends its valid servers and
+  // drops them when its subtree is spent.
   bool dfs(PlacementState& state, const std::vector<std::uint32_t>& order,
-           std::size_t depth, std::uint64_t& backtracks) const;
+           std::size_t depth, std::uint64_t& backtracks,
+           std::vector<std::uint32_t>& candidates) const;
 
   const Instance* instance_;
   std::uint64_t max_backtracks_;
   std::shared_ptr<const StateTables> tables_;
+  // Every server by ascending usage cost, ties by index (a stable sort):
+  // the value order, which each node filters to its valid servers.
+  std::vector<std::uint32_t> usage_order_;
 };
 
 }  // namespace iaas

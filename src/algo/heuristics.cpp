@@ -23,11 +23,9 @@ AllocationResult FirstFitDecreasingAllocator::allocate(
       [&](std::uint32_t a, std::uint32_t b) { return size[a] > size[b]; });
 
   for (std::uint32_t k : order) {
-    for (std::size_t j = 0; j < instance.m(); ++j) {
-      if (state.is_valid_allocation(k, j)) {
-        state.apply_move(k, static_cast<std::int32_t>(j));
-        break;
-      }
+    const std::size_t j = state.first_valid_from(k, 0);
+    if (j < instance.m()) {
+      state.apply_move(k, static_cast<std::int32_t>(j));
     }
   }
   return finalize(instance, name(), state.placement(),
@@ -43,7 +41,8 @@ AllocationResult BestFitAllocator::allocate(const Instance& instance,
     const VmRequest& vm = instance.requests.vms[k];
     double best_slack = std::numeric_limits<double>::infinity();
     std::int32_t best_server = Placement::kRejected;
-    for (std::size_t j = 0; j < instance.m(); ++j) {
+    const ServerRange open = state.open_servers(k);
+    for (std::size_t j = open.first; j < open.last; ++j) {
       if (!state.is_valid_allocation(k, j)) {
         continue;
       }

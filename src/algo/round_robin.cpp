@@ -34,13 +34,10 @@ AllocationResult RoundRobinAllocator::allocate(const Instance& instance,
 
   std::size_t cursor = 0;
   for (std::uint32_t k : order) {
-    for (std::size_t off = 0; off < instance.m(); ++off) {
-      const std::size_t j = (cursor + off) % instance.m();
-      if (state.is_valid_allocation(k, j)) {
-        state.apply_move(k, static_cast<std::int32_t>(j));
-        cursor = (j + 1) % instance.m();  // keep rotating
-        break;
-      }
+    const std::size_t j = state.first_valid_from(k, cursor);
+    if (j < instance.m()) {
+      state.apply_move(k, static_cast<std::int32_t>(j));
+      cursor = (j + 1) % instance.m();  // keep rotating
     }
   }
 

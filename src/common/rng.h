@@ -105,14 +105,20 @@ class Rng {
 
  private:
   // Uniform in [0, range) for range > 0, debiased via rejection: raw
-  // draws at or past the largest multiple of range are redrawn.
+  // draws at or past limit = max - max % range, the largest multiple of
+  // range, are redrawn.  max % range < range puts limit above
+  // max - range, so only a draw among the top `range` values can be
+  // rejected, and only such a draw pays the division for limit: an
+  // accepted draw costs the one division of its remainder, and every
+  // draw is the one the two-division sampler gave.
   std::uint64_t below(std::uint64_t range) {
-    const std::uint64_t limit =
-        std::numeric_limits<std::uint64_t>::max() -
-        std::numeric_limits<std::uint64_t>::max() % range;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t v = next_u64();
-    while (v >= limit) {
-      v = next_u64();
+    if (v > kMax - range) {
+      const std::uint64_t limit = kMax - kMax % range;
+      while (v >= limit) {
+        v = next_u64();
+      }
     }
     return v % range;
   }

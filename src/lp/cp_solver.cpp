@@ -10,6 +10,10 @@
 namespace iaas {
 namespace {
 
+// The cost order is built by selection for this many candidates, then by
+// one sort of the rest: the search takes about one candidate per node.
+constexpr std::size_t kSelectedCandidates = 8;
+
 double migration_cost(const Instance& inst, std::size_t k, std::size_t j) {
   if (inst.previous.is_assigned(k) &&
       inst.previous.server_of(k) != static_cast<std::int32_t>(j)) {
@@ -21,8 +25,16 @@ double migration_cost(const Instance& inst, std::size_t k, std::size_t j) {
 }  // namespace
 
 struct CpSolver::SearchContext {
+  // One value-ordering candidate: a valid server and its incremental cost.
+  struct Candidate {
+    std::uint32_t server;
+    double cost;
+  };
+
   PlacementState state;  // the partial assignment, extended and reverted
   double cost = 0.0;
+  // The candidate buffer of each depth, kept across nodes.
+  std::vector<std::vector<Candidate>> candidates;
 
   Placement best;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -32,7 +44,9 @@ struct CpSolver::SearchContext {
   CpStats stats;
 
   explicit SearchContext(const Instance& inst)
-      : state(inst, {}, StateTracking::kViolationsOnly), best(inst.n()) {}
+      : state(inst, {}, StateTracking::kViolationsOnly),
+        candidates(inst.n()),
+        best(inst.n()) {}
 };
 
 CpSolver::CpSolver(const Instance& instance, CpSolverOptions options)
@@ -94,7 +108,6 @@ double CpSolver::incremental_cost(std::size_t k, std::size_t j,
 bool CpSolver::dfs(SearchContext& ctx, std::size_t depth) {
   // Return value: true = abort search (budget exhausted), false = keep
   // exploring siblings.
-  const Instance& inst = *instance_;
   if (ctx.deadline.expired()) {
     ctx.stats.timed_out = true;
     return true;
@@ -114,26 +127,37 @@ bool CpSolver::dfs(SearchContext& ctx, std::size_t depth) {
   ++ctx.stats.nodes;
   const std::uint32_t k = vm_order_[depth];
 
-  // Candidate servers ordered by incremental linear cost.
-  struct Candidate {
-    std::uint32_t server;
-    double cost;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(inst.m());
-  for (std::size_t j = 0; j < inst.m(); ++j) {
+  // Candidate servers, among those k's relations leave open, ordered by
+  // incremental linear cost as a stable sort orders them.  Every
+  // candidate is checked here, before any is tried: a tried move reverts
+  // its server's used row to within an ulp, not bit for bit.
+  using Candidate = SearchContext::Candidate;
+  std::vector<Candidate>& candidates = ctx.candidates[depth];
+  candidates.clear();
+  const ServerRange open = ctx.state.open_servers(k);
+  for (std::size_t j = open.first; j < open.last; ++j) {
     if (ctx.state.is_valid_allocation(k, j)) {
       candidates.push_back(
           {static_cast<std::uint32_t>(j),
            incremental_cost(k, j, ctx.state.vm_count_on(j) > 0)});
     }
   }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.cost < b.cost;
-                   });
+  const auto by_cost = [](const Candidate& a, const Candidate& b) {
+    return a.cost < b.cost;
+  };
 
-  for (const Candidate& cand : candidates) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    // The first minimum of the rest moves forward and the others keep
+    // their order, so the order is a stable sort's, built only as far as
+    // the search takes it; past kSelectedCandidates the rest is sorted.
+    const auto rest = candidates.begin() + static_cast<std::ptrdiff_t>(i);
+    if (i < kSelectedCandidates) {
+      const auto first_min = std::min_element(rest, candidates.end(), by_cost);
+      std::rotate(rest, first_min, first_min + 1);
+    } else if (i == kSelectedCandidates) {
+      std::stable_sort(rest, candidates.end(), by_cost);
+    }
+    const Candidate cand = candidates[i];
     // Bound: partial cost + candidate + optimistic remainder.
     if (ctx.cost + cand.cost + remaining_lb_[depth + 1] >= ctx.best_cost) {
       break;  // candidates are cost-sorted; the rest only gets worse
@@ -181,7 +205,8 @@ Placement CpSolver::greedy_with_rejection() const {
   for (std::uint32_t k : vm_order_) {
     double best_cost = std::numeric_limits<double>::infinity();
     std::int32_t best_server = Placement::kRejected;
-    for (std::size_t j = 0; j < inst.m(); ++j) {
+    const ServerRange open = state.open_servers(k);
+    for (std::size_t j = open.first; j < open.last; ++j) {
       if (!state.is_valid_allocation(k, j)) {
         continue;
       }

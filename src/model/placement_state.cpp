@@ -145,6 +145,7 @@ PlacementState::PlacementState(const Instance& instance,
       vm_prev_(instance.n(), kNoVm),
       server_cost_(2 * instance.m(), 0.0),
       overload_count_(instance.m(), 0),
+      overload_bits_((instance.m() + 63) / 64, 0),
       relation_ok_(instance.requests.constraints.size(), 1),
       scratch_row_(instance.h(), 0.0),
       server_epoch_(instance.m(), 0),
@@ -247,6 +248,7 @@ void PlacementState::rebuild_from_placement() {
   // 7.3-7.8k; Release, 4-vCPU x86-64, interleaved runs).
   std::fill(server_cost_.begin(), server_cost_.end(), 0.0);
   std::fill(overload_count_.begin(), overload_count_.end(), 0u);
+  std::fill(overload_bits_.begin(), overload_bits_.end(), 0u);
   double* worst_qos = occupied_worst_qos_.data();
   if (full) {
     for (std::size_t i = 0; i < occupied_count; ++i) {
@@ -266,6 +268,7 @@ void PlacementState::rebuild_from_placement() {
       overloads += row[l] > overload[l] ? 1u : 0u;
     }
     overload_count_[j] = overloads;
+    overload_bits_[j / 64] |= std::uint64_t{overloads != 0} << (j % 64);
     overload_total += overloads;
     if (full) {
       const double usage = usage_of(j, count[j]);
@@ -539,6 +542,26 @@ void PlacementState::refresh_server(std::size_t j) {
   usage_acc(j) = score.usage;
   downtime_acc(j) = score.downtime;
   overload_count_[j] = score.overloads;
+  const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+  std::uint64_t& word = overload_bits_[j / 64];
+  word = score.overloads != 0 ? word | bit : word & ~bit;
+}
+
+std::size_t PlacementState::next_overloaded(std::size_t j) const {
+  const std::size_t m = instance_->m();
+  if (j >= m) {
+    return m;
+  }
+  // Bits past m are never set, so any bit found names a server.
+  std::size_t w = j / 64;
+  std::uint64_t word = overload_bits_[w] & (~std::uint64_t{0} << (j % 64));
+  while (word == 0) {
+    if (++w == overload_bits_.size()) {
+      return m;
+    }
+    word = overload_bits_[w];
+  }
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
 }
 
 ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
@@ -662,6 +685,54 @@ void PlacementState::revert() {
   const Move move = undo_.back();
   undo_.pop_back();
   do_move(move.vm, move.target);
+}
+
+ServerRange PlacementState::open_servers(std::size_t k) const {
+  const Instance& inst = *instance_;
+  const std::uint32_t dc_size = inst.infra.fabric().servers_per_datacenter();
+  ServerRange open{0, static_cast<std::uint32_t>(inst.m())};
+  for (std::uint32_t c : tables_->constraints_of(k)) {
+    const PlacementConstraint& constraint = inst.requests.constraints[c];
+    const bool same_server = constraint.kind == RelationKind::kSameServer;
+    if (!same_server && constraint.kind != RelationKind::kSameDatacenter) {
+      continue;
+    }
+    for (std::uint32_t peer : constraint.vms) {
+      if (peer == k || !placement_.is_assigned(peer)) {
+        continue;
+      }
+      // Servers are numbered datacenter-major, so the peer's datacenter
+      // is one contiguous index range.
+      const auto host = static_cast<std::uint32_t>(placement_.server_of(peer));
+      const std::uint32_t lo = same_server ? host : host / dc_size * dc_size;
+      const std::uint32_t hi = same_server ? host + 1 : lo + dc_size;
+      open.first = std::max(open.first, lo);
+      open.last = std::min(open.last, hi);
+      if (open.empty()) {
+        return {};
+      }
+    }
+  }
+  return open;
+}
+
+std::size_t PlacementState::first_valid_from(std::size_t k,
+                                             std::size_t start) const {
+  const std::size_t m = instance_->m();
+  const ServerRange open = open_servers(k);
+  const auto first_valid = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (is_valid_allocation(k, j)) {
+        return j;
+      }
+    }
+    return m;
+  };
+  const std::size_t j =
+      first_valid(std::max<std::size_t>(start, open.first), open.last);
+  return j < m ? j
+               : first_valid(open.first,
+                             std::min<std::size_t>(start, open.last));
 }
 
 bool PlacementState::is_valid_allocation(std::size_t k,

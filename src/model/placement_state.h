@@ -13,7 +13,9 @@
 // ConstraintChecker::check's from-scratch audit.
 // The same accumulators answer the paper's isValidAllocation (Fig. 6), so
 // every placer, from Round-Robin to the CP search, builds its placement
-// by committing moves into a state.
+// by committing moves into a state; open_servers narrows each of their
+// scans to the servers a VM's relations leave open, and an overload
+// bitset lists the overloaded servers for the repairs.
 //
 // Relocating VM k from server a to server b only changes rows a and b of
 // every per-server quantity, the constraints that mention k, and k's own
@@ -148,6 +150,18 @@ struct StateTables {
 // tests ask it of a violations-only state.
 enum class StateTracking { kFull, kViolationsOnly };
 
+// A contiguous run of server indices, [first, last); empty when
+// first >= last.
+struct ServerRange {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+
+  [[nodiscard]] bool empty() const { return first >= last; }
+  [[nodiscard]] bool contains(std::size_t j) const {
+    return first <= j && j < last;
+  }
+};
+
 // Outcome of scoring one candidate relocation.
 struct ObjectiveDelta {
   // Objective totals as if the move were applied.
@@ -220,6 +234,10 @@ class PlacementState {
   [[nodiscard]] bool server_overloaded(std::size_t j) const {
     return overload_count_[j] > 0;
   }
+  // The first overloaded server at or after j, or m() when none is: one
+  // word of the overload bitset per 64 servers, so a walk over the
+  // overloaded servers skips the rest without reading their counts.
+  [[nodiscard]] std::size_t next_overloaded(std::size_t j) const;
   // True when relationship constraint c (an index into the instance's
   // constraint list) holds among its assigned members.
   [[nodiscard]] bool relation_satisfied(std::size_t c) const {
@@ -231,6 +249,20 @@ class PlacementState {
   // constraint with an assigned peer.  Reads server j's used row and
   // k's constraints from the CSR adjacency: O(h + peers of k).
   [[nodiscard]] bool is_valid_allocation(std::size_t k, std::size_t j) const;
+  // The servers that VM k's assigned same-server and same-datacenter peers
+  // leave open: every server, one datacenter's contiguous index range, one
+  // server, or none (peers on two servers or in two datacenters).  A
+  // server outside the range fails is_valid_allocation's relation check
+  // whatever its load, so a scan for k's first valid server may visit
+  // only the range, in its own order, and finds the same server.
+  // O(peers of k).
+  [[nodiscard]] ServerRange open_servers(std::size_t k) const;
+  // The first server from `start`, wrapping past the last to 0, where VM
+  // k is a valid allocation, or m() when none is (from 0 that is the
+  // lowest index).  Visits only open_servers(k): those at or past
+  // `start`, then those before it.
+  [[nodiscard]] std::size_t first_valid_from(std::size_t k,
+                                             std::size_t start) const;
 
   // --- structure accessors ---
   [[nodiscard]] const Placement& placement() const { return placement_; }
@@ -394,6 +426,9 @@ class PlacementState {
   // [0, m) = Eq. 22 usage terms, [m, 2m) = Eq. 23 downtime terms.
   std::vector<double> server_cost_;
   std::vector<std::uint32_t> overload_count_;  // exceeded attrs per server
+  // Bit j of word j / 64 is set exactly when overload_count_[j] > 0; the
+  // rebuild sets it and refresh_server keeps it current.
+  std::vector<std::uint64_t> overload_bits_;
 
   double total_usage_ = 0.0;
   double total_downtime_ = 0.0;

@@ -16,6 +16,26 @@ constexpr std::size_t kMaxPasses = 4;
 
 }  // namespace
 
+// Every buffer a walk needs, kept per thread: reset() re-arms the tabu
+// memory and reserves room for an instance of n VMs and g datacenters (no
+// server hosts, and no constraint lists, more than n VMs), so once a
+// thread has walked an instance as large, a walk allocates nothing.
+struct TabuRepair::Walk {
+  TabuList tabu{0};
+  std::vector<std::uint32_t> shed_order;  // one overloaded server's VMs
+  std::vector<std::uint32_t> dc_count;    // same-DC members per datacenter
+  std::vector<std::uint32_t> members;     // an anti-affinity group, shuffled
+  std::vector<std::int32_t> taken;        // servers or DCs it already holds
+
+  void reset(std::size_t tenure, std::size_t n, std::size_t g) {
+    tabu.reset(tenure);
+    shed_order.reserve(n);
+    dc_count.reserve(g);
+    members.reserve(n);
+    taken.reserve(n);
+  }
+};
+
 TabuRepair::TabuRepair(const Instance& instance, TabuRepairOptions options,
                        std::shared_ptr<const StateTables> tables)
     : instance_(&instance),
@@ -27,12 +47,16 @@ std::int32_t TabuRepair::find_neighbour(const PlacementState& state,
                                         std::size_t k,
                                         const TabuList& tabu) const {
   telemetry::count(telemetry::Counter::kTabuMovesTried);
+  const ServerRange open = state.open_servers(k);
+  if (open.empty()) {
+    return Placement::kRejected;
+  }
   const Fabric& fabric = instance_->infra.fabric();
   const std::int32_t current = state.placement().server_of(k);
   const auto anchor = static_cast<std::uint32_t>(std::max(current, 0));
   const auto vm = static_cast<std::uint32_t>(k);
-  const std::uint32_t hit =
-      fabric.find_nearest(anchor, [&](std::uint32_t j) {
+  const std::uint32_t hit = fabric.find_nearest(
+      anchor, open.first, open.last, [&](std::uint32_t j) {
         const auto server = static_cast<std::int32_t>(j);
         return server != current && !tabu.is_tabu(vm, server) &&
                state.is_valid_allocation(k, j);
@@ -82,22 +106,24 @@ bool TabuRepair::relocate_group(PlacementState& state,
   return moved;
 }
 
-bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
+bool TabuRepair::repair_capacity(PlacementState& state, Walk& walk,
                                  Rng& rng) const {
   const Instance& inst = *instance_;
   const Fabric& fabric = inst.infra.fabric();
+  TabuList& tabu = walk.tabu;
+  std::vector<std::uint32_t>& shed_order = walk.shed_order;
   bool moved_any = false;
 
-  for (std::size_t j = 0; j < inst.m(); ++j) {
-    // exceedingDetection (Fig. 5 line 2): the state's overload flags are
-    // kept current by every apply_move, so no re-scan is needed.
-    if (!state.server_overloaded(j)) {
-      continue;
-    }
+  // exceedingDetection (Fig. 5 line 2): the state's overload bitset is
+  // kept current by every apply_move, so no re-scan is needed.  The next
+  // overloaded server is looked up after j's moves, so the servers come
+  // in the order of a scan over every flag.
+  for (std::size_t j = state.next_overloaded(0); j < inst.m();
+       j = state.next_overloaded(j + 1)) {
     // Shed in random order so repeated repairs explore different subsets
     // (the stochastic component of the tabu walk).
     const auto members = state.vms_on(j);
-    std::vector<std::uint32_t> shed_order(members.begin(), members.end());
+    shed_order.assign(members.begin(), members.end());
     rng.shuffle(shed_order);
     for (std::uint32_t k : shed_order) {
       if (!state.server_overloaded(j)) {
@@ -148,10 +174,11 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
   return moved_any;
 }
 
-bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
+bool TabuRepair::repair_relations(PlacementState& state, Walk& walk,
                                   Rng& rng) const {
   const Instance& inst = *instance_;
   const Fabric& fabric = inst.infra.fabric();
+  TabuList& tabu = walk.tabu;
   bool moved_any = false;
 
   const auto& constraints = inst.requests.constraints;
@@ -199,7 +226,8 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
       case RelationKind::kSameDatacenter: {
         // Anchor datacenter = the one hosting the most members; move the
         // stragglers to any valid server inside it.
-        std::vector<std::size_t> count(inst.g(), 0);
+        std::vector<std::uint32_t>& count = walk.dc_count;
+        count.assign(inst.g(), 0);
         for (std::uint32_t k : c.vms) {
           if (state.placement().is_assigned(k)) {
             ++count[inst.infra.datacenter_of(
@@ -219,10 +247,15 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
           }
           // Every server of another datacenter is equally far (6 hops)
           // from the straggler, so the nearest valid one is the first in
-          // the anchor datacenter's contiguous index range.
+          // the anchor datacenter's contiguous index range that its
+          // relations leave open.
           const std::size_t dc_size = fabric.servers_per_datacenter();
-          for (std::size_t j = anchor_dc * dc_size;
-               j < (anchor_dc + 1) * dc_size; ++j) {
+          const ServerRange open = state.open_servers(k);
+          const std::size_t end =
+              std::min<std::size_t>((anchor_dc + 1) * dc_size, open.last);
+          for (std::size_t j =
+                   std::max<std::size_t>(anchor_dc * dc_size, open.first);
+               j < end; ++j) {
             if (state.is_valid_allocation(k, j)) {
               state.apply_move(k, static_cast<std::int32_t>(j));
               tabu.forbid(k, static_cast<std::int32_t>(cur));
@@ -238,9 +271,11 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
         // Keep the first occupant of each server/DC; move the duplicates
         // to the nearest valid alternative (is_valid_allocation enforces
         // the anti-affinity against the remaining members).
-        std::vector<std::uint32_t> members(c.vms);
+        std::vector<std::uint32_t>& members = walk.members;
+        members.assign(c.vms.begin(), c.vms.end());
         rng.shuffle(members);
-        std::vector<std::int32_t> taken;
+        std::vector<std::int32_t>& taken = walk.taken;
+        taken.clear();
         for (std::uint32_t k : members) {
           if (!state.placement().is_assigned(k)) {
             continue;
@@ -304,12 +339,13 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
     return 0;
   }
   const std::size_t moves_before = state.applied_moves();
-  TabuList tabu(options_.tabu_tenure);
+  thread_local Walk walk;
+  walk.reset(options_.tabu_tenure, instance_->n(), instance_->g());
 
   std::uint32_t remaining = state.total_violations();
   for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
-    bool moved = repair_capacity(state, tabu, rng);
-    moved = repair_relations(state, tabu, rng) || moved;
+    bool moved = repair_capacity(state, walk, rng);
+    moved = repair_relations(state, walk, rng) || moved;
     remaining = state.total_violations();
     if (remaining == 0 || !moved) {
       break;
@@ -318,9 +354,9 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
   if (remaining > 0) {
     // Last resort: the tabu memory itself may be blocking the only valid
     // moves — clear it and sweep once more unrestricted.
-    tabu.clear();
-    repair_capacity(state, tabu, rng);
-    repair_relations(state, tabu, rng);
+    walk.tabu.clear();
+    repair_capacity(state, walk, rng);
+    repair_relations(state, walk, rng);
     remaining = state.total_violations();
   }
   telemetry::count(telemetry::Counter::kTabuMovesAccepted,

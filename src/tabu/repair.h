@@ -17,7 +17,11 @@
 // Each repair() call drives one PlacementState (DESIGN.md §7): allocated
 // capacity, overload flags, and violation counts are maintained
 // incrementally across relocations, so no pass re-derives the m×h `used`
-// matrix or re-runs a full constraint check.
+// matrix or re-runs a full constraint check.  Every scan for a VM's first
+// valid server visits only the servers its relations leave open
+// (PlacementState::open_servers), the capacity pass walks the state's
+// overload bitset, and a walk allocates nothing once its thread has
+// repaired an instance as large (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +49,8 @@ class TabuRepair {
   // Repairs genes in place toward feasibility; returns the number of
   // constraint violations remaining afterwards (0 = fully repaired).
   // Safe to call concurrently from evaluation threads: all shared members
-  // are immutable after construction.
+  // are immutable after construction, and each thread walks with its own
+  // scratch.
   std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng) const;
 
   // Same walk on a caller-owned PlacementState already rebuilt to the
@@ -59,9 +64,14 @@ class TabuRepair {
   std::uint32_t repair_state(PlacementState& state, Rng& rng) const;
 
  private:
+  // One walk's scratch (tabu memory, shed order, relation buffers),
+  // defined in repair.cpp: one per thread, reused by every walk on it.
+  struct Walk;
+
   // findNeighbour (Fig. 6): the first server, by fabric distance from the
   // current host, where VM k is a valid allocation and the move is not
-  // tabu; returns kRejected-like -1 when none exists.
+  // tabu; returns kRejected-like -1 when none exists.  Only the servers
+  // k's relations leave open are visited.
   std::int32_t find_neighbour(const PlacementState& state, std::size_t k,
                               const class TabuList& tabu) const;
 
@@ -72,10 +82,8 @@ class TabuRepair {
                       const std::vector<std::uint32_t>& vms,
                       std::int32_t target, class TabuList& tabu) const;
 
-  bool repair_capacity(PlacementState& state, class TabuList& tabu,
-                       Rng& rng) const;
-  bool repair_relations(PlacementState& state, class TabuList& tabu,
-                        Rng& rng) const;
+  bool repair_capacity(PlacementState& state, Walk& walk, Rng& rng) const;
+  bool repair_relations(PlacementState& state, Walk& walk, Rng& rng) const;
 
   const Instance* instance_;
   TabuRepairOptions options_;

@@ -11,7 +11,8 @@ namespace iaas {
 
 // A first-in, first-out set of at most `tenure` keys in one ring buffer
 // of `tenure` entries, scanned linearly: at the default tenure of 16 a
-// scan beats hashing, and forbid never allocates.
+// scan beats hashing, and forbid never allocates.  reset() re-arms a list
+// for another walk without giving its buffer back.
 class TabuList {
  public:
   explicit TabuList(std::size_t tenure) : keys_(tenure) {}
@@ -33,6 +34,13 @@ class TabuList {
   void clear() {
     size_ = 0;
     next_ = 0;
+  }
+
+  // Empties the list and sets its tenure; allocates only to grow past
+  // every tenure the list has held.
+  void reset(std::size_t tenure) {
+    keys_.resize(tenure);
+    clear();
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -11,9 +11,11 @@
 // is one contiguous index range and no node or link table is kept.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <ranges>
 #include <string>
+#include <utility>
 
 #include "common/expect.h"
 
@@ -75,6 +77,15 @@ class Fabric {
   // rest of its datacenter, then every other datacenter.
   template <class Pred>
   std::uint32_t find_nearest(std::uint32_t source, Pred&& pred) const {
+    return find_nearest(source, 0, server_count_, std::forward<Pred>(pred));
+  }
+
+  // The same visit clipped to the servers [first, last): each distance
+  // class is cut to the range, so the servers inside it are visited in
+  // the order above and no other is; server_count() when none matches.
+  template <class Pred>
+  std::uint32_t find_nearest(std::uint32_t source, std::uint32_t first,
+                             std::uint32_t last, Pred&& pred) const {
     IAAS_EXPECT(source < server_count_, "server index out of range");
     const std::uint32_t leaf_lo =
         source / config_.servers_per_leaf * config_.servers_per_leaf;
@@ -87,7 +98,8 @@ class Fabric {
         {dc_lo, leaf_lo},     {leaf_hi, dc_hi},  {0, dc_lo},
         {dc_hi, server_count_}};
     for (const auto& [lo, hi] : ranges) {
-      for (std::uint32_t j = lo; j < hi; ++j) {
+      const std::uint32_t end = std::min(hi, last);
+      for (std::uint32_t j = std::max(lo, first); j < end; ++j) {
         if (pred(j)) {
           return j;
         }

@@ -266,14 +266,12 @@ Instance ScenarioGenerator::generate(std::uint64_t seed) const {
     const auto preplaced = static_cast<std::size_t>(
         config_.preplaced_fraction * static_cast<double>(instance.n()));
     for (std::size_t k = 0; k < preplaced; ++k) {
-      // Greedy random feasible placement; skip VMs that do not fit.
-      const std::size_t start = rng.uniform_index(instance.m());
-      for (std::size_t off = 0; off < instance.m(); ++off) {
-        const std::size_t j = (start + off) % instance.m();
-        if (prev.is_valid_allocation(k, j)) {
-          prev.apply_move(k, static_cast<std::int32_t>(j));
-          break;
-        }
+      // Greedy random feasible placement: the first valid server from a
+      // random start, wrapping; skip VMs that do not fit.
+      const std::size_t j =
+          prev.first_valid_from(k, rng.uniform_index(instance.m()));
+      if (j < instance.m()) {
+        prev.apply_move(k, static_cast<std::int32_t>(j));
       }
     }
     instance.previous = prev.placement();

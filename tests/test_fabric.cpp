@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace iaas {
@@ -118,6 +120,69 @@ TEST(Fabric, FindNearestVisitsTheStableDistanceOrder) {
                                         }),
                     target);
           EXPECT_EQ(calls, m / 2 + 1);
+        }
+      }
+    }
+  }
+}
+
+// The clipped find_nearest calls its predicate on exactly the servers of
+// [first, last), in the order the unclipped visit reaches them, for every
+// source and every range: all servers, a datacenter, a leaf, one server,
+// an empty range, and ranges that cut across leaves and datacenters.
+TEST(Fabric, ClippedFindNearestVisitsTheRangeInOrder) {
+  for (std::uint32_t dcs = 1; dcs <= 3; ++dcs) {
+    for (std::uint32_t per_leaf : {1u, 3u}) {
+      FabricConfig fc;
+      fc.datacenters = dcs;
+      fc.leaves_per_dc = 2;
+      fc.servers_per_leaf = per_leaf;
+      const Fabric fabric(fc);
+      const std::uint32_t m = fabric.server_count();
+      const std::uint32_t dc_size = fabric.servers_per_datacenter();
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
+          {0, m}, {0, 0}, {m, m}, {2, 1}, {1, m - 1}, {m / 2, m}};
+      for (std::uint32_t dc = 0; dc < dcs; ++dc) {
+        ranges.emplace_back(dc * dc_size, (dc + 1) * dc_size);
+      }
+      for (std::uint32_t j = 0; j < m; ++j) {
+        ranges.emplace_back(j, j + 1);
+        ranges.emplace_back(j / per_leaf * per_leaf,
+                            (j / per_leaf + 1) * per_leaf);
+      }
+      for (std::uint32_t source = 0; source < m; ++source) {
+        std::vector<std::uint32_t> order;
+        fabric.find_nearest(source, [&](std::uint32_t j) {
+          order.push_back(j);
+          return false;
+        });
+        for (const auto& [first, last] : ranges) {
+          std::vector<std::uint32_t> expected;
+          std::copy_if(order.begin(), order.end(),
+                       std::back_inserter(expected),
+                       [&](std::uint32_t j) { return first <= j && j < last; });
+          std::vector<std::uint32_t> visited;
+          const std::uint32_t none =
+              fabric.find_nearest(source, first, last, [&](std::uint32_t j) {
+                visited.push_back(j);
+                return false;
+              });
+          ASSERT_EQ(visited, expected)
+              << dcs << " DC x 2 leaves x " << per_leaf << " servers, source "
+              << source << ", range [" << first << ", " << last << ")";
+          EXPECT_EQ(none, m);
+          // It stops at, and returns, the range's first hit.
+          if (!expected.empty()) {
+            const std::uint32_t target = expected.back();
+            std::size_t calls = 0;
+            EXPECT_EQ(fabric.find_nearest(source, first, last,
+                                          [&](std::uint32_t j) {
+                                            ++calls;
+                                            return j == target;
+                                          }),
+                      target);
+            EXPECT_EQ(calls, expected.size());
+          }
         }
       }
     }

@@ -1153,5 +1153,236 @@ TEST(StateTables, KneeThresholdIsTheDivisionBoundary) {
   EXPECT_LT(threshold, std::numeric_limits<double>::min());
 }
 
+// open_servers on three datacenters of four servers: VM 0 is the probe,
+// its peers are placed by hand, and every other VM is unconstrained.
+class OpenServers : public ::testing::Test {
+ protected:
+  static Instance instance_with(std::vector<PlacementConstraint> constraints) {
+    return make_instance(3, 4, {10.0, 10.0, 10.0},
+                         std::vector<std::vector<double>>(6, {1.0, 1.0, 1.0}),
+                         std::move(constraints));
+  }
+
+  // The range for VM 0 once `peers` sit on `hosts`; also requires that no
+  // server outside it is a valid allocation for VM 0.
+  static ServerRange range_for(const Instance& inst,
+                               const std::vector<std::int32_t>& hosts) {
+    PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+    std::vector<std::int32_t> genes(inst.n(), Placement::kRejected);
+    std::copy(hosts.begin(), hosts.end(), genes.begin() + 1);
+    state.rebuild(genes);
+    const ServerRange open = state.open_servers(0);
+    for (std::size_t j = 0; j < inst.m(); ++j) {
+      if (state.is_valid_allocation(0, j)) {
+        EXPECT_TRUE(open.contains(j)) << "valid server " << j;
+      }
+    }
+    return open;
+  }
+
+  static void expect_range(const ServerRange& open, std::uint32_t first,
+                           std::uint32_t last) {
+    EXPECT_EQ(open.first, first);
+    EXPECT_EQ(open.last, last);
+  }
+};
+
+TEST_F(OpenServers, NoPeerLeavesEveryServer) {
+  // Unconstrained, an unassigned same-server peer, and an anti-affinity
+  // peer (which never narrows the range).
+  expect_range(range_for(instance_with({}), {3}), 0, 12);
+  expect_range(
+      range_for(instance_with({{RelationKind::kSameServer, {0, 1}}}), {-1}),
+      0, 12);
+  expect_range(range_for(instance_with(
+                             {{RelationKind::kDifferentServers, {0, 1}},
+                              {RelationKind::kDifferentDatacenters, {0, 2}}}),
+                         {5, 9}),
+               0, 12);
+}
+
+TEST_F(OpenServers, SameServerPeerLeavesItsServer) {
+  expect_range(
+      range_for(instance_with({{RelationKind::kSameServer, {0, 1}}}), {6}),
+      6, 7);
+}
+
+TEST_F(OpenServers, SameDatacenterPeerLeavesItsDatacenter) {
+  expect_range(
+      range_for(instance_with({{RelationKind::kSameDatacenter, {1, 0}}}),
+                {9}),
+      8, 12);
+}
+
+TEST_F(OpenServers, PeersOnTwoServersLeaveNone) {
+  const ServerRange open = range_for(
+      instance_with({{RelationKind::kSameServer, {0, 1, 2}}}), {5, 6});
+  EXPECT_TRUE(open.empty());
+  // Two peers on one server leave that server.
+  expect_range(range_for(instance_with(
+                             {{RelationKind::kSameServer, {0, 1, 2}}}),
+                         {5, 5}),
+               5, 6);
+}
+
+TEST_F(OpenServers, PeersInTwoDatacentersLeaveNone) {
+  const ServerRange open = range_for(
+      instance_with({{RelationKind::kSameDatacenter, {0, 1, 2}}}), {3, 4});
+  EXPECT_TRUE(open.empty());
+  // Two peers on two servers of one datacenter leave all of it.
+  expect_range(range_for(instance_with(
+                             {{RelationKind::kSameDatacenter, {0, 1, 2}}}),
+                         {4, 7}),
+               4, 8);
+}
+
+TEST_F(OpenServers, BothKindsIntersect) {
+  const Instance inst =
+      instance_with({{RelationKind::kSameServer, {0, 1}},
+                     {RelationKind::kSameDatacenter, {0, 2}}});
+  // Same-server peer on server 6, same-DC peer in datacenter 1: server 6.
+  expect_range(range_for(inst, {6, 5}), 6, 7);
+  // Same-DC peer in datacenter 0: the two leave nothing.
+  EXPECT_TRUE(range_for(inst, {6, 2}).empty());
+  // The same-DC peer unassigned: the same-server peer alone decides.
+  expect_range(range_for(inst, {10, -1}), 10, 11);
+}
+
+// Along random apply/revert walks, rebases and rebuilds, the overload
+// bitset names exactly the servers server_overloaded reports, in
+// ascending order.
+class OverloadBits : public ::testing::TestWithParam<StateTracking> {};
+
+TEST_P(OverloadBits, MatchServerOverloaded) {
+  std::size_t overloaded = 0;
+  std::size_t fit = 0;
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    // 70 servers (two DCs of 35) span two bitset words; 4 VMs per server
+    // overload some.
+    ScenarioConfig cfg = ScenarioConfig::paper_scale(70);
+    cfg.vms = 280;
+    cfg.constrained_fraction = 0.3;
+    const Instance inst = ScenarioGenerator(cfg).generate(seed);
+    PlacementState state(inst, {}, GetParam());
+    Rng rng(seed * 31);
+    const auto check = [&](int step) {
+      std::vector<std::size_t> expected;
+      for (std::size_t j = 0; j < inst.m(); ++j) {
+        if (state.server_overloaded(j)) {
+          expected.push_back(j);
+        }
+      }
+      std::vector<std::size_t> walked;
+      for (std::size_t j = state.next_overloaded(0); j < inst.m();
+           j = state.next_overloaded(j + 1)) {
+        walked.push_back(j);
+      }
+      ASSERT_EQ(walked, expected) << "seed " << seed << " step " << step;
+      for (std::size_t j = 0; j <= inst.m(); ++j) {
+        const auto next =
+            std::lower_bound(expected.begin(), expected.end(), j);
+        ASSERT_EQ(state.next_overloaded(j),
+                  next == expected.end() ? inst.m() : *next);
+      }
+      overloaded += expected.size();
+      fit += inst.m() - expected.size();
+    };
+    check(-1);
+    state.rebuild(random_genes(inst, rng));
+    check(0);
+    for (int step = 1; step < 400; ++step) {
+      if (step % 100 == 0) {
+        std::vector<std::int32_t> genes = state.placement().genes();
+        for (int flip = 0; flip < 5; ++flip) {
+          genes[rng.uniform_index(inst.n())] =
+              static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+        }
+        state.rebase(genes);
+      } else if (state.applied_moves() > 0 && rng.bernoulli(0.3)) {
+        state.revert();
+      } else {
+        const std::int32_t target =
+            rng.bernoulli(0.1)
+                ? Placement::kRejected
+                : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+        state.apply_move(rng.uniform_index(inst.n()), target);
+      }
+      check(step);
+    }
+  }
+  EXPECT_GT(overloaded, 0u);
+  EXPECT_GT(fit, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tracking, OverloadBits,
+                         ::testing::Values(StateTracking::kFull,
+                                           StateTracking::kViolationsOnly));
+
+// On generated instances with groups, every scan that visits only the
+// servers open_servers leaves finds the server its full scan finds:
+// first_valid_from against the wrapping scan over every server (FFD from
+// 0, RoundRobin from its cursor, the generator's preplacement from a
+// random start), an ascending scan of the range (BestFit's and the CP
+// searches' candidate lists), and the clipped find_nearest against the
+// full one (the tabu walk's find_neighbour), over random partial
+// placements of every VM.
+TEST(OpenServersScan, FirstHitsMatchFullScans) {
+  std::size_t narrowed = 0;
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    ScenarioConfig cfg = ScenarioConfig::paper_scale(32, 2);
+    cfg.vms = 96;
+    cfg.constrained_fraction = 0.6;
+    const Instance inst = ScenarioGenerator(cfg).generate(seed);
+    ASSERT_FALSE(inst.requests.constraints.empty());
+    const std::size_t m = inst.m();
+    const Fabric& fabric = inst.infra.fabric();
+    PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+    Rng rng(seed * 13);
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::int32_t> genes(inst.n());
+      for (auto& g : genes) {
+        g = rng.bernoulli(0.3)
+                ? Placement::kRejected
+                : static_cast<std::int32_t>(rng.uniform_index(m));
+      }
+      state.rebuild(genes);
+      for (std::size_t k = 0; k < inst.n(); ++k) {
+        const ServerRange open = state.open_servers(k);
+        narrowed += open.first != 0 || open.last != m ? 1 : 0;
+        const auto valid = [&](std::size_t j) {
+          return state.is_valid_allocation(k, j);
+        };
+        const auto wrapped_from = [&](std::size_t start) {
+          for (std::size_t off = 0; off < m; ++off) {
+            if (valid((start + off) % m)) {
+              return (start + off) % m;
+            }
+          }
+          return m;
+        };
+        const std::size_t lowest = wrapped_from(0);
+        EXPECT_EQ(state.first_valid_from(k, 0), lowest);
+        ++(lowest < m ? hits : misses);
+        const std::size_t start = rng.uniform_index(m);
+        EXPECT_EQ(state.first_valid_from(k, start), wrapped_from(start));
+        std::size_t in_range = m;
+        for (std::size_t j = open.first; j < open.last && in_range == m; ++j) {
+          in_range = valid(j) ? j : m;
+        }
+        EXPECT_EQ(in_range, lowest);
+        const auto source = static_cast<std::uint32_t>(rng.uniform_index(m));
+        const auto pred = [&](std::uint32_t j) { return valid(j); };
+        EXPECT_EQ(fabric.find_nearest(source, open.first, open.last, pred),
+                  fabric.find_nearest(source, pred));
+      }
+    }
+  }
+  EXPECT_GT(narrowed, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+}
+
 }  // namespace
 }  // namespace iaas

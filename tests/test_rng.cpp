@@ -151,6 +151,35 @@ TEST(Rng, UniformIndexPast2To63) {
   }
 }
 
+// uniform_index against the two-division rejection sampler it replaced
+// (the limit computed before every draw), raw draw for raw draw: the same
+// values, and the same number of raw draws consumed.  2^63 and 2^63 + 5
+// reject about half their raw draws; 2^64 - 1 computes its limit on almost
+// every draw and rejects only the largest.
+TEST(Rng, UniformIndexDrawsAsTheTwoDivisionSampler) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  const auto two_division = [](Rng& raw, std::uint64_t range) {
+    const std::uint64_t limit = kMax - kMax % range;
+    std::uint64_t v = raw.next_u64();
+    while (v >= limit) {
+      v = raw.next_u64();
+    }
+    return v % range;
+  };
+  for (const std::uint64_t range :
+       {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{128},
+        (std::uint64_t{1} << 32) + 1, kTop, kTop + 5, kMax}) {
+    Rng rng(31);
+    Rng raw(31);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(rng.uniform_index(range), two_division(raw, range))
+          << "range " << range << " draw " << i;
+    }
+    EXPECT_EQ(rng.next_u64(), raw.next_u64()) << "range " << range;
+  }
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(23);
   int hits = 0;
